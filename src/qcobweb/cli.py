@@ -15,12 +15,14 @@ emitted, so NO_COLOR is honored trivially.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import sys
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +50,18 @@ from .protocol import (
     BellOutcome,
     branch_probabilities,
     cobweb_state,
+    draw_outcome,
     joint_state,
     normalization_constants,
     run_protocol,
 )
-from .session import classical_only_baseline, messages_to_jsonl, run_session
+from .session import (
+    ResourceLedger,
+    classical_only_baseline,
+    messages_to_jsonl,
+    run_session,
+    session_joint_state,
+)
 from .states import (
     AmplitudeFileError,
     UnknownQubit,
@@ -111,6 +120,12 @@ def _render_cell(value) -> str:
     return json.dumps(value)
 
 
+def _csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
 def _flatten(value, prefix: str = ""):
     """Depth-first (key, scalar) pairs; lists get [i] suffixes."""
     if isinstance(value, dict):
@@ -152,74 +167,82 @@ def cmd_validate(args) -> int:
 # --- run ------------------------------------------------------------------
 
 
-def _run_rows(args, z: ZsaAmplitudes, q: UnknownQubit):
-    forced = BellOutcome.from_label(args.outcome) if args.outcome else None
-    rows = []
-    ledger = None
-    message_lines = []
-    for trial in range(args.trials):
-        seed = [args.seed, trial]
-        if args.session:
-            result = run_session(q, z, outcome=forced, seed=seed)
-            transcript = result.transcript
-            ledger = result.ledger
-            if args.messages:
-                message_lines.append(messages_to_jsonl(result.messages))
-        else:
-            transcript = run_protocol(q, z, outcome=forced, seed=seed)
-        row = {"trial": trial, **transcript.to_dict()}
-        row["product_state"] = int(is_product_state(transcript.final.vector))
-        rows.append(row)
-    return rows, ledger, message_lines
+@dataclass(frozen=True)
+class _Branch:
+    """What every trial that lands on one Bell branch writes."""
+
+    header: str  # CSV header line; empty for JSON
+    tail: str  # serialized row after the trial index, newline included
+    messages: str  # the session's message log as JSON lines; empty without --session
+    ledger: ResourceLedger | None
 
 
-def _run_summary(args, z, q, rows, ledger) -> dict:
-    probs = branch_probabilities(joint_state(q, z))
-    counts = Counter(row["outcome"] for row in rows)
-    summary = {"trials": args.trials, "seed": args.seed}
-    for outcome in BellOutcome:
-        summary[f"empirical_{outcome.label}"] = counts.get(outcome.label, 0) / args.trials
-        summary[f"expected_{outcome.label}"] = probs[outcome]
-    if ledger is not None:
-        summary["ebits_consumed"] = ledger.ebits_consumed
-        summary["cbits_total"] = ledger.cbits_total
-        summary["parties"] = ledger.parties
-    return summary
-
-
-def _rows_to_csv(rows, summary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    amps = len(rows[0]["final_state"])
-    header = [k for k in rows[0] if k != "final_state"]
-    header += [f"amp{i}_{part}" for i in range(amps) for part in ("re", "im")]
-    writer.writerow(header)
-    for row in rows:
-        cells = [_render_cell(row[k]) for k in rows[0] if k != "final_state"]
-        for re, im in row["final_state"]:
-            cells += [_render_cell(re), _render_cell(im)]
-        writer.writerow(cells)
-    return buf.getvalue() + f"# summary: {json.dumps(summary)}\n"
+def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome) -> _Branch:
+    """Run one forced branch and serialize its row once for the whole call."""
+    ledger, messages = None, ""
+    if args.session:
+        result = run_session(q, z, outcome=outcome)
+        transcript, ledger, messages = result.transcript, result.ledger, messages_to_jsonl(result.messages)
+    else:
+        transcript = run_protocol(q, z, outcome=outcome)
+    row = {**transcript.to_dict(), "product_state": int(is_product_state(transcript.final.vector))}
+    if args.format != "csv":
+        return _Branch("", ", " + json.dumps(row)[1:] + "\n", messages, ledger)
+    amps = row.pop("final_state")
+    header = ["trial", *row] + [f"amp{i}_{part}" for i in range(len(amps)) for part in ("re", "im")]
+    cells = [_render_cell(value) for value in row.values()]
+    for re, im in amps:
+        cells += [_render_cell(re), _render_cell(im)]
+    return _Branch(_csv_line(header), "," + _csv_line(cells), messages, ledger)
 
 
 def cmd_run(args) -> int:
+    """Stream one row per trial; each Bell branch is run and serialized once per call.
+
+    Every trial shares (q, z), so its row is one of four fixed by its Bell
+    outcome.  A trial costs one seeded draw from the branch probabilities and
+    one write; a branch is built the first time it is drawn or forced, so a
+    branch that is never drawn is never computed.
+    """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     if args.messages and not args.session:
         raise ValueError("--messages requires --session")
     z = _resolve_source(args)
     q = _qubit_from_args(args)
-    rows, ledger, message_lines = _run_rows(args, z, q)
-    summary = _run_summary(args, z, q, rows, ledger)
-    if args.messages:
-        with open(args.messages, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(message_lines) + "\n")
-    if args.format == "csv":
-        _emit(_rows_to_csv(rows, summary), args.output)
-    else:
-        lines = [json.dumps(row) for row in rows]
-        lines.append(json.dumps({"summary": summary}))
-        _emit("\n".join(lines) + "\n", args.output)
+    probs = branch_probabilities((session_joint_state if args.session else joint_state)(q, z))
+    forced = BellOutcome.from_label(args.outcome) if args.outcome else None
+    lead = '{"trial": ' if args.format != "csv" else ""
+    branches: dict[BellOutcome, _Branch] = {}
+    counts: Counter = Counter()
+    with contextlib.ExitStack() as stack:
+        log = stack.enter_context(open(args.messages, "w", encoding="utf-8")) if args.messages else None
+        out = stack.enter_context(open(args.output, "w", encoding="utf-8")) if args.output else sys.stdout
+        for trial in range(args.trials):
+            outcome = forced if forced is not None else draw_outcome(probs, [args.seed, trial])
+            branch = branches.get(outcome)
+            if branch is None:
+                branch = branches[outcome] = _build_branch(args, z, q, outcome)
+            if trial == 0:
+                out.write(branch.header)
+            out.write(f"{lead}{trial}{branch.tail}")
+            if log is not None:
+                log.write(branch.messages + "\n")
+            counts[outcome] += 1
+
+        summary = {"trials": args.trials, "seed": args.seed}
+        for outcome in BellOutcome:
+            summary[f"empirical_{outcome.label}"] = counts[outcome] / args.trials
+            summary[f"expected_{outcome.label}"] = probs[outcome]
+        ledger = branch.ledger  # a session's ledger is the same on every branch
+        if ledger is not None:
+            summary["ebits_consumed"] = ledger.ebits_consumed
+            summary["cbits_total"] = ledger.cbits_total
+            summary["parties"] = ledger.parties
+        if args.format == "csv":
+            out.write(f"# summary: {json.dumps(summary)}\n")
+        else:
+            out.write(json.dumps({"summary": summary}) + "\n")
     return EXIT_OK
 
 

@@ -185,8 +185,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(kept), t.reshape(d, d))
 
 
-def pure_marginal(state: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state without forming the full projector."""
+def _marginal_entries(state: PureState, keep) -> tuple[int, np.ndarray]:
+    """Qubit count and matrix of a pure state's marginal over the kept qubits, unvalidated."""
     if not state.normalized:
         raise ValueError("pure_marginal requires a normalized state")
     n = state.num_qubits
@@ -196,7 +196,12 @@ def pure_marginal(state: PureState, keep) -> DensityMatrix:
     rest = [q for q in range(1, n + 1) if q not in kept]
     psi = state.amplitudes.reshape([2] * n)
     m = psi.transpose([q - 1 for q in kept] + [q - 1 for q in rest]).reshape(2 ** len(kept), -1)
-    return DensityMatrix(len(kept), m @ m.conj().T)
+    return len(kept), m @ m.conj().T
+
+
+def pure_marginal(state: PureState, keep) -> DensityMatrix:
+    """Reduced density matrix of a pure state without forming the full projector."""
+    return DensityMatrix(*_marginal_entries(state, keep))
 
 
 def partial_transpose(rho: DensityMatrix | LinearOperator, subsystem: int) -> LinearOperator:
@@ -304,7 +309,7 @@ def is_product_state(state: PureState, tol: float = 1e-9) -> bool:
     if state.num_qubits == 1:
         return True
     for q in range(1, state.num_qubits + 1):
-        low = float(np.linalg.eigvalsh(pure_marginal(state, [q]).entries)[0])
+        low = float(np.linalg.eigvalsh(_marginal_entries(state, [q])[1])[0])
         if low > tol:
             return False
     return True

@@ -86,6 +86,8 @@ BELL_VECTORS = {
     BellOutcome.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
 }
 
+_OUTCOMES = tuple(BellOutcome)
+
 I_SIGMA_Y = LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)
 
 
@@ -153,32 +155,53 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
     return tensor(q.state(), build_state(z))
 
 
-def bell_branch(joint: PureState, outcome: BellOutcome) -> tuple[float, PureState]:
-    """Project qubits (a, 1) of the joint state onto one Bell vector.
+def bell_measurement(
+    joint: PureState, outcome: BellOutcome | None = None, seed=None
+) -> tuple[BellOutcome, float, PureState]:
+    """Party 1's Bell measurement on qubits (a, 1) of the joint state.
 
-    Returns the branch probability and the renormalized residual over the
-    N-1 remote qubits.
+    Forces ``outcome`` when given; otherwise projects onto all four Bell
+    vectors once, draws the outcome with ``seed`` and keeps the drawn
+    branch's residual.  Returns the outcome, its probability and the
+    renormalized residual over the N-1 remote qubits.
     """
     if joint.num_qubits < 3:
         raise ValueError("joint state must cover particle a plus at least two parties")
-    prob, residual = project(joint, (1, 2), BELL_VECTORS[outcome])
+    if outcome is None:
+        branches = {o: project(joint, (1, 2), BELL_VECTORS[o]) for o in BellOutcome}
+        outcome = draw_outcome({o: p for o, (p, _) in branches.items()}, seed)
+        prob, residual = branches[outcome]
+    else:
+        prob, residual = project(joint, (1, 2), BELL_VECTORS[outcome])
     if prob < DEGENERATE_PROBABILITY:
         raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
-    return prob, PureState(joint.num_qubits - 2, residual / math.sqrt(prob))
+    return outcome, prob, PureState(joint.num_qubits - 2, residual / math.sqrt(prob))
+
+
+def bell_branch(joint: PureState, outcome: BellOutcome) -> tuple[float, PureState]:
+    """Probability and renormalized remote residual of one forced Bell outcome."""
+    _, prob, residual = bell_measurement(joint, outcome)
+    return prob, residual
 
 
 def branch_probabilities(joint: PureState) -> dict[BellOutcome, float]:
-    probs = {}
-    for outcome in BellOutcome:
-        p, _ = project(joint, (1, 2), BELL_VECTORS[outcome])
-        probs[outcome] = p
-    return probs
+    return {o: project(joint, (1, 2), BELL_VECTORS[o])[0] for o in BellOutcome}
+
+
+def draw_outcome(probs: dict[BellOutcome, float], seed) -> BellOutcome:
+    """Draw a Bell outcome from its branch probabilities; the one sampler of the package.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts, a Generator
+    included; identical seeds draw identical outcomes.
+    """
+    if seed is None:
+        raise ValueError("sampling an outcome requires a seed")
+    weights = np.array([probs[o] for o in BellOutcome])
+    return _OUTCOMES[int(np.random.default_rng(seed).choice(4, p=weights / weights.sum()))]
 
 
 def sample_outcome(joint: PureState, rng: np.random.Generator) -> BellOutcome:
-    probs = branch_probabilities(joint)
-    weights = np.array([probs[o] for o in BellOutcome])
-    return list(BellOutcome)[int(rng.choice(4, p=weights / weights.sum()))]
+    return draw_outcome(branch_probabilities(joint), rng)
 
 
 def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:
@@ -262,12 +285,7 @@ def run_protocol(
     bit for bit.
     """
     n = z.num_parties
-    joint = joint_state(q, z)
-    if outcome is None:
-        if seed is None:
-            raise ValueError("sampling an outcome requires a seed")
-        outcome = sample_outcome(joint, np.random.default_rng(seed))
-    prob, residual = bell_branch(joint, outcome)
+    outcome, prob, residual = bell_measurement(joint_state(q, z), outcome, seed)
     rule = correction_for(outcome)
     corrected = apply_correction(residual, rule)
     n_alpha, n_beta = normalization_constants(q, z)

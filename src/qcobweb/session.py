@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, apply_gate, partial_trace
+from .linalg import DensityMatrix, PureState, apply_gate, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
 from .protocol import (
     BELL_VECTORS,
@@ -22,11 +22,11 @@ from .protocol import (
     CobwebState,
     CorrectionRule,
     Transcript,
-    bell_branch,
+    bell_measurement,
     correction_for,
+    draw_outcome,
     joint_state,
     normalization_constants,
-    sample_outcome,
 )
 from .states import UnknownQubit, ZsaAmplitudes, one_hot_index, roots_of_unity_zsa
 
@@ -83,6 +83,13 @@ class BaselineReport:
     messages: tuple[ClassicalMessage, ...]
 
 
+def session_joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
+    """The joint state a session starts from; fewer than three parties are refused as a session."""
+    if z.num_parties < 3:
+        raise ValueError("a session needs at least three parties")
+    return joint_state(q, z)
+
+
 def run_session(
     q: UnknownQubit,
     z: ZsaAmplitudes,
@@ -97,14 +104,7 @@ def run_session(
     bit under the same seed.
     """
     n = z.num_parties
-    if n < 3:
-        raise ValueError("a session needs at least three parties")
-    joint = joint_state(q, z)
-    if outcome is None:
-        if seed is None:
-            raise ValueError("sampling an outcome requires a seed")
-        outcome = sample_outcome(joint, np.random.default_rng(seed))
-    prob, residual = bell_branch(joint, outcome)
+    outcome, prob, residual = bell_measurement(session_joint_state(q, z), outcome, seed)
 
     parties = {k: Party(id=k, local_qubits=(k,)) for k in range(2, n + 1)}
     messages = tuple(
@@ -182,11 +182,7 @@ def classical_only_baseline(
         probs[o] = p
         branches[o] = block
     if outcome is None:
-        if seed is None:
-            raise ValueError("sampling an outcome requires a seed")
-        rng = np.random.default_rng(seed)
-        weights = np.array([probs[o] for o in BellOutcome])
-        outcome = list(BellOutcome)[int(rng.choice(4, p=weights / weights.sum()))]
+        outcome = draw_outcome(probs, seed)
 
     messages = tuple(
         ClassicalMessage(step=i + 1, sender=1, recipient=k, payload=outcome.payload)

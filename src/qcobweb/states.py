@@ -135,7 +135,10 @@ class UnknownQubit:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi!r}")
+        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
         object.__setattr__(self, "theta", float(self.theta))
 
     @property

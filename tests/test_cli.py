@@ -1,11 +1,17 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from qcobweb import cli
 from qcobweb.cli import main
+from qcobweb.linalg import is_product_state
+from qcobweb.protocol import run_protocol
+from qcobweb.states import UnknownQubit, roots_of_unity_zsa
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +176,139 @@ def test_run_rejects_bad_trials(capsys):
     code, _, err = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.0", "--trials", "0")
     assert code == 2
     assert "trials" in err
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_run_rejects_non_finite_phi(capsys, phi):
+    code, out, err = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.0", f"--phi={phi}")
+    assert code == 2
+    assert out == ""
+    assert "phi" in err
+
+
+# SHA-256 of stdout and of the --messages file, recorded from the implementation
+# that ran every trial through the protocol and buffered all rows (numpy 2.4.6,
+# x86-64).  The branch-cached streaming path must reproduce them byte for byte.
+GOLDEN_RUNS = [
+    (
+        ["--gen", "cube", "--theta", "1.2", "--phi", "0.4", "--trials", "40", "--seed", "9"],
+        "2ab06fb8024a2ccb820bba9b57bd71443b294f9f74952b6e6afa29ce865a5b4d",
+        None,
+    ),
+    (
+        ["--gen", "roots:4", "--theta", "0.9", "--phi", "1.1", "--trials", "30", "--seed", "3", "--format", "csv"],
+        "4d902138a912c31420e8691a97ebc11bfec1815645cdb798e9eebd5621cab707",
+        None,
+    ),
+    (
+        ["--gen", "roots:5", "--theta", "1.0", "--phi", "0.2", "--trials", "25", "--seed", "5", "--session"],
+        "6714c5c8c2f03227d48b5ee3717492c2a84ef55bd8329cc77b404e079e03f2ae",
+        "bf86af64ee0bc5581da901a16d179b81fbb3c702c89a7eac5b5e387aaa013dd0",
+    ),
+    (
+        ["--gen", "roots:4", "--theta", "2.0", "--trials", "20", "--seed", "8", "--session", "--format", "csv"],
+        "55a26267ecf85a4ebf04080e36ed453d0991e412610450654c01280d781f150e",
+        "08fd4e2e101b152fa4f2fdbcb07c7bb68e3cbca285a957ad07315588b12f0d46",
+    ),
+    (
+        ["--gen", "cube", "--theta", "0.7", "--outcome", "PhiMinus", "--trials", "5"],
+        "119ffca5c9071c53ac7db4c9b332193c8c978a99ee5b60fc499d59b4fdecf9f8",
+        None,
+    ),
+    (
+        ["--gen", "roots:6", "--theta", "2.5", "--phi", "5.0", "--outcome", "PsiPlus", "--trials", "3",
+         "--session", "--format", "csv"],
+        "1a20bfbd29b3580fd4cb2628eee56bdfb05ca4e46477c104eb36b2df19a9752f",
+        "102a908948c8af880454099eab91ab66ad2ee1305e23f63c93f4fe364ca7031d",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_digest,messages_digest",
+    GOLDEN_RUNS,
+    ids=["json", "csv", "session-json", "session-csv", "forced-json", "forced-session-csv"],
+)
+def test_run_golden_output(capsys, tmp_path, argv, stdout_digest, messages_digest):
+    log = tmp_path / "messages.jsonl"
+    extra = ["--messages", str(log)] if messages_digest else []
+    code, out, err = run_cli(capsys, "run", *argv, *extra)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    if messages_digest:
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == messages_digest
+
+
+def test_run_rows_match_per_trial_protocol(capsys):
+    """Differential check of the branch cache against one sampled protocol run per trial."""
+    q, z = UnknownQubit(0.8, 2.9), roots_of_unity_zsa(4)
+    code, out, _ = run_cli(
+        capsys, "run", "--gen", "roots:4", "--theta", "0.8", "--phi", "2.9", "--trials", "60", "--seed", "21"
+    )
+    assert code == 0
+    lines = out.splitlines()[:-1]
+    assert len(lines) == 60
+    for trial, line in enumerate(lines):
+        transcript = run_protocol(q, z, seed=[21, trial])
+        row = {"trial": trial, **transcript.to_dict(),
+               "product_state": int(is_product_state(transcript.final.vector))}
+        assert line == json.dumps(row)
+
+
+@pytest.mark.parametrize("name,extra", [("run_protocol", []), ("run_session", ["--session"])])
+def test_run_builds_each_branch_once(capsys, monkeypatch, name, extra):
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("outcome"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    code, out, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--trials", "1000", "--seed", "4", *extra)
+    assert code == 0
+    assert len(out.splitlines()) == 1001
+    assert len(calls) <= 4
+    assert len(set(calls)) == len(calls)
+
+
+def _traced_peak(capsys, path, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        code = main(["run", "--gen", "roots:8", "--theta", "1.1", "--trials", str(trials), "--seed", "2",
+                     "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    return peak
+
+
+def test_run_memory_flat_in_trials(capsys, tmp_path):
+    _traced_peak(capsys, tmp_path / "warm.jsonl", 20)  # imports and caches outside the measurement
+    small = _traced_peak(capsys, tmp_path / "small.jsonl", 200)
+    large = _traced_peak(capsys, tmp_path / "large.jsonl", 2000)
+    assert len((tmp_path / "large.jsonl").read_text().splitlines()) == 2001
+    assert large <= 1.5 * small
+
+
+def test_run_unwritable_messages_writes_no_rows(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "run", "--gen", "cube", "--theta", "1.0", "--trials", "5", "--session",
+        "--messages", str(tmp_path / "missing" / "log.jsonl"),
+    )
+    assert code == 3
+    assert out == ""
+    assert "input error" in err
+
+
+def test_run_session_rejects_two_parties_as_session(capsys):
+    code, out, err = run_cli(capsys, "run", "--gen", "epr", "--theta", "1.0", "--session")
+    assert code == 2
+    assert out == ""
+    assert "a session needs at least three parties" in err
 
 
 # --- measures ------------------------------------------------------------------

@@ -300,6 +300,34 @@ def test_is_product_state():
     assert is_product_state(prod)
 
 
+def test_is_product_state_matches_marginal_oracle():
+    rng = np.random.default_rng(59)
+    states = [random_pure_state(3, rng) for _ in range(20)]
+    states += [tensor(random_pure_state(1, rng), random_pure_state(2, rng)) for _ in range(5)]
+    states += [tensor(tensor(random_pure_state(1, rng), random_pure_state(1, rng)), random_pure_state(1, rng))]
+    for state in states:
+        oracle = all(
+            float(np.linalg.eigvalsh(pure_marginal(state, [q]).entries)[0]) <= 1e-9 for q in (1, 2, 3)
+        )
+        assert is_product_state(state) == oracle
+
+
+def test_is_product_state_one_eigensolve_per_marginal(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert not is_product_state(SINGLET)
+    assert calls == [(2, 2)]  # the first marginal is already mixed
+    calls.clear()
+    assert is_product_state(basis_state(3, 5))
+    assert calls == [(2, 2)] * 3
+
+
 def test_partial_transpose_general_register():
     # three qubits: transposing the middle factor of A (x) B (x) C gives
     # A (x) B^T (x) C

@@ -318,6 +318,12 @@ def test_unknown_qubit_parametrization():
     assert UnknownQubit(1.0, 2 * np.pi + 0.25).phi == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
+def test_unknown_qubit_rejects_non_finite_phi(phi):
+    with pytest.raises(ValueError, match="phi"):
+        UnknownQubit(1.0, phi)
+
+
 # --- JSON I/O ----------------------------------------------------------------------
 
 
