@@ -47,6 +47,7 @@ from .measures import (
     splitting_entropy,
 )
 from .protocol import (
+    DEGENERATE_PROBABILITY,
     BellOutcome,
     branch_probabilities,
     cobweb_state,
@@ -201,8 +202,11 @@ def cmd_run(args) -> int:
 
     Every trial shares (q, z), so its row is one of four fixed by its Bell
     outcome.  A trial costs one seeded draw from the branch probabilities and
-    one write; a branch is built the first time it is drawn or forced, so a
-    branch that is never drawn is never computed.
+    one write.  The first trial builds only the branch it lands on, so a
+    one-trial call computes one branch.  A sampled call of at least four
+    trials then builds every other branch whose probability is high enough
+    not to raise `DegenerateBranch`, so its cost does not depend on which
+    outcomes the draws hit; that is at most one build per trial.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -229,6 +233,10 @@ def cmd_run(args) -> int:
             if log is not None:
                 log.write(branch.messages + "\n")
             counts[outcome] += 1
+            if trial == 0 and forced is None and args.trials >= len(BellOutcome):
+                for other in BellOutcome:
+                    if other not in branches and probs[other] >= DEGENERATE_PROBABILITY:
+                        branches[other] = _build_branch(args, z, q, other)
 
         summary = {"trials": args.trials, "seed": args.seed}
         for outcome in BellOutcome:

@@ -10,7 +10,7 @@ import pytest
 from qcobweb import cli
 from qcobweb.cli import main
 from qcobweb.linalg import is_product_state
-from qcobweb.protocol import run_protocol
+from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.states import UnknownQubit, roots_of_unity_zsa
 
 
@@ -271,6 +271,42 @@ def test_run_builds_each_branch_once(capsys, monkeypatch, name, extra):
     assert len(out.splitlines()) == 1001
     assert len(calls) <= 4
     assert len(set(calls)) == len(calls)
+
+
+
+def _built_outcomes(capsys, monkeypatch, *argv) -> list:
+    calls = []
+    real = cli.run_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("outcome"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", counted)
+    code, _, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", *argv)
+    assert code == 0
+    return calls
+
+
+def test_run_builds_every_branch_whatever_the_draws(capsys, monkeypatch):
+    # seed 3 draws PhiPlus on all four trials; the call still builds all four branches
+    calls = _built_outcomes(capsys, monkeypatch, "--trials", "4", "--seed", "3")
+    assert calls[0] == BellOutcome.PHI_PLUS
+    assert sorted(calls, key=lambda o: o.value) == list(BellOutcome)
+    # below four trials a call builds only the branches it draws
+    for trials in ("1", "3"):
+        assert _built_outcomes(capsys, monkeypatch, "--trials", trials, "--seed", "3") == [BellOutcome.PHI_PLUS]
+
+
+def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
+    real = cli.branch_probabilities
+
+    def no_psi_minus(joint):
+        return {**real(joint), BellOutcome.PSI_MINUS: 0.0}
+
+    monkeypatch.setattr(cli, "branch_probabilities", no_psi_minus)
+    calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
+    assert sorted(calls, key=lambda o: o.value) == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS]
 
 
 def _traced_peak(capsys, path, trials: int) -> int:
