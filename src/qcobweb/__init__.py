@@ -48,7 +48,6 @@ from .protocol import (
     CorrectionRule,
     DegenerateBranch,
     Transcript,
-    bell_branch,
     branch_probabilities,
     cobweb_state,
     correction_for,
@@ -60,7 +59,6 @@ from .protocol import (
 from .session import (
     BaselineReport,
     ClassicalMessage,
-    Party,
     ResourceLedger,
     SessionResult,
     classical_only_baseline,

@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 
-OUTCOME_LABELS = ["PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus"]
-
-
 def _resolve_source(args) -> ZsaAmplitudes:
     if args.coeffs is not None:
         return load_amplitudes(args.coeffs)
@@ -139,13 +136,9 @@ def _flatten(value, prefix: str = ""):
         yield prefix, value
 
 
-def _key_value_csv(doc: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in _flatten(doc):
-        writer.writerow([key, _render_cell(value)])
-    return buf.getvalue()
+def _csv_table(header, rows) -> str:
+    """A header line, then one line per row with every cell rendered by `_render_cell`."""
+    return _csv_line(header) + "".join(_csv_line(map(_render_cell, row)) for row in rows)
 
 
 # --- validate -------------------------------------------------------------
@@ -168,7 +161,7 @@ def cmd_validate(args) -> int:
 # --- run ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Branch:
     """What every trial that lands on one Bell branch writes."""
 
@@ -242,11 +235,8 @@ def cmd_run(args) -> int:
         for outcome in BellOutcome:
             summary[f"empirical_{outcome.label}"] = counts[outcome] / args.trials
             summary[f"expected_{outcome.label}"] = probs[outcome]
-        ledger = branch.ledger  # a session's ledger is the same on every branch
-        if ledger is not None:
-            summary["ebits_consumed"] = ledger.ebits_consumed
-            summary["cbits_total"] = ledger.cbits_total
-            summary["parties"] = ledger.parties
+        if branch.ledger is not None:  # a session's ledger is the same on every branch
+            summary.update(dataclasses.asdict(branch.ledger))
         if args.format == "csv":
             out.write(f"# summary: {json.dumps(summary)}\n")
         else:
@@ -317,7 +307,7 @@ def cmd_measures(args) -> int:
     q = _qubit_from_args(args)
     report = _measures_report(z, q)
     if args.format == "csv":
-        _emit(_key_value_csv(report), args.output)
+        _emit(_csv_table(["key", "value"], _flatten(report)), args.output)
     else:
         _emit(json.dumps(report, indent=2) + "\n", args.output)
     return EXIT_OK
@@ -329,12 +319,7 @@ def cmd_measures(args) -> int:
 def cmd_scaling(args) -> int:
     curve = scaling_curve(args.max)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["parties", "ebits"])
-        for n, e in curve:
-            writer.writerow([n, _render_cell(e)])
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv_table(["parties", "ebits"], curve), args.output)
     else:
         lines = [json.dumps({"parties": n, "ebits": e}) for n, e in curve]
         _emit("\n".join(lines) + "\n", args.output)
@@ -344,171 +329,80 @@ def cmd_scaling(args) -> int:
 # --- claims -----------------------------------------------------------------
 
 
+CLAIM_FIELDS = ["claim", "stated", "computed", "abs_diff", "status", "note"]
+
+
 def _claims_rows() -> list[dict]:
-    rows: list[dict] = []
-
-    def add(claim, stated, computed, tol, note=""):
-        diff = abs(computed - stated)
-        rows.append(
-            {
-                "claim": claim,
-                "stated": float(stated),
-                "computed": float(computed),
-                "abs_diff": float(diff),
-                "status": "pass" if diff <= tol else "flag",
-                "note": note,
-            }
-        )
-
+    """Each claim as (claim, stated, computed, tol, note); a row passes when |computed - stated| <= tol."""
     s = 1.0 / math.sqrt(2.0)
     singlet = PureState(2, np.array([0.0, -s, s, 0.0], dtype=complex))
-    add(
-        "epr-reduction-singlet-fidelity",
-        1.0,
-        state_fidelity(build_state(epr_zsa()), singlet),
-        1e-12,
-        "the two-party coefficients build the singlet exactly",
-    )
-
     cube = roots_of_unity_zsa(3)
-    add(
-        "cube-roots-marginal-population",
-        2.0 / 3.0,
-        float(reduced_single(cube, 1).entries[0, 0].real),
-        1e-12,
-        "every single-party marginal is diag(2/3, 1/3)",
-    )
-    add(
-        "cube-roots-splitting-entropy",
-        0.9,
-        splitting_entropy(cube, 1),
-        0.05,
-        "rounded reference value; exact closed form is 0.918296",
-    )
-
-    pt_eigs = hermitian_eigenvalues(ppt_report(cube).matrix)
-    add(
-        "pair-transpose-min-eigenvalue",
-        (1.0 - math.sqrt(5.0)) / 6.0,
-        float(pt_eigs[0]),
-        1e-10,
-        "negative eigenvalue certifies the inseparable pair marginal",
-    )
-    add(
-        "pair-eof-two-routes",
-        entanglement_of_formation(cube),
-        eof_from_concurrence(concurrence(reduced_pair(cube))),
-        1e-10,
-        "closed form vs concurrence route, about 0.550 bits",
-    )
-
-    q_pole = UnknownQubit(0.0)
     q_eq = UnknownQubit(math.pi / 2.0)
-    n_alpha_pole, _ = normalization_constants(q_pole, cube)
-    add(
-        "norm-constant-pole-identity",
-        float(abs(cube.coeffs[0]) ** 2),
-        1.0 / n_alpha_pole**2,
-        1e-12,
-        "1/N(alpha)^2 = |c1|^2 at theta = 0",
-    )
-    n_alpha_eq, _ = normalization_constants(q_eq, cube)
-    add("norm-constant-cube-equator", 0.5, 1.0 / n_alpha_eq**2, 1e-12, "")
-
     cw = cobweb_state(q_eq, cube, 0)
-    spectrum = cobweb_spectrum(cw)
+    epsilon = cobweb_spectrum(cw).epsilon
     det_oracle = float(np.prod(cobweb_marginal_eigenvalues(cw, 1)))
-    add(
-        "output-marginal-determinant",
-        spectrum.epsilon,
-        det_oracle,
-        1e-10,
-        "epsilon equals the determinant of either single-qubit marginal",
-    )
-    add(
-        "output-marginal-determinant-4x",
-        4.0 * spectrum.epsilon,
-        det_oracle,
-        1e-10,
-        "variant with an extra factor of 4 fails the determinant oracle",
-    )
-
-    recovery = cnot_disentangle(cw)
-    add(
-        "recovery-probability-cube-roots",
-        0.5,
-        recovery.closed_form_probability,
-        1e-12,
-        "claimed better than chance; cube roots give P = 1/3 since Re(c2* c3) = -1/6 < 0",
-    )
-
-    rng = np.random.default_rng(20260809)
-    trials = 200
-    agree = 0
-    for _ in range(trials):
-        z_rand = random_zsa(3, rng)
-        q_rand = UnknownQubit(math.acos(1.0 - 2.0 * rng.uniform(0.05, 0.95)), 2.0 * math.pi * rng.random())
-        success_probability_sign(z_rand, q_rand)  # raises on any violation
-        agree += 1
-    add(
-        "recovery-sign-rule",
-        1.0,
-        agree / trials,
-        0.0,
-        "P > 1/2 exactly when Re(c2* c3) > 0 (200 seeded random states)",
-    )
-
-    a = 0.5
-    zero_family = validate_zsa([-a * (1.0 + 1.0j), a, 1.0j * a])
-    family_report = obstruction(UnknownQubit(math.pi / 2.0, 0.7), zero_family)
-    add(
-        "obstruction-always-nonzero",
-        1.0,
-        1.0 if family_report.value > 0.0 else 0.0,
-        0.0,
-        f"claimed impossible to null with nonzero amplitudes; c2 = a, c3 = ia gives "
-        f"value {family_report.value!r} (oracle {family_report.oracle_value:.3e})",
-    )
-
+    # c2 = a, c3 = ia with a = 1/2: every amplitude nonzero, yet Re(c2 c3*) = 0
+    zero_cross = validate_zsa([-0.5 * (1.0 + 1.0j), 0.5, 0.5j])
+    nulled = obstruction(UnknownQubit(math.pi / 2.0, 0.7), zero_cross)
     curve = dict(scaling_curve(4))
-    add("scaling-two-parties", 1.0, curve[2], 1e-12, "")
-    add("scaling-three-parties", 0.9183, curve[3], 1e-4, "")
-    add("scaling-four-parties", 0.8113, curve[4], 1e-4, "")
     big_n = 1024
     e_big = binary_entropy(1.0 / big_n)
-    add(
-        "scaling-large-n-loose",
-        1.0 / big_n,
-        e_big,
-        1e-4,
-        "claimed ~1/N decay; the curve actually decays like (log2 N + log2 e)/N",
-    )
-    add(
-        "scaling-large-n-refined",
-        1.0,
-        big_n * e_big / (math.log2(big_n) + math.log2(math.e)),
-        1e-3,
-        "refined asymptotic ratio at N = 1024",
-    )
-
     baseline = classical_only_baseline(UnknownQubit(1.2, 0.4), seed=11)
-    add(
-        "classical-control-entanglement",
-        0.0,
-        max(baseline.max_coherence, baseline.entanglement_of_formation),
-        1e-12,
-        "diagonal correlated shared state yields zero output entanglement",
-    )
-
-    transcript = run_protocol(q_eq, cube, outcome=BellOutcome.PSI_MINUS)
-    add(
-        "classical-cost-per-recipient",
-        2.0,
-        float(transcript.cbits_sent),
-        0.0,
-        "two classical bits to each remote party",
-    )
-    return rows
+    rng = np.random.default_rng(20260809)
+    sign_draws, sign_agreements = 200, 0
+    for _ in range(sign_draws):
+        z = random_zsa(3, rng)
+        q = UnknownQubit(math.acos(1.0 - 2.0 * rng.uniform(0.05, 0.95)), 2.0 * math.pi * rng.random())
+        simulated = cnot_disentangle(cobweb_state(q, z, 0)).success_probability
+        sign_agreements += (simulated > 0.5) == ((np.conj(z.coeffs[1]) * z.coeffs[2]).real > 0.0)
+    table = [
+        ("epr-reduction-singlet-fidelity", 1.0, state_fidelity(build_state(epr_zsa()), singlet), 1e-12,
+         "the two-party coefficients build the singlet exactly"),
+        ("cube-roots-marginal-population", 2.0 / 3.0, reduced_single(cube, 1).entries[0, 0].real, 1e-12,
+         "every single-party marginal is diag(2/3, 1/3)"),
+        ("cube-roots-splitting-entropy", 0.9, splitting_entropy(cube, 1), 0.05,
+         "rounded reference value; exact closed form is 0.918296"),
+        ("pair-transpose-min-eigenvalue", (1.0 - math.sqrt(5.0)) / 6.0,
+         hermitian_eigenvalues(ppt_report(cube).matrix)[0], 1e-10,
+         "negative eigenvalue certifies the inseparable pair marginal"),
+        ("pair-eof-two-routes", entanglement_of_formation(cube),
+         eof_from_concurrence(concurrence(reduced_pair(cube))), 1e-10,
+         "closed form vs concurrence route, about 0.550 bits"),
+        ("norm-constant-pole-identity", abs(cube.coeffs[0]) ** 2,
+         1.0 / normalization_constants(UnknownQubit(0.0), cube)[0] ** 2, 1e-12,
+         "1/N(alpha)^2 = |c1|^2 at theta = 0"),
+        ("norm-constant-cube-equator", 0.5, 1.0 / normalization_constants(q_eq, cube)[0] ** 2, 1e-12, ""),
+        ("output-marginal-determinant", epsilon, det_oracle, 1e-10,
+         "epsilon equals the determinant of either single-qubit marginal"),
+        ("output-marginal-determinant-4x", 4.0 * epsilon, det_oracle, 1e-10,
+         "variant with an extra factor of 4 fails the determinant oracle"),
+        ("recovery-probability-cube-roots", 0.5, cnot_disentangle(cw).closed_form_probability, 1e-12,
+         "claimed better than chance; cube roots give P = 1/3 since Re(c2* c3) = -1/6 < 0"),
+        ("recovery-sign-rule", 1.0, sign_agreements / sign_draws, 0.0,
+         "P > 1/2 exactly when Re(c2* c3) > 0 (200 seeded random states)"),
+        ("obstruction-always-nonzero", 1.0, 1.0 if nulled.value > 0.0 else 0.0, 0.0,
+         f"claimed impossible to null with nonzero amplitudes; c2 = a, c3 = ia gives "
+         f"value {nulled.value!r} (oracle {nulled.oracle_value:.3e})"),
+        ("scaling-two-parties", 1.0, curve[2], 1e-12, ""),
+        ("scaling-three-parties", 0.9183, curve[3], 1e-4, ""),
+        ("scaling-four-parties", 0.8113, curve[4], 1e-4, ""),
+        ("scaling-large-n-loose", 1.0 / big_n, e_big, 1e-4,
+         "claimed ~1/N decay; the curve actually decays like (log2 N + log2 e)/N"),
+        ("scaling-large-n-refined", 1.0, big_n * e_big / (math.log2(big_n) + math.log2(math.e)), 1e-3,
+         "refined asymptotic ratio at N = 1024"),
+        ("classical-control-entanglement", 0.0,
+         max(baseline.max_coherence, baseline.entanglement_of_formation), 1e-12,
+         "diagonal correlated shared state yields zero output entanglement"),
+        ("classical-cost-per-recipient", 2.0,
+         run_protocol(q_eq, cube, outcome=BellOutcome.PSI_MINUS).cbits_sent, 0.0,
+         "two classical bits to each remote party"),
+    ]
+    return [
+        {"claim": claim, "stated": float(stated), "computed": float(computed),
+         "abs_diff": float(diff := abs(computed - stated)), "status": "pass" if diff <= tol else "flag",
+         "note": note}
+        for claim, stated, computed, tol, note in table
+    ]
 
 
 def _claims_text(rows) -> str:
@@ -540,21 +434,7 @@ def cmd_claims(args) -> int:
     if args.format == "json":
         _emit("\n".join(json.dumps(row) for row in rows) + "\n", args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["claim", "stated", "computed", "abs_diff", "status", "note"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["claim"],
-                    _render_cell(row["stated"]),
-                    _render_cell(row["computed"]),
-                    _render_cell(row["abs_diff"]),
-                    row["status"],
-                    row["note"],
-                ]
-            )
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv_table(CLAIM_FIELDS, (row.values() for row in rows)), args.output)
     else:
         _emit(_claims_text(rows), args.output)
     return EXIT_OK
@@ -597,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_qubit(p, theta_required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed; trial t uses (seed, t)")
-    p.add_argument("--outcome", choices=OUTCOME_LABELS, default=None, help="force a Bell branch")
+    p.add_argument("--outcome", choices=[o.label for o in BellOutcome], default=None,
+                   help="force a Bell branch")
     p.add_argument("--session", action="store_true", help="run the full message-passing session")
     p.add_argument("--messages", default=None, help="with --session, write message logs (JSON lines)")
     _add_output(p)

@@ -1,9 +1,10 @@
 """The universal-entangling protocol on a shared ZSA state.
 
-Party 1 holds the unknown qubit (particle a) and particle 1 of the shared
-N-party one-hot ZSA state.  A Bell measurement on (a, 1) followed by an
-outcome-conditioned single-qubit correction at every remote party leaves
-parties 2..N sharing the unknown qubit entangled with a reference state:
+The measuring party, party 1, holds the unknown qubit (particle a) and
+particle 1 of the shared N-party one-hot ZSA state.  A Bell measurement on
+(a, 1) followed by an outcome-conditioned single-qubit correction at every
+remote party leaves parties 2..N sharing the unknown qubit entangled with a
+reference state:
 
     outcome    correction (every remote qubit)    reference bit
     PhiPlus    i*sigma_y                          1
@@ -158,7 +159,7 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
 def bell_measurement(
     joint: PureState, outcome: BellOutcome | None = None, seed=None
 ) -> tuple[BellOutcome, float, PureState]:
-    """Party 1's Bell measurement on qubits (a, 1) of the joint state.
+    """The Bell measurement of party 1 on qubits (a, 1) of the joint state.
 
     Forces ``outcome`` when given; otherwise projects onto all four Bell
     vectors once, draws the outcome with ``seed`` and keeps the drawn
@@ -178,12 +179,6 @@ def bell_measurement(
     return outcome, prob, PureState(joint.num_qubits - 2, residual / math.sqrt(prob))
 
 
-def bell_branch(joint: PureState, outcome: BellOutcome) -> tuple[float, PureState]:
-    """Probability and renormalized remote residual of one forced Bell outcome."""
-    _, prob, residual = bell_measurement(joint, outcome)
-    return prob, residual
-
-
 def branch_probabilities(joint: PureState) -> dict[BellOutcome, float]:
     return {o: project(joint, (1, 2), BELL_VECTORS[o])[0] for o in BellOutcome}
 
@@ -198,10 +193,6 @@ def draw_outcome(probs: dict[BellOutcome, float], seed) -> BellOutcome:
         raise ValueError("sampling an outcome requires a seed")
     weights = np.array([probs[o] for o in BellOutcome])
     return _OUTCOMES[int(np.random.default_rng(seed).choice(4, p=weights / weights.sum()))]
-
-
-def sample_outcome(joint: PureState, rng: np.random.Generator) -> BellOutcome:
-    return draw_outcome(branch_probabilities(joint), rng)
 
 
 def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:

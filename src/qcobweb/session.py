@@ -1,11 +1,13 @@
-"""Multi-party session: the protocol as explicit parties, messages, and resources.
+"""Multi-party session: one protocol run plus its message log and resource ledger.
 
-Party 1 measures and broadcasts the two-bit outcome; parties 2..N apply their
-correction only after their message is delivered.  The message log is the
-only shared structure, is append-only, and each entry carries a total-order
-step.  Delivery is reliable, ordered, and loss-free; permuting the delivery
-order cannot change the final state because the corrections act on distinct
-qubits.
+A session is the same LOCC protocol as ``run_protocol``: party 1 makes the
+Bell measurement and sends the two-bit outcome to each of parties 2..N, and
+every remote party applies the one fixed Pauli correction that the payload
+names.  The session adds the append-only message log, one entry per
+recipient with a total-order step, and the ledger of ebits and classical
+bits spent.  Delivery is reliable, ordered and loss-free; the order in which
+messages land cannot change the final state, because the corrections act on
+distinct qubits and so commute.
 """
 from __future__ import annotations
 
@@ -14,31 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, apply_gate, partial_trace
+from .linalg import DensityMatrix, PureState, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
 from .protocol import (
     BELL_VECTORS,
     BellOutcome,
-    CobwebState,
-    CorrectionRule,
     Transcript,
-    bell_measurement,
     correction_for,
     draw_outcome,
     joint_state,
-    normalization_constants,
+    run_protocol,
 )
 from .states import UnknownQubit, ZsaAmplitudes, one_hot_index, roots_of_unity_zsa
-
-
-@dataclass
-class Party:
-    """One node: party 1 measures; remote parties hold one qubit and one pending correction."""
-
-    id: int
-    local_qubits: tuple[int, ...]
-    pending_correction: CorrectionRule | None = None
-    corrections_applied: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,10 +72,22 @@ class BaselineReport:
     messages: tuple[ClassicalMessage, ...]
 
 
-def session_joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
-    """The joint state a session starts from; fewer than three parties are refused as a session."""
+def _require_session(z: ZsaAmplitudes) -> None:
     if z.num_parties < 3:
         raise ValueError("a session needs at least three parties")
+
+
+def _broadcast(outcome: BellOutcome, num_parties: int) -> tuple[ClassicalMessage, ...]:
+    """The two-bit message from party 1 to each of parties 2..N, in ascending order."""
+    return tuple(
+        ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=outcome.payload)
+        for k in range(2, num_parties + 1)
+    )
+
+
+def session_joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
+    """The joint state a session starts from; fewer than three parties are refused as a session."""
+    _require_session(z)
     return joint_state(q, z)
 
 
@@ -95,59 +96,13 @@ def run_session(
     z: ZsaAmplitudes,
     outcome: BellOutcome | None = None,
     seed=None,
-    delivery_order=None,
 ) -> SessionResult:
-    """Run the protocol as N communicating parties.
-
-    ``delivery_order`` permutes which remote party's message lands first;
-    the default is ascending party id, which reproduces run_protocol bit for
-    bit under the same seed.
-    """
+    """Run the protocol as N communicating parties; the transcript is run_protocol's, bit for bit."""
+    _require_session(z)
+    transcript = run_protocol(q, z, outcome, seed)
     n = z.num_parties
-    outcome, prob, residual = bell_measurement(session_joint_state(q, z), outcome, seed)
-
-    parties = {k: Party(id=k, local_qubits=(k,)) for k in range(2, n + 1)}
-    messages = tuple(
-        ClassicalMessage(step=i + 1, sender=1, recipient=k, payload=outcome.payload)
-        for i, k in enumerate(range(2, n + 1))
-    )
-
-    order = tuple(delivery_order) if delivery_order is not None else tuple(range(2, n + 1))
-    if sorted(order) != list(range(2, n + 1)):
-        raise ValueError(f"delivery order must be a permutation of 2..{n}, got {order!r}")
-
-    state = residual
-    for recipient in order:
-        message = messages[recipient - 2]
-        party = parties[recipient]
-        # A remote party sees nothing but the two-bit payload.
-        party.pending_correction = correction_for(BellOutcome(message.payload))
-        state = apply_gate(state, [recipient - 1], party.pending_correction.gate)
-        party.pending_correction = None
-        party.corrections_applied += 1
-
-    reference_bit = correction_for(outcome).reference_bit
-    n_alpha, n_beta = normalization_constants(q, z)
-    final = CobwebState(
-        reference_bit=reference_bit,
-        zsa=z,
-        qubit=q,
-        vector=state,
-        norm_constant=n_beta if reference_bit else n_alpha,
-    )
-    transcript = Transcript(
-        outcome=outcome,
-        outcome_probability=prob,
-        cbits_sent=2,
-        parties_notified=n - 1,
-        final=final,
-    )
-    ledger = ResourceLedger(
-        ebits_consumed=splitting_entropy(z, 1),
-        cbits_total=2 * (n - 1),
-        parties=n,
-    )
-    return SessionResult(transcript=transcript, ledger=ledger, messages=messages)
+    ledger = ResourceLedger(ebits_consumed=splitting_entropy(z, 1), cbits_total=2 * (n - 1), parties=n)
+    return SessionResult(transcript=transcript, ledger=ledger, messages=_broadcast(transcript.outcome, n))
 
 
 def classical_only_baseline(
@@ -184,10 +139,7 @@ def classical_only_baseline(
     if outcome is None:
         outcome = draw_outcome(probs, seed)
 
-    messages = tuple(
-        ClassicalMessage(step=i + 1, sender=1, recipient=k, payload=outcome.payload)
-        for i, k in enumerate(range(2, 4))
-    )
+    messages = _broadcast(outcome, 3)
     gate = correction_for(outcome).gate.entries
     pair_gate = np.kron(gate, gate)
     out = pair_gate @ (branches[outcome] / probs[outcome]) @ pair_gate.conj().T

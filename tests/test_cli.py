@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -444,6 +445,51 @@ def test_claims_csv(capsys):
     assert {"claim", "stated", "computed", "abs_diff", "status", "note"} == set(rows[0])
     by_claim = {row["claim"]: row for row in rows}
     assert float(by_claim["scaling-two-parties"]["computed"]) == 1.0
+
+
+# SHA-256 of stdout, recorded from the implementation that built the claims row
+# by row and wrote each CSV through its own writer (numpy 2.4.6, x86-64).
+GOLDEN_REPORTS = [
+    (["claims"], "b6d5ea957e4bca64ed7fdd66d48c66dd630d4d39de53b054d96f8d48932103c0"),
+    (["claims", "--format", "json"], "967778f0bde0d0aed1d03c4b7760ca521a7f492f674a8fdd08e3f7a5bfbc1ee5"),
+    (["claims", "--format", "csv"], "b4a0168aedf8cbe6001942bb0d0d498680552a02dd533090ab3b1bb8160358b0"),
+    (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"],
+     "73252d987ae5b2f0fa34852b6f5144c3b7db70b7f3e7d2a28fde81a91c4556b2"),
+    (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3", "--format", "csv"],
+     "c5c582f42cc0ed5f241c3235f3508d396b7c974d2bb0b1596fe9e865c5e97d18"),
+    (["scaling", "--max", "40"], "a3b9808e77986abc69f686e2160312627c9c03cde57aeac2db057e098e71cf17"),
+    (["scaling", "--max", "40", "--format", "csv"],
+     "73755f0a747d115d7e406d70fefc8bf39a985977e8d6fdbb74df258265a0301d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    GOLDEN_REPORTS,
+    ids=["claims-text", "claims-json", "claims-csv", "measures-json", "measures-csv", "scaling-json",
+         "scaling-csv"],
+)
+def test_report_golden_output(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_claims_sign_rule_counts_disagreements(capsys, monkeypatch):
+    """With the simulated recovery probability flipped around 1/2, the sign rule must be flagged."""
+    real = cli.cnot_disentangle
+
+    def flipped(c):
+        result = real(c)
+        return dataclasses.replace(result, success_probability=1.0 - result.success_probability)
+
+    monkeypatch.setattr(cli, "cnot_disentangle", flipped)
+    code, out, _ = run_cli(capsys, "claims", "--format", "json")
+    assert code == 0
+    row = next(row for row in map(json.loads, out.splitlines()) if row["claim"] == "recovery-sign-rule")
+    assert row["computed"] < 1.0
+    assert row["status"] == "flag"
 
 
 def test_run_messages_requires_session(capsys, tmp_path):

@@ -19,15 +19,15 @@ from qcobweb.protocol import (
     I_SIGMA_Y,
     BellOutcome,
     DegenerateBranch,
-    bell_branch,
+    bell_measurement,
     branch_probabilities,
     cobweb_state,
     correction_for,
+    draw_outcome,
     generalized_target,
     joint_state,
     normalization_constants,
     run_protocol,
-    sample_outcome,
     target_vector,
 )
 from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa
@@ -73,7 +73,7 @@ def test_bell_resolution_matches_gate_twisted_targets():
         for outcome in BellOutcome:
             gate = correction_for(outcome).gate
             twisted = target_vector(gate.entries.conj().T @ q.vector(), z, 0)
-            prob, residual = bell_branch(joint, outcome)
+            _, prob, residual = bell_measurement(joint, outcome)
             assert prob == pytest.approx(np.vdot(twisted, twisted).real / 2, abs=1e-12)
             assert equal_up_to_global_phase(
                 residual, PureState(2, twisted / np.linalg.norm(twisted)), 1e-10
@@ -319,7 +319,7 @@ def test_sampling_frequencies():
     counts = {o: 0 for o in BellOutcome}
     trials = 4000
     for _ in range(trials):
-        counts[sample_outcome(joint, rng)] += 1
+        counts[draw_outcome(branch_probabilities(joint), rng)] += 1
     for o in BellOutcome:
         sigma = np.sqrt(trials * probs[o] * (1 - probs[o]))
         assert abs(counts[o] - trials * probs[o]) <= 3 * sigma
@@ -328,7 +328,7 @@ def test_sampling_frequencies():
 def test_degenerate_branch_guard():
     crafted = tensor(PureState(2, BELL_VECTORS[BellOutcome.PHI_PLUS]), basis_state(1, 0))
     with pytest.raises(DegenerateBranch):
-        bell_branch(crafted, BellOutcome.PSI_PLUS)
+        bell_measurement(crafted, BellOutcome.PSI_PLUS)
 
 
 def test_transcript_serialization():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from qcobweb.measures import cobweb_spectrum, splitting_entropy
-from qcobweb.protocol import BellOutcome, cobweb_state, run_protocol
+from qcobweb.linalg import apply_gate
+from qcobweb.protocol import (
+    BellOutcome,
+    bell_measurement,
+    cobweb_state,
+    correction_for,
+    joint_state,
+    run_protocol,
+)
 from qcobweb.session import (
     ClassicalMessage,
     classical_only_baseline,
@@ -59,31 +67,20 @@ def test_message_log_serialization():
 
 
 def test_delivery_order_does_not_matter():
-    q = UnknownQubit(1.0, 0.8)
-    reference = run_session(q, CUBE, seed=11)
-    for order in itertools.permutations((2, 3)):
-        permuted = run_session(q, CUBE, seed=11, delivery_order=order)
-        np.testing.assert_array_equal(
-            permuted.transcript.final.vector.amplitudes,
-            reference.transcript.final.vector.amplitudes,
-        )
+    """The remote corrections act on distinct qubits, so any delivery order gives the session's state."""
     rng = np.random.default_rng(5)
-    z5 = random_zsa(5, rng)
-    q5 = random_qubit(rng)
-    reference = run_session(q5, z5, outcome=BellOutcome.PHI_PLUS)
-    for _ in range(5):
-        order = list(range(2, 6))
-        rng.shuffle(order)
-        permuted = run_session(q5, z5, outcome=BellOutcome.PHI_PLUS, delivery_order=order)
-        np.testing.assert_array_equal(
-            permuted.transcript.final.vector.amplitudes,
-            reference.transcript.final.vector.amplitudes,
-        )
-
-
-def test_bad_delivery_order():
-    with pytest.raises(ValueError, match="permutation"):
-        run_session(UnknownQubit(1.0), CUBE, seed=0, delivery_order=(2, 2))
+    for z in (CUBE, random_zsa(5, rng)):
+        q = random_qubit(rng)
+        remote = list(range(1, z.num_parties))
+        for outcome in BellOutcome:
+            reference = run_session(q, z, outcome=outcome).transcript.final.vector.amplitudes
+            _, _, residual = bell_measurement(joint_state(q, z), outcome)
+            gate = correction_for(outcome).gate
+            for order in itertools.permutations(remote):
+                state = residual
+                for qubit in order:
+                    state = apply_gate(state, [qubit], gate)
+                np.testing.assert_array_equal(state.amplitudes, reference)
 
 
 def test_ledger_values():
