@@ -21,6 +21,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -49,6 +50,7 @@ from .measures import (
 from .protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
+    Transcript,
     branch_probabilities,
     cobweb_state,
     draw_outcome,
@@ -112,6 +114,12 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _render_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -161,11 +169,31 @@ def cmd_validate(args) -> int:
 # --- run ------------------------------------------------------------------
 
 
+def _amplitude_text(amplitudes: np.ndarray, csv_cells: bool) -> str:
+    """CSV cells ``re,im,...`` or JSON pairs ``[[re, im], ...]``, each cell as ``json.dumps(float(x))``.
+
+    Only pairs with a bit set (a nonzero, or a ``-0.0``) are formatted; the cost is set by the nonzeros.
+    """
+    pairs = amplitudes.view(np.float64).reshape(-1, 2)
+    pair, sep = ("{},{}", ",") if csv_cells else ("[{}, {}]", ", ")
+    parts = [pair.format("0.0", "0.0")] * len(pairs)
+    for k in np.flatnonzero(pairs.view(np.int64).any(axis=1)).tolist():
+        parts[k] = pair.format(*map(json.dumps, pairs[k].tolist()))
+    text = sep.join(parts)
+    return text if csv_cells else f"[{text}]"
+
+
+def _csv_header(transcript: Transcript) -> str:
+    """The header line; like the amplitude cells, the generated ``amp{i}_re`` names need no quoting."""
+    amps = ",".join(f"amp{i}_re,amp{i}_im" for i in range(transcript.final.vector.amplitudes.size))
+    return _csv_line(["trial", *transcript.scalar_fields(), "product_state"])[:-1] + "," + amps + "\n"
+
+
 @dataclasses.dataclass(frozen=True)
 class _Branch:
     """What every trial that lands on one Bell branch writes."""
 
-    header: str  # CSV header line; empty for JSON
+    transcript: Transcript
     tail: str  # serialized row after the trial index, newline included
     messages: str  # the session's message log as JSON lines; empty without --session
     ledger: ResourceLedger | None
@@ -179,15 +207,14 @@ def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome)
         transcript, ledger, messages = result.transcript, result.ledger, messages_to_jsonl(result.messages)
     else:
         transcript = run_protocol(q, z, outcome=outcome)
-    row = {**transcript.to_dict(), "product_state": int(is_product_state(transcript.final.vector))}
-    if args.format != "csv":
-        return _Branch("", ", " + json.dumps(row)[1:] + "\n", messages, ledger)
-    amps = row.pop("final_state")
-    header = ["trial", *row] + [f"amp{i}_{part}" for i in range(len(amps)) for part in ("re", "im")]
-    cells = [_render_cell(value) for value in row.values()]
-    for re, im in amps:
-        cells += [_render_cell(re), _render_cell(im)]
-    return _Branch(_csv_line(header), "," + _csv_line(cells), messages, ledger)
+    scalars = transcript.scalar_fields()
+    product = int(is_product_state(transcript.final.vector))
+    amps = _amplitude_text(transcript.final.vector.amplitudes, args.format == "csv")
+    if args.format == "csv":
+        tail = "," + _csv_line(map(_render_cell, [*scalars.values(), product]))[:-1] + "," + amps + "\n"
+    else:
+        tail = f", {json.dumps(scalars)[1:-1]}, \"final_state\": {amps}, \"product_state\": {product}}}\n"
+    return _Branch(transcript, tail, messages, ledger)
 
 
 def cmd_run(args) -> int:
@@ -205,6 +232,8 @@ def cmd_run(args) -> int:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     if args.messages and not args.session:
         raise ValueError("--messages requires --session")
+    if args.messages and args.output and _same_file(args.messages, args.output):
+        raise ValueError("--messages and --output name the same file")
     z = _resolve_source(args)
     q = _qubit_from_args(args)
     probs = branch_probabilities((session_joint_state if args.session else joint_state)(q, z))
@@ -220,8 +249,8 @@ def cmd_run(args) -> int:
             branch = branches.get(outcome)
             if branch is None:
                 branch = branches[outcome] = _build_branch(args, z, q, outcome)
-            if trial == 0:
-                out.write(branch.header)
+            if trial == 0 and args.format == "csv":
+                out.write(_csv_header(branch.transcript))
             out.write(f"{lead}{trial}{branch.tail}")
             if log is not None:
                 log.write(branch.messages + "\n")

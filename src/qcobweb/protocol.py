@@ -62,22 +62,15 @@ class BellOutcome(Enum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
+        return self.name.title().replace("_", "")  # PHI_PLUS -> PhiPlus
 
     @classmethod
     def from_label(cls, label: str) -> "BellOutcome":
-        for outcome, name in _LABELS.items():
-            if name == label:
+        for outcome in cls:
+            if outcome.label == label:
                 return outcome
-        raise ValueError(f"unknown Bell outcome {label!r}; expected one of {list(_LABELS.values())}")
+        raise ValueError(f"unknown Bell outcome {label!r}; expected one of {[o.label for o in cls]}")
 
-
-_LABELS = {
-    BellOutcome.PHI_PLUS: "PhiPlus",
-    BellOutcome.PHI_MINUS: "PhiMinus",
-    BellOutcome.PSI_PLUS: "PsiPlus",
-    BellOutcome.PSI_MINUS: "PsiMinus",
-}
 
 _S = 1.0 / math.sqrt(2.0)
 BELL_VECTORS = {
@@ -86,8 +79,7 @@ BELL_VECTORS = {
     BellOutcome.PSI_PLUS: np.array([0, _S, _S, 0], dtype=complex),
     BellOutcome.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
 }
-
-_OUTCOMES = tuple(BellOutcome)
+_OUTCOMES = tuple(BellOutcome)  # by value; indexing it is cheaper than calling BellOutcome per draw
 
 I_SIGMA_Y = LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)
 
@@ -133,7 +125,8 @@ class Transcript:
     parties_notified: int
     final: CobwebState
 
-    def to_dict(self) -> dict:
+    def scalar_fields(self) -> dict:
+        """Every field of `to_dict` but ``final_state``, in the same order."""
         return {
             "outcome": self.outcome.label,
             "payload": self.outcome.payload,
@@ -142,8 +135,11 @@ class Transcript:
             "parties_notified": self.parties_notified,
             "reference_bit": self.final.reference_bit,
             "norm_constant": self.final.norm_constant,
-            "final_state": [[float(a.real), float(a.imag)] for a in self.final.vector.amplitudes],
         }
+
+    def to_dict(self) -> dict:
+        pairs = [[float(a.real), float(a.imag)] for a in self.final.vector.amplitudes]
+        return {**self.scalar_fields(), "final_state": pairs}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -241,19 +237,17 @@ def generalized_target(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) ->
     return PureState(z.num_parties - 1, target_vector(q.vector(), z, reference_bit), normalized=False)
 
 
+def _cobweb(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int, vector: PureState) -> CobwebState:
+    """An output state with its closed-form constant: N(beta) for reference bit 1, else N(alpha)."""
+    n_alpha, n_beta = normalization_constants(q, z)
+    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, vector=vector,
+                       norm_constant=n_beta if reference_bit else n_alpha)
+
+
 def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> CobwebState:
     """Build the normalized output state directly from its definition."""
     raw = target_vector(q.vector(), z, reference_bit)
-    nrm = np.linalg.norm(raw)
-    n_alpha, n_beta = normalization_constants(q, z)
-    constant = n_beta if reference_bit else n_alpha
-    return CobwebState(
-        reference_bit=reference_bit,
-        zsa=z,
-        qubit=q,
-        vector=PureState(z.num_parties - 1, raw / nrm),
-        norm_constant=constant,
-    )
+    return _cobweb(q, z, reference_bit, PureState(z.num_parties - 1, raw / np.linalg.norm(raw)))
 
 
 def apply_correction(state: PureState, rule: CorrectionRule) -> PureState:
@@ -275,22 +269,8 @@ def run_protocol(
     Sampling requires a seed; identical seeds reproduce identical transcripts
     bit for bit.
     """
-    n = z.num_parties
     outcome, prob, residual = bell_measurement(joint_state(q, z), outcome, seed)
     rule = correction_for(outcome)
-    corrected = apply_correction(residual, rule)
-    n_alpha, n_beta = normalization_constants(q, z)
-    final = CobwebState(
-        reference_bit=rule.reference_bit,
-        zsa=z,
-        qubit=q,
-        vector=corrected,
-        norm_constant=n_beta if rule.reference_bit else n_alpha,
-    )
-    return Transcript(
-        outcome=outcome,
-        outcome_probability=prob,
-        cbits_sent=2,
-        parties_notified=n - 1,
-        final=final,
-    )
+    final = _cobweb(q, z, rule.reference_bit, apply_correction(residual, rule))
+    return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
+                      parties_notified=z.num_parties - 1, final=final)

@@ -128,14 +128,8 @@ def classical_only_baseline(
     rho = np.kron(np.outer(q.vector(), q.vector().conj()), shared)
     rho_t = rho.reshape(4, 4, 4, 4)  # axes: (a1 row, 23 row, a1 col, 23 col)
 
-    probs = {}
-    branches = {}
-    for o in BellOutcome:
-        b = BELL_VECTORS[o]
-        block = np.einsum("i,irjs,j->rs", b.conj(), rho_t, b)
-        p = float(np.trace(block).real)
-        probs[o] = p
-        branches[o] = block
+    branches = {o: np.einsum("i,irjs,j->rs", b.conj(), rho_t, b) for o, b in BELL_VECTORS.items()}
+    probs = {o: float(np.trace(block).real) for o, block in branches.items()}
     if outcome is None:
         outcome = draw_outcome(probs, seed)
 
@@ -146,10 +140,7 @@ def classical_only_baseline(
     out_dm = DensityMatrix(2, out)
 
     off_diag = np.abs(out - np.diag(np.diag(out)))
-    marginal_coherences = [
-        float(np.abs(partial_trace(out_dm, [qubit]).entries[0, 1]))
-        for qubit in (1, 2)
-    ]
+    marginal_coherences = [float(np.abs(partial_trace(out_dm, [qubit]).entries[0, 1])) for qubit in (1, 2)]
     ledger = ResourceLedger(ebits_consumed=0.0, cbits_total=4, parties=3)
     return BaselineReport(
         outcome=outcome,

@@ -6,12 +6,14 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qcobweb import cli
 from qcobweb.cli import main
-from qcobweb.linalg import is_product_state
-from qcobweb.protocol import BellOutcome, run_protocol
+from qcobweb.linalg import PureState, is_product_state
+from qcobweb.protocol import BellOutcome, CobwebState, Transcript, run_protocol
+from qcobweb.session import run_session
 from qcobweb.states import UnknownQubit, roots_of_unity_zsa
 
 
@@ -222,13 +224,48 @@ GOLDEN_RUNS = [
         "1a20bfbd29b3580fd4cb2628eee56bdfb05ca4e46477c104eb36b2df19a9752f",
         "102a908948c8af880454099eab91ab66ad2ee1305e23f63c93f4fe364ca7031d",
     ),
+    # Wide rows, and rows that print -0.0, recorded from the renderer that ran
+    # every amplitude through json.dumps.
+    (
+        ["--gen", "roots:14", "--theta", "1.1", "--phi", "0.3", "--session", "--format", "csv", "--trials", "5",
+         "--seed", "2"],
+        "08c1f373ad9e9da6b146ece57a9371e07559014b48c623b17e6bba603ac6512f",
+        "e3240e2d0ff0929d16a184860f4fc074ef05d5a445d82d83d87bfa27c4da1887",
+    ),
+    (
+        ["--gen", "roots:11", "--theta", "0.6", "--phi", "2.2", "--trials", "6", "--seed", "4"],
+        "fab5ca238fa69324527dd26c5879013a5b2b345e0e0c840d67a9a1810203622e",
+        None,
+    ),
+    (
+        ["--gen", "roots:12", "--theta", "1.9", "--phi", "0.8", "--outcome", "PhiPlus"],
+        "1be203c87b4487f1f94a051049e53fbeda599d9e7ac901681d192716c0a53275",
+        None,
+    ),
+    (
+        ["--gen", "cube", "--theta", "0", "--outcome", "PsiPlus"],
+        "6268073eca2912cac2dc4e96394260345552a91f58d64b8c8da41ddb9cd08587",
+        None,
+    ),
+    (
+        ["--gen", "cube", "--theta", "0", "--outcome", "PsiPlus", "--format", "csv"],
+        "959a0562858f5a04a8346a256d43b2eabb1a8773692daf91775dca75f2672d34",
+        None,
+    ),
+    (
+        ["--gen", "cube", "--theta", "0", "--outcome", "PhiPlus", "--format", "csv"],
+        "10a045766adebaadca585ae4df5bad5d1c2d0d0e093399b46ba729e948a49cb3",
+        None,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,stdout_digest,messages_digest",
     GOLDEN_RUNS,
-    ids=["json", "csv", "session-json", "session-csv", "forced-json", "forced-session-csv"],
+    ids=["json", "csv", "session-json", "session-csv", "forced-json", "forced-session-csv",
+         "wide-session-csv", "wide-json", "wide-forced-json", "signed-zero-json", "signed-zero-csv",
+         "signed-zero-phiplus-csv"],
 )
 def test_run_golden_output(capsys, tmp_path, argv, stdout_digest, messages_digest):
     log = tmp_path / "messages.jsonl"
@@ -241,20 +278,75 @@ def test_run_golden_output(capsys, tmp_path, argv, stdout_digest, messages_diges
         assert hashlib.sha256(log.read_bytes()).hexdigest() == messages_digest
 
 
-def test_run_rows_match_per_trial_protocol(capsys):
-    """Differential check of the branch cache against one sampled protocol run per trial."""
-    q, z = UnknownQubit(0.8, 2.9), roots_of_unity_zsa(4)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("session", [False, True], ids=["protocol", "session"])
+def test_run_rows_match_per_trial_protocol(capsys, fmt, session):
+    """Differential check of the branch cache and the row renderer against one sampled run per trial.
+
+    Each row must equal the trial's own `Transcript.to_dict`, with every cell
+    written by `json.dumps`.
+    """
+    q, z = UnknownQubit(0.8, 2.9), roots_of_unity_zsa(9)
+    extra = ["--session"] if session else []
     code, out, _ = run_cli(
-        capsys, "run", "--gen", "roots:4", "--theta", "0.8", "--phi", "2.9", "--trials", "60", "--seed", "21"
+        capsys, "run", "--gen", "roots:9", "--theta", "0.8", "--phi", "2.9", "--trials", "60", "--seed", "21",
+        "--format", fmt, *extra,
     )
     assert code == 0
     lines = out.splitlines()[:-1]
+    if fmt == "csv":
+        header, *lines = csv.reader(lines)
     assert len(lines) == 60
+    outcomes = set()
     for trial, line in enumerate(lines):
-        transcript = run_protocol(q, z, seed=[21, trial])
+        transcript = (run_session(q, z, seed=[21, trial]).transcript if session
+                      else run_protocol(q, z, seed=[21, trial]))
+        outcomes.add(transcript.outcome)
         row = {"trial": trial, **transcript.to_dict(),
                "product_state": int(is_product_state(transcript.final.vector))}
-        assert line == json.dumps(row)
+        if fmt == "json":
+            assert line == json.dumps(row)
+            continue
+        amps = row.pop("final_state")
+        assert header == [*row, *(f"amp{i}_{part}" for i in range(len(amps)) for part in ("re", "im"))]
+        scalars = [value if isinstance(value, str) else json.dumps(value) for value in row.values()]
+        assert line == scalars + [json.dumps(x) for pair in amps for x in pair]
+    assert outcomes == set(BellOutcome)
+
+
+# Cells that json.dumps writes in every form it has: signed zeros, the
+# smallest subnormal, values that round at the 17th digit, and extremes.
+_CRAFTED_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.1 + 0.2, 1.0 / 3.0,
+                  math.nextafter(1.0, 2.0), 1e300, -1e300]
+
+
+def _crafted_amplitudes() -> np.ndarray:
+    """Every (re, im) pair of crafted cells, padded to 256 amplitudes with signed-zero pairs."""
+    pairs = [complex(re, im) for re in _CRAFTED_CELLS for im in _CRAFTED_CELLS]
+    flat = np.zeros(2 * 256)
+    flat[: 2 * len(pairs)] = np.array(pairs).view(np.float64)
+    flat[2 * len(pairs) :: 3] = -0.0
+    return flat.view(complex)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    _crafted_amplitudes(),
+    np.array([0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0]).view(complex),  # every sign pair
+    np.zeros(8, dtype=complex),
+    (np.random.default_rng(5).normal(size=64) * (np.random.default_rng(6).random(64) < 0.2)).astype(complex),
+], ids=["crafted", "signed-zeros", "all-zero", "sparse-random"])
+def test_amplitude_text_matches_json_dumps_per_cell(amplitudes):
+    num_qubits = int(math.log2(amplitudes.size))
+    vector = PureState(num_qubits, amplitudes, normalized=False)
+    final = CobwebState(reference_bit=0, zsa=roots_of_unity_zsa(3), qubit=UnknownQubit(1.0), vector=vector,
+                        norm_constant=1.0)
+    oracle = Transcript(BellOutcome.PSI_MINUS, 0.25, 2, num_qubits, final).to_dict()["final_state"]
+    assert cli._amplitude_text(vector.amplitudes, True).split(",") == [
+        json.dumps(float(x)) for x in vector.amplitudes.view(np.float64)
+    ]
+    text = cli._amplitude_text(vector.amplitudes, False)
+    assert json.loads(text) == oracle
+    assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
 
 @pytest.mark.parametrize("name,extra", [("run_protocol", []), ("run_session", ["--session"])])
@@ -339,6 +431,32 @@ def test_run_unwritable_messages_writes_no_rows(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize("layout", ["same-name", "dot-dot", "symlink", "existing"])
+def test_run_rejects_messages_and_output_on_one_file(capsys, tmp_path, monkeypatch, layout):
+    monkeypatch.chdir(tmp_path)
+    messages, output = {
+        "same-name": ("rows.txt", "rows.txt"),
+        "dot-dot": ("rows.txt", str(tmp_path / "missing" / ".." / "rows.txt")),
+        "symlink": ("link.txt", "rows.txt"),
+        "existing": ("rows.txt", "./rows.txt"),
+    }[layout]
+    if layout in ("symlink", "existing"):
+        (tmp_path / "rows.txt").write_text("keep\n")
+    if layout == "symlink":
+        (tmp_path / "link.txt").symlink_to(tmp_path / "rows.txt")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(
+        capsys, "run", "--gen", "cube", "--theta", "1.0", "--trials", "3", "--session",
+        "--messages", messages, "--output", output,
+    )
+    assert code == 2
+    assert out == ""
+    assert "same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if layout in ("symlink", "existing"):
+        assert (tmp_path / "rows.txt").read_text() == "keep\n"
 
 
 def test_run_session_rejects_two_parties_as_session(capsys):
