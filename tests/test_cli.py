@@ -257,6 +257,34 @@ GOLDEN_RUNS = [
         "10a045766adebaadca585ae4df5bad5d1c2d0d0e093399b46ba729e948a49cb3",
         None,
     ),
+    # Recorded from the implementation that drew every trial with draw_outcome: calls that cross
+    # block draws, and seeds of two, three and four 32-bit words.
+    (
+        ["--gen", "cube", "--theta", "1.3", "--phi", "0.5", "--trials", "5000", "--seed", "12"],
+        "7172b969c9521a66e34d20cd9cba7b0180e3edb7e535dfd0c318f53bf2cbe489",
+        None,
+    ),
+    (
+        ["--gen", "cube", "--theta", "0.9", "--trials", "40", "--seed", "4294967296"],
+        "a2812be1529cd1c131451d9091add74f1d2c28b961ae62a1ebf28deba288d19f",
+        None,
+    ),
+    (
+        ["--gen", "roots:4", "--theta", "2.1", "--phi", "1.0", "--trials", "40", "--seed", "18446744073709551616"],
+        "ba2910e8f22c15fbf1b8d38993711c99f6e494baba8b33ccfb21c06194f17509",
+        None,
+    ),
+    (
+        ["--gen", "cube", "--theta", "1.7", "--phi", "3.0", "--trials", "40", "--seed",
+         "1267650600228229401496703205376", "--format", "csv"],
+        "44b4291c89928833be5158894a87dda8b16b1014058f4180837e08b36e353c3e",
+        None,
+    ),
+    (
+        ["--gen", "roots:5", "--theta", "1.4", "--phi", "0.6", "--trials", "300", "--seed", "31", "--session"],
+        "eb6363e13eba4e5f411fa046f6879199f3be1e11881dcd6989cadf1790969f01",
+        "23636fe38a7acc175cf57c1bd39ba524265c8b48098d62c781dd6ee4f28decb7",
+    ),
 ]
 
 
@@ -265,7 +293,8 @@ GOLDEN_RUNS = [
     GOLDEN_RUNS,
     ids=["json", "csv", "session-json", "session-csv", "forced-json", "forced-session-csv",
          "wide-session-csv", "wide-json", "wide-forced-json", "signed-zero-json", "signed-zero-csv",
-         "signed-zero-phiplus-csv"],
+         "signed-zero-phiplus-csv", "many-blocks-json", "seed-2^32-json", "seed-2^64-json", "seed-2^100-csv",
+         "blocks-session-json"],
 )
 def test_run_golden_output(capsys, tmp_path, argv, stdout_digest, messages_digest):
     log = tmp_path / "messages.jsonl"
@@ -367,6 +396,47 @@ def test_run_builds_each_branch_once(capsys, monkeypatch, name, extra):
 
 
 
+def _counted(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1500, 1, cli.DRAW_BLOCK + 1])
+def test_run_draws_trial_zero_alone_then_blocks(capsys, monkeypatch, trials):
+    """Only trial 0 goes through `draw_outcome`; the rest come from block draws, and a one-trial call makes none."""
+    scalar, block = _counted(monkeypatch, "draw_outcome"), _counted(monkeypatch, "draw_outcome_block")
+    code, out, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--trials", str(trials), "--seed", "8")
+    assert code == 0
+    assert len(out.splitlines()) == trials + 1
+    assert [call[1:] for call in scalar] == [([8, 0],)]
+    assert [call[1:] for call in block] == [
+        (8, start, min(start + cli.DRAW_BLOCK, trials)) for start in range(1, trials, cli.DRAW_BLOCK)
+    ]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--outcome", "PhiPlus"],
+    ["--trials", "5"],
+    ["--outcome", "PsiMinus", "--trials", "3", "--output", "rows.jsonl"],
+    ["--trials", "5", "--output", "rows.jsonl"],
+    ["--trials", "5", "--session", "--messages", "log.jsonl", "--output", "rows.csv", "--format", "csv"],
+], ids=["forced", "sampled", "forced-output", "sampled-output", "session-files"])
+def test_run_rejects_negative_seed(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.0", "--seed", "-1", *extra)
+    assert code == 2
+    assert out == ""
+    assert "expected non-negative integer" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _built_outcomes(capsys, monkeypatch, *argv) -> list:
     calls = []
     real = cli.run_protocol
@@ -421,6 +491,11 @@ def test_run_memory_flat_in_trials(capsys, tmp_path):
     large = _traced_peak(capsys, tmp_path / "large.jsonl", 2000)
     assert len((tmp_path / "large.jsonl").read_text().splitlines()) == 2001
     assert large <= 1.5 * small
+    # many block draws: a buffer that lives for the whole call, not one block, grows here
+    many = _traced_peak(capsys, tmp_path / "many.jsonl", 20000)
+    with open(tmp_path / "many.jsonl", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 20001
+    assert many <= 1.5 * large
 
 
 def test_run_unwritable_messages_writes_no_rows(capsys, tmp_path):

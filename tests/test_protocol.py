@@ -19,17 +19,20 @@ from qcobweb.protocol import (
     I_SIGMA_Y,
     BellOutcome,
     DegenerateBranch,
+    _block_uniforms,
     bell_measurement,
     branch_probabilities,
     cobweb_state,
     correction_for,
     draw_outcome,
+    draw_outcome_block,
     generalized_target,
     joint_state,
     normalization_constants,
     run_protocol,
     target_vector,
 )
+from qcobweb.cli import DRAW_BLOCK
 from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa
 
 from _helpers import random_qubit
@@ -323,6 +326,56 @@ def test_sampling_frequencies():
     for o in BellOutcome:
         sigma = np.sqrt(trials * probs[o] * (1 - probs[o]))
         assert abs(counts[o] - trials * probs[o]) <= 3 * sigma
+
+
+# Seeds of one to five 32-bit entropy words (with a trial's word, 2^100 and 2^128 + 3 run past the
+# pool of four), and trials around the CLI's block size and where a trial index becomes two words.
+BLOCK_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100, 2**128 + 3]
+BLOCK_TRIALS = [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+def _windows():
+    """(seed, start, stop): five trials around each listed trial, so windows also cross 2^32."""
+    return [(seed, max(0, t - 2), t + 3) for seed in BLOCK_SEEDS for t in BLOCK_TRIALS]
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_block_uniforms_match_default_rng(seed):
+    for _, start, stop in (w for w in _windows() if w[0] == seed):
+        expected = [np.random.default_rng([seed, t]).random() for t in range(start, stop)]
+        assert _block_uniforms(seed, start, stop).tolist() == expected, (seed, start)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, 0.0, 0.3, 0.2],  # a zero branch
+    [1e-15, 0.4, 0.3, 0.3 - 1e-15],  # a branch of 1e-15
+    [0.25, 0.25, 0.3, 0.2],  # two equal branches
+    [0.0, 1.0, 0.0, 0.0],  # every draw on one branch
+    [0.3, 0.2, 0.1, 0.9],  # unnormalized: both samplers divide by the sum first
+], ids=["zero", "tiny", "equal", "certain", "unnormalized"])
+def test_draw_outcome_block_matches_draw_outcome(weights):
+    probs = dict(zip(BellOutcome, weights))
+    for seed, start, stop in _windows():
+        expected = [draw_outcome(probs, [seed, t]).value for t in range(start, stop)]
+        assert draw_outcome_block(probs, seed, start, stop).tolist() == expected, (seed, start)
+    expected = [draw_outcome(probs, [9, t]).value for t in range(3 * DRAW_BLOCK)]
+    assert draw_outcome_block(probs, 9, 0, 3 * DRAW_BLOCK).tolist() == expected
+
+
+def test_draw_outcome_block_ties_go_right():
+    """A draw equal to a CDF step lands past it, as in `Generator.choice`'s ``searchsorted(side="right")``."""
+    u = np.random.default_rng([5, 3]).random()
+    probs = dict(zip(BellOutcome, [u, 0.0, (1.0 - u) / 2, (1.0 - u) / 2]))  # CDF [u, u, ..., 1], exactly
+    assert draw_outcome(probs, [5, 3]) is BellOutcome.PSI_PLUS  # past both steps at u
+    assert draw_outcome_block(probs, 5, 3, 4).tolist() == [BellOutcome.PSI_PLUS.value]
+
+
+def test_draw_outcome_block_rejects_bad_ranges():
+    probs = dict(zip(BellOutcome, [0.25] * 4))
+    assert draw_outcome_block(probs, 3, 7, 7).size == 0
+    for seed, start, stop in [(-1, 0, 2), (3, -1, 2), (3, 5, 4), (3, 0, 2**64 + 1)]:
+        with pytest.raises(ValueError):
+            draw_outcome_block(probs, seed, start, stop)
 
 
 def test_degenerate_branch_guard():
