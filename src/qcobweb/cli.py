@@ -55,7 +55,6 @@ from .protocol import (
     cobweb_state,
     draw_outcome,
     draw_outcome_block,
-    joint_state,
     normalization_constants,
     run_protocol,
 )
@@ -63,8 +62,8 @@ from .session import (
     ResourceLedger,
     classical_only_baseline,
     messages_to_jsonl,
+    require_session,
     run_session,
-    session_joint_state,
 )
 from .states import (
     AmplitudeFileError,
@@ -258,8 +257,12 @@ def cmd_run(args) -> int:
         raise ValueError("--messages and --output name the same file")
     z = _resolve_source(args)
     q = _qubit_from_args(args)
-    probs = branch_probabilities((session_joint_state if args.session else joint_state)(q, z))
+    if args.session:
+        require_session(z)
+    probs = branch_probabilities(q, z)
     forced = BellOutcome.from_label(args.outcome) if args.outcome else None
+    if forced is not None and probs[forced] < DEGENERATE_PROBABILITY:
+        raise ValueError(f"forced outcome {forced.label} has probability {probs[forced]:.3e}")
     lead = '{"trial": ' if args.format != "csv" else ""
     branches: list[_Branch | None] = [None] * len(BellOutcome)  # by outcome value
     counts: Counter = Counter()
@@ -558,6 +561,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader has gone (`| head`): stop quietly; with fd 1 on devnull the last flush is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ZsaValidationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

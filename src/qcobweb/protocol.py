@@ -26,23 +26,14 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
-    LinearOperator,
-    PureState,
-    apply_gate,
-    project,
-    tensor,
-)
-from .states import UnknownQubit, ZsaAmplitudes, build_state
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, LinearOperator, PureState, tensor
+from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, build_state
 
 DEGENERATE_PROBABILITY = 1e-14
 
 
 class DegenerateBranch(RuntimeError):
-    """A measurement branch has zero probability; cannot occur for valid ZSA inputs."""
+    """A forced Bell branch is below `DEGENERATE_PROBABILITY`; valid inputs reach it (theta = 0: P(Psi) = |c_1|^2 / 2)."""
 
 
 class NonPositiveNorm(RuntimeError):
@@ -146,38 +137,40 @@ class Transcript:
         return json.dumps(self.to_dict())
 
 
-def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
-    """|psi>_a tensor the shared state; particle a is the most significant qubit."""
+def _require_protocol(z: ZsaAmplitudes) -> None:
     if z.num_parties < 3:
         raise ValueError("the protocol needs at least three parties")
+    if z.num_parties > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
+
+
+def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
+    """|psi>_a tensor the shared state; particle a is the most significant qubit.  The dense oracle."""
+    _require_protocol(z)
     return tensor(q.state(), build_state(z))
 
 
-def bell_measurement(
-    joint: PureState, outcome: BellOutcome | None = None, seed=None
-) -> tuple[BellOutcome, float, PureState]:
-    """The Bell measurement of party 1 on qubits (a, 1) of the joint state.
+def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
+    """Party 1's Bell projection on (a, 1): the Born probability and the unnormalized residual of parties 2..N.
 
-    Forces ``outcome`` when given; otherwise projects onto all four Bell
-    vectors once, draws the outcome with ``seed`` and keeps the drawn
-    branch's residual.  Returns the outcome, its probability and the
-    renormalized residual over the N-1 remote qubits.
+    Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
+    only where one of them, party k, is 1 (c_k): the residual is written on
+    those N strings.  The products v_a c_k are `joint_state`'s own (`np.kron`)
+    and the probability sums the whole residual, so both equal the dense
+    projection bit for bit.
     """
-    if joint.num_qubits < 3:
-        raise ValueError("joint state must cover particle a plus at least two parties")
-    if outcome is None:
-        branches = {o: project(joint, (1, 2), BELL_VECTORS[o]) for o in BellOutcome}
-        outcome = draw_outcome({o: p for o, (p, _) in branches.items()}, seed)
-        prob, residual = branches[outcome]
-    else:
-        prob, residual = project(joint, (1, 2), BELL_VECTORS[outcome])
-    if prob < DEGENERATE_PROBABILITY:
-        raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
-    return outcome, prob, PureState(joint.num_qubits - 2, residual / math.sqrt(prob))
+    _require_protocol(z)
+    n_out = z.num_parties - 1
+    products = np.kron(q.vector(), z.coeffs).reshape(2, 1, -1)  # [a, -, k]: v_a c_k
+    projected = (BELL_VECTORS[outcome].conj().reshape(2, 2, 1) * products).sum(axis=0)  # [bit of party 1, k]
+    residual = np.zeros(2**n_out, dtype=complex)
+    residual[0] = projected[1, 0]
+    residual[1 << np.arange(n_out - 1, -1, -1)] = projected[0, 1:]  # party k = 2..N is bit N - k
+    return float(np.vdot(residual, residual).real), residual
 
 
-def branch_probabilities(joint: PureState) -> dict[BellOutcome, float]:
-    return {o: project(joint, (1, 2), BELL_VECTORS[o])[0] for o in BellOutcome}
+def branch_probabilities(q: UnknownQubit, z: ZsaAmplitudes) -> dict[BellOutcome, float]:
+    return {o: bell_projection(q, z, o)[0] for o in BellOutcome}
 
 
 def draw_outcome(probs: dict[BellOutcome, float], seed) -> BellOutcome:
@@ -399,12 +392,17 @@ def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> Cobwe
     return _cobweb(q, z, reference_bit, PureState(z.num_parties - 1, raw / np.linalg.norm(raw)))
 
 
-def apply_correction(state: PureState, rule: CorrectionRule) -> PureState:
-    """Apply the correction gate to every qubit of the residual, ascending order."""
-    out = state
-    for qubit in range(1, state.num_qubits + 1):
-        out = apply_gate(out, [qubit], rule.gate)
-    return out
+def apply_correction(amplitudes: np.ndarray, rule: CorrectionRule) -> np.ndarray:
+    """The rule's gate on every qubit at once, as one reversal and one sign pattern.
+
+    Each gate has one nonzero entry per row.  Its X part on every qubit
+    reverses the basis order; its entries weight string i by their product
+    over i's bits (for Z, the parity of i's popcount).  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
+    """
+    g = rule.gate.entries
+    flip = int(g[0, 0] == 0)
+    weights = functools.reduce(np.kron, [g[[0, 1], [flip, 1 - flip]]] * (amplitudes.size.bit_length() - 1))
+    return (amplitudes[::-1] if flip else amplitudes) * weights + 0.0
 
 
 def run_protocol(
@@ -418,8 +416,12 @@ def run_protocol(
     Sampling requires a seed; identical seeds reproduce identical transcripts
     bit for bit.
     """
-    outcome, prob, residual = bell_measurement(joint_state(q, z), outcome, seed)
+    if outcome is None:
+        outcome = draw_outcome(branch_probabilities(q, z), seed)
+    prob, residual = bell_projection(q, z, outcome)
+    if prob < DEGENERATE_PROBABILITY:
+        raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
     rule = correction_for(outcome)
-    final = _cobweb(q, z, rule.reference_bit, apply_correction(residual, rule))
+    vector = PureState(z.num_parties - 1, apply_correction(residual / math.sqrt(prob), rule))
     return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
-                      parties_notified=z.num_parties - 1, final=final)
+                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, rule.reference_bit, vector))

@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, partial_trace
+from .linalg import DensityMatrix, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
-from .protocol import (
-    BELL_VECTORS,
-    BellOutcome,
-    Transcript,
-    correction_for,
-    draw_outcome,
-    joint_state,
-    run_protocol,
-)
+from .protocol import BELL_VECTORS, BellOutcome, Transcript, correction_for, draw_outcome, run_protocol
 from .states import UnknownQubit, ZsaAmplitudes, one_hot_index, roots_of_unity_zsa
 
 
@@ -72,7 +64,7 @@ class BaselineReport:
     messages: tuple[ClassicalMessage, ...]
 
 
-def _require_session(z: ZsaAmplitudes) -> None:
+def require_session(z: ZsaAmplitudes) -> None:
     if z.num_parties < 3:
         raise ValueError("a session needs at least three parties")
 
@@ -85,12 +77,6 @@ def _broadcast(outcome: BellOutcome, num_parties: int) -> tuple[ClassicalMessage
     )
 
 
-def session_joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
-    """The joint state a session starts from; fewer than three parties are refused as a session."""
-    _require_session(z)
-    return joint_state(q, z)
-
-
 def run_session(
     q: UnknownQubit,
     z: ZsaAmplitudes,
@@ -98,7 +84,7 @@ def run_session(
     seed=None,
 ) -> SessionResult:
     """Run the protocol as N communicating parties; the transcript is run_protocol's, bit for bit."""
-    _require_session(z)
+    require_session(z)
     transcript = run_protocol(q, z, outcome, seed)
     n = z.num_parties
     ledger = ResourceLedger(ebits_consumed=splitting_entropy(z, 1), cbits_total=2 * (n - 1), parties=n)

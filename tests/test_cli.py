@@ -1,10 +1,15 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,8 +229,9 @@ GOLDEN_RUNS = [
         "1a20bfbd29b3580fd4cb2628eee56bdfb05ca4e46477c104eb36b2df19a9752f",
         "102a908948c8af880454099eab91ab66ad2ee1305e23f63c93f4fe364ca7031d",
     ),
-    # Wide rows, and rows that print -0.0, recorded from the renderer that ran
-    # every amplitude through json.dumps.
+    # Wide rows, recorded from the renderer that ran every amplitude through json.dumps.  The three
+    # signed-zero rows printed -0.0 cells left by the dense per-qubit corrections; they are re-pinned
+    # with those cells as 0.0, the one byte change of writing each branch on its one-hot support.
     (
         ["--gen", "roots:14", "--theta", "1.1", "--phi", "0.3", "--session", "--format", "csv", "--trials", "5",
          "--seed", "2"],
@@ -244,17 +250,17 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "cube", "--theta", "0", "--outcome", "PsiPlus"],
-        "6268073eca2912cac2dc4e96394260345552a91f58d64b8c8da41ddb9cd08587",
+        "9e30cb65d8b751f567a387a0675088b4ec70bcae6d7fdcbb141c47313c49104f",
         None,
     ),
     (
         ["--gen", "cube", "--theta", "0", "--outcome", "PsiPlus", "--format", "csv"],
-        "959a0562858f5a04a8346a256d43b2eabb1a8773692daf91775dca75f2672d34",
+        "044ecca917eb347ff0d57195f93053db5e3b76bf70f060df60354f51ba5adadb",
         None,
     ),
     (
         ["--gen", "cube", "--theta", "0", "--outcome", "PhiPlus", "--format", "csv"],
-        "10a045766adebaadca585ae4df5bad5d1c2d0d0e093399b46ba729e948a49cb3",
+        "5a4f3754dc6cb06f14d2c816ad22f6986ec55bd6ebbba90cc38c43dc3769923f",
         None,
     ),
     # Recorded from the implementation that drew every trial with draw_outcome: calls that cross
@@ -464,8 +470,8 @@ def test_run_builds_every_branch_whatever_the_draws(capsys, monkeypatch):
 def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
     real = cli.branch_probabilities
 
-    def no_psi_minus(joint):
-        return {**real(joint), BellOutcome.PSI_MINUS: 0.0}
+    def no_psi_minus(q, z):
+        return {**real(q, z), BellOutcome.PSI_MINUS: 0.0}
 
     monkeypatch.setattr(cli, "branch_probabilities", no_psi_minus)
     calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
@@ -473,6 +479,7 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
 
 
 def _traced_peak(capsys, path, trials: int) -> int:
+    gc.collect()  # each call leaves its parser as cyclic garbage; collect it so the peak does not depend on when
     tracemalloc.start()
     try:
         code = main(["run", "--gen", "roots:8", "--theta", "1.1", "--trials", str(trials), "--seed", "2",
@@ -532,6 +539,45 @@ def test_run_rejects_messages_and_output_on_one_file(capsys, tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if layout in ("symlink", "existing"):
         assert (tmp_path / "rows.txt").read_text() == "keep\n"
+
+
+def test_run_rejects_zero_probability_forced_outcome(capsys, tmp_path):
+    # a valid ZSA state with c_1 = 1e-8: at theta = 0 the Psi branches have probability |c_1|^2 / 2
+    source = tmp_path / "tiny_c1.json"
+    source.write_text(json.dumps({"coeffs": [[1e-8, 0.0], [2**-0.5 - 5e-9, 0.0], [-(2**-0.5 + 5e-9), 0.0]]}))
+    rows = tmp_path / "rows.jsonl"
+    argv = ["run", "--coeffs", str(source), "--theta", "0", "--output", str(rows)]
+    code, out, err = run_cli(capsys, *argv, "--outcome", "PsiPlus")
+    assert code == 2
+    assert out == ""
+    assert "forced outcome PsiPlus has probability 5.000e-17" in err
+    assert not rows.exists()
+    # a sampled call never lands there
+    code, _, err = run_cli(capsys, *argv, "--trials", "40")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("extra", [[], ["--session", "--messages", "log.jsonl"]], ids=["protocol", "session"])
+def test_run_rejects_parties_past_the_dense_cap(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", "--gen", "roots:21", "--theta", "1.0", "--output", "rows.jsonl", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid request: dense statevectors are limited to 20 qubits\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_stops_quietly_when_stdout_closes(tmp_path):
+    """`qcobweb run ... | head -1`: a reader that goes away ends the call with exit 0 and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "qcobweb.cli", "run", "--gen", "roots:6", "--theta", "1.1", "--trials", "3000",
+            "--seed", "2"]  # about 3 MB of rows, far past a pipe's buffer
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path) as proc:
+        assert proc.stdout.readline().startswith(b'{"trial": 0, ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_run_session_rejects_two_parties_as_session(capsys):

@@ -8,19 +8,21 @@ from qcobweb.linalg import (
     PAULI_X,
     PAULI_Z,
     PureState,
+    apply_gate,
     basis_state,
     equal_up_to_global_phase,
     is_product_state,
+    project,
     state_fidelity,
-    tensor,
 )
 from qcobweb.protocol import (
     BELL_VECTORS,
     I_SIGMA_Y,
+    DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
     _block_uniforms,
-    bell_measurement,
+    bell_projection,
     branch_probabilities,
     cobweb_state,
     correction_for,
@@ -33,11 +35,12 @@ from qcobweb.protocol import (
     target_vector,
 )
 from qcobweb.cli import DRAW_BLOCK
-from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa
+from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa, validate_zsa
 
 from _helpers import random_qubit
 
 CUBE = roots_of_unity_zsa(3)
+TINY_C1_COEFFS = [1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]
 
 
 def normalized(state: PureState) -> PureState:
@@ -72,15 +75,53 @@ def test_bell_resolution_matches_gate_twisted_targets():
     for _ in range(25):
         z = random_zsa(3, rng)
         q = random_qubit(rng)
-        joint = joint_state(q, z)
         for outcome in BellOutcome:
             gate = correction_for(outcome).gate
             twisted = target_vector(gate.entries.conj().T @ q.vector(), z, 0)
-            _, prob, residual = bell_measurement(joint, outcome)
+            prob, residual = bell_projection(q, z, outcome)
+            residual = PureState(2, residual / np.sqrt(prob))
             assert prob == pytest.approx(np.vdot(twisted, twisted).real / 2, abs=1e-12)
             assert equal_up_to_global_phase(
                 residual, PureState(2, twisted / np.linalg.norm(twisted)), 1e-10
             )
+
+
+# --- one-hot branches against the dense oracle -----------------------------------
+
+
+def _real_zsa(n: int, rng: np.random.Generator):
+    c = rng.standard_normal(n)
+    c -= c.mean()
+    return validate_zsa(c / np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_one_hot_branches_match_dense_oracle_bitwise(n):
+    """Production branches against the dense projection of `joint_state` and a gate per qubit, bit for bit.
+
+    Zero cells may differ only in sign at the oracle; the production output
+    must hold no ``-0.0``.  Real states at phi = 0 and the poles are where the
+    oracle leaves ``-0.0`` cells.
+    """
+    rng = np.random.default_rng(1000 + n)
+    for z in [roots_of_unity_zsa(n), _real_zsa(n, rng), random_zsa(n, rng), random_zsa(n, rng)]:
+        for theta in [0.0, np.pi, *rng.uniform(0.0, np.pi, 2)]:
+            for phi in [0.0, rng.uniform(0.0, 2.0 * np.pi)]:
+                q = UnknownQubit(theta, phi)
+                for outcome in BellOutcome:
+                    oracle_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
+                    assert bell_projection(q, z, outcome)[0] == oracle_prob
+                    if oracle_prob < DEGENERATE_PROBABILITY:
+                        continue
+                    oracle = PureState(n - 1, residual / np.sqrt(oracle_prob))
+                    for qubit in range(1, n):
+                        oracle = apply_gate(oracle, [qubit], correction_for(outcome).gate)
+                    transcript = run_protocol(q, z, outcome=outcome)
+                    assert transcript.outcome_probability == oracle_prob
+                    cells = transcript.final.vector.amplitudes.view(np.float64)
+                    assert not np.signbit(cells[cells == 0.0]).any()
+                    expected = (oracle.amplitudes + 0.0).view(np.float64)  # the oracle's zeros made +0.0
+                    assert cells.view(np.int64).tolist() == expected.view(np.int64).tolist(), (theta, phi, outcome)
 
 
 # --- branch probabilities ------------------------------------------------------
@@ -92,7 +133,7 @@ def test_branch_probabilities_sum_and_pairing():
         n = int(rng.integers(3, 7))
         z = random_zsa(n, rng)
         q = random_qubit(rng)
-        probs = branch_probabilities(joint_state(q, z))
+        probs = branch_probabilities(q, z)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert probs[BellOutcome.PHI_PLUS] == pytest.approx(probs[BellOutcome.PHI_MINUS], abs=1e-12)
         assert probs[BellOutcome.PSI_PLUS] == pytest.approx(probs[BellOutcome.PSI_MINUS], abs=1e-12)
@@ -107,7 +148,7 @@ def test_psi_branch_probability_closed_form():
         closed = (
             abs(c2) ** 2 + abs(c3) ** 2 + 2 * q.alpha**2 * (np.conj(c2) * c3).real
         ) / 2
-        probs = branch_probabilities(joint_state(q, z))
+        probs = branch_probabilities(q, z)
         assert probs[BellOutcome.PSI_MINUS] == pytest.approx(closed, abs=1e-12)
         n_alpha, _ = normalization_constants(q, z)
         assert probs[BellOutcome.PSI_MINUS] == pytest.approx(1 / (2 * n_alpha**2), abs=1e-12)
@@ -316,13 +357,12 @@ def test_sampling_requires_seed():
 
 def test_sampling_frequencies():
     q = UnknownQubit(np.pi / 3, 0.2)
-    joint = joint_state(q, CUBE)
-    probs = branch_probabilities(joint)
+    probs = branch_probabilities(q, CUBE)
     rng = np.random.default_rng(777)
     counts = {o: 0 for o in BellOutcome}
     trials = 4000
     for _ in range(trials):
-        counts[draw_outcome(branch_probabilities(joint), rng)] += 1
+        counts[draw_outcome(branch_probabilities(q, CUBE), rng)] += 1
     for o in BellOutcome:
         sigma = np.sqrt(trials * probs[o] * (1 - probs[o]))
         assert abs(counts[o] - trials * probs[o]) <= 3 * sigma
@@ -379,9 +419,10 @@ def test_draw_outcome_block_rejects_bad_ranges():
 
 
 def test_degenerate_branch_guard():
-    crafted = tensor(PureState(2, BELL_VECTORS[BellOutcome.PHI_PLUS]), basis_state(1, 0))
+    # a valid ZSA state with c_1 = 1e-8: at theta = 0 the Psi branches have probability |c_1|^2 / 2
+    tiny_c1 = validate_zsa(TINY_C1_COEFFS)
     with pytest.raises(DegenerateBranch):
-        bell_measurement(crafted, BellOutcome.PSI_PLUS)
+        run_protocol(UnknownQubit(0.0), tiny_c1, outcome=BellOutcome.PSI_PLUS)
 
 
 def test_transcript_serialization():

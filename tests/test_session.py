@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from qcobweb.measures import cobweb_spectrum, splitting_entropy
-from qcobweb.linalg import apply_gate
+from qcobweb.linalg import PureState, apply_gate
 from qcobweb.protocol import (
     BellOutcome,
-    bell_measurement,
+    bell_projection,
     cobweb_state,
     correction_for,
-    joint_state,
     run_protocol,
 )
 from qcobweb.session import (
@@ -74,7 +73,8 @@ def test_delivery_order_does_not_matter():
         remote = list(range(1, z.num_parties))
         for outcome in BellOutcome:
             reference = run_session(q, z, outcome=outcome).transcript.final.vector.amplitudes
-            _, _, residual = bell_measurement(joint_state(q, z), outcome)
+            prob, residual = bell_projection(q, z, outcome)
+            residual = PureState(z.num_parties - 1, residual / np.sqrt(prob))
             gate = correction_for(outcome).gate
             for order in itertools.permutations(remote):
                 state = residual
