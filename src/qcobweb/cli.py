@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -183,9 +184,15 @@ def _amplitude_text(amplitudes: np.ndarray, csv_cells: bool) -> str:
     return text if csv_cells else f"[{text}]"
 
 
+@functools.lru_cache(maxsize=1)
+def _amplitude_names(count: int) -> str:
+    """``amp0_re,amp0_im,...`` for ``count`` amplitudes; only the last count is kept, so a wide call pins nothing."""
+    return ",".join(f"amp{i}_re,amp{i}_im" for i in range(count))
+
+
 def _csv_header(transcript: Transcript) -> str:
     """The header line; like the amplitude cells, the generated ``amp{i}_re`` names need no quoting."""
-    amps = ",".join(f"amp{i}_re,amp{i}_im" for i in range(transcript.final.vector.amplitudes.size))
+    amps = _amplitude_names(transcript.final.vector.amplitudes.size)
     return _csv_line(["trial", *transcript.scalar_fields(), "product_state"])[:-1] + "," + amps + "\n"
 
 
@@ -518,14 +525,15 @@ def _add_output(parser: argparse.ArgumentParser, default_format: str = "json") -
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` maps the subcommand to its ``cmd_*`` function per call."""
     parser = argparse.ArgumentParser(prog="qcobweb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check amplitudes against the ZSA invariants")
     _add_source(p)
     _add_output(p, default_format="text")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="run protocol or session trials")
     _add_source(p)
@@ -537,22 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", action="store_true", help="run the full message-passing session")
     p.add_argument("--messages", default=None, help="with --session, write message logs (JSON lines)")
     _add_output(p)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("measures", help="closed-form measures with their oracles")
     _add_source(p)
     _add_qubit(p, theta_required=False)
     _add_output(p)
-    p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("scaling", help="splitting entanglement of the Nth-roots family")
     p.add_argument("--max", type=int, default=64, help="largest party count")
     _add_output(p)
-    p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("claims", help="reference numeric claims vs computed values")
     _add_output(p, default_format="text")
-    p.set_defaults(func=cmd_claims)
 
     return parser
 
@@ -560,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a replaced command is the one run
     except BrokenPipeError:
         # stdout's reader has gone (`| head`): stop quietly; with fd 1 on devnull the last flush is quiet too
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -570,7 +574,7 @@ def main(argv=None) -> int:
     except ZsaValidationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (AmplitudeFileError, json.JSONDecodeError, OSError) as exc:
+    except (AmplitudeFileError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

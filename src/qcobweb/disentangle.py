@@ -122,6 +122,14 @@ def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> ObstructionReport:
     )
 
 
+def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]:
+    """The closed-form recovery probability and Re(c2* c3), shared by `cnot_disentangle` and its sign rule."""
+    a2 = float(abs(z.coeffs[1]) ** 2)
+    a3 = float(abs(z.coeffs[2]) ** 2)
+    re_cross = float((np.conj(z.coeffs[1]) * z.coeffs[2]).real)
+    return (a2 + a3 + 2.0 * re_cross) / (2.0 * (a2 + a3 + 2.0 * alpha**2 * re_cross)), re_cross
+
+
 def cnot_disentangle(c: CobwebState) -> DisentangleResult:
     """CNOT (first pair qubit controls the second), then measure the control in |+->.
 
@@ -140,14 +148,9 @@ def cnot_disentangle(c: CobwebState) -> DisentangleResult:
     success_state = PureState(1, res_plus / math.sqrt(p_plus))
     failure_state = None if p_minus < 1e-14 else PureState(1, res_minus / math.sqrt(p_minus))
 
-    a2 = float(abs(c.zsa.coeffs[1]) ** 2)
-    a3 = float(abs(c.zsa.coeffs[2]) ** 2)
-    re_cross = float((np.conj(c.zsa.coeffs[1]) * c.zsa.coeffs[2]).real)
-    closed = (a2 + a3 + 2.0 * re_cross) / (2.0 * (a2 + a3 + 2.0 * c.qubit.alpha**2 * re_cross))
-
     return DisentangleResult(
         success_probability=p_plus,
-        closed_form_probability=closed,
+        closed_form_probability=_recovery_probability(c.zsa, c.qubit.alpha)[0],
         success_state=success_state,
         failure_state=failure_state,
         success_fidelity=state_fidelity(success_state, c.qubit.state()),
@@ -164,12 +167,7 @@ def success_probability_sign(z: ZsaAmplitudes, q: UnknownQubit) -> RecoveryOddsR
         raise ValueError("recovery odds are computed for the tripartite output")
     if q.theta in (0.0, math.pi):
         raise ValueError("theta must lie strictly inside (0, pi)")
-    a2 = float(abs(z.coeffs[1]) ** 2)
-    a3 = float(abs(z.coeffs[2]) ** 2)
-    re_cross = float((np.conj(z.coeffs[1]) * z.coeffs[2]).real)
-    numerator = a2 + a3 + 2.0 * re_cross
-    denominator = a2 + a3 + 2.0 * q.alpha**2 * re_cross
-    probability = numerator / (2.0 * denominator)
+    probability, re_cross = _recovery_probability(z, q.alpha)
     better = probability > 0.5
     if better != (re_cross > 0.0):
         raise RuntimeError(

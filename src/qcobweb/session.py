@@ -12,14 +12,16 @@ distinct qubits and so commute.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DensityMatrix, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
-from .protocol import BELL_VECTORS, BellOutcome, Transcript, correction_for, draw_outcome, run_protocol
-from .states import UnknownQubit, ZsaAmplitudes, one_hot_index, roots_of_unity_zsa
+from .protocol import (BellOutcome, Transcript, apply_correction, bell_projection, branch_probabilities,
+                       correction_for, draw_outcome, run_protocol)
+from .states import UnknownQubit, ZsaAmplitudes, roots_of_unity_zsa
 
 
 @dataclass(frozen=True)
@@ -97,44 +99,38 @@ def classical_only_baseline(
     outcome: BellOutcome | None = None,
     zsa: ZsaAmplitudes | None = None,
 ) -> BaselineReport:
-    """Run the message flow with a diagonal classically correlated shared state.
+    """Run the protocol's Bell branches and messages on a classically correlated shared state.
 
     The shared state keeps the ZSA populations |c_k|^2 on the one-hot strings
-    but no coherences, so it is separable; local corrections plus classical
-    messages then cannot create entanglement, and the report's coherence and
-    entanglement-of-formation figures must all be zero.
+    |x_k> but none of their coherences, so it is separable.  The Bell
+    projection of each string lands on its own slot of `bell_projection`'s
+    residual: the drawn branch is the mixture of those slots, each corrected
+    by `apply_correction`, and the branch probabilities (so a seeded draw)
+    are `run_protocol`'s.  Local corrections plus classical messages cannot
+    create entanglement, so the report's coherence and entanglement-of-formation
+    figures must all be zero.
     """
     z = zsa if zsa is not None else roots_of_unity_zsa(3)
     if z.num_parties != 3:
         raise ValueError("the baseline analyzes a two-party output, so it needs three parties")
 
-    shared = np.zeros((8, 8), dtype=complex)
-    for k in range(1, 4):
-        shared[one_hot_index(3, k), one_hot_index(3, k)] = abs(z.coeffs[k - 1]) ** 2
-    rho = np.kron(np.outer(q.vector(), q.vector().conj()), shared)
-    rho_t = rho.reshape(4, 4, 4, 4)  # axes: (a1 row, 23 row, a1 col, 23 col)
-
-    branches = {o: np.einsum("i,irjs,j->rs", b.conj(), rho_t, b) for o, b in BELL_VECTORS.items()}
-    probs = {o: float(np.trace(block).real) for o, block in branches.items()}
     if outcome is None:
-        outcome = draw_outcome(probs, seed)
-
-    messages = _broadcast(outcome, 3)
-    gate = correction_for(outcome).gate.entries
-    pair_gate = np.kron(gate, gate)
-    out = pair_gate @ (branches[outcome] / probs[outcome]) @ pair_gate.conj().T
+        outcome = draw_outcome(branch_probabilities(q, z), seed)
+    prob, residual = bell_projection(q, z, outcome)
+    rule = correction_for(outcome)
+    slots = np.array([apply_correction(slot, rule) for slot in np.diag(residual / math.sqrt(prob))])
+    out = slots.T @ slots.conj()  # the sum of |slot><slot|
     out_dm = DensityMatrix(2, out)
 
     off_diag = np.abs(out - np.diag(np.diag(out)))
     marginal_coherences = [float(np.abs(partial_trace(out_dm, [qubit]).entries[0, 1])) for qubit in (1, 2)]
-    ledger = ResourceLedger(ebits_consumed=0.0, cbits_total=4, parties=3)
     return BaselineReport(
         outcome=outcome,
         max_coherence=float(off_diag.max()),
         max_marginal_coherence=max(marginal_coherences),
         entanglement_of_formation=eof_from_concurrence(concurrence(out_dm)),
-        ledger=ledger,
-        messages=messages,
+        ledger=ResourceLedger(ebits_consumed=0.0, cbits_total=4, parties=3),
+        messages=_broadcast(outcome, 3),
     )
 
 

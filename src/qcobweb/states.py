@@ -301,6 +301,14 @@ def w_state(n: int) -> PureState:
     return PureState(n, amp)
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number that is a finite double: an integer past the largest double is not."""
+    try:
+        return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(float(x))
+    except OverflowError:
+        return False
+
+
 def coefficients_from_document(doc) -> np.ndarray:
     """Parse {"coeffs": [[re, im], ...]} into a complex array, or raise AmplitudeFileError."""
     if not isinstance(doc, dict) or "coeffs" not in doc:
@@ -310,21 +318,19 @@ def coefficients_from_document(doc) -> np.ndarray:
         raise AmplitudeFileError('"coeffs" must be a nonempty list of [re, im] pairs')
     out = np.empty(len(raw), dtype=complex)
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-            or any(not math.isfinite(float(x)) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_finite_number, pair)):
             raise AmplitudeFileError(f"coeffs[{i}] is not a finite [re, im] pair: {pair!r}")
         out[i] = complex(float(pair[0]), float(pair[1]))
     return out
 
 
 def load_amplitudes(path) -> ZsaAmplitudes:
-    """Read and validate an amplitude JSON document."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read and validate an amplitude JSON document; a file that is not UTF-8 JSON raises AmplitudeFileError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad bytes or JSON, an integer past the digit limit, deep nesting
+        raise AmplitudeFileError(str(exc)) from exc
     return validate_zsa(coefficients_from_document(doc))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import gc
@@ -62,6 +63,21 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert code == 3
     code, _, _ = run_cli(capsys, "validate", "--coeffs", str(tmp_path / "missing.json"))
     assert code == 3
+    not_utf8 = b'\xff\xfe{"coeffs": [[1, 0]]}'
+    past_double = b'{"coeffs": [[1' + b"0" * 400 + b', 0]]}'
+    past_digit_limit = b'{"coeffs": [[1' + b"0" * 4400 + b', 0]]}'
+    too_deep = b'{"coeffs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    for raw in (not_utf8, past_double, past_digit_limit, too_deep):
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "validate", "--coeffs", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("input error: ")
+    path.write_bytes(not_utf8)
+    rows = tmp_path / "rows.jsonl"
+    code, _, err = run_cli(capsys, "run", "--coeffs", str(path), "--theta", "1.0", "--output", str(rows))
+    assert code == 3
+    assert err.startswith("input error: ")
+    assert not rows.exists()
 
 
 def test_validate_unknown_generator(capsys):
@@ -479,7 +495,7 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
 
 
 def _traced_peak(capsys, path, trials: int) -> int:
-    gc.collect()  # each call leaves its parser as cyclic garbage; collect it so the peak does not depend on when
+    gc.collect()  # earlier tests leave cyclic garbage; collect it so the peak does not depend on when
     tracemalloc.start()
     try:
         code = main(["run", "--gen", "roots:8", "--theta", "1.1", "--trials", str(trials), "--seed", "2",
@@ -738,3 +754,22 @@ def test_run_messages_requires_session(capsys, tmp_path):
     )
     assert code == 2
     assert "--session" in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """After the first call, main reuses its parser and still runs the module's current command."""
+    assert run_cli(capsys, "validate", "--gen", "cube")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "cmd_scaling", lambda args: 7)
+    for argv in (["validate", "--gen", "cube"], ["run", "--gen", "cube", "--theta", "1.0"],
+                 ["measures", "--gen", "cube"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, "scaling", "--max", "3")[0] == 7
+    assert built == []

@@ -5,11 +5,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from qcobweb import session
 from qcobweb.measures import cobweb_spectrum, splitting_entropy
-from qcobweb.linalg import PureState, apply_gate
+from qcobweb.linalg import DensityMatrix, PureState, apply_gate
 from qcobweb.protocol import (
+    BELL_VECTORS,
     BellOutcome,
     bell_projection,
+    branch_probabilities,
     cobweb_state,
     correction_for,
     run_protocol,
@@ -20,7 +23,7 @@ from qcobweb.session import (
     messages_to_jsonl,
     run_session,
 )
-from qcobweb.states import UnknownQubit, random_zsa, roots_of_unity_zsa
+from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa
 
 from _helpers import random_qubit
 
@@ -141,3 +144,59 @@ def test_baseline_respects_populations():
     report = classical_only_baseline(UnknownQubit(0.9, 0.1), seed=2, zsa=z)
     assert report.max_coherence < 1e-12
     assert report.entanglement_of_formation == 0.0
+
+
+def _density_matrix_control(q, z, outcome):
+    """The control simulated on density matrices: the oracle the thin control is checked against.
+
+    The joint state |psi><psi| (x) sum_k |c_k|^2 |x_k><x_k| is projected on
+    each Bell vector of (a, 1); the drawn block is normalized and conjugated
+    by the correction gate on both remote qubits.  Returns the four branch
+    probabilities and the output matrix.
+    """
+    shared = np.zeros((8, 8), dtype=complex)
+    for k in range(1, 4):
+        shared[one_hot_index(3, k), one_hot_index(3, k)] = abs(z.coeffs[k - 1]) ** 2
+    rho = np.kron(np.outer(q.vector(), q.vector().conj()), shared).reshape(4, 4, 4, 4)  # (a1, 23, a1, 23)
+    blocks = {o: np.einsum("i,irjs,j->rs", b.conj(), rho, b) for o, b in BELL_VECTORS.items()}
+    probs = {o: float(np.trace(block).real) for o, block in blocks.items()}
+    gate = correction_for(outcome).gate.entries
+    pair_gate = np.kron(gate, gate)
+    return probs, pair_gate @ (blocks[outcome] / probs[outcome]) @ pair_gate.conj().T
+
+
+def _control_output(monkeypatch, q, z, outcome) -> np.ndarray:
+    """The two-qubit matrix the control builds its report from, caught where it becomes a DensityMatrix."""
+    built = []
+
+    def spy(num_qubits, entries):
+        built.append(np.array(entries))
+        return DensityMatrix(num_qubits, entries)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(session, "DensityMatrix", spy)
+        classical_only_baseline(q, outcome=outcome, zsa=z)
+    (out,) = built
+    return out
+
+
+def test_baseline_matches_density_matrix_simulation(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    # every |c_k| is at least 1e-3, so every branch has probability at least 5e-7, poles included
+    for z in (CUBE, *(random_zsa(3, rng) for _ in range(40))):
+        for theta in (0.0, np.pi, *np.arccos(1.0 - 2.0 * rng.random(2))):
+            q = UnknownQubit(float(theta), float(2.0 * np.pi * rng.random()))
+            probs = branch_probabilities(q, z)
+            for outcome in BellOutcome:
+                oracle_probs, oracle_out = _density_matrix_control(q, z, outcome)
+                assert abs(probs[outcome] - oracle_probs[outcome]) <= 1e-15
+                out = _control_output(monkeypatch, q, z, outcome)
+                assert np.max(np.abs(out - oracle_out)) <= 1e-15
+
+
+def test_baseline_draws_the_protocols_outcome():
+    rng = np.random.default_rng(8)
+    for z in (CUBE, random_zsa(3, rng), random_zsa(3, rng)):
+        q = random_qubit(rng)
+        for seed in range(200):
+            assert classical_only_baseline(q, seed=seed, zsa=z).outcome is run_protocol(q, z, seed=seed).outcome
