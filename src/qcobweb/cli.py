@@ -154,33 +154,54 @@ def _csv_table(header, rows) -> str:
 
 
 def cmd_validate(args) -> int:
+    """The four figures of a valid source: plain lines, one JSON object, or ``key,value`` rows."""
     z = _resolve_source(args)
-    total = complex(np.sum(z.coeffs))
-    sq = float(np.vdot(z.coeffs, z.coeffs).real)
-    lines = [
-        f"valid ZSA coefficients: {z.num_parties} parties",
-        f"|sum residual|  = {abs(total):.6e}",
-        f"|norm - 1|      = {abs(sq - 1.0):.6e}",
-        f"min |c_k|       = {float(np.min(np.abs(z.coeffs))):.6e}",
-    ]
-    _emit("\n".join(lines) + "\n", args.output)
+    figures = {
+        "parties": z.num_parties,
+        "sum_residual": abs(complex(np.sum(z.coeffs))),
+        "norm_deviation": abs(float(np.vdot(z.coeffs, z.coeffs).real) - 1.0),
+        "min_abs_coefficient": float(np.min(np.abs(z.coeffs))),
+    }
+    if args.format == "json":
+        _emit(json.dumps(figures) + "\n", args.output)
+    elif args.format == "csv":
+        _emit(_csv_table(["key", "value"], figures.items()), args.output)
+    else:
+        _emit(f"valid ZSA coefficients: {figures['parties']} parties\n"
+              f"|sum residual|  = {figures['sum_residual']:.6e}\n"
+              f"|norm - 1|      = {figures['norm_deviation']:.6e}\n"
+              f"min |c_k|       = {figures['min_abs_coefficient']:.6e}\n", args.output)
     return EXIT_OK
 
 
 # --- run ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _zero_run(csv_cells: bool, count: int) -> str:
+    """``count`` zero pairs, each followed by its separator; only the last format and count are kept."""
+    return ("0.0,0.0," if csv_cells else "[0.0, 0.0], ") * count
+
+
 def _amplitude_text(amplitudes: np.ndarray, csv_cells: bool) -> str:
     """CSV cells ``re,im,...`` or JSON pairs ``[[re, im], ...]``, each cell as ``json.dumps(float(x))``.
 
-    Only pairs with a bit set (a nonzero, or a ``-0.0``) are formatted; the cost is set by the nonzeros.
+    Only pairs with a bit set (a nonzero, or a ``-0.0``) are formatted: ``str.format`` writes a float as its
+    ``repr``, as ``json.dumps`` does a finite one.  The zero runs between them are slices of one cached
+    string, so the cost is set by the nonzeros.
     """
     pairs = amplitudes.view(np.float64).reshape(-1, 2)
-    pair, sep = ("{},{}", ",") if csv_cells else ("[{}, {}]", ", ")
-    parts = [pair.format("0.0", "0.0")] * len(pairs)
-    for k in np.flatnonzero(pairs.view(np.int64).any(axis=1)).tolist():
-        parts[k] = pair.format(*map(json.dumps, pairs[k].tolist()))
-    text = sep.join(parts)
+    bits = pairs.view(np.uint64)
+    nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    cell, sep = ("{},{}", ",") if csv_cells else ("[{}, {}]", ", ")
+    zeros = _zero_run(csv_cells, len(pairs))
+    width = len(zeros) // len(pairs)
+    parts, done = [], 0
+    for k, (re, im) in zip(nonzero.tolist(), pairs[nonzero].tolist()):
+        parts += [zeros[: (k - done) * width], cell.format(re, im), sep]
+        done = k + 1
+    parts.append(zeros[: (len(pairs) - done) * width])
+    text = "".join(parts)[: -len(sep)]
     return text if csv_cells else f"[{text}]"
 
 

@@ -150,22 +150,28 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
     return tensor(q.state(), build_state(z))
 
 
+def slot_positions(num_qubits: int) -> np.ndarray:
+    """Where the residual of parties 2..N holds slot k = 1..N: string 0 for k = 1, else the string of party k alone."""
+    return np.array([0, *(1 << bit for bit in range(num_qubits - 1, -1, -1))])
+
+
 def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
     """Party 1's Bell projection on (a, 1): the Born probability and the unnormalized residual of parties 2..N.
 
     Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
     only where one of them, party k, is 1 (c_k): the residual is written on
-    those N strings.  The products v_a c_k are `joint_state`'s own (`np.kron`)
-    and the probability sums the whole residual, so both equal the dense
-    projection bit for bit.
+    those N strings, its `slot_positions`.  The products v_a c_k are the
+    multiplies `joint_state`'s ``np.kron`` makes, and the probability sums the
+    whole residual, so both equal the dense projection bit for bit.
     """
     _require_protocol(z)
     n_out = z.num_parties - 1
-    products = np.kron(q.vector(), z.coeffs).reshape(2, 1, -1)  # [a, -, k]: v_a c_k
+    products = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
     projected = (BELL_VECTORS[outcome].conj().reshape(2, 2, 1) * products).sum(axis=0)  # [bit of party 1, k]
+    slots = projected[0]
+    slots[0] = projected[1, 0]
     residual = np.zeros(2**n_out, dtype=complex)
-    residual[0] = projected[1, 0]
-    residual[1 << np.arange(n_out - 1, -1, -1)] = projected[0, 1:]  # party k = 2..N is bit N - k
+    residual[slot_positions(n_out)] = slots
     return float(np.vdot(residual, residual).real), residual
 
 
@@ -392,17 +398,23 @@ def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> Cobwe
     return _cobweb(q, z, reference_bit, PureState(z.num_parties - 1, raw / np.linalg.norm(raw)))
 
 
-def apply_correction(amplitudes: np.ndarray, rule: CorrectionRule) -> np.ndarray:
-    """The rule's gate on every qubit at once, as one reversal and one sign pattern.
+def apply_correction(
+    positions: np.ndarray, values: np.ndarray, rule: CorrectionRule, num_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's gate on every qubit of a state that is ``values`` at basis ``positions``: new positions, values.
 
-    Each gate has one nonzero entry per row.  Its X part on every qubit
-    reverses the basis order; its entries weight string i by their product
-    over i's bits (for Z, the parity of i's popcount).  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
+    Each gate has one nonzero entry per row, e0 in row 0 and e1 in row 1,
+    both +-1.  Its X part on every qubit takes string p to its complement
+    2^n - 1 - p; its entries weight the new string by e0 per clear bit and e1
+    per set bit, an exact sign.  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
     """
-    g = rule.gate.entries
+    g = rule.gate.entries.real
     flip = int(g[0, 0] == 0)
-    weights = functools.reduce(np.kron, [g[[0, 1], [flip, 1 - flip]]] * (amplitudes.size.bit_length() - 1))
-    return (amplitudes[::-1] if flip else amplitudes) * weights + 0.0
+    e0, e1 = g[0, flip], g[1, 1 - flip]
+    if flip:
+        positions = (1 << num_qubits) - 1 - positions
+    ones = [p.bit_count() for p in positions.tolist()]
+    return positions, values * np.array([e0 ** (num_qubits - k) * e1**k for k in ones]) + 0.0
 
 
 def run_protocol(
@@ -422,6 +434,11 @@ def run_protocol(
     if prob < DEGENERATE_PROBABILITY:
         raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
     rule = correction_for(outcome)
-    vector = PureState(z.num_parties - 1, apply_correction(residual / math.sqrt(prob), rule))
+    n_out = z.num_parties - 1
+    slots = slot_positions(n_out)
+    positions, values = apply_correction(slots, residual[slots] / math.sqrt(prob), rule, n_out)
+    amplitudes = np.zeros(2**n_out, dtype=complex)
+    amplitudes[positions] = values
+    vector = PureState(n_out, amplitudes)
     return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
                       parties_notified=z.num_parties - 1, final=_cobweb(q, z, rule.reference_bit, vector))

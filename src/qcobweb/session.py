@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import DensityMatrix, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
 from .protocol import (BellOutcome, Transcript, apply_correction, bell_projection, branch_probabilities,
-                       correction_for, draw_outcome, run_protocol)
+                       correction_for, draw_outcome, run_protocol, slot_positions)
 from .states import UnknownQubit, ZsaAmplitudes, roots_of_unity_zsa
 
 
@@ -117,8 +117,11 @@ def classical_only_baseline(
     if outcome is None:
         outcome = draw_outcome(branch_probabilities(q, z), seed)
     prob, residual = bell_projection(q, z, outcome)
+    positions = slot_positions(2)
     rule = correction_for(outcome)
-    slots = np.array([apply_correction(slot, rule) for slot in np.diag(residual / math.sqrt(prob))])
+    corrected, values = apply_correction(positions, residual[positions] / math.sqrt(prob), rule, 2)
+    slots = np.zeros((4, 4), dtype=complex)  # row p: the corrected branch of residual string p alone
+    slots[positions, corrected] = values
     out = slots.T @ slots.conj()  # the sum of |slot><slot|
     out_dm = DensityMatrix(2, out)
 

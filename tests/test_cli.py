@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from qcobweb import cli
 from qcobweb.cli import main
-from qcobweb.linalg import PureState, is_product_state
+from qcobweb.linalg import is_product_state
 from qcobweb.protocol import BellOutcome, CobwebState, Transcript, run_protocol
 from qcobweb.session import run_session
 from qcobweb.states import UnknownQubit, roots_of_unity_zsa
@@ -42,6 +43,37 @@ def test_validate_roots_generator(capsys):
     code, out, _ = run_cli(capsys, "validate", "--gen", "roots:6")
     assert code == 0
     assert "6 parties" in out
+
+
+def _validate_figures(z) -> dict:
+    """The four figures `validate` reports, computed here with plain Python sums."""
+    coeffs = z.coeffs.tolist()
+    return {"parties": len(coeffs), "sum_residual": abs(sum(coeffs)),
+            "norm_deviation": abs(sum(abs(c) ** 2 for c in coeffs) - 1.0),
+            "min_abs_coefficient": min(abs(c) for c in coeffs)}
+
+
+@pytest.mark.parametrize("gen,z", [("cube", roots_of_unity_zsa(3)), ("roots:6", roots_of_unity_zsa(6))])
+def test_validate_machine_readable_formats(capsys, tmp_path, gen, z):
+    expected = _validate_figures(z)
+    code, out, err = run_cli(capsys, "validate", "--gen", gen, "--format", "json")
+    assert (code, err) == (0, "")
+    figures = json.loads(out)
+    assert out == json.dumps(figures) + "\n"
+    assert list(figures) == list(expected)
+    assert figures["parties"] == expected["parties"]
+    for key in ("sum_residual", "norm_deviation", "min_abs_coefficient"):
+        assert figures[key] == pytest.approx(expected[key], abs=1e-15)
+    text = run_cli(capsys, "validate", "--gen", gen)[1]
+    assert text.splitlines()[0] == f"valid ZSA coefficients: {expected['parties']} parties"
+    assert [float(line.split("=")[1]) for line in text.splitlines()[1:]] == [
+        float(f"{figures[key]:.6e}") for key in ("sum_residual", "norm_deviation", "min_abs_coefficient")]
+
+    path = tmp_path / "figures.csv"
+    assert run_cli(capsys, "validate", "--gen", gen, "--format", "csv", "--output", str(path)) == (0, "", "")
+    header, *rows = csv.reader(path.read_text().splitlines())
+    assert header == ["key", "value"]
+    assert rows == [[key, json.dumps(value)] for key, value in figures.items()]
 
 
 def test_validate_zero_sum_violation(capsys, tmp_path):
@@ -380,22 +412,40 @@ def _crafted_amplitudes() -> np.ndarray:
     return flat.view(complex)
 
 
+def _pairs(count: int, nonzero: dict) -> np.ndarray:
+    """``count`` zero amplitudes but for the given {index: value} pairs."""
+    amplitudes = np.zeros(count, dtype=complex)
+    for k, value in nonzero.items():
+        amplitudes[k] = value
+    return amplitudes
+
+
 @pytest.mark.parametrize("amplitudes", [
     _crafted_amplitudes(),
     np.array([0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0]).view(complex),  # every sign pair
     np.zeros(8, dtype=complex),
     (np.random.default_rng(5).normal(size=64) * (np.random.default_rng(6).random(64) < 0.2)).astype(complex),
-], ids=["crafted", "signed-zeros", "all-zero", "sparse-random"])
+    _pairs(16, {0: 0.25 - 1j / 3}),
+    _pairs(16, {15: -1e-300j}),
+    _pairs(16, {0: 0.5, 15: 0.5j}),
+    _pairs(16, {6: 0.1 + 0.2, 7: -1.0 / 3.0, 9: 5e-324j}),
+    np.array([1.0 - 0.0j]),
+    np.array([0.1j]),
+    np.zeros(1, dtype=complex),
+    *(run_protocol(UnknownQubit(0.8, 2.9), roots_of_unity_zsa(14), outcome=outcome).final.vector.amplitudes
+      for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS)),
+], ids=["crafted", "signed-zeros", "all-zero", "sparse-random", "first-pair", "last-pair", "first-and-last",
+        "adjacent-pairs", "one-amplitude", "one-imaginary", "one-zero", "protocol-14-reference-0",
+        "protocol-14-reference-1"])
 def test_amplitude_text_matches_json_dumps_per_cell(amplitudes):
-    num_qubits = int(math.log2(amplitudes.size))
-    vector = PureState(num_qubits, amplitudes, normalized=False)
-    final = CobwebState(reference_bit=0, zsa=roots_of_unity_zsa(3), qubit=UnknownQubit(1.0), vector=vector,
-                        norm_constant=1.0)
-    oracle = Transcript(BellOutcome.PSI_MINUS, 0.25, 2, num_qubits, final).to_dict()["final_state"]
-    assert cli._amplitude_text(vector.amplitudes, True).split(",") == [
-        json.dumps(float(x)) for x in vector.amplitudes.view(np.float64)
+    # the oracle reads only the amplitudes; a one-amplitude array is no PureState, so none is built
+    final = CobwebState(reference_bit=0, zsa=roots_of_unity_zsa(3), qubit=UnknownQubit(1.0),
+                        vector=types.SimpleNamespace(amplitudes=amplitudes), norm_constant=1.0)
+    oracle = Transcript(BellOutcome.PSI_MINUS, 0.25, 2, 1, final).to_dict()["final_state"]
+    assert cli._amplitude_text(amplitudes, True).split(",") == [
+        json.dumps(float(x)) for x in amplitudes.view(np.float64)
     ]
-    text = cli._amplitude_text(vector.amplitudes, False)
+    text = cli._amplitude_text(amplitudes, False)
     assert json.loads(text) == oracle
     assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 

@@ -35,7 +35,7 @@ from qcobweb.protocol import (
     target_vector,
 )
 from qcobweb.cli import DRAW_BLOCK
-from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa, validate_zsa
+from qcobweb.states import MAX_DENSE_QUBITS, UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa, validate_zsa
 
 from _helpers import random_qubit
 
@@ -95,33 +95,43 @@ def _real_zsa(n: int, rng: np.random.Generator):
     return validate_zsa(c / np.linalg.norm(c))
 
 
-@pytest.mark.parametrize("n", range(3, 17))
+def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
+    """Every Bell branch of (q, z) against the dense projection of `joint_state` and a gate per qubit."""
+    n = z.num_parties
+    for outcome in BellOutcome:
+        oracle_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
+        assert bell_projection(q, z, outcome)[0] == oracle_prob
+        if oracle_prob < DEGENERATE_PROBABILITY:
+            continue
+        oracle = PureState(n - 1, residual / np.sqrt(oracle_prob))
+        for qubit in range(1, n):
+            oracle = apply_gate(oracle, [qubit], correction_for(outcome).gate)
+        transcript = run_protocol(q, z, outcome=outcome)
+        assert transcript.outcome_probability == oracle_prob
+        cells = transcript.final.vector.amplitudes.view(np.float64)
+        assert not np.signbit(cells[cells == 0.0]).any()
+        expected = (oracle.amplitudes + 0.0).view(np.float64)  # the oracle's zeros made +0.0
+        assert cells.view(np.int64).tolist() == expected.view(np.int64).tolist(), (q.theta, q.phi, outcome)
+
+
+@pytest.mark.parametrize("n", [*range(3, 18), MAX_DENSE_QUBITS])
 def test_one_hot_branches_match_dense_oracle_bitwise(n):
     """Production branches against the dense projection of `joint_state` and a gate per qubit, bit for bit.
 
     Zero cells may differ only in sign at the oracle; the production output
     must hold no ``-0.0``.  Real states at phi = 0 and the poles are where the
-    oracle leaves ``-0.0`` cells.
+    oracle leaves ``-0.0`` cells.  Past 16 parties, where the dense oracle
+    takes about a second a state, one interior qubit on the roots of unity
+    checks the widest slot positions.
     """
     rng = np.random.default_rng(1000 + n)
+    if n > 16:
+        _assert_branches_match_dense_oracle(UnknownQubit(*rng.uniform(0.2, 2.9, 2)), roots_of_unity_zsa(n))
+        return
     for z in [roots_of_unity_zsa(n), _real_zsa(n, rng), random_zsa(n, rng), random_zsa(n, rng)]:
         for theta in [0.0, np.pi, *rng.uniform(0.0, np.pi, 2)]:
             for phi in [0.0, rng.uniform(0.0, 2.0 * np.pi)]:
-                q = UnknownQubit(theta, phi)
-                for outcome in BellOutcome:
-                    oracle_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
-                    assert bell_projection(q, z, outcome)[0] == oracle_prob
-                    if oracle_prob < DEGENERATE_PROBABILITY:
-                        continue
-                    oracle = PureState(n - 1, residual / np.sqrt(oracle_prob))
-                    for qubit in range(1, n):
-                        oracle = apply_gate(oracle, [qubit], correction_for(outcome).gate)
-                    transcript = run_protocol(q, z, outcome=outcome)
-                    assert transcript.outcome_probability == oracle_prob
-                    cells = transcript.final.vector.amplitudes.view(np.float64)
-                    assert not np.signbit(cells[cells == 0.0]).any()
-                    expected = (oracle.amplitudes + 0.0).view(np.float64)  # the oracle's zeros made +0.0
-                    assert cells.view(np.int64).tolist() == expected.view(np.int64).tolist(), (theta, phi, outcome)
+                _assert_branches_match_dense_oracle(UnknownQubit(theta, phi), z)
 
 
 # --- branch probabilities ------------------------------------------------------

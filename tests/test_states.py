@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcobweb.linalg import (
+    CONSTRUCTION_TOL,
     LinearOperator,
     PureState,
     apply_gate,
@@ -130,6 +131,14 @@ def test_roots_of_unity():
     assert abs(np.sum(roots_of_unity_zsa(5).coeffs)) < 1e-14
     with pytest.raises(ValueError):
         roots_of_unity_zsa(1)
+
+
+def test_roots_of_unity_zero_sum_holds_at_a_million_parties():
+    # the summed rounding of 10^6 roots drifts to about 1.1e-13, still inside the construction tolerance
+    z = roots_of_unity_zsa(10**6)
+    assert z.num_parties == 10**6
+    assert abs(complex(z.coeffs.sum())) <= CONSTRUCTION_TOL
+    assert abs(float(np.vdot(z.coeffs, z.coeffs).real) - 1.0) <= CONSTRUCTION_TOL
 
 
 def test_random_zsa_invariants():
