@@ -223,7 +223,7 @@ class _Branch:
 
     transcript: Transcript
     tail: str  # serialized row after the trial index, newline included
-    messages: str  # the session's message log as JSON lines; empty without --session
+    messages: str  # the session's message log as JSON lines, newline-ended; empty without --session
     ledger: ResourceLedger | None
 
 
@@ -232,7 +232,7 @@ def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome)
     ledger, messages = None, ""
     if args.session:
         result = run_session(q, z, outcome=outcome)
-        transcript, ledger, messages = result.transcript, result.ledger, messages_to_jsonl(result.messages)
+        transcript, ledger, messages = result.transcript, result.ledger, messages_to_jsonl(result.messages) + "\n"
     else:
         transcript = run_protocol(q, z, outcome=outcome)
     scalars = transcript.scalar_fields()
@@ -245,9 +245,15 @@ def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome)
     return _Branch(transcript, tail, messages, ledger)
 
 
-# Trials per block draw.  A block costs about 0.1 ms of fixed numpy work and, at its peak, about 120 B per
-# trial: 128 trials spread the cost while the block's memory (about 15 KB) stays small next to a call's own.
-DRAW_BLOCK = 128
+# Trials per block draw.  A block costs about 0.2 ms of fixed numpy work plus about 0.15 us and, at its peak,
+# 120 B per trial.  At 128 trials the fixed work was 1.7 us of a trial's draw; at 1024 it is 0.2 us, and the
+# block's draw buffers (about 120 KB) stay below a 200-trial call's traced peak.  2048 trials would double
+# them for 0.08 us a trial.  A block's rows are never held at once; see `WRITE_CHUNK`.
+DRAW_BLOCK = 1024
+# Characters per write call: rows and message-log lines are joined and written at most this many characters
+# at a time, so the text held at once is set by this cap, not by `DRAW_BLOCK`, `--trials` or the row
+# width.  A line longer than the cap is written on its own.
+WRITE_CHUNK = 1 << 16
 
 
 def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
@@ -264,16 +270,27 @@ def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
                       else draw_outcome_block(probs, seed, start, stop).tolist())
 
 
+def _chunks(count: int, longest: int):
+    """(i, j) bounds that split ``count`` lines of at most ``longest`` characters into writes of at most
+    `WRITE_CHUNK` characters; a line longer than the cap gets a write of its own."""
+    step = max(1, WRITE_CHUNK // longest)
+    return ((i, min(i + step, count)) for i in range(0, count, step))
+
+
 def cmd_run(args) -> int:
     """Stream one row per trial; each Bell branch is run and serialized once per call.
 
     Every trial shares (q, z), so its row is one of four fixed by its Bell
-    outcome.  A trial costs a share of a block draw of outcomes and one
-    write.  The first trial builds only the branch it lands on, so a
-    one-trial call computes one branch.  A sampled call of at least four
-    trials then builds every other branch whose probability is high enough
-    not to raise `DegenerateBranch`, so its cost does not depend on which
-    outcomes the draws hit; that is at most one build per trial.
+    outcome.  Trials after the first are drawn `DRAW_BLOCK` at a time, and a
+    block's rows and message-log lines are written in joined chunks of at
+    most `WRITE_CHUNK` characters.  A trial thus costs a share of a block
+    draw and of a write, and a call holds one block's draw buffers and one
+    chunk of text, whatever `--trials`.  The first trial builds only the
+    branch it lands on, so a one-trial call computes one branch.  A sampled
+    call of at least four trials then builds every other branch whose
+    probability is high enough not to raise `DegenerateBranch`, so its cost
+    does not depend on which outcomes the draws hit; that is at most one
+    build per trial.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -298,16 +315,21 @@ def cmd_run(args) -> int:
         log = stack.enter_context(open(args.messages, "w", encoding="utf-8")) if args.messages else None
         out = stack.enter_context(open(args.output, "w", encoding="utf-8")) if args.output else sys.stdout
         for start, values in _outcome_blocks(probs, args.seed, args.trials, forced):
-            for value in sorted(set(values)):
+            drawn = sorted(set(values))
+            for value in drawn:
                 if branches[value] is None:
                     branches[value] = _build_branch(args, z, q, BellOutcome(value))
             if start == 0 and args.format == "csv":
                 out.write(_csv_header(branches[values[0]].transcript))
-            for trial, value in enumerate(values, start):
-                branch = branches[value]
-                out.write(f"{lead}{trial}{branch.tail}")
-                if log is not None:
-                    log.write(branch.messages + "\n")
+            tails = {value: branches[value].tail for value in drawn}
+            longest = len(lead) + len(str(start + len(values) - 1)) + max(map(len, tails.values()))
+            for i, j in _chunks(len(values), longest):
+                rows = enumerate(values[i:j], start + i)
+                out.write("".join([f"{lead}{trial}{tails[value]}" for trial, value in rows]))
+            if log is not None:
+                lines = {value: branches[value].messages for value in drawn}
+                for i, j in _chunks(len(values), max(map(len, lines.values()))):
+                    log.write("".join([lines[value] for value in values[i:j]]))
             counts.update(values)
             if start == 0 and forced is None and args.trials >= len(BellOutcome):
                 for other in BellOutcome:
@@ -318,8 +340,9 @@ def cmd_run(args) -> int:
         for outcome in BellOutcome:
             summary[f"empirical_{outcome.label}"] = counts[outcome.value] / args.trials
             summary[f"expected_{outcome.label}"] = probs[outcome]
-        if branch.ledger is not None:  # a session's ledger is the same on every branch
-            summary.update(dataclasses.asdict(branch.ledger))
+        ledger = next(branch.ledger for branch in branches if branch is not None)
+        if ledger is not None:  # a session's ledger is the same on every branch
+            summary.update(dataclasses.asdict(ledger))
         if args.format == "csv":
             out.write(f"# summary: {json.dumps(summary)}\n")
         else:

@@ -25,7 +25,7 @@ ENTROPY_CUTOFF = 1e-14
 
 def _readonly_complex(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # complex isfinite: both parts finite, in one pass
         raise ValueError("entries must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr

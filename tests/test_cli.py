@@ -339,6 +339,13 @@ GOLDEN_RUNS = [
         "eb6363e13eba4e5f411fa046f6879199f3be1e11881dcd6989cadf1790969f01",
         "23636fe38a7acc175cf57c1bd39ba524265c8b48098d62c781dd6ee4f28decb7",
     ),
+    # Recorded from the implementation that drew 128-trial blocks and wrote one row, and one message-log
+    # line, per write call: this call crosses two 1024-trial blocks and many write chunks of each file.
+    (
+        ["--gen", "roots:5", "--theta", "1.4", "--phi", "0.6", "--trials", "2100", "--seed", "31", "--session"],
+        "e2f5a766f4546297f852a71dd54a6db95b1dcd9f7e8bc8ba10a2f8353ba482b5",
+        "518b4ae3f2fac47ca906bf416b0e72babe990d7897108146ea9ba733acf3a736",
+    ),
 ]
 
 
@@ -348,7 +355,7 @@ GOLDEN_RUNS = [
     ids=["json", "csv", "session-json", "session-csv", "forced-json", "forced-session-csv",
          "wide-session-csv", "wide-json", "wide-forced-json", "signed-zero-json", "signed-zero-csv",
          "signed-zero-phiplus-csv", "many-blocks-json", "seed-2^32-json", "seed-2^64-json", "seed-2^100-csv",
-         "blocks-session-json"],
+         "blocks-session-json", "chunks-session-json"],
 )
 def test_run_golden_output(capsys, tmp_path, argv, stdout_digest, messages_digest):
     log = tmp_path / "messages.jsonl"
@@ -480,7 +487,7 @@ def _counted(monkeypatch, name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("trials", [1500, 1, cli.DRAW_BLOCK + 1])
+@pytest.mark.parametrize("trials", [1500, 1, 129, cli.DRAW_BLOCK + 1, 2 * cli.DRAW_BLOCK + 2])
 def test_run_draws_trial_zero_alone_then_blocks(capsys, monkeypatch, trials):
     """Only trial 0 goes through `draw_outcome`; the rest come from block draws, and a one-trial call makes none."""
     scalar, block = _counted(monkeypatch, "draw_outcome"), _counted(monkeypatch, "draw_outcome_block")
@@ -544,11 +551,11 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
     assert sorted(calls, key=lambda o: o.value) == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS]
 
 
-def _traced_peak(capsys, path, trials: int) -> int:
+def _traced_peak(capsys, path, trials: int, gen: str = "roots:8") -> int:
     gc.collect()  # earlier tests leave cyclic garbage; collect it so the peak does not depend on when
     tracemalloc.start()
     try:
-        code = main(["run", "--gen", "roots:8", "--theta", "1.1", "--trials", str(trials), "--seed", "2",
+        code = main(["run", "--gen", gen, "--theta", "1.1", "--trials", str(trials), "--seed", "2",
                      "--output", str(path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -569,6 +576,49 @@ def test_run_memory_flat_in_trials(capsys, tmp_path):
     with open(tmp_path / "many.jsonl", encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 20001
     assert many <= 1.5 * large
+
+
+def test_run_memory_flat_in_trials_for_rows_wider_than_a_write_chunk(capsys, tmp_path):
+    _traced_peak(capsys, tmp_path / "warm.jsonl", 2, "roots:14")
+    small = _traced_peak(capsys, tmp_path / "small.jsonl", 20, "roots:14")
+    large = _traced_peak(capsys, tmp_path / "large.jsonl", 200, "roots:14")
+    with open(tmp_path / "large.jsonl", encoding="utf-8") as fh:
+        widths = [len(line) for line in fh]
+    assert len(widths) == 201
+    assert min(widths[:-1]) > cli.WRITE_CHUNK  # so each row is written on its own
+    assert large <= 1.5 * small
+
+
+class _WriteSpy:
+    """A text sink that keeps every write call's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+def test_run_writes_rows_and_messages_in_bounded_chunks(capsys, monkeypatch):
+    trials = 3000
+    stdout, log = _WriteSpy(), _WriteSpy()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "open", lambda path, mode, encoding: log, raising=False)
+    code = main(["run", "--gen", "cube", "--theta", "1.3", "--trials", str(trials), "--seed", "8", "--session",
+                 "--messages", "log.jsonl"])
+    assert code == 0
+    assert "".join(stdout.writes).count("\n") == trials + 1
+    assert "".join(log.writes).count("\n") == trials * log.writes[0].count("\n")  # trial 0's log is written alone
+    for sink in (stdout, log):
+        assert len(sink.writes) * 20 < trials
+        assert all(len(text) <= cli.WRITE_CHUNK or text.count("\n") == 1 for text in sink.writes)
 
 
 def test_run_unwritable_messages_writes_no_rows(capsys, tmp_path):

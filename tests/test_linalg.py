@@ -75,6 +75,17 @@ def test_linear_operator_flags():
     LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)  # i*sigma_y is fine
 
 
+@pytest.mark.parametrize("bad", [
+    complex(np.nan, 0.0), complex(0.0, np.nan),
+    complex(np.inf, 0.0), complex(-np.inf, 0.0), complex(0.0, np.inf), complex(0.0, -np.inf),
+], ids=["nan-re", "nan-im", "inf-re", "-inf-re", "inf-im", "-inf-im"])
+def test_non_finite_entries_rejected_in_either_part(bad):
+    with pytest.raises(ValueError, match="entries must be finite"):
+        PureState(1, np.array([bad, 0.0]), normalized=False)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        LinearOperator(2, [[1.0, 0.0], [0.0, bad]])
+
+
 # --- tensor -------------------------------------------------------------------
 
 
