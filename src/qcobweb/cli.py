@@ -33,7 +33,6 @@ from .linalg import (
     PureState,
     binary_entropy,
     hermitian_eigenvalues,
-    is_product_state,
     pure_marginal,
     state_fidelity,
     von_neumann_entropy,
@@ -58,6 +57,7 @@ from .protocol import (
     draw_outcome_block,
     normalization_constants,
     run_protocol,
+    slot_positions,
 )
 from .session import (
     ResourceLedger,
@@ -183,24 +183,22 @@ def _zero_run(csv_cells: bool, count: int) -> str:
     return ("0.0,0.0," if csv_cells else "[0.0, 0.0], ") * count
 
 
-def _amplitude_text(amplitudes: np.ndarray, csv_cells: bool) -> str:
-    """CSV cells ``re,im,...`` or JSON pairs ``[[re, im], ...]``, each cell as ``json.dumps(float(x))``.
+def _amplitude_text(slots: np.ndarray, reference_bit: int, csv_cells: bool) -> str:
+    """A `CobwebState`'s dense amplitudes as CSV cells ``re,im,...`` or JSON pairs ``[[re, im], ...]``.
 
-    Only pairs with a bit set (a nonzero, or a ``-0.0``) are formatted: ``str.format`` writes a float as its
-    ``repr``, as ``json.dumps`` does a finite one.  The zero runs between them are slices of one cached
-    string, so the cost is set by the nonzeros.
+    Each cell reads as ``json.dumps(float(x))``.  Only the N slots are formatted, in ascending basis position
+    (``str.format`` writes a float as its ``repr``, as ``json.dumps`` does a finite one); the zero runs between
+    them are slices of one cached string, so the cost is set by N, not by 2^(N-1).
     """
-    pairs = amplitudes.view(np.float64).reshape(-1, 2)
-    bits = pairs.view(np.uint64)
-    nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    n = slots.size - 1
     cell, sep = ("{},{}", ",") if csv_cells else ("[{}, {}]", ", ")
-    zeros = _zero_run(csv_cells, len(pairs))
-    width = len(zeros) // len(pairs)
+    zeros = _zero_run(csv_cells, 1 << n)
+    width = len(zeros) >> n
     parts, done = [], 0
-    for k, (re, im) in zip(nonzero.tolist(), pairs[nonzero].tolist()):
-        parts += [zeros[: (k - done) * width], cell.format(re, im), sep]
+    for k, pair in sorted(zip(slot_positions(n, reference_bit), slots.view(np.float64).reshape(-1, 2).tolist())):
+        parts += [zeros[: (k - done) * width], cell.format(*pair), sep]
         done = k + 1
-    parts.append(zeros[: (len(pairs) - done) * width])
+    parts.append(zeros[: ((1 << n) - done) * width])
     text = "".join(parts)[: -len(sep)]
     return text if csv_cells else f"[{text}]"
 
@@ -213,7 +211,7 @@ def _amplitude_names(count: int) -> str:
 
 def _csv_header(transcript: Transcript) -> str:
     """The header line; like the amplitude cells, the generated ``amp{i}_re`` names need no quoting."""
-    amps = _amplitude_names(transcript.final.vector.amplitudes.size)
+    amps = _amplitude_names(2 ** (transcript.final.zsa.num_parties - 1))
     return _csv_line(["trial", *transcript.scalar_fields(), "product_state"])[:-1] + "," + amps + "\n"
 
 
@@ -228,16 +226,16 @@ class _Branch:
 
 
 def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome) -> _Branch:
-    """Run one forced branch and serialize its row once for the whole call."""
+    """Run one forced branch and serialize its row once for the whole call, from the output's N slots."""
     ledger, messages = None, ""
     if args.session:
         result = run_session(q, z, outcome=outcome)
         transcript, ledger, messages = result.transcript, result.ledger, messages_to_jsonl(result.messages) + "\n"
     else:
         transcript = run_protocol(q, z, outcome=outcome)
-    scalars = transcript.scalar_fields()
-    product = int(is_product_state(transcript.final.vector))
-    amps = _amplitude_text(transcript.final.vector.amplitudes, args.format == "csv")
+    scalars, final = transcript.scalar_fields(), transcript.final
+    product = int(final.is_product())
+    amps = _amplitude_text(final.slots, final.reference_bit, args.format == "csv")
     if args.format == "csv":
         tail = "," + _csv_line(map(_render_cell, [*scalars.values(), product]))[:-1] + "," + amps + "\n"
     else:
@@ -245,23 +243,18 @@ def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome)
     return _Branch(transcript, tail, messages, ledger)
 
 
-# Trials per block draw.  A block costs about 0.2 ms of fixed numpy work plus about 0.15 us and, at its peak,
-# 120 B per trial.  At 128 trials the fixed work was 1.7 us of a trial's draw; at 1024 it is 0.2 us, and the
-# block's draw buffers (about 120 KB) stay below a 200-trial call's traced peak.  2048 trials would double
-# them for 0.08 us a trial.  A block's rows are never held at once; see `WRITE_CHUNK`.
+# Trials per block draw.  A block costs about 0.2 ms of fixed numpy work plus 0.15 us and, at its peak, 120 B
+# per trial: 0.2 us of fixed work a trial for about 120 KB of buffers.  2048 would save 0.08 us a trial.
 DRAW_BLOCK = 1024
-# Characters per write call: rows and message-log lines are joined and written at most this many characters
-# at a time, so the text held at once is set by this cap, not by `DRAW_BLOCK`, `--trials` or the row
-# width.  A line longer than the cap is written on its own.
+# Characters per write: rows and message-log lines are joined at most this many at a time, whatever `--trials`
+# or the row width.  A longer row is written on its own, as its prefix and then its branch's shared tail.
 WRITE_CHUNK = 1 << 16
 
 
 def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
     """(first trial, outcome values) per block: trial 0 on its own, then up to `DRAW_BLOCK` trials at a time.
 
-    Trial 0 draws with `draw_outcome`, so the first row and a one-trial call
-    pay no block set-up; `draw_outcome_block` draws the same outcomes as it,
-    bit for bit.
+    Trial 0 draws with `draw_outcome`, so the first row pays no block set-up; the blocks draw the same, bit for bit.
     """
     yield 0, [(forced if forced is not None else draw_outcome(probs, [seed, 0])).value]
     for start in range(1, trials, DRAW_BLOCK):
@@ -278,19 +271,13 @@ def _chunks(count: int, longest: int):
 
 
 def cmd_run(args) -> int:
-    """Stream one row per trial; each Bell branch is run and serialized once per call.
+    """Stream one row per trial; each Bell branch is run and serialized once per call, from its N slots.
 
-    Every trial shares (q, z), so its row is one of four fixed by its Bell
-    outcome.  Trials after the first are drawn `DRAW_BLOCK` at a time, and a
-    block's rows and message-log lines are written in joined chunks of at
-    most `WRITE_CHUNK` characters.  A trial thus costs a share of a block
-    draw and of a write, and a call holds one block's draw buffers and one
-    chunk of text, whatever `--trials`.  The first trial builds only the
-    branch it lands on, so a one-trial call computes one branch.  A sampled
-    call of at least four trials then builds every other branch whose
-    probability is high enough not to raise `DegenerateBranch`, so its cost
-    does not depend on which outcomes the draws hit; that is at most one
-    build per trial.
+    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome.  Trials are drawn in
+    `_outcome_blocks` and written in chunks of at most `WRITE_CHUNK` characters, each row copied at most
+    once, so a call holds one block's draw buffers and one chunk of text, whatever `--trials`.  The first
+    trial builds only the branch it lands on; a sampled call of at least four trials then builds every
+    other branch that would not raise `DegenerateBranch`, so its cost does not depend on the draws.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -324,8 +311,11 @@ def cmd_run(args) -> int:
             tails = {value: branches[value].tail for value in drawn}
             longest = len(lead) + len(str(start + len(values) - 1)) + max(map(len, tails.values()))
             for i, j in _chunks(len(values), longest):
-                rows = enumerate(values[i:j], start + i)
-                out.write("".join([f"{lead}{trial}{tails[value]}" for trial, value in rows]))
+                parts = [lead] * (3 * (j - i))  # lead, trial, tail per row
+                parts[1::3] = map(str, range(start + i, start + j))
+                parts[2::3] = map(tails.__getitem__, values[i:j])
+                out.write("".join(parts[:-1]))  # the last tail goes on its own, so a row wider than a chunk
+                out.write(parts[-1])  # is written without a copy of its branch's tail
             if log is not None:
                 lines = {value: branches[value].messages for value in drawn}
                 for i, j in _chunks(len(values), max(map(len, lines.values()))):

@@ -98,13 +98,35 @@ def correction_for(outcome: BellOutcome) -> CorrectionRule:
 
 @dataclass(frozen=True, eq=False)
 class CobwebState:
-    """The (N-1)-party universal entangled state produced by the protocol."""
+    """The (N-1)-party universal entangled state produced by the protocol, a complex-weighted W-class state.
+
+    ``slots`` holds its N amplitudes: on the all-r string (r the reference bit), then on that string with only
+    qubit j = 1..N-1 flipped.  The dense `vector` is built on first use, for the oracles.
+    """
 
     reference_bit: int
     zsa: ZsaAmplitudes
     qubit: UnknownQubit
-    vector: PureState
+    slots: np.ndarray
     norm_constant: float
+
+    @functools.cached_property
+    def vector(self) -> PureState:
+        amplitudes = np.zeros(2 ** (self.slots.size - 1), dtype=complex)
+        amplitudes[slot_positions(self.slots.size - 1, self.reference_bit)] = self.slots
+        return PureState(self.slots.size - 1, amplitudes)
+
+    def min_marginal_eigenvalues(self) -> np.ndarray:
+        """The smaller eigenvalue of each qubit j's marginal, d_j / (1/2 + sqrt(1/4 - d_j)) without cancellation.
+
+        The marginal holds |a_j|^2 on the flipped bit and a_0 a_j*, so d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2."""
+        flips = (self.slots[1:] * self.slots[1:].conj()).real
+        det = flips * (flips.sum() - flips)
+        return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
+
+    def is_product(self, tol: float = 1e-9) -> bool:
+        """True iff every single-qubit marginal is pure within tol, as `linalg.is_product_state` says of `vector`."""
+        return bool(self.min_marginal_eigenvalues().max() <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +172,10 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
     return tensor(q.state(), build_state(z))
 
 
-def slot_positions(num_qubits: int) -> np.ndarray:
-    """Where the residual of parties 2..N holds slot k = 1..N: string 0 for k = 1, else the string of party k alone."""
-    return np.array([0, *(1 << bit for bit in range(num_qubits - 1, -1, -1))])
+def slot_positions(num_qubits: int, reference_bit: int = 0) -> list[int]:
+    """Basis positions of the ``num_qubits`` + 1 slots of reference bit r: the all-r string, then qubit j flipped."""
+    top = (1 << num_qubits) - 1 if reference_bit else 0
+    return [top, *(top ^ 1 << bit for bit in range(num_qubits - 1, -1, -1))]
 
 
 def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
@@ -385,36 +408,31 @@ def generalized_target(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) ->
     return PureState(z.num_parties - 1, target_vector(q.vector(), z, reference_bit), normalized=False)
 
 
-def _cobweb(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int, vector: PureState) -> CobwebState:
+def _cobweb(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int, slots: np.ndarray) -> CobwebState:
     """An output state with its closed-form constant: N(beta) for reference bit 1, else N(alpha)."""
     n_alpha, n_beta = normalization_constants(q, z)
-    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, vector=vector,
+    slots.setflags(write=False)  # `CobwebState.vector` is built from them once
+    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, slots=slots,
                        norm_constant=n_beta if reference_bit else n_alpha)
 
 
 def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> CobwebState:
-    """Build the normalized output state directly from its definition."""
+    """Build the normalized output state directly from its definition: the slots of the dense target."""
     raw = target_vector(q.vector(), z, reference_bit)
-    return _cobweb(q, z, reference_bit, PureState(z.num_parties - 1, raw / np.linalg.norm(raw)))
+    return _cobweb(q, z, reference_bit, raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw))
 
 
-def apply_correction(
-    positions: np.ndarray, values: np.ndarray, rule: CorrectionRule, num_qubits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's gate on every qubit of a state that is ``values`` at basis ``positions``: new positions, values.
+def apply_correction(slots: np.ndarray, rule: CorrectionRule) -> np.ndarray:
+    """The rule's gate on every qubit of a branch held as its N slots of reference bit 0: the corrected slots.
 
-    Each gate has one nonzero entry per row, e0 in row 0 and e1 in row 1,
-    both +-1.  Its X part on every qubit takes string p to its complement
-    2^n - 1 - p; its entries weight the new string by e0 per clear bit and e1
-    per set bit, an exact sign.  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
+    The gate takes |0> to e_r |r> and |1> to e_f |1 - r> (r the reference bit, e_r and e_f each +-1), so every
+    slot keeps its kind: the all-r string gets e_r^(N-1), a single flip e_r^(N-2) e_f.  ``+ 0.0`` turns ``-0.0``
+    into ``0.0``.
     """
     g = rule.gate.entries.real
-    flip = int(g[0, 0] == 0)
-    e0, e1 = g[0, flip], g[1, 1 - flip]
-    if flip:
-        positions = (1 << num_qubits) - 1 - positions
-    ones = [p.bit_count() for p in positions.tolist()]
-    return positions, values * np.array([e0 ** (num_qubits - k) * e1**k for k in ones]) + 0.0
+    e_ref, e_flip = g[rule.reference_bit, 0], g[1 - rule.reference_bit, 1]
+    n = slots.size - 1
+    return slots * np.array([e_ref**n, *[e_ref ** (n - 1) * e_flip] * n]) + 0.0
 
 
 def run_protocol(
@@ -426,7 +444,7 @@ def run_protocol(
     """Run one protocol instance, either forcing a Bell outcome or sampling it.
 
     Sampling requires a seed; identical seeds reproduce identical transcripts
-    bit for bit.
+    bit for bit.  The branch is corrected on its N slots, in O(N).
     """
     if outcome is None:
         outcome = draw_outcome(branch_probabilities(q, z), seed)
@@ -434,11 +452,6 @@ def run_protocol(
     if prob < DEGENERATE_PROBABILITY:
         raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
     rule = correction_for(outcome)
-    n_out = z.num_parties - 1
-    slots = slot_positions(n_out)
-    positions, values = apply_correction(slots, residual[slots] / math.sqrt(prob), rule, n_out)
-    amplitudes = np.zeros(2**n_out, dtype=complex)
-    amplitudes[positions] = values
-    vector = PureState(n_out, amplitudes)
+    slots = apply_correction(residual[slot_positions(z.num_parties - 1)] / math.sqrt(prob), rule)
     return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
-                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, rule.reference_bit, vector))
+                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, rule.reference_bit, slots))

@@ -11,7 +11,6 @@ distinct qubits and so commute.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -117,12 +116,11 @@ def classical_only_baseline(
     if outcome is None:
         outcome = draw_outcome(branch_probabilities(q, z), seed)
     prob, residual = bell_projection(q, z, outcome)
-    positions = slot_positions(2)
     rule = correction_for(outcome)
-    corrected, values = apply_correction(positions, residual[positions] / math.sqrt(prob), rule, 2)
-    slots = np.zeros((4, 4), dtype=complex)  # row p: the corrected branch of residual string p alone
-    slots[positions, corrected] = values
-    out = slots.T @ slots.conj()  # the sum of |slot><slot|
+    slots = apply_correction(residual[slot_positions(2)] / math.sqrt(prob), rule)
+    strings = np.zeros((3, 4), dtype=complex)  # row k: the corrected branch of slot k alone
+    strings[np.arange(3), slot_positions(2, rule.reference_bit)] = slots
+    out = strings.T @ strings.conj()  # the sum of |slot><slot|
     out_dm = DensityMatrix(2, out)
 
     off_diag = np.abs(out - np.diag(np.diag(out)))
@@ -138,8 +136,6 @@ def classical_only_baseline(
 
 
 def messages_to_jsonl(messages) -> str:
-    """One JSON object per line: {step, from, to, payload}."""
-    return "\n".join(
-        json.dumps({"step": m.step, "from": m.sender, "to": m.recipient, "payload": m.payload})
-        for m in messages
-    )
+    """One JSON object per line: {step, from, to, payload}, as ``json.dumps`` writes it for these int fields."""
+    return "\n".join(f'{{"step": {m.step}, "from": {m.sender}, "to": {m.recipient}, "payload": {m.payload}}}'
+                     for m in messages)

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from qcobweb import cli
 from qcobweb.cli import main
 from qcobweb.linalg import is_product_state
-from qcobweb.protocol import BellOutcome, CobwebState, Transcript, run_protocol
+from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.session import run_session
 from qcobweb.states import UnknownQubit, roots_of_unity_zsa
 
@@ -410,51 +409,53 @@ _CRAFTED_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.1 + 0.2, 1.0 / 
                   math.nextafter(1.0, 2.0), 1e300, -1e300]
 
 
-def _crafted_amplitudes() -> np.ndarray:
-    """Every (re, im) pair of crafted cells, padded to 256 amplitudes with signed-zero pairs."""
-    pairs = [complex(re, im) for re in _CRAFTED_CELLS for im in _CRAFTED_CELLS]
-    flat = np.zeros(2 * 256)
-    flat[: 2 * len(pairs)] = np.array(pairs).view(np.float64)
-    flat[2 * len(pairs) :: 3] = -0.0
-    return flat.view(complex)
-
-
-def _pairs(count: int, nonzero: dict) -> np.ndarray:
-    """``count`` zero amplitudes but for the given {index: value} pairs."""
-    amplitudes = np.zeros(count, dtype=complex)
+def _slots(count: int, nonzero: dict) -> np.ndarray:
+    """``count`` zero slots but for the given {slot: value} pairs."""
+    slots = np.zeros(count, dtype=complex)
     for k, value in nonzero.items():
-        amplitudes[k] = value
-    return amplitudes
+        slots[k] = value
+    return slots
 
 
-@pytest.mark.parametrize("amplitudes", [
-    _crafted_amplitudes(),
-    np.array([0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0]).view(complex),  # every sign pair
-    np.zeros(8, dtype=complex),
-    (np.random.default_rng(5).normal(size=64) * (np.random.default_rng(6).random(64) < 0.2)).astype(complex),
-    _pairs(16, {0: 0.25 - 1j / 3}),
-    _pairs(16, {15: -1e-300j}),
-    _pairs(16, {0: 0.5, 15: 0.5j}),
-    _pairs(16, {6: 0.1 + 0.2, 7: -1.0 / 3.0, 9: 5e-324j}),
-    np.array([1.0 - 0.0j]),
-    np.array([0.1j]),
-    np.zeros(1, dtype=complex),
-    *(run_protocol(UnknownQubit(0.8, 2.9), roots_of_unity_zsa(14), outcome=outcome).final.vector.amplitudes
+def _dense(slots: np.ndarray, reference_bit: int) -> np.ndarray:
+    """The slots written into a dense register: the all-r string, then qubit j = 1..N-1 flipped."""
+    n = slots.size - 1
+    top = 2**n - 1 if reference_bit else 0
+    dense = np.zeros(2**n, dtype=complex)
+    dense[[top, *(top ^ (1 << (n - j)) for j in range(1, n + 1))]] = slots
+    return dense
+
+
+# Each case is a list of slot arrays, each rendered with both reference bits; the first and last slots in
+# basis order are slot 0 and slot N-1 for reference bit 0, slot 1 and slot 0 for reference bit 1.
+@pytest.mark.parametrize("cases", [
+    [np.array([complex(re, im) for im in _CRAFTED_CELLS]) for re in _CRAFTED_CELLS],
+    [np.array([0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0]).view(complex)],  # every sign pair
+    [np.zeros(8, dtype=complex)],
+    [(np.random.default_rng(5).normal(size=16) * (np.random.default_rng(6).random(16) < 0.3)).astype(complex)],
+    [_slots(5, {0: 0.25 - 1j / 3})],
+    [_slots(5, {1: -1e-300j}), _slots(5, {4: 0.5})],
+    [_slots(5, {0: 0.5, 1: 0.5j}), _slots(5, {0: 0.5, 4: 0.5j})],
+    [_slots(5, {0: 0.1 + 0.2, 4: -1.0 / 3.0, 3: 5e-324j}), _slots(5, {1: 0.1 + 0.2, 2: -1.0 / 3.0})],
+    [np.array([1.0 - 0.0j])],
+    [np.array([0.1j])],
+    [np.zeros(1, dtype=complex)],
+    *([run_protocol(UnknownQubit(0.8, 2.9), roots_of_unity_zsa(14), outcome=outcome).final.slots]
       for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS)),
 ], ids=["crafted", "signed-zeros", "all-zero", "sparse-random", "first-pair", "last-pair", "first-and-last",
         "adjacent-pairs", "one-amplitude", "one-imaginary", "one-zero", "protocol-14-reference-0",
         "protocol-14-reference-1"])
-def test_amplitude_text_matches_json_dumps_per_cell(amplitudes):
-    # the oracle reads only the amplitudes; a one-amplitude array is no PureState, so none is built
-    final = CobwebState(reference_bit=0, zsa=roots_of_unity_zsa(3), qubit=UnknownQubit(1.0),
-                        vector=types.SimpleNamespace(amplitudes=amplitudes), norm_constant=1.0)
-    oracle = Transcript(BellOutcome.PSI_MINUS, 0.25, 2, 1, final).to_dict()["final_state"]
-    assert cli._amplitude_text(amplitudes, True).split(",") == [
-        json.dumps(float(x)) for x in amplitudes.view(np.float64)
-    ]
-    text = cli._amplitude_text(amplitudes, False)
-    assert json.loads(text) == oracle
-    assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
+def test_amplitude_text_matches_json_dumps_per_cell(cases):
+    for slots in cases:
+        for reference_bit in (0, 1):
+            dense = _dense(slots, reference_bit)
+            oracle = [[float(a.real), float(a.imag)] for a in dense]  # as `Transcript.to_dict` writes them
+            assert cli._amplitude_text(slots, reference_bit, True).split(",") == [
+                json.dumps(float(x)) for x in dense.view(np.float64)
+            ]
+            text = cli._amplitude_text(slots, reference_bit, False)
+            assert json.loads(text) == oracle
+            assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
 
 @pytest.mark.parametrize("name,extra", [("run_protocol", []), ("run_session", ["--session"])])
@@ -567,9 +568,10 @@ def _traced_peak(capsys, path, trials: int, gen: str = "roots:8") -> int:
 
 def test_run_memory_flat_in_trials(capsys, tmp_path):
     _traced_peak(capsys, tmp_path / "warm.jsonl", 20)  # imports and caches outside the measurement
-    small = _traced_peak(capsys, tmp_path / "small.jsonl", 200)
-    large = _traced_peak(capsys, tmp_path / "large.jsonl", 2000)
-    assert len((tmp_path / "large.jsonl").read_text().splitlines()) == 2001
+    # both calls draw at least one full block, so the bound sees what grows with --trials, not the block
+    small = _traced_peak(capsys, tmp_path / "small.jsonl", cli.DRAW_BLOCK + 2)
+    large = _traced_peak(capsys, tmp_path / "large.jsonl", 10 * cli.DRAW_BLOCK)
+    assert len((tmp_path / "large.jsonl").read_text().splitlines()) == 10 * cli.DRAW_BLOCK + 1
     assert large <= 1.5 * small
     # many block draws: a buffer that lives for the whole call, not one block, grows here
     many = _traced_peak(capsys, tmp_path / "many.jsonl", 20000)

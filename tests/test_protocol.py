@@ -11,8 +11,10 @@ from qcobweb.linalg import (
     apply_gate,
     basis_state,
     equal_up_to_global_phase,
+    hermitian_eigenvalues,
     is_product_state,
     project,
+    pure_marginal,
     state_fidelity,
 )
 from qcobweb.protocol import (
@@ -108,6 +110,7 @@ def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
             oracle = apply_gate(oracle, [qubit], correction_for(outcome).gate)
         transcript = run_protocol(q, z, outcome=outcome)
         assert transcript.outcome_probability == oracle_prob
+        assert "vector" not in vars(transcript.final)  # the dense view is built only when asked for
         cells = transcript.final.vector.amplitudes.view(np.float64)
         assert not np.signbit(cells[cells == 0.0]).any()
         expected = (oracle.amplitudes + 0.0).view(np.float64)  # the oracle's zeros made +0.0
@@ -132,6 +135,41 @@ def test_one_hot_branches_match_dense_oracle_bitwise(n):
         for theta in [0.0, np.pi, *rng.uniform(0.0, np.pi, 2)]:
             for phi in [0.0, rng.uniform(0.0, 2.0 * np.pi)]:
                 _assert_branches_match_dense_oracle(UnknownQubit(theta, phi), z)
+
+
+def _assert_product_flag_matches_dense_oracle(q: UnknownQubit, z) -> None:
+    """The slot product flag against `is_product_state` of the dense view, and each small eigenvalue against
+    ``eigvalsh`` of its dense marginal.  Near 1/2 both are ill-conditioned, so larger ones go unbounded."""
+    probs = branch_probabilities(q, z)
+    for outcome in BellOutcome:
+        if probs[outcome] < DEGENERATE_PROBABILITY:
+            continue
+        final = run_protocol(q, z, outcome=outcome).final
+        assert final.is_product() == is_product_state(final.vector), (q.theta, outcome)
+        closed = final.min_marginal_eigenvalues()
+        dense = [hermitian_eigenvalues(pure_marginal(final.vector, [j]))[0] for j in range(1, z.num_parties)]
+        small = (closed < 1e-3) | (np.array(dense) < 1e-3)
+        assert np.abs(closed - dense)[small].max(initial=0.0) <= 1e-15, (q.theta, outcome)
+
+
+# theta from 1e-7 to 1e-1 away from each pole, and the poles.  Near a pole the smallest eigenvalue goes as
+# theta^4, so for these states the flag turns over, at 1e-9, between theta = 1e-3 and 1e-1.
+_NEAR_POLES = [0.0, np.pi, *(t for d in np.geomspace(1e-7, 1e-1, 13) for t in (d, np.pi - d))]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_product_flag_matches_dense_oracle_near_the_poles(n):
+    rng = np.random.default_rng(3000 + n)
+    for z in [roots_of_unity_zsa(n), random_zsa(n, rng)]:
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        for theta in _NEAR_POLES:
+            _assert_product_flag_matches_dense_oracle(UnknownQubit(theta, phi), z)
+
+
+def test_product_flag_matches_dense_oracle_at_twenty_parties():
+    z = roots_of_unity_zsa(MAX_DENSE_QUBITS)
+    for theta in [0.0, 1e-6, np.pi - 1e-4, 1.3]:
+        _assert_product_flag_matches_dense_oracle(UnknownQubit(theta, 0.7), z)
 
 
 # --- branch probabilities ------------------------------------------------------
@@ -453,6 +491,8 @@ def test_cobweb_state_constructor_consistency():
     q = random_qubit(rng)
     for ref in (0, 1):
         cw = cobweb_state(q, z, ref)
+        raw = target_vector(q.vector(), z, ref)  # the dense view is the normalized target, bit for bit
+        assert cw.vector.amplitudes.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
         target = normalized(generalized_target(q, z, ref))
         assert state_fidelity(cw.vector, target) >= 1 - 1e-12
         raw_norm = np.linalg.norm(generalized_target(q, z, ref).amplitudes)

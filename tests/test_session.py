@@ -68,6 +68,17 @@ def test_message_log_serialization():
         assert doc["payload"] in (0, 1, 2, 3)
 
 
+def test_message_log_text_matches_json_dumps():
+    for n in range(3, 21):
+        for payload in range(4):
+            messages = [ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=payload) for k in range(2, n + 1)]
+            expected = "\n".join(
+                json.dumps({"step": m.step, "from": m.sender, "to": m.recipient, "payload": m.payload})
+                for m in messages
+            )
+            assert messages_to_jsonl(messages) == expected, (n, payload)
+
+
 def test_delivery_order_does_not_matter():
     """The remote corrections act on distinct qubits, so any delivery order gives the session's state."""
     rng = np.random.default_rng(5)
