@@ -21,6 +21,7 @@ import numpy as np
 CONSTRUCTION_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 ENTROPY_CUTOFF = 1e-14
+PRODUCT_TOL = 1e-9
 
 
 def _readonly_complex(values, shape) -> np.ndarray:
@@ -304,7 +305,7 @@ def project(state: PureState, qubits, target) -> tuple[float, np.ndarray]:
     return prob, residual
 
 
-def is_product_state(state: PureState, tol: float = 1e-9) -> bool:
+def is_product_state(state: PureState, tol: float = PRODUCT_TOL) -> bool:
     """True iff every single-qubit marginal is pure within tol."""
     if state.num_qubits == 1:
         return True

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, LinearOperator, PureState, tensor
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PRODUCT_TOL, LinearOperator, PureState, tensor
 from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, build_state
 
 DEGENERATE_PROBABILITY = 1e-14
@@ -124,9 +124,9 @@ class CobwebState:
         det = flips * (flips.sum() - flips)
         return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
 
-    def is_product(self, tol: float = 1e-9) -> bool:
-        """True iff every single-qubit marginal is pure within tol, as `linalg.is_product_state` says of `vector`."""
-        return bool(self.min_marginal_eigenvalues().max() <= tol)
+    def is_product(self) -> bool:
+        """True iff every single-qubit marginal is pure within `PRODUCT_TOL`, as `is_product_state` says of `vector`."""
+        return bool(self.min_marginal_eigenvalues().max() <= PRODUCT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
