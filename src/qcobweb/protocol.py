@@ -172,30 +172,28 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
     return tensor(q.state(), build_state(z))
 
 
-def slot_positions(num_qubits: int, reference_bit: int = 0) -> list[int]:
+def slot_positions(num_qubits: int, reference_bit: int) -> list[int]:
     """Basis positions of the ``num_qubits`` + 1 slots of reference bit r: the all-r string, then qubit j flipped."""
     top = (1 << num_qubits) - 1 if reference_bit else 0
     return [top, *(top ^ 1 << bit for bit in range(num_qubits - 1, -1, -1))]
 
 
 def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
-    """Party 1's Bell projection on (a, 1): the Born probability and the unnormalized residual of parties 2..N.
+    """Party 1's Bell projection on (a, 1): the Born probability and the unnormalized N slots of parties 2..N.
 
     Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
-    only where one of them, party k, is 1 (c_k): the residual is written on
-    those N strings, its `slot_positions`.  The products v_a c_k are the
-    multiplies `joint_state`'s ``np.kron`` makes, and the probability sums the
-    whole residual, so both equal the dense projection bit for bit.
+    only where one of them, party k, is 1 (c_k), so the residual lives on the
+    N strings of `slot_positions` with reference bit 0, in that order.  The
+    products v_a c_k are the multiplies `joint_state`'s ``np.kron`` makes.  The
+    probability is the correctly rounded sum of the 2N squared parts, so it
+    depends on the slots alone and on no BLAS kernel.
     """
     _require_protocol(z)
-    n_out = z.num_parties - 1
     products = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
     projected = (BELL_VECTORS[outcome].conj().reshape(2, 2, 1) * products).sum(axis=0)  # [bit of party 1, k]
     slots = projected[0]
     slots[0] = projected[1, 0]
-    residual = np.zeros(2**n_out, dtype=complex)
-    residual[slot_positions(n_out)] = slots
-    return float(np.vdot(residual, residual).real), residual
+    return math.fsum((slots.view(np.float64) ** 2).tolist()), slots
 
 
 def branch_probabilities(q: UnknownQubit, z: ZsaAmplitudes) -> dict[BellOutcome, float]:
@@ -444,14 +442,14 @@ def run_protocol(
     """Run one protocol instance, either forcing a Bell outcome or sampling it.
 
     Sampling requires a seed; identical seeds reproduce identical transcripts
-    bit for bit.  The branch is corrected on its N slots, in O(N).
+    bit for bit.  The branch is projected, normalized and corrected on its N slots, in O(N).
     """
     if outcome is None:
         outcome = draw_outcome(branch_probabilities(q, z), seed)
-    prob, residual = bell_projection(q, z, outcome)
+    prob, slots = bell_projection(q, z, outcome)
     if prob < DEGENERATE_PROBABILITY:
         raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
     rule = correction_for(outcome)
-    slots = apply_correction(residual[slot_positions(z.num_parties - 1)] / math.sqrt(prob), rule)
+    slots = apply_correction(slots / math.sqrt(prob), rule)
     return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
                       parties_notified=z.num_parties - 1, final=_cobweb(q, z, rule.reference_bit, slots))

@@ -102,12 +102,13 @@ def classical_only_baseline(
 
     The shared state keeps the ZSA populations |c_k|^2 on the one-hot strings
     |x_k> but none of their coherences, so it is separable.  The Bell
-    projection of each string lands on its own slot of `bell_projection`'s
-    residual: the drawn branch is the mixture of those slots, each corrected
-    by `apply_correction`, and the branch probabilities (so a seeded draw)
-    are `run_protocol`'s.  Local corrections plus classical messages cannot
-    create entanglement, so the report's coherence and entanglement-of-formation
-    figures must all be zero.
+    projection of each string is one of the N slots `bell_projection`
+    returns: the drawn branch is the mixture of those slots, normalized by the
+    branch's exact-sum probability and each corrected by `apply_correction`,
+    and the branch probabilities (so a seeded draw) are `run_protocol`'s.
+    Local corrections plus classical messages cannot create entanglement, so
+    the report's coherence and entanglement-of-formation figures must all be
+    zero.
     """
     z = zsa if zsa is not None else roots_of_unity_zsa(3)
     if z.num_parties != 3:
@@ -115,9 +116,9 @@ def classical_only_baseline(
 
     if outcome is None:
         outcome = draw_outcome(branch_probabilities(q, z), seed)
-    prob, residual = bell_projection(q, z, outcome)
+    prob, slots = bell_projection(q, z, outcome)
     rule = correction_for(outcome)
-    slots = apply_correction(residual[slot_positions(2)] / math.sqrt(prob), rule)
+    slots = apply_correction(slots / math.sqrt(prob), rule)
     strings = np.zeros((3, 4), dtype=complex)  # row k: the corrected branch of slot k alone
     strings[np.arange(3), slot_positions(2, rule.reference_bit)] = slots
     out = strings.T @ strings.conj()  # the sum of |slot><slot|

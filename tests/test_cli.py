@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -244,6 +245,13 @@ def test_run_rejects_non_finite_phi(capsys, phi):
 # SHA-256 of stdout and of the --messages file, recorded from the implementation
 # that ran every trial through the protocol and buffered all rows (numpy 2.4.6,
 # x86-64).  The branch-cached streaming path must reproduce them byte for byte.
+# The csv, session-csv, wide-json, wide-forced-json, many-blocks-json and
+# seed-2^64-json stdout pins were re-recorded when the Bell probability became
+# the correctly rounded sum of the branch's squared slot parts instead of
+# OpenBLAS zdotc over the dense residual: probabilities and the amplitudes
+# divided by their square roots moved by at most 2 ULP, no other text moved,
+# and the bytes stopped depending on the CPU's BLAS kernel.  Every message-log
+# pin held.
 GOLDEN_RUNS = [
     (
         ["--gen", "cube", "--theta", "1.2", "--phi", "0.4", "--trials", "40", "--seed", "9"],
@@ -252,7 +260,7 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "roots:4", "--theta", "0.9", "--phi", "1.1", "--trials", "30", "--seed", "3", "--format", "csv"],
-        "4d902138a912c31420e8691a97ebc11bfec1815645cdb798e9eebd5621cab707",
+        "5e098e1ae3a3744954a5c920469fb8380d0fd5784ea9483e29f125927db52d45",
         None,
     ),
     (
@@ -262,7 +270,7 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "roots:4", "--theta", "2.0", "--trials", "20", "--seed", "8", "--session", "--format", "csv"],
-        "55a26267ecf85a4ebf04080e36ed453d0991e412610450654c01280d781f150e",
+        "05440f3e19c8ba511ee5ea4e4170ecaa08e92d85cb0d0a79475e3d4f13fa0525",
         "08fd4e2e101b152fa4f2fdbcb07c7bb68e3cbca285a957ad07315588b12f0d46",
     ),
     (
@@ -287,12 +295,12 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "roots:11", "--theta", "0.6", "--phi", "2.2", "--trials", "6", "--seed", "4"],
-        "fab5ca238fa69324527dd26c5879013a5b2b345e0e0c840d67a9a1810203622e",
+        "104897643419b16fc10619907adba2d771ceaf0feda4bded9300285449d3ab7b",
         None,
     ),
     (
         ["--gen", "roots:12", "--theta", "1.9", "--phi", "0.8", "--outcome", "PhiPlus"],
-        "1be203c87b4487f1f94a051049e53fbeda599d9e7ac901681d192716c0a53275",
+        "f6be8062366140318e66147d12f9663215e1b354d2da2c492fef07590396bbba",
         None,
     ),
     (
@@ -314,7 +322,7 @@ GOLDEN_RUNS = [
     # block draws, and seeds of two, three and four 32-bit words.
     (
         ["--gen", "cube", "--theta", "1.3", "--phi", "0.5", "--trials", "5000", "--seed", "12"],
-        "7172b969c9521a66e34d20cd9cba7b0180e3edb7e535dfd0c318f53bf2cbe489",
+        "54ea84e59ddf7367cf35f0c4840129547ffe142133b2c944ad1815ed3298bd88",
         None,
     ),
     (
@@ -324,7 +332,7 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "roots:4", "--theta", "2.1", "--phi", "1.0", "--trials", "40", "--seed", "18446744073709551616"],
-        "ba2910e8f22c15fbf1b8d38993711c99f6e494baba8b33ccfb21c06194f17509",
+        "e270b0ebd838e1237535a1f75c630ac5cb37a6e40ae6cdac87b7f7ab675f0e6a",
         None,
     ),
     (
@@ -365,6 +373,47 @@ def test_run_golden_output(capsys, tmp_path, argv, stdout_digest, messages_diges
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
     if messages_digest:
         assert hashlib.sha256(log.read_bytes()).hexdigest() == messages_digest
+
+
+# OpenBLAS kernels and the CPU features each needs; one above the host's instruction set dies on an illegal
+# instruction, so only those the host can run are tried.
+BLAS_KERNELS = {"SkylakeX": ("AVX512_SKX",), "Haswell": ("AVX2", "FMA3"), "Nehalem": ()}
+
+# Runs every (argv, logged) pair read as JSON from stdin and prints the [stdout, messages] SHA-256 list.
+_GOLDEN_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from qcobweb.cli import main
+digests = []
+for argv, logged in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", *argv, *(["--messages", "messages.jsonl"] if logged else [])]) == 0
+    messages = hashlib.sha256(open("messages.jsonl", "rb").read()).hexdigest() if logged else None
+    digests.append([hashlib.sha256(out.getvalue().encode()).hexdigest(), messages])
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels")
+def test_run_golden_output_on_every_blas_kernel(tmp_path):
+    """Every `run` golden is the same, and equals its pin, under each OpenBLAS kernel the host can run.
+
+    One subprocess per kernel runs the whole golden set, since OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when
+    it loads; ``OPENBLAS_VERBOSE=2`` makes it print the core it picked, which proves the switch took.
+    """
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    kernels = [name for name, needs in BLAS_KERNELS.items() if all(__cpu_features__.get(f) for f in needs)]
+    pins = [[stdout, messages] for _, stdout, messages in GOLDEN_RUNS]
+    for kernel in kernels:
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_CORETYPE": kernel,
+               "OPENBLAS_VERBOSE": "2"}
+        proc = subprocess.run([sys.executable, "-c", _GOLDEN_DIGESTS], capture_output=True, text=True, env=env,
+                              cwd=tmp_path, input=json.dumps([[argv, bool(m)] for argv, _, m in GOLDEN_RUNS]),
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert f"Core: {kernel}" in proc.stderr
+        assert json.loads(proc.stdout) == pins, kernel
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

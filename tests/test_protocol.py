@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from qcobweb.protocol import (
     joint_state,
     normalization_constants,
     run_protocol,
+    slot_positions,
     target_vector,
 )
 from qcobweb.cli import DRAW_BLOCK
@@ -80,7 +82,9 @@ def test_bell_resolution_matches_gate_twisted_targets():
         for outcome in BellOutcome:
             gate = correction_for(outcome).gate
             twisted = target_vector(gate.entries.conj().T @ q.vector(), z, 0)
-            prob, residual = bell_projection(q, z, outcome)
+            prob, slots = bell_projection(q, z, outcome)
+            residual = np.zeros(4, dtype=complex)
+            residual[slot_positions(2, 0)] = slots
             residual = PureState(2, residual / np.sqrt(prob))
             assert prob == pytest.approx(np.vdot(twisted, twisted).real / 2, abs=1e-12)
             assert equal_up_to_global_phase(
@@ -98,11 +102,20 @@ def _real_zsa(n: int, rng: np.random.Generator):
 
 
 def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
-    """Every Bell branch of (q, z) against the dense projection of `joint_state` and a gate per qubit."""
+    """Every Bell branch of (q, z) against the dense projection of `joint_state` and a gate per qubit.
+
+    The oracle probability is the correctly rounded sum of the dense residual's squared parts, which must equal
+    the slot sum bit for bit; the BLAS ``vdot`` of the same residual must agree with it within a few ULP.
+    """
     n = z.num_parties
     for outcome in BellOutcome:
-        oracle_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
-        assert bell_projection(q, z, outcome)[0] == oracle_prob
+        dense_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
+        oracle_prob = math.fsum((residual.view(np.float64) ** 2).tolist())  # the zero cells add exactly
+        prob, slots = bell_projection(q, z, outcome)
+        assert slots.shape == (n,)  # N slots at every N, not a 2^(N-1) residual
+        assert slots.tolist() == residual[slot_positions(n - 1, 0)].tolist()
+        assert prob == oracle_prob
+        assert abs(dense_prob - oracle_prob) <= 8 * np.spacing(oracle_prob), (q.theta, q.phi, outcome)
         if oracle_prob < DEGENERATE_PROBABILITY:
             continue
         oracle = PureState(n - 1, residual / np.sqrt(oracle_prob))

@@ -16,6 +16,7 @@ from qcobweb.protocol import (
     cobweb_state,
     correction_for,
     run_protocol,
+    slot_positions,
 )
 from qcobweb.session import (
     ClassicalMessage,
@@ -87,7 +88,9 @@ def test_delivery_order_does_not_matter():
         remote = list(range(1, z.num_parties))
         for outcome in BellOutcome:
             reference = run_session(q, z, outcome=outcome).transcript.final.vector.amplitudes
-            prob, residual = bell_projection(q, z, outcome)
+            prob, slots = bell_projection(q, z, outcome)
+            residual = np.zeros(2 ** (z.num_parties - 1), dtype=complex)
+            residual[slot_positions(z.num_parties - 1, 0)] = slots
             residual = PureState(z.num_parties - 1, residual / np.sqrt(prob))
             gate = correction_for(outcome).gate
             for order in itertools.permutations(remote):
