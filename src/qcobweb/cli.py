@@ -57,7 +57,6 @@ from .protocol import (
     draw_outcome_block,
     normalization_constants,
     run_protocol,
-    slot_positions,
 )
 from .session import (
     ResourceLedger,
@@ -78,7 +77,7 @@ from .states import (
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
-    validate_zsa,
+    slot_positions,
 )
 
 EXIT_OK = 0
@@ -159,7 +158,7 @@ def cmd_validate(args) -> int:
     figures = {
         "parties": z.num_parties,
         "sum_residual": abs(complex(np.sum(z.coeffs))),
-        "norm_deviation": abs(float(np.vdot(z.coeffs, z.coeffs).real) - 1.0),
+        "norm_deviation": abs(math.fsum((z.coeffs.view(np.float64) ** 2).tolist()) - 1.0),
         "min_abs_coefficient": float(np.min(np.abs(z.coeffs))),
     }
     if args.format == "json":
@@ -438,7 +437,7 @@ def _claims_rows() -> list[dict]:
     epsilon = cobweb_spectrum(cw).epsilon
     det_oracle = float(np.prod(cobweb_marginal_eigenvalues(cw, 1)))
     # c2 = a, c3 = ia with a = 1/2: every amplitude nonzero, yet Re(c2 c3*) = 0
-    zero_cross = validate_zsa([-0.5 * (1.0 + 1.0j), 0.5, 0.5j])
+    zero_cross = ZsaAmplitudes([-0.5 * (1.0 + 1.0j), 0.5, 0.5j])
     nulled = obstruction(UnknownQubit(math.pi / 2.0, 0.7), zero_cross)
     curve = dict(scaling_curve(4))
     big_n = 1024

@@ -15,7 +15,6 @@ Re(c2* c3) > 0.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ from .states import UnknownQubit, ZsaAmplitudes
 CNOT = LinearOperator(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], unitary=True)
 _S = 1.0 / math.sqrt(2.0)
 PLUS = np.array([_S, _S], dtype=complex)
-MINUS = np.array([_S, -_S], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +57,6 @@ class DisentangleResult:
     success_probability: float
     closed_form_probability: float
     success_state: PureState
-    failure_state: PureState | None
     success_fidelity: float
 
     def to_dict(self) -> dict:
@@ -70,9 +67,6 @@ class DisentangleResult:
             "success_fidelity": self.success_fidelity,
             "success_state": [[a.real, a.imag] for a in self.success_state.amplitudes],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -144,15 +138,12 @@ def cnot_disentangle(c: CobwebState) -> DisentangleResult:
         raise ValueError("the CNOT recovery is defined for reference bit 0")
     after = apply_gate(c.vector, (1, 2), CNOT)
     p_plus, res_plus = project(after, [1], PLUS)
-    p_minus, res_minus = project(after, [1], MINUS)
     success_state = PureState(1, res_plus / math.sqrt(p_plus))
-    failure_state = None if p_minus < 1e-14 else PureState(1, res_minus / math.sqrt(p_minus))
 
     return DisentangleResult(
         success_probability=p_plus,
         closed_form_probability=_recovery_probability(c.zsa, c.qubit.alpha)[0],
         success_state=success_state,
-        failure_state=failure_state,
         success_fidelity=state_fidelity(success_state, c.qubit.state()),
     )
 

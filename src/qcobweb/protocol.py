@@ -19,7 +19,6 @@ Protocol outputs are defined up to global phase.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PRODUCT_TOL, LinearOperator, PureState, tensor
-from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, build_state
+from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, build_state, slot_positions
 
 DEGENERATE_PROBABILITY = 1e-14
 
@@ -155,9 +154,6 @@ class Transcript:
         pairs = [[float(a.real), float(a.imag)] for a in self.final.vector.amplitudes]
         return {**self.scalar_fields(), "final_state": pairs}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _require_protocol(z: ZsaAmplitudes) -> None:
     if z.num_parties < 3:
@@ -170,12 +166,6 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
     """|psi>_a tensor the shared state; particle a is the most significant qubit.  The dense oracle."""
     _require_protocol(z)
     return tensor(q.state(), build_state(z))
-
-
-def slot_positions(num_qubits: int, reference_bit: int) -> list[int]:
-    """Basis positions of the ``num_qubits`` + 1 slots of reference bit r: the all-r string, then qubit j flipped."""
-    top = (1 << num_qubits) - 1 if reference_bit else 0
-    return [top, *(top ^ 1 << bit for bit in range(num_qubits - 1, -1, -1))]
 
 
 def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
@@ -389,13 +379,11 @@ def target_vector(qubit_vector: np.ndarray, z: ZsaAmplitudes, reference_bit: int
         raise ValueError(f"reference bit must be 0 or 1, got {reference_bit!r}")
     v = np.asarray(qubit_vector, dtype=complex).reshape(2)
     n_out = z.num_parties - 1
-    base = (1 << n_out) - 1 if reference_bit else 0
+    all_r, *flipped = slot_positions(n_out, reference_bit)
     amps = np.zeros(2**n_out, dtype=complex)
-    for slot in range(1, n_out + 1):
-        bit = 1 << (n_out - slot)
-        c_k = z.coeffs[slot]  # party k = slot + 1
-        amps[base & ~bit] += c_k * v[0]
-        amps[base | bit] += c_k * v[1]
+    for c_k, position in zip(z.coeffs[1:], flipped):  # party k = 2..N; qubit k - 1 carries v
+        amps[all_r] += c_k * v[reference_bit]
+        amps[position] += c_k * v[1 - reference_bit]
     return amps
 
 

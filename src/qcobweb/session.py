@@ -19,8 +19,8 @@ import numpy as np
 from .linalg import DensityMatrix, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
 from .protocol import (BellOutcome, Transcript, apply_correction, bell_projection, branch_probabilities,
-                       correction_for, draw_outcome, run_protocol, slot_positions)
-from .states import UnknownQubit, ZsaAmplitudes, roots_of_unity_zsa
+                       correction_for, draw_outcome, run_protocol)
+from .states import UnknownQubit, ZsaAmplitudes, roots_of_unity_zsa, slot_positions
 
 
 @dataclass(frozen=True)

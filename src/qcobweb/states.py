@@ -156,20 +156,13 @@ class UnknownQubit:
         return PureState(1, self.vector())
 
 
-def validate_zsa(coeffs) -> ZsaAmplitudes:
-    """Validate a coefficient list, raising the specific violated invariant."""
-    return ZsaAmplitudes(coeffs)
+def slot_positions(num_qubits: int, reference_bit: int) -> list[int]:
+    """Basis positions of the ``num_qubits`` + 1 slots of reference bit r: the all-r string, then qubit j flipped.
 
-
-def validate_general_zsa(coeffs) -> GeneralZsaAmplitudes:
-    return GeneralZsaAmplitudes(coeffs)
-
-
-def one_hot_index(num_qubits: int, k: int) -> int:
-    """Basis index of |x_k>: the n-bit string with a single 1 at position k."""
-    if not 1 <= k <= num_qubits:
-        raise ValueError(f"party index {k} out of range 1..{num_qubits}")
-    return 1 << (num_qubits - k)
+    With r = 0 the flipped strings are the one-hot strings |x_1>, ..., |x_n>, in party order.
+    """
+    top = (1 << num_qubits) - 1 if reference_bit else 0
+    return [top, *(top ^ 1 << bit for bit in range(num_qubits - 1, -1, -1))]
 
 
 def build_state(z: ZsaAmplitudes) -> PureState:
@@ -178,8 +171,7 @@ def build_state(z: ZsaAmplitudes) -> PureState:
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
     amp = np.zeros(2**n, dtype=complex)
-    for k in range(1, n + 1):
-        amp[one_hot_index(n, k)] = z.coeffs[k - 1]
+    amp[slot_positions(n, 0)[1:]] = z.coeffs
     return PureState(n, amp)
 
 
@@ -198,10 +190,9 @@ def epr_zsa() -> ZsaAmplitudes:
 
 
 def random_zsa(num_parties: int, rng: np.random.Generator) -> ZsaAmplitudes:
-    """Random ZSA coefficients: complex Gaussian draws with the last entry
+    """Random ZSA coefficients: complex Gaussian draws with the last entry fixed to minus the partial sum.
 
-    fixed to minus the partial sum, rejected until every normalized magnitude
-    exceeds MIN_RANDOM_AMPLITUDE.
+    Draws are rejected until every normalized magnitude is at least MIN_RANDOM_AMPLITUDE.
     """
     if num_parties < 2:
         raise ValueError(f"need at least two parties, got {num_parties}")
@@ -282,25 +273,6 @@ def lu_phase_strip(z: ZsaAmplitudes) -> tuple[np.ndarray, list[LinearOperator]]:
     return magnitudes, gates
 
 
-def ghz_state(n: int) -> PureState:
-    """(|00...0> + |11...1>)/sqrt2."""
-    if n < 2:
-        raise ValueError(f"need at least two qubits, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
-    amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(n, amp)
-
-
-def w_state(n: int) -> PureState:
-    """(1/sqrt n) sum_k |x_k>."""
-    if n < 2:
-        raise ValueError(f"need at least two qubits, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
-    for k in range(1, n + 1):
-        amp[one_hot_index(n, k)] = 1.0 / math.sqrt(n)
-    return PureState(n, amp)
-
-
 def _is_finite_number(x) -> bool:
     """A JSON number that is a finite double: an integer past the largest double is not."""
     try:
@@ -331,12 +303,4 @@ def load_amplitudes(path) -> ZsaAmplitudes:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad bytes or JSON, an integer past the digit limit, deep nesting
         raise AmplitudeFileError(str(exc)) from exc
-    return validate_zsa(coefficients_from_document(doc))
-
-
-def save_amplitudes(z: ZsaAmplitudes, path) -> None:
-    """Write coefficients as JSON; float repr keeps full double precision."""
-    doc = {"coeffs": [[float(c.real), float(c.imag)] for c in z.coeffs]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    return ZsaAmplitudes(coefficients_from_document(doc))

@@ -42,12 +42,12 @@ from qcobweb.protocol import (
 from qcobweb.session import classical_only_baseline
 from qcobweb.states import (
     UnknownQubit,
+    ZsaAmplitudes,
     build_state,
     random_zsa,
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
-    validate_zsa,
 )
 
 from _helpers import random_qubit
@@ -63,7 +63,7 @@ def _line(num: int, ok: bool, text: str) -> None:
 def test_criterion_01_epr_reduction():
     s = 1 / math.sqrt(2)
     singlet = PureState(2, np.array([0, -s, s, 0], dtype=complex))
-    fid = state_fidelity(build_state(validate_zsa([s, -s])), singlet)
+    fid = state_fidelity(build_state(ZsaAmplitudes([s, -s])), singlet)
     ok = fid >= 1 - 1e-12
     _line(1, ok, f"two-party coefficients build the singlet (fidelity {fid:.15f})")
     assert ok
@@ -230,7 +230,7 @@ def test_criterion_09_obstruction():
         report = obstruction(q, z)
         worst = max(worst, abs(report.value - report.oracle_value))
         all_positive &= report.value > 0
-    family = validate_zsa([-0.5 * (1 + 1j), 0.5, 0.5j])
+    family = ZsaAmplitudes([-0.5 * (1 + 1j), 0.5, 0.5j])
     family_report = obstruction(UnknownQubit(np.pi / 2, 0.7), family)
     family_ok = family_report.value == 0.0 and family_report.oracle_value < 1e-15
     ok = worst < 1e-11 and all_positive and family_ok

@@ -3,11 +3,13 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -394,26 +396,65 @@ print(json.dumps(digests))
 """
 
 
+def _host_blas_kernels() -> list[str]:
+    """The `BLAS_KERNELS` this CPU can run."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return [name for name, needs in BLAS_KERNELS.items() if all(__cpu_features__.get(f) for f in needs)]
+
+
+def _stdout_on_kernel(kernel: str, script: str, stdin: str, cwd) -> str:
+    """The stdout of ``python -c script`` in a process whose OpenBLAS runs ``kernel``.
+
+    OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when it loads; ``OPENBLAS_VERBOSE=2`` makes it print the core it
+    picked, which proves the switch took.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_CORETYPE": kernel,
+           "OPENBLAS_VERBOSE": "2"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=cwd,
+                          input=stdin, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert f"Core: {kernel}" in proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels")
 def test_run_golden_output_on_every_blas_kernel(tmp_path):
     """Every `run` golden is the same, and equals its pin, under each OpenBLAS kernel the host can run.
 
-    One subprocess per kernel runs the whole golden set, since OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when
-    it loads; ``OPENBLAS_VERBOSE=2`` makes it print the core it picked, which proves the switch took.
+    One subprocess per kernel runs the whole golden set.
     """
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    kernels = [name for name, needs in BLAS_KERNELS.items() if all(__cpu_features__.get(f) for f in needs)]
     pins = [[stdout, messages] for _, stdout, messages in GOLDEN_RUNS]
-    for kernel in kernels:
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_CORETYPE": kernel,
-               "OPENBLAS_VERBOSE": "2"}
-        proc = subprocess.run([sys.executable, "-c", _GOLDEN_DIGESTS], capture_output=True, text=True, env=env,
-                              cwd=tmp_path, input=json.dumps([[argv, bool(m)] for argv, _, m in GOLDEN_RUNS]),
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert f"Core: {kernel}" in proc.stderr
-        assert json.loads(proc.stdout) == pins, kernel
+    stdin = json.dumps([[argv, bool(m)] for argv, _, m in GOLDEN_RUNS])
+    for kernel in _host_blas_kernels():
+        assert json.loads(_stdout_on_kernel(kernel, _GOLDEN_DIGESTS, stdin, tmp_path)) == pins, kernel
+
+
+# Runs `validate --gen roots:N --format json` for each N read as JSON from stdin and prints the outputs.
+_VALIDATE_OUTPUTS = """
+import contextlib, io, json, sys
+from qcobweb.cli import main
+outputs = []
+for n in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "--gen", f"roots:{n}", "--format", "json"]) == 0
+    outputs.append(out.getvalue())
+print(json.dumps(outputs))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels")
+def test_validate_output_on_every_blas_kernel(tmp_path):
+    """`validate` prints the same bytes under each OpenBLAS kernel the host can run: no BLAS call makes a figure.
+
+    Its norm deviation is the correctly rounded sum of the squared parts; as an OpenBLAS ``zdotc`` it moved with
+    the kernel at N = 13, 19 and 20.  One subprocess per kernel runs all five calls.
+    """
+    stdin = json.dumps([6, 13, 17, 19, 20])
+    outputs = {kernel: _stdout_on_kernel(kernel, _VALIDATE_OUTPUTS, stdin, tmp_path)
+               for kernel in _host_blas_kernels()}
+    assert len(set(outputs.values())) == 1, outputs
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -924,3 +965,42 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, "scaling", "--max", "3")[0] == 7
     assert built == []
+
+
+# --- package surface ----------------------------------------------------------------
+
+REPO = Path(__file__).parents[1]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """README's Quick-start block runs as written against this checkout: it imports only names the package exports."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert "from qcobweb import" in block
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The callables bench/layertrace.py keys per-layer counters on, as "<module>.<function>" or "<module>.<class>.<method>".
+TRACED_COUNTER_KEYS = {
+    "linalg.project", "linalg.apply_gate", "linalg.PureState.__post_init__", "linalg.DensityMatrix.__post_init__",
+    "protocol.Transcript.to_dict", "session.ClassicalMessage.__post_init__",
+}
+
+
+def test_traced_counter_callables_exist():
+    """Each callable the layer tracer counts is still defined where the tracer looks for it.
+
+    The tracer wraps, by name, the functions a module defines and the methods a class defines; a callable deleted
+    or moved to another module would read as a zero count, not as an error.
+    """
+    source = (REPO / "bench" / "layertrace.py").read_text(encoding="utf-8")
+    assert set(re.findall(r'(?:calls|inclusive_s)\["([\w.]+)"\]', source)) == TRACED_COUNTER_KEYS
+    for key in TRACED_COUNTER_KEYS:
+        module, name, *method = key.split(".")
+        obj = vars(importlib.import_module(f"qcobweb.{module}"))[name]
+        if method:
+            obj = vars(obj)[method[0]]
+        assert callable(obj) and obj.__module__ == f"qcobweb.{module}", key

@@ -23,12 +23,12 @@ from qcobweb.measures import (
 from qcobweb.protocol import cobweb_state
 from qcobweb.states import (
     UnknownQubit,
+    ZsaAmplitudes,
     build_state,
     random_zsa,
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
-    validate_zsa,
 )
 
 from _helpers import random_qubit
@@ -154,7 +154,7 @@ def test_splitting_entropy_equals_marginal_entropy():
 
 def test_splitting_entropy_half():
     a = 0.5
-    z = validate_zsa(
+    z = ZsaAmplitudes(
         [1 / math.sqrt(2), complex(-a, a) / math.sqrt(2), complex(-a, -a) / math.sqrt(2)]
     )
     assert abs(z.coeffs[0]) ** 2 == pytest.approx(0.5, abs=1e-15)

@@ -35,11 +35,17 @@ from qcobweb.protocol import (
     joint_state,
     normalization_constants,
     run_protocol,
-    slot_positions,
     target_vector,
 )
 from qcobweb.cli import DRAW_BLOCK
-from qcobweb.states import MAX_DENSE_QUBITS, UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa, validate_zsa
+from qcobweb.states import (
+    MAX_DENSE_QUBITS,
+    UnknownQubit,
+    ZsaAmplitudes,
+    random_zsa,
+    roots_of_unity_zsa,
+    slot_positions,
+)
 
 from _helpers import random_qubit
 
@@ -62,7 +68,7 @@ def test_joint_state_product_structure():
     assert abs(np.vdot(joint.amplitudes, joint.amplitudes) - 1) < 1e-12
     for k in range(1, 5):
         # particle a in |0>: amplitude of |0>_a |x_k> is c_k
-        assert joint.amplitudes[one_hot_index(5, k + 1)] == pytest.approx(z.coeffs[k - 1])
+        assert joint.amplitudes[slot_positions(5, 0)[k + 1]] == pytest.approx(z.coeffs[k - 1])
 
 
 def test_joint_state_needs_three_parties():
@@ -98,7 +104,7 @@ def test_bell_resolution_matches_gate_twisted_targets():
 def _real_zsa(n: int, rng: np.random.Generator):
     c = rng.standard_normal(n)
     c -= c.mean()
-    return validate_zsa(c / np.linalg.norm(c))
+    return ZsaAmplitudes(c / np.linalg.norm(c))
 
 
 def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
@@ -481,14 +487,14 @@ def test_draw_outcome_block_rejects_bad_ranges():
 
 def test_degenerate_branch_guard():
     # a valid ZSA state with c_1 = 1e-8: at theta = 0 the Psi branches have probability |c_1|^2 / 2
-    tiny_c1 = validate_zsa(TINY_C1_COEFFS)
+    tiny_c1 = ZsaAmplitudes(TINY_C1_COEFFS)
     with pytest.raises(DegenerateBranch):
         run_protocol(UnknownQubit(0.0), tiny_c1, outcome=BellOutcome.PSI_PLUS)
 
 
 def test_transcript_serialization():
     transcript = run_protocol(UnknownQubit(0.7, 0.1), CUBE, outcome=BellOutcome.PHI_MINUS)
-    doc = json.loads(transcript.to_json())
+    doc = json.loads(json.dumps(transcript.to_dict()))
     assert doc["outcome"] == "PhiMinus"
     assert doc["payload"] == 1
     assert doc["cbits_sent"] == 2

@@ -16,7 +16,6 @@ from qcobweb.protocol import (
     cobweb_state,
     correction_for,
     run_protocol,
-    slot_positions,
 )
 from qcobweb.session import (
     ClassicalMessage,
@@ -24,7 +23,7 @@ from qcobweb.session import (
     messages_to_jsonl,
     run_session,
 )
-from qcobweb.states import UnknownQubit, one_hot_index, random_zsa, roots_of_unity_zsa
+from qcobweb.states import UnknownQubit, random_zsa, roots_of_unity_zsa, slot_positions
 
 from _helpers import random_qubit
 
@@ -170,7 +169,7 @@ def _density_matrix_control(q, z, outcome):
     """
     shared = np.zeros((8, 8), dtype=complex)
     for k in range(1, 4):
-        shared[one_hot_index(3, k), one_hot_index(3, k)] = abs(z.coeffs[k - 1]) ** 2
+        shared[slot_positions(3, 0)[k], slot_positions(3, 0)[k]] = abs(z.coeffs[k - 1]) ** 2
     rho = np.kron(np.outer(q.vector(), q.vector().conj()), shared).reshape(4, 4, 4, 4)  # (a1, 23, a1, 23)
     blocks = {o: np.einsum("i,irjs,j->rs", b.conj(), rho, b) for o, b in BELL_VECTORS.items()}
     probs = {o: float(np.trace(block).real) for o, block in blocks.items()}

@@ -12,7 +12,6 @@ from qcobweb.linalg import (
     equal_up_to_global_phase,
     outer,
     partial_trace,
-    pure_marginal,
     state_fidelity,
 )
 from qcobweb.states import (
@@ -23,22 +22,18 @@ from qcobweb.states import (
     UnknownQubit,
     ZeroAmplitude,
     ZeroSumViolation,
+    ZsaAmplitudes,
     build_state,
     epr_zsa,
-    ghz_state,
     load_amplitudes,
     lu_phase_strip,
-    one_hot_index,
     param_count,
     project_qubit,
     random_zsa,
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
-    save_amplitudes,
-    validate_general_zsa,
-    validate_zsa,
-    w_state,
+    slot_positions,
 )
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -49,43 +44,43 @@ SINGLET = PureState(2, np.array([0, -S2, S2, 0]))
 
 
 def test_validate_epr_coefficients():
-    z = validate_zsa([S2, -S2])
+    z = ZsaAmplitudes([S2, -S2])
     assert z.num_parties == 2
 
 
 def test_zero_sum_violation():
     with pytest.raises(ZeroSumViolation) as err:
-        validate_zsa([S2, S2])
+        ZsaAmplitudes([S2, S2])
     assert err.value.residual == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
 def test_normalization_violation():
     with pytest.raises(NormalizationViolation) as err:
-        validate_zsa([1.0, -1.0])
+        ZsaAmplitudes([1.0, -1.0])
     assert err.value.residual == pytest.approx(1.0, abs=1e-12)  # |sum of squares - 1|
 
 
 def test_zero_amplitude():
     with pytest.raises(ZeroAmplitude):
-        validate_zsa([S2, -S2, 0.0])
+        ZsaAmplitudes([S2, -S2, 0.0])
 
 
 def test_too_short():
     with pytest.raises(ValueError):
-        validate_zsa([1.0])
+        ZsaAmplitudes([1.0])
 
 
 def test_general_zsa():
-    z = validate_general_zsa(np.array([1, -1, 1j, -1j]) / 2.0)
+    z = GeneralZsaAmplitudes(np.array([1, -1, 1j, -1j]) / 2.0)
     assert z.num_qubits == 2
     with pytest.raises(ZeroSumViolation):
-        validate_general_zsa(np.array([1, 1, -1, 1]) / 2.0)
+        GeneralZsaAmplitudes(np.array([1, 1, -1, 1]) / 2.0)
     with pytest.raises(NormalizationViolation):
-        validate_general_zsa(np.array([1, -1, 1j, -1j]))
+        GeneralZsaAmplitudes(np.array([1, -1, 1j, -1j]))
     with pytest.raises(ValueError, match="power of two"):
         GeneralZsaAmplitudes(np.array([1, -1, 1j, -1j, 0.0, 0.0]) / 2.0)
     # zero entries are allowed in the general class
-    validate_general_zsa(np.array([S2, -S2, 0.0, 0.0]))
+    GeneralZsaAmplitudes(np.array([S2, -S2, 0.0, 0.0]))
 
 
 # --- construction -------------------------------------------------------------
@@ -94,8 +89,8 @@ def test_general_zsa():
 def test_build_state_epr_is_singlet():
     state = build_state(epr_zsa())
     assert state_fidelity(state, SINGLET) >= 1 - 1e-12
-    assert state.amplitudes[one_hot_index(2, 1)] == pytest.approx(S2)
-    assert state.amplitudes[one_hot_index(2, 2)] == pytest.approx(-S2)
+    assert state.amplitudes[slot_positions(2, 0)[1]] == pytest.approx(S2)
+    assert state.amplitudes[slot_positions(2, 0)[2]] == pytest.approx(-S2)
 
 
 def test_build_state_cube_roots():
@@ -112,7 +107,7 @@ def test_build_state_support():
     for n in (3, 4, 6):
         z = random_zsa(n, rng)
         amps = build_state(z).amplitudes
-        support = {one_hot_index(n, k) for k in range(1, n + 1)}
+        support = {slot_positions(n, 0)[k] for k in range(1, n + 1)}
         for idx in range(2**n):
             if idx not in support:
                 assert amps[idx] == 0.0
@@ -125,7 +120,7 @@ def test_roots_of_unity():
 
     # the cube-roots assignment rotated by one root is the same physical state
     w = np.exp(2j * np.pi / 3)
-    literal = validate_zsa(np.array([1.0, w, w.conjugate()]) / np.sqrt(3))
+    literal = ZsaAmplitudes(np.array([1.0, w, w.conjugate()]) / np.sqrt(3))
     assert equal_up_to_global_phase(build_state(roots_of_unity_zsa(3)), build_state(literal), 1e-12)
 
     assert abs(np.sum(roots_of_unity_zsa(5).coeffs)) < 1e-14
@@ -255,7 +250,9 @@ def test_lu_phase_strip_cube_roots_gives_w_state():
     state = build_state(z)
     for k, gate in enumerate(gates, start=1):
         state = apply_gate(state, [k], gate)
-    assert equal_up_to_global_phase(state, w_state(3), 1e-12)
+    w = np.zeros(8, dtype=complex)
+    w[slot_positions(3, 0)[1:]] = 1 / np.sqrt(3)
+    assert equal_up_to_global_phase(state, PureState(3, w), 1e-12)
 
 
 def test_lu_phase_strip_round_trip():
@@ -293,24 +290,6 @@ def test_magnitudes_invariant_under_extra_phases():
     )
 
 
-# --- named states ----------------------------------------------------------------
-
-
-def test_ghz_state():
-    state = ghz_state(3)
-    np.testing.assert_allclose(state.amplitudes[[0, 7]], [S2, S2], atol=1e-15)
-    assert np.count_nonzero(state.amplitudes) == 2
-
-
-def test_w_state_and_marginal():
-    state = w_state(3)
-    for k in (1, 2, 3):
-        assert state.amplitudes[one_hot_index(3, k)] == pytest.approx(1 / np.sqrt(3))
-    np.testing.assert_allclose(
-        pure_marginal(state, [1]).entries, np.diag([2 / 3, 1 / 3]), atol=1e-14
-    )
-
-
 # --- unknown qubit ----------------------------------------------------------------
 
 
@@ -340,7 +319,7 @@ def test_amplitude_json_round_trip(tmp_path):
     rng = np.random.default_rng(53)
     z = random_zsa(5, rng)
     path = tmp_path / "coeffs.json"
-    save_amplitudes(z, path)
+    path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in z.coeffs.tolist()]}))
     loaded = load_amplitudes(path)
     np.testing.assert_array_equal(loaded.coeffs, z.coeffs)  # repr floats are lossless
 
