@@ -191,10 +191,11 @@ def branch_probabilities(q: UnknownQubit, z: ZsaAmplitudes) -> dict[BellOutcome,
 
 
 def draw_outcome(probs: dict[BellOutcome, float], seed) -> BellOutcome:
-    """Draw a Bell outcome from its branch probabilities; the one sampler of the package.
+    """Draw a Bell outcome from its branch probabilities; the oracle `draw_outcome_block` is tested against.
 
     ``seed`` is anything ``np.random.default_rng`` accepts, a Generator
-    included; identical seeds draw identical outcomes.
+    included; identical seeds draw identical outcomes.  A Generator gives up
+    exactly one double per draw, in `Generator.choice`.
     """
     if seed is None:
         raise ValueError("sampling an outcome requires a seed")
@@ -202,152 +203,17 @@ def draw_outcome(probs: dict[BellOutcome, float], seed) -> BellOutcome:
     return _OUTCOMES[int(np.random.default_rng(seed).choice(4, p=weights / weights.sum()))]
 
 
-# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier M; NEP 19 keeps both
-# bit streams stable across numpy releases.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Seeding and the first draw take a PCG64 state from 0 to (0 * M + inc + s) * M^2 + inc * M + inc, that is
-# s * M^2 + inc * (M^2 + M + 1) mod 2^128: one row of multipliers per term, as 64-bit halves and as the
-# 32-bit limbs of the low half.
-_PCG_TERMS = [_PCG_MULT**2 % 2**128, (_PCG_MULT**2 + _PCG_MULT + 1) % 2**128]
-_TERM_HI, _TERM_LO, _TERM_LO_HI32, _TERM_LO_LO32 = (
-    np.array([[(m >> shift) & mask] for m in _PCG_TERMS], dtype=np.uint64)
-    for shift, mask in ((64, 2**64 - 1), (0, 2**64 - 1), (32, _MASK32), (0, _MASK32))
-)
+def draw_outcome_block(probs: dict[BellOutcome, float], rng: np.random.Generator, count: int) -> np.ndarray:
+    """The outcome values of ``count`` successive `draw_outcome(probs, rng)` calls, bit for bit.
 
-
-def _entropy_words(n: int) -> list[int]:
-    """The 32-bit words SeedSequence takes from a non-negative integer, least significant first."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_constants(h: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` (xor, multiply) constants of a SeedSequence hash as uint32 columns; data never changes them."""
-    pairs = []
-    for _ in range(count):
-        pairs.append((h, h := h * mult & _MASK32))
-    constants = np.array(pairs, dtype=np.uint32).T[..., None]
-    constants.flags.writeable = False  # shared by every caller of the cache
-    return constants[0], constants[1]
-
-
-def _hash(values, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """One hash step per row of the constants, on the matching row of ``values`` or on ``values`` broadcast."""
-    out = values ^ xor
-    out *= mult  # uint32 arrays wrap mod 2^32, as the C code does
-    out ^= out >> 16
-    return out
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of y into x, written over x; y is overwritten too."""
-    x *= _MIX_MULT_L
-    y *= _MIX_MULT_R
-    x -= y
-    x ^= x >> 16
-    return x
-
-
-def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for each trial t in [start, stop).
-
-    Returns the high halves (s_hi, initseq_hi) and the low halves (s_lo,
-    initseq_lo) of the two 128-bit seeding words, as a (2, 2, n) array.
-
-    Every t must be below 2^32, or every t at least 2^32.  SeedSequence
-    hashes the entropy words into a pool of four, then mixes every pool word
-    into every other one and any words past the pool into all four.
-    """
-    if start < 2**32:
-        trial_words = [np.arange(start, stop, dtype=np.uint32)]
-    else:
-        trials = np.arange(start, stop, dtype=np.uint64)
-        trial_words = [(trials & _MASK32).astype(np.uint32), (trials >> 32).astype(np.uint32)]
-    words = [*_entropy_words(seed), *trial_words]
-    # the pool is four words: one hash for each, 3 for each in the cross-mix, then 4 per word past the pool
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 * max(len(words), 4))
-    pool = np.zeros((4, stop - start), dtype=np.uint32)
-    for i, word in enumerate(words[:4]):
-        pool[i] = word
-    pool = _hash(pool, xor[:4], mult[:4])
-    for src in range(4):
-        dst, k = [i for i in range(4) if i != src], 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k : k + 3], mult[k : k + 3]))
-    for k, word in enumerate(words[4:], start=4):
-        pool = _mix(pool, _hash(word, xor[4 * k : 4 * k + 4], mult[4 * k : 4 * k + 4]))
-    # generate_state(4, uint64) hashes the pool twice round into eight uint32 words and reads them pairwise
-    # as little-endian uint64: s_hi, s_lo, initseq_hi, initseq_lo.  Index them [round, half, word of pair].
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
-    words = _hash(pool.reshape(1, 2, 2, -1), xor.reshape(2, 2, 2, 1), mult.reshape(2, 2, 2, 1))
-    halves = np.ascontiguousarray(words.transpose(1, 0, 3, 2), dtype="<u4").view("<u8")[..., 0]
-    return halves.astype(np.uint64, copy=False)
-
-
-def _block_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """``np.random.default_rng([seed, t]).random()`` for each trial t in [start, stop), bit for bit.
-
-    PCG64 seeds with `srandom` (``inc = (initseq << 1) | 1``) from
-    SeedSequence's four words and steps once before its XSL-RR output, of
-    which the double keeps the top 53 bits.  Every step runs over the whole
-    block at once, on uint32 and uint64 arrays.
-    """
-    if not 0 <= start <= stop <= 2**64:
-        raise ValueError(f"trials must lie in [0, 2^64], got [{start}, {stop})")
-    if start < 2**32 < stop:  # a trial index of 2^32 or more is two entropy words, not one
-        return np.concatenate([_block_uniforms(seed, start, 2**32), _block_uniforms(seed, 2**32, stop)])
-    hi, lo = _seed_states(seed, start, stop)  # rows: s, then initseq, made into inc = (initseq << 1) | 1
-    hi[1] <<= 1
-    hi[1] |= lo[1] >> 63
-    lo[1] <<= 1
-    lo[1] |= 1
-    # (hi, lo) * (_TERM_HI, _TERM_LO) mod 2^128 row by row, the high half of lo * _TERM_LO summed from
-    # 32-bit limb products; arrays are updated in place and dropped early to keep a block's memory small
-    hi *= _TERM_LO
-    hi += lo * _TERM_HI
-    a1, a0 = lo >> 32, lo & _MASK32
-    cross = a0 * _TERM_LO_HI32
-    carry = a0 * _TERM_LO_LO32 >> 32
-    del a0
-    carry += cross & _MASK32
-    hi += cross >> 32
-    cross = a1 * _TERM_LO_LO32
-    carry += cross & _MASK32
-    hi += cross >> 32
-    del cross
-    a1 *= _TERM_LO_HI32
-    hi += a1
-    hi += carry >> 32
-    del a1, carry
-    lo *= _TERM_LO
-    out_lo = lo[0] + lo[1]
-    out_hi = hi[0] + hi[1] + (out_lo < lo[0])
-    x = out_hi ^ out_lo
-    rot = out_hi >> 58
-    x = x >> rot | x << ((64 - rot) & 63)
-    return (x >> 11).astype(np.float64) * 2.0**-53
-
-
-def draw_outcome_block(probs: dict[BellOutcome, float], seed: int, start: int, stop: int) -> np.ndarray:
-    """The outcome values `draw_outcome(probs, [seed, t])` draws for every trial t in [start, stop), bit for bit.
-
-    Re-implements, over the whole block in numpy, the seeding and first
-    double of ``default_rng([seed, t])`` and then `Generator.choice`'s
-    inverse CDF; `draw_outcome` stays the oracle it is tested against.  The
-    probabilities are taken as valid: unlike `draw_outcome`, this does not
-    check them.
+    Takes ``count`` doubles from ``rng`` at once and inverts `Generator.choice`'s
+    CDF on them.  The probabilities are taken as valid: unlike `draw_outcome`,
+    this does not check them.
     """
     weights = np.array([probs[o] for o in BellOutcome])
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(_block_uniforms(seed, start, stop), side="right")
+    return cdf.searchsorted(rng.random(count), side="right")
 
 
 def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:

@@ -11,15 +11,13 @@ distinct qubits and so commute.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DensityMatrix, partial_trace
 from .measures import concurrence, eof_from_concurrence, splitting_entropy
-from .protocol import (BellOutcome, Transcript, apply_correction, bell_projection, branch_probabilities,
-                       correction_for, draw_outcome, run_protocol)
+from .protocol import BellOutcome, Transcript, run_protocol
 from .states import UnknownQubit, ZsaAmplitudes, roots_of_unity_zsa, slot_positions
 
 
@@ -102,10 +100,9 @@ def classical_only_baseline(
 
     The shared state keeps the ZSA populations |c_k|^2 on the one-hot strings
     |x_k> but none of their coherences, so it is separable.  The Bell
-    projection of each string is one of the N slots `bell_projection`
-    returns: the drawn branch is the mixture of those slots, normalized by the
-    branch's exact-sum probability and each corrected by `apply_correction`,
-    and the branch probabilities (so a seeded draw) are `run_protocol`'s.
+    projection of each string is one of the N slots of the branch, so the
+    drawn branch is the mixture of the slots of `run_protocol`'s output, each
+    on its own: the same draw, projection, normalization and correction.
     Local corrections plus classical messages cannot create entanglement, so
     the report's coherence and entanglement-of-formation figures must all be
     zero.
@@ -114,25 +111,22 @@ def classical_only_baseline(
     if z.num_parties != 3:
         raise ValueError("the baseline analyzes a two-party output, so it needs three parties")
 
-    if outcome is None:
-        outcome = draw_outcome(branch_probabilities(q, z), seed)
-    prob, slots = bell_projection(q, z, outcome)
-    rule = correction_for(outcome)
-    slots = apply_correction(slots / math.sqrt(prob), rule)
+    transcript = run_protocol(q, z, outcome, seed)
+    final = transcript.final
     strings = np.zeros((3, 4), dtype=complex)  # row k: the corrected branch of slot k alone
-    strings[np.arange(3), slot_positions(2, rule.reference_bit)] = slots
+    strings[np.arange(3), slot_positions(2, final.reference_bit)] = final.slots
     out = strings.T @ strings.conj()  # the sum of |slot><slot|
     out_dm = DensityMatrix(2, out)
 
     off_diag = np.abs(out - np.diag(np.diag(out)))
     marginal_coherences = [float(np.abs(partial_trace(out_dm, [qubit]).entries[0, 1])) for qubit in (1, 2)]
     return BaselineReport(
-        outcome=outcome,
+        outcome=transcript.outcome,
         max_coherence=float(off_diag.max()),
         max_marginal_coherence=max(marginal_coherences),
         entanglement_of_formation=eof_from_concurrence(concurrence(out_dm)),
         ledger=ResourceLedger(ebits_consumed=0.0, cbits_total=4, parties=3),
-        messages=_broadcast(outcome, 3),
+        messages=_broadcast(transcript.outcome, 3),
     )
 
 

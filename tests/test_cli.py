@@ -253,27 +253,31 @@ def test_run_rejects_non_finite_phi(capsys, phi):
 # OpenBLAS zdotc over the dense residual: probabilities and the amplitudes
 # divided by their square roots moved by at most 2 ULP, no other text moved,
 # and the bytes stopped depending on the CPU's BLAS kernel.  Every message-log
-# pin held.
+# pin held.  Every sampled pin (each call without --outcome), stdout and message
+# log, was re-recorded when a call's trials came to take successive draws of one
+# default_rng(seed) instead of one default_rng([seed, t]) each.  Each new pin was
+# first checked against the bytes the previous implementation writes when its
+# outcomes are drawn one at a time by draw_outcome from default_rng(seed).
 GOLDEN_RUNS = [
     (
         ["--gen", "cube", "--theta", "1.2", "--phi", "0.4", "--trials", "40", "--seed", "9"],
-        "2ab06fb8024a2ccb820bba9b57bd71443b294f9f74952b6e6afa29ce865a5b4d",
+        "6594cd5a47ab4f9c4a1cff7a560d7589053a3b455307b0b8dbc0d456b204c326",
         None,
     ),
     (
         ["--gen", "roots:4", "--theta", "0.9", "--phi", "1.1", "--trials", "30", "--seed", "3", "--format", "csv"],
-        "5e098e1ae3a3744954a5c920469fb8380d0fd5784ea9483e29f125927db52d45",
+        "53c4d54fa3347b46f5ca28fdc7b1cc0a1d280ec4938dd4826c4fb4e8e98fdef5",
         None,
     ),
     (
         ["--gen", "roots:5", "--theta", "1.0", "--phi", "0.2", "--trials", "25", "--seed", "5", "--session"],
-        "6714c5c8c2f03227d48b5ee3717492c2a84ef55bd8329cc77b404e079e03f2ae",
-        "bf86af64ee0bc5581da901a16d179b81fbb3c702c89a7eac5b5e387aaa013dd0",
+        "9a7be6b845a555d448351bdf52a84e49f5c69c0da165ed43b339050f40edb352",
+        "2c2fb4e7ef0022b782eb1adc7023bf0620a3f4300699543e677c474d347b3ae3",
     ),
     (
         ["--gen", "roots:4", "--theta", "2.0", "--trials", "20", "--seed", "8", "--session", "--format", "csv"],
-        "05440f3e19c8ba511ee5ea4e4170ecaa08e92d85cb0d0a79475e3d4f13fa0525",
-        "08fd4e2e101b152fa4f2fdbcb07c7bb68e3cbca285a957ad07315588b12f0d46",
+        "98cffb6d40a30b71dec61fd903417879ade83ab9bc86bb8a5470694ca16867c0",
+        "32cccbd169fdcb62dfb89e78ef672f605dd05d4f4c33fcc53ec96e8f37a116d3",
     ),
     (
         ["--gen", "cube", "--theta", "0.7", "--outcome", "PhiMinus", "--trials", "5"],
@@ -292,12 +296,12 @@ GOLDEN_RUNS = [
     (
         ["--gen", "roots:14", "--theta", "1.1", "--phi", "0.3", "--session", "--format", "csv", "--trials", "5",
          "--seed", "2"],
-        "08c1f373ad9e9da6b146ece57a9371e07559014b48c623b17e6bba603ac6512f",
-        "e3240e2d0ff0929d16a184860f4fc074ef05d5a445d82d83d87bfa27c4da1887",
+        "e95994831459b33517c68becf1dcc0732fbeee72dccce1166a198f0754d8deb6",
+        "e2ce8dacde67d403b72e7d79d00c8fd8cf3f9a919834715cb9230a4a83766e22",
     ),
     (
         ["--gen", "roots:11", "--theta", "0.6", "--phi", "2.2", "--trials", "6", "--seed", "4"],
-        "104897643419b16fc10619907adba2d771ceaf0feda4bded9300285449d3ab7b",
+        "0e3b7ad8cf92013bdb7c2dfdf46bc9d7060af2ec838faef4493b5af1bf79d7ca",
         None,
     ),
     (
@@ -320,40 +324,40 @@ GOLDEN_RUNS = [
         "5a4f3754dc6cb06f14d2c816ad22f6986ec55bd6ebbba90cc38c43dc3769923f",
         None,
     ),
-    # Recorded from the implementation that drew every trial with draw_outcome: calls that cross
-    # block draws, and seeds of two, three and four 32-bit words.
+    # Checked against draw_outcome drawing every trial in turn: calls that cross block draws, and
+    # seeds of two, three and four 32-bit words.
     (
         ["--gen", "cube", "--theta", "1.3", "--phi", "0.5", "--trials", "5000", "--seed", "12"],
-        "54ea84e59ddf7367cf35f0c4840129547ffe142133b2c944ad1815ed3298bd88",
+        "45cd7e0d0427fb94534796044eb5724d8de29541e367f684a207d05b712098d5",
         None,
     ),
     (
         ["--gen", "cube", "--theta", "0.9", "--trials", "40", "--seed", "4294967296"],
-        "a2812be1529cd1c131451d9091add74f1d2c28b961ae62a1ebf28deba288d19f",
+        "70e63d4c734bb9ba37bf299c7ca3ddd41f422e09164489021c5a8e79348b84e7",
         None,
     ),
     (
         ["--gen", "roots:4", "--theta", "2.1", "--phi", "1.0", "--trials", "40", "--seed", "18446744073709551616"],
-        "e270b0ebd838e1237535a1f75c630ac5cb37a6e40ae6cdac87b7f7ab675f0e6a",
+        "62836f5ccbc2c2d7d19dbf264834b0a4ffb3b3467159bf4f53778b84cf62fef2",
         None,
     ),
     (
         ["--gen", "cube", "--theta", "1.7", "--phi", "3.0", "--trials", "40", "--seed",
          "1267650600228229401496703205376", "--format", "csv"],
-        "44b4291c89928833be5158894a87dda8b16b1014058f4180837e08b36e353c3e",
+        "19773fb46755888ae7c95c0b9ab382f928b705998de070e2d6ce8445e1f444dd",
         None,
     ),
     (
         ["--gen", "roots:5", "--theta", "1.4", "--phi", "0.6", "--trials", "300", "--seed", "31", "--session"],
-        "eb6363e13eba4e5f411fa046f6879199f3be1e11881dcd6989cadf1790969f01",
-        "23636fe38a7acc175cf57c1bd39ba524265c8b48098d62c781dd6ee4f28decb7",
+        "6ada1c72e5a2ef034a363153c157d2a39c1f9df64eaf4e81731100802f046f1e",
+        "a0795e0e7ac4d2649dcfd76839675e696f8f2ff162dc3de1736459f17c49d9c1",
     ),
     # Recorded from the implementation that drew 128-trial blocks and wrote one row, and one message-log
     # line, per write call: this call crosses two 1024-trial blocks and many write chunks of each file.
     (
         ["--gen", "roots:5", "--theta", "1.4", "--phi", "0.6", "--trials", "2100", "--seed", "31", "--session"],
-        "e2f5a766f4546297f852a71dd54a6db95b1dcd9f7e8bc8ba10a2f8353ba482b5",
-        "518b4ae3f2fac47ca906bf416b0e72babe990d7897108146ea9ba733acf3a736",
+        "126aa50b372cc034aaffead20245dae1c6526d8d6cf93e981401f04c3c79f806",
+        "ca3a6fc1a7aa8e55506a6758826cacddaa14ebbef992f49009bfd369bc8a79a6",
     ),
 ]
 
@@ -462,8 +466,8 @@ def test_validate_output_on_every_blas_kernel(tmp_path):
 def test_run_rows_match_per_trial_protocol(capsys, fmt, session):
     """Differential check of the branch cache and the row renderer against one sampled run per trial.
 
-    Each row must equal the trial's own `Transcript.to_dict`, with every cell
-    written by `json.dumps`.
+    Each row must equal its trial's own `Transcript.to_dict`, with every cell
+    written by `json.dumps`; the trials draw in turn from one ``default_rng(seed)``.
     """
     q, z = UnknownQubit(0.8, 2.9), roots_of_unity_zsa(9)
     extra = ["--session"] if session else []
@@ -476,10 +480,9 @@ def test_run_rows_match_per_trial_protocol(capsys, fmt, session):
     if fmt == "csv":
         header, *lines = csv.reader(lines)
     assert len(lines) == 60
-    outcomes = set()
+    outcomes, rng = set(), np.random.default_rng(21)
     for trial, line in enumerate(lines):
-        transcript = (run_session(q, z, seed=[21, trial]).transcript if session
-                      else run_protocol(q, z, seed=[21, trial]))
+        transcript = run_session(q, z, seed=rng).transcript if session else run_protocol(q, z, seed=rng)
         outcomes.add(transcript.outcome)
         row = {"trial": trial, **transcript.to_dict(),
                "product_state": int(is_product_state(transcript.final.vector))}
@@ -491,6 +494,27 @@ def test_run_rows_match_per_trial_protocol(capsys, fmt, session):
         scalars = [value if isinstance(value, str) else json.dumps(value) for value in row.values()]
         assert line == scalars + [json.dumps(x) for pair in amps for x in pair]
     assert outcomes == set(BellOutcome)
+
+
+@pytest.mark.parametrize("seed", [21, 2**100])
+def test_run_trial_t_takes_the_t_th_draw_of_its_seed(capsys, seed):
+    """Trial t is the protocol run on ``PCG64(seed).advance(t)`` alone, so trials stay order-independent.
+
+    The rows checked sit on both sides of each block edge and at the end of a call of three blocks.
+    """
+    q, z = UnknownQubit(1.4, 0.6), roots_of_unity_zsa(5)
+    trials = 2 * cli.DRAW_BLOCK + 2
+    code, out, _ = run_cli(capsys, "run", "--gen", "roots:5", "--theta", "1.4", "--phi", "0.6",
+                           "--trials", str(trials), "--seed", str(seed))
+    assert code == 0
+    lines = out.splitlines()
+    outcomes = set()
+    for trial in (0, 1, cli.DRAW_BLOCK, cli.DRAW_BLOCK + 1, trials - 1):
+        transcript = run_protocol(q, z, seed=np.random.Generator(np.random.PCG64(seed).advance(trial)))
+        outcomes.add(transcript.outcome)
+        row = {"trial": trial, **transcript.to_dict(), "product_state": int(is_product_state(transcript.final.vector))}
+        assert lines[trial] == json.dumps(row)
+    assert len(outcomes) > 1
 
 
 # Cells that json.dumps writes in every form it has: signed zeros, the
@@ -580,14 +604,17 @@ def _counted(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("trials", [1500, 1, 129, cli.DRAW_BLOCK + 1, 2 * cli.DRAW_BLOCK + 2])
 def test_run_draws_trial_zero_alone_then_blocks(capsys, monkeypatch, trials):
-    """Only trial 0 goes through `draw_outcome`; the rest come from block draws, and a one-trial call makes none."""
+    """Only trial 0 goes through `draw_outcome`; the rest come from block draws on the same generator, and a
+    one-trial call makes none."""
     scalar, block = _counted(monkeypatch, "draw_outcome"), _counted(monkeypatch, "draw_outcome_block")
     code, out, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--trials", str(trials), "--seed", "8")
     assert code == 0
     assert len(out.splitlines()) == trials + 1
-    assert [call[1:] for call in scalar] == [([8, 0],)]
-    assert [call[1:] for call in block] == [
-        (8, start, min(start + cli.DRAW_BLOCK, trials)) for start in range(1, trials, cli.DRAW_BLOCK)
+    ((_, rng),) = scalar
+    assert isinstance(rng, np.random.Generator)
+    assert all(call[1] is rng for call in block)
+    assert [call[2] for call in block] == [
+        min(cli.DRAW_BLOCK, trials - start) for start in range(1, trials, cli.DRAW_BLOCK)
     ]
 
 
@@ -622,13 +649,13 @@ def _built_outcomes(capsys, monkeypatch, *argv) -> list:
 
 
 def test_run_builds_every_branch_whatever_the_draws(capsys, monkeypatch):
-    # seed 3 draws PhiPlus on all four trials; the call still builds all four branches
-    calls = _built_outcomes(capsys, monkeypatch, "--trials", "4", "--seed", "3")
-    assert calls[0] == BellOutcome.PHI_PLUS
+    # seed 6 draws PhiMinus on all four trials; the call still builds all four branches
+    calls = _built_outcomes(capsys, monkeypatch, "--trials", "4", "--seed", "6")
+    assert calls[0] == BellOutcome.PHI_MINUS
     assert sorted(calls, key=lambda o: o.value) == list(BellOutcome)
     # below four trials a call builds only the branches it draws
     for trials in ("1", "3"):
-        assert _built_outcomes(capsys, monkeypatch, "--trials", trials, "--seed", "3") == [BellOutcome.PHI_PLUS]
+        assert _built_outcomes(capsys, monkeypatch, "--trials", trials, "--seed", "6") == [BellOutcome.PHI_MINUS]
 
 
 def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):

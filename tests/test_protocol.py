@@ -24,7 +24,6 @@ from qcobweb.protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
-    _block_uniforms,
     bell_projection,
     branch_probabilities,
     cobweb_state,
@@ -435,22 +434,22 @@ def test_sampling_frequencies():
         assert abs(counts[o] - trials * probs[o]) <= 3 * sigma
 
 
-# Seeds of one to five 32-bit entropy words (with a trial's word, 2^100 and 2^128 + 3 run past the
-# pool of four), and trials around the CLI's block size and where a trial index becomes two words.
+# Seeds of one to five 32-bit entropy words (2^100 and 2^128 + 3 fill SeedSequence's pool of four and run
+# past it), and block sizes around the CLI's.
 BLOCK_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100, 2**128 + 3]
-BLOCK_TRIALS = [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1]
-
-
-def _windows():
-    """(seed, start, stop): five trials around each listed trial, so windows also cross 2^32."""
-    return [(seed, max(0, t - 2), t + 3) for seed in BLOCK_SEEDS for t in BLOCK_TRIALS]
+BLOCK_COUNTS = [0, 1, DRAW_BLOCK - 1, 3 * DRAW_BLOCK]
 
 
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_block_uniforms_match_default_rng(seed):
-    for _, start, stop in (w for w in _windows() if w[0] == seed):
-        expected = [np.random.default_rng([seed, t]).random() for t in range(start, stop)]
-        assert _block_uniforms(seed, start, stop).tolist() == expected, (seed, start)
+    """A block of ``count`` trials takes exactly ``count`` doubles of its generator, so the next block starts
+    where ``PCG64(seed).advance(t)`` does: trial t draws from the t-th double of ``default_rng(seed)``."""
+    probs = dict(zip(BellOutcome, [0.25] * 4))
+    rng, done = np.random.default_rng(seed), 0
+    for count in BLOCK_COUNTS:
+        draw_outcome_block(probs, rng, count)
+        done += count
+        assert rng.bit_generator.state == np.random.PCG64(seed).advance(done).state, (seed, count)
 
 
 @pytest.mark.parametrize("weights", [
@@ -461,28 +460,22 @@ def test_block_uniforms_match_default_rng(seed):
     [0.3, 0.2, 0.1, 0.9],  # unnormalized: both samplers divide by the sum first
 ], ids=["zero", "tiny", "equal", "certain", "unnormalized"])
 def test_draw_outcome_block_matches_draw_outcome(weights):
+    """Blocks of any size, drawn in turn from one generator, equal `draw_outcome` called on another, draw by draw."""
     probs = dict(zip(BellOutcome, weights))
-    for seed, start, stop in _windows():
-        expected = [draw_outcome(probs, [seed, t]).value for t in range(start, stop)]
-        assert draw_outcome_block(probs, seed, start, stop).tolist() == expected, (seed, start)
-    expected = [draw_outcome(probs, [9, t]).value for t in range(3 * DRAW_BLOCK)]
-    assert draw_outcome_block(probs, 9, 0, 3 * DRAW_BLOCK).tolist() == expected
+    for seed in BLOCK_SEEDS:
+        oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in BLOCK_COUNTS:
+            expected = [draw_outcome(probs, oracle).value for _ in range(count)]
+            assert draw_outcome_block(probs, rng, count).tolist() == expected, (seed, count)
 
 
 def test_draw_outcome_block_ties_go_right():
     """A draw equal to a CDF step lands past it, as in `Generator.choice`'s ``searchsorted(side="right")``."""
-    u = np.random.default_rng([5, 3]).random()
+    u = np.random.default_rng(5).random(4)[3]
     probs = dict(zip(BellOutcome, [u, 0.0, (1.0 - u) / 2, (1.0 - u) / 2]))  # CDF [u, u, ..., 1], exactly
-    assert draw_outcome(probs, [5, 3]) is BellOutcome.PSI_PLUS  # past both steps at u
-    assert draw_outcome_block(probs, 5, 3, 4).tolist() == [BellOutcome.PSI_PLUS.value]
-
-
-def test_draw_outcome_block_rejects_bad_ranges():
-    probs = dict(zip(BellOutcome, [0.25] * 4))
-    assert draw_outcome_block(probs, 3, 7, 7).size == 0
-    for seed, start, stop in [(-1, 0, 2), (3, -1, 2), (3, 5, 4), (3, 0, 2**64 + 1)]:
-        with pytest.raises(ValueError):
-            draw_outcome_block(probs, seed, start, stop)
+    oracle, rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert [draw_outcome(probs, oracle) for _ in range(4)][3] is BellOutcome.PSI_PLUS  # past both steps at u
+    assert draw_outcome_block(probs, rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
 
 
 def test_degenerate_branch_guard():
