@@ -32,13 +32,12 @@ from .disentangle import cnot_disentangle, obstruction, success_probability_sign
 from .linalg import (
     PureState,
     binary_entropy,
+    entropy_of_eigenvalues,
     hermitian_eigenvalues,
-    pure_marginal,
+    single_qubit_spectra,
     state_fidelity,
-    von_neumann_entropy,
 )
 from .measures import (
-    cobweb_marginal_eigenvalues,
     cobweb_spectrum,
     concurrence,
     entanglement_of_formation,
@@ -345,7 +344,7 @@ def cmd_run(args) -> int:
 
 
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
-    psi = build_state(z)
+    spectra = single_qubit_spectra(build_state(z))
     report: dict = {
         "num_parties": z.num_parties,
         "coefficients": [[c.real, c.imag] for c in z.coeffs],
@@ -355,7 +354,7 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     entries = {}
     for k in range(1, z.num_parties + 1):
         closed = splitting_entropy(z, k)
-        oracle = von_neumann_entropy(pure_marginal(psi, [k]))
+        oracle = entropy_of_eigenvalues(spectra[k - 1])
         entries[f"party_{k}"] = {
             "closed_form": closed,
             "oracle": oracle,
@@ -374,13 +373,13 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
         "abs_difference": abs(closed_eof - route_eof),
     }
 
+    outputs = [cobweb_state(q, z, ref) for ref in (0, 1)]
     cobwebs = {}
-    for ref in (0, 1):
-        cw = cobweb_state(q, z, ref)
+    for ref, cw in enumerate(outputs):
         spectrum = cobweb_spectrum(cw)
-        oracle_eigs = [cobweb_marginal_eigenvalues(cw, pos) for pos in (1, 2)]
+        oracle_eigs = single_qubit_spectra(cw.vector)  # rows: qubits 1 and 2
         closed_sorted = np.array([spectrum.eta_minus, spectrum.eta_plus])
-        deviation = max(float(np.max(np.abs(closed_sorted - eigs))) for eigs in oracle_eigs)
+        deviation = float(np.max(np.abs(closed_sorted - oracle_eigs)))
         det_oracle = float(np.prod(oracle_eigs[0]))
         cobwebs[f"reference_{ref}"] = {
             **spectrum.to_dict(),
@@ -392,7 +391,7 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
         }
     report["cobweb"] = cobwebs
     report["obstruction"] = obstruction(q, z).to_dict()
-    recovery = cnot_disentangle(cobweb_state(q, z, 0)).to_dict()
+    recovery = cnot_disentangle(outputs[0]).to_dict()
     if 0.0 < q.theta < math.pi:
         recovery["odds"] = success_probability_sign(z, q).to_dict()
     report["recovery"] = recovery
@@ -437,7 +436,7 @@ def _claims_rows() -> list[dict]:
     q_eq = UnknownQubit(math.pi / 2.0)
     cw = cobweb_state(q_eq, cube, 0)
     epsilon = cobweb_spectrum(cw).epsilon
-    det_oracle = float(np.prod(cobweb_marginal_eigenvalues(cw, 1)))
+    det_oracle = float(np.prod(single_qubit_spectra(cw.vector)[0]))
     # c2 = a, c3 = ia with a = 1/2: every amplitude nonzero, yet Re(c2 c3*) = 0
     zero_cross = ZsaAmplitudes([-0.5 * (1.0 + 1.0j), 0.5, 0.5j])
     nulled = obstruction(UnknownQubit(math.pi / 2.0, 0.7), zero_cross)

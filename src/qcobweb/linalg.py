@@ -208,6 +208,12 @@ def pure_marginal(state: PureState, keep) -> DensityMatrix:
     return DensityMatrix(*_marginal_entries(state, keep))
 
 
+def single_qubit_spectra(state: PureState) -> np.ndarray:
+    """Qubit q's marginal spectrum, ascending, in row q - 1: one eigvalsh on the stacked Grams, no `DensityMatrix`."""
+    grams = np.array([_marginal_entries(state, [q])[1] for q in range(1, state.num_qubits + 1)])
+    return np.linalg.eigvalsh(grams)
+
+
 def partial_transpose(rho: DensityMatrix | LinearOperator, subsystem: int) -> LinearOperator:
     """Transpose the indices of one qubit; Hermitian and trace preserving, not necessarily positive.
 
@@ -238,11 +244,15 @@ def hermitian_eigenvalues(op: LinearOperator | DensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-tr(rho log2 rho) in bits, with 0 log 0 := 0."""
-    evals = np.linalg.eigvalsh(rho.entries)
+def entropy_of_eigenvalues(evals: np.ndarray) -> float:
+    """-sum(l log2 l) over a density matrix's eigenvalues, in bits, with 0 log 0 := 0."""
     evals = evals[evals > ENTROPY_CUTOFF]
     return float(-np.sum(evals * np.log2(evals)))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-tr(rho log2 rho) in bits, with 0 log 0 := 0."""
+    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho.entries))
 
 
 def binary_entropy(p: float) -> float:

@@ -19,7 +19,6 @@ from .linalg import (
     binary_entropy,
     hermitian_eigenvalues,
     partial_transpose,
-    pure_marginal,
 )
 from .protocol import CobwebState
 from .states import ZsaAmplitudes, reduced_pair
@@ -168,11 +167,6 @@ def cobweb_spectrum(c: CobwebState) -> CobwebSpectrum:
         eta_minus=eta_minus,
         entanglement=binary_entropy(eta_plus),
     )
-
-
-def cobweb_marginal_eigenvalues(c: CobwebState, position: int) -> np.ndarray:
-    """Oracle for cobweb_spectrum: diagonalize one single-qubit marginal directly."""
-    return hermitian_eigenvalues(pure_marginal(c.vector, [position]))
 
 
 def scaling_curve(n_max: int) -> list[tuple[int, float]]:

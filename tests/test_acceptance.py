@@ -19,10 +19,10 @@ from qcobweb.linalg import (
     hermitian_eigenvalues,
     outer,
     partial_trace,
+    single_qubit_spectra,
     state_fidelity,
 )
 from qcobweb.measures import (
-    cobweb_marginal_eigenvalues,
     cobweb_spectrum,
     concurrence,
     entanglement_of_formation,
@@ -180,14 +180,13 @@ def test_criterion_07_cobweb_spectrum():
         cw = cobweb_state(q, z, 0)
         spectrum = cobweb_spectrum(cw)
         closed = np.array([spectrum.eta_minus, spectrum.eta_plus])
-        for position in (1, 2):
-            oracle = cobweb_marginal_eigenvalues(cw, position)
-            worst = max(worst, float(np.max(np.abs(closed - oracle))))
-        determinant = float(np.prod(cobweb_marginal_eigenvalues(cw, 1)))
+        oracle = single_qubit_spectra(cw.vector)  # rows: qubits 1 and 2
+        worst = max(worst, float(np.max(np.abs(closed - oracle))))
+        determinant = float(np.prod(oracle[0]))
         worst_variant = max(worst_variant, abs(4 * spectrum.epsilon - determinant))
     # the 4x variant must fail the same determinant oracle by a visible margin
     cw = cobweb_state(UnknownQubit(np.pi / 2), CUBE, 0)
-    fixed_margin = abs(4 * cobweb_spectrum(cw).epsilon - float(np.prod(cobweb_marginal_eigenvalues(cw, 1))))
+    fixed_margin = abs(4 * cobweb_spectrum(cw).epsilon - float(np.prod(single_qubit_spectra(cw.vector)[0])))
     ok = worst < 1e-10 and worst_variant > 1e-3 and fixed_margin > 0.3
     _line(7, ok, f"Schmidt equality to {worst:.2e}; 4x-variant misses oracle by up to "
                  f"{worst_variant:.3f} (cube roots at the equator: {fixed_margin:.4f})")

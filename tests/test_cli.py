@@ -950,6 +950,28 @@ def test_report_golden_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,budget",
+    [(["measures", "--gen", "roots:8"], 1), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 8)],
+    ids=["roots8", "cube"],
+)
+def test_measures_eigensolve_budget(capsys, monkeypatch, argv, budget):
+    """One stacked eigensolve per state's single-qubit marginals; the cube's other five are the PPT, pair and
+    concurrence oracles."""
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == budget, calls
+
+
 def test_claims_sign_rule_counts_disagreements(capsys, monkeypatch):
     """With the simulated recovery probability flipped around 1/2, the sign rule must be flagged."""
     real = cli.cnot_disentangle

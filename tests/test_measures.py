@@ -6,12 +6,13 @@ import pytest
 from qcobweb.linalg import (
     DensityMatrix,
     binary_entropy,
+    entropy_of_eigenvalues,
     hermitian_eigenvalues,
     pure_marginal,
+    single_qubit_spectra,
     von_neumann_entropy,
 )
 from qcobweb.measures import (
-    cobweb_marginal_eigenvalues,
     cobweb_spectrum,
     concurrence,
     entanglement_of_formation,
@@ -183,7 +184,7 @@ def test_cobweb_spectrum_cube_equator():
     cw = cobweb_state(UnknownQubit(np.pi / 2), CUBE, 0)
     spectrum = cobweb_spectrum(cw)
     assert spectrum.epsilon == pytest.approx(1 / 9, abs=1e-12)
-    oracle = cobweb_marginal_eigenvalues(cw, 1)
+    oracle = single_qubit_spectra(cw.vector)[0]
     np.testing.assert_allclose([spectrum.eta_minus, spectrum.eta_plus], oracle, atol=1e-10)
     assert spectrum.entanglement == pytest.approx(
         von_neumann_entropy(pure_marginal(cw.vector, [1])), abs=1e-10
@@ -199,8 +200,7 @@ def test_cobweb_spectrum_schmidt_equality_random():
         cw = cobweb_state(q, z, ref)
         spectrum = cobweb_spectrum(cw)
         closed = np.array([spectrum.eta_minus, spectrum.eta_plus])
-        for position in (1, 2):
-            oracle = cobweb_marginal_eigenvalues(cw, position)
+        for oracle in single_qubit_spectra(cw.vector):
             assert np.max(np.abs(closed - oracle)) < 1e-10
         assert spectrum.eta_plus + spectrum.eta_minus == pytest.approx(1.0, abs=1e-14)
         assert spectrum.eta_plus * spectrum.eta_minus == pytest.approx(spectrum.epsilon, abs=1e-12)
@@ -209,9 +209,34 @@ def test_cobweb_spectrum_schmidt_equality_random():
 def test_cobweb_spectrum_factor_four_variant_fails_oracle():
     cw = cobweb_state(UnknownQubit(np.pi / 2), CUBE, 0)
     spectrum = cobweb_spectrum(cw)
-    determinant = float(np.prod(cobweb_marginal_eigenvalues(cw, 1)))
+    determinant = float(np.prod(single_qubit_spectra(cw.vector)[0]))
     assert abs(spectrum.epsilon - determinant) < 1e-10
     assert abs(4 * spectrum.epsilon - determinant) > 0.3  # the 4x variant misses by 1/3 here
+
+
+def _assert_spectra_match_marginals_bitwise(state):
+    spectra = single_qubit_spectra(state)
+    assert spectra.shape == (state.num_qubits, 2)
+    for q in range(1, state.num_qubits + 1):
+        rho = pure_marginal(state, [q])
+        assert np.array_equal(spectra[q - 1], hermitian_eigenvalues(rho))
+        assert entropy_of_eigenvalues(spectra[q - 1]) == von_neumann_entropy(rho)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_single_qubit_spectra_match_pure_marginal_bitwise(n):
+    """The stacked eigensolve is the per-qubit dense oracle bit for bit, on the shared ZSA states."""
+    rng = np.random.default_rng(1600 + n)
+    _assert_spectra_match_marginals_bitwise(build_state(random_zsa(n, rng)))
+    _assert_spectra_match_marginals_bitwise(build_state(roots_of_unity_zsa(n)))
+
+
+def test_single_qubit_spectra_match_pure_marginal_bitwise_on_cobwebs():
+    rng = np.random.default_rng(1603)
+    for _ in range(200):
+        z, q = random_zsa(3, rng), random_qubit(rng)
+        for ref in (0, 1):
+            _assert_spectra_match_marginals_bitwise(cobweb_state(q, z, ref).vector)
 
 
 def test_cobweb_spectrum_requires_three_parties():
