@@ -1,7 +1,8 @@
 """Zero-sum-amplitude entangled states and the universal-entangling protocol.
 
-Dense exact statevector simulation, closed-form entanglement accounting, and
-independent linear-algebra oracles for every closed form.
+The protocol runs exactly on the N slot amplitudes a one-hot state can hold;
+every closed form in its entanglement accounting has an independent dense
+linear-algebra oracle.
 """
 
 from .measures import cobweb_spectrum

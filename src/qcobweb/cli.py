@@ -33,7 +33,6 @@ from .linalg import (
     PureState,
     binary_entropy,
     entropy_of_eigenvalues,
-    hermitian_eigenvalues,
     single_qubit_spectra,
     state_fidelity,
 )
@@ -52,7 +51,6 @@ from .protocol import (
     Transcript,
     branch_probabilities,
     cobweb_state,
-    draw_outcome,
     draw_outcome_block,
     normalization_constants,
     run_protocol,
@@ -252,11 +250,11 @@ WRITE_CHUNK = 1 << 16
 def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
     """(first trial, outcome values) per block: trial 0 on its own, then up to `DRAW_BLOCK` trials at a time.
 
-    A sampled call draws trial t from the t-th double of ``default_rng(seed)``.  Trial 0 draws with `draw_outcome`,
-    so the first row pays no block set-up; the blocks draw the same, bit for bit.
+    A sampled call draws trial t from the t-th double of ``default_rng(seed)``.  Trial 0 is a block of one, so the
+    first row waits for one draw only.
     """
     rng = np.random.default_rng(seed) if forced is None else None
-    yield 0, [(forced if forced is not None else draw_outcome(probs, rng)).value]
+    yield 0, [forced.value] if forced is not None else draw_outcome_block(probs, rng, 1).tolist()
     for start in range(1, trials, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, trials)
         yield start, ([forced.value] * (stop - start) if forced is not None
@@ -364,9 +362,10 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     if z.num_parties != 3:
         return report
 
-    report["ppt"] = ppt_report(z).to_dict()
+    pair = reduced_pair(z)
+    report["ppt"] = ppt_report(z, pair).to_dict()
     closed_eof = entanglement_of_formation(z)
-    route_eof = eof_from_concurrence(concurrence(reduced_pair(z)))
+    route_eof = eof_from_concurrence(concurrence(pair))
     report["entanglement_of_formation"] = {
         "closed_form": closed_eof,
         "concurrence_route": route_eof,
@@ -434,9 +433,8 @@ def _claims_rows() -> list[dict]:
     singlet = PureState(2, np.array([0.0, -s, s, 0.0], dtype=complex))
     cube = roots_of_unity_zsa(3)
     q_eq = UnknownQubit(math.pi / 2.0)
-    cw = cobweb_state(q_eq, cube, 0)
-    epsilon = cobweb_spectrum(cw).epsilon
-    det_oracle = float(np.prod(single_qubit_spectra(cw.vector)[0]))
+    report = _measures_report(cube, q_eq)
+    eof, cobweb = report["entanglement_of_formation"], report["cobweb"]["reference_0"]
     # c2 = a, c3 = ia with a = 1/2: every amplitude nonzero, yet Re(c2 c3*) = 0
     zero_cross = ZsaAmplitudes([-0.5 * (1.0 + 1.0j), 0.5, 0.5j])
     nulled = obstruction(UnknownQubit(math.pi / 2.0, 0.7), zero_cross)
@@ -456,23 +454,21 @@ def _claims_rows() -> list[dict]:
          "the two-party coefficients build the singlet exactly"),
         ("cube-roots-marginal-population", 2.0 / 3.0, reduced_single(cube, 1).entries[0, 0].real, 1e-12,
          "every single-party marginal is diag(2/3, 1/3)"),
-        ("cube-roots-splitting-entropy", 0.9, splitting_entropy(cube, 1), 0.05,
+        ("cube-roots-splitting-entropy", 0.9, report["splitting_entropy"]["party_1"]["closed_form"], 0.05,
          "rounded reference value; exact closed form is 0.918296"),
-        ("pair-transpose-min-eigenvalue", (1.0 - math.sqrt(5.0)) / 6.0,
-         hermitian_eigenvalues(ppt_report(cube).matrix)[0], 1e-10,
+        ("pair-transpose-min-eigenvalue", (1.0 - math.sqrt(5.0)) / 6.0, report["ppt"]["min_eigenvalue"], 1e-10,
          "negative eigenvalue certifies the inseparable pair marginal"),
-        ("pair-eof-two-routes", entanglement_of_formation(cube),
-         eof_from_concurrence(concurrence(reduced_pair(cube))), 1e-10,
+        ("pair-eof-two-routes", eof["closed_form"], eof["concurrence_route"], 1e-10,
          "closed form vs concurrence route, about 0.550 bits"),
         ("norm-constant-pole-identity", abs(cube.coeffs[0]) ** 2,
          1.0 / normalization_constants(UnknownQubit(0.0), cube)[0] ** 2, 1e-12,
          "1/N(alpha)^2 = |c1|^2 at theta = 0"),
         ("norm-constant-cube-equator", 0.5, 1.0 / normalization_constants(q_eq, cube)[0] ** 2, 1e-12, ""),
-        ("output-marginal-determinant", epsilon, det_oracle, 1e-10,
+        ("output-marginal-determinant", cobweb["epsilon"], cobweb["determinant_oracle"], 1e-10,
          "epsilon equals the determinant of either single-qubit marginal"),
-        ("output-marginal-determinant-4x", 4.0 * epsilon, det_oracle, 1e-10,
+        ("output-marginal-determinant-4x", cobweb["epsilon_4x_variant"], cobweb["determinant_oracle"], 1e-10,
          "variant with an extra factor of 4 fails the determinant oracle"),
-        ("recovery-probability-cube-roots", 0.5, cnot_disentangle(cw).closed_form_probability, 1e-12,
+        ("recovery-probability-cube-roots", 0.5, report["recovery"]["closed_form_probability"], 1e-12,
          "claimed better than chance; cube roots give P = 1/3 since Re(c2* c3) = -1/6 < 0"),
         ("recovery-sign-rule", 1.0, sign_agreements / sign_draws, 0.0,
          "P > 1/2 exactly when Re(c2* c3) > 0 (200 seeded random states)"),

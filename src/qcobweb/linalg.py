@@ -1,4 +1,9 @@
-"""Dense complex linear algebra for small multi-qubit systems.
+"""Small dense complex linear algebra for the reports and their oracles.
+
+The protocol runs on each output's N slots (see `protocol`).  The dense
+states and matrices here serve the `measures` oracles, the CNOT recovery,
+the negative control and the printed dense view of an output; the tests'
+own dense oracles are in tests/oracles.py.
 
 Conventions used by every module in this package:
 
@@ -37,16 +42,10 @@ def _readonly_complex(values, shape) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Dense statevector over ``num_qubits`` qubits.
-
-    ``normalized=False`` marks intermediate states (for example protocol
-    targets written without their normalization constant); the norm check
-    is skipped for those.
-    """
+    """Dense statevector over ``num_qubits`` qubits, of unit norm within `CONSTRUCTION_TOL`."""
 
     num_qubits: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -57,18 +56,14 @@ class PureState:
                 f"expected {2 ** self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got {amp.size}"
             )
-        if self.normalized:
-            nrm = float(np.vdot(amp, amp).real)
-            if abs(nrm - 1.0) > CONSTRUCTION_TOL:
-                raise ValueError(f"state flagged normalized has squared norm {nrm!r}")
+        nrm = float(np.vdot(amp, amp).real)
+        if abs(nrm - 1.0) > CONSTRUCTION_TOL:
+            raise ValueError(f"state has squared norm {nrm!r}, expected 1")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,40 +122,6 @@ PAULI_Z = LinearOperator(2, [[1, 0], [0, -1]], unitary=True, hermitian=True)
 IDENTITY_2 = LinearOperator(2, [[1, 0], [0, 1]], unitary=True, hermitian=True)
 
 
-def basis_state(num_qubits: int, index: int) -> PureState:
-    """Computational-basis state |index> (big-endian bit order)."""
-    if not 0 <= index < 2 ** num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amp = np.zeros(2 ** num_qubits, dtype=complex)
-    amp[index] = 1.0
-    return PureState(num_qubits, amp)
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators; a's indices most significant."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(
-            a.num_qubits + b.num_qubits,
-            np.kron(a.amplitudes, b.amplitudes),
-            normalized=a.normalized and b.normalized,
-        )
-    if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
-        return LinearOperator(
-            a.dim * b.dim,
-            np.kron(a.entries, b.entries),
-            unitary=a.unitary and b.unitary,
-            hermitian=a.hermitian and b.hermitian,
-        )
-    raise TypeError("tensor expects two PureStates or two LinearOperators")
-
-
-def outer(state: PureState) -> DensityMatrix:
-    """Projector |psi><psi| of a normalized pure state."""
-    if not state.normalized:
-        raise ValueError("outer product requires a normalized state")
-    return DensityMatrix(state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
 def _check_qubit_labels(n: int, labels) -> list[int]:
     out = [int(q) for q in labels]
     if len(set(out)) != len(out):
@@ -191,8 +152,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def _marginal_entries(state: PureState, keep) -> tuple[int, np.ndarray]:
     """Qubit count and matrix of a pure state's marginal over the kept qubits, unvalidated."""
-    if not state.normalized:
-        raise ValueError("pure_marginal requires a normalized state")
     n = state.num_qubits
     kept = sorted(set(_check_qubit_labels(n, keep)))
     if not kept:
@@ -201,11 +160,6 @@ def _marginal_entries(state: PureState, keep) -> tuple[int, np.ndarray]:
     psi = state.amplitudes.reshape([2] * n)
     m = psi.transpose([q - 1 for q in kept] + [q - 1 for q in rest]).reshape(2 ** len(kept), -1)
     return len(kept), m @ m.conj().T
-
-
-def pure_marginal(state: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state without forming the full projector."""
-    return DensityMatrix(*_marginal_entries(state, keep))
 
 
 def single_qubit_spectra(state: PureState) -> np.ndarray:
@@ -250,11 +204,6 @@ def entropy_of_eigenvalues(evals: np.ndarray) -> float:
     return float(-np.sum(evals * np.log2(evals)))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-tr(rho log2 rho) in bits, with 0 log 0 := 0."""
-    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho.entries))
-
-
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log2 p - (1-p) log2 (1-p) in bits."""
     if p < -CONSTRUCTION_TOL or p > 1.0 + CONSTRUCTION_TOL:
@@ -267,15 +216,6 @@ def binary_entropy(p: float) -> float:
     return float(total)
 
 
-def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """True iff |<a|b>| >= 1 - tol. Both states must be normalized."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not (a.normalized and b.normalized):
-        raise ValueError("phase comparison requires normalized states")
-    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
-
-
 def state_fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2 of two pure states."""
     if a.dim != b.dim:
@@ -284,7 +224,7 @@ def state_fidelity(a: PureState, b: PureState) -> float:
 
 
 def apply_gate(state: PureState, qubits, gate: LinearOperator) -> PureState:
-    """Apply a gate to the given qubits (their order matches the gate's index order)."""
+    """Apply a unitary gate to the given qubits (their order matches the gate's index order)."""
     n = state.num_qubits
     targets = _check_qubit_labels(n, qubits)
     m = len(targets)
@@ -296,7 +236,7 @@ def apply_gate(state: PureState, qubits, gate: LinearOperator) -> PureState:
     rest = [ax for ax in range(n) if ax + 1 not in targets]
     order = [q - 1 for q in targets] + rest
     out = moved.transpose(np.argsort(order)).reshape(-1)
-    return PureState(n, out, normalized=state.normalized and gate.unitary)
+    return PureState(n, out)
 
 
 def project(state: PureState, qubits, target) -> tuple[float, np.ndarray]:
@@ -316,14 +256,3 @@ def project(state: PureState, qubits, target) -> tuple[float, np.ndarray]:
     residual = residual.reshape(-1)
     prob = float(np.vdot(residual, residual).real)
     return prob, residual
-
-
-def is_product_state(state: PureState, tol: float = PRODUCT_TOL) -> bool:
-    """True iff every single-qubit marginal is pure within tol."""
-    if state.num_qubits == 1:
-        return True
-    for q in range(1, state.num_qubits + 1):
-        low = float(np.linalg.eigvalsh(_marginal_entries(state, [q])[1])[0])
-        if low > tol:
-            return False
-    return True

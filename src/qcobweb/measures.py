@@ -21,7 +21,7 @@ from .linalg import (
     partial_transpose,
 )
 from .protocol import CobwebState
-from .states import ZsaAmplitudes, reduced_pair
+from .states import ZsaAmplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +72,8 @@ class CobwebSpectrum:
         }
 
 
-def ppt_report(z: ZsaAmplitudes) -> PptReport:
-    """Partial transpose (second subsystem) of the pair marginal, with spectrum.
+def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> PptReport:
+    """Partial transpose (second subsystem) of the pair marginal ``pair`` = `reduced_pair(z)`, with spectrum.
 
     Closed-form eigenvalues: |c2|^2, |c3|^2, (|c1|^2 +- sqrt(|c1|^4 +
     4|c2|^2|c3|^2))/2.  The last one is negative for every valid input, which
@@ -81,7 +81,7 @@ def ppt_report(z: ZsaAmplitudes) -> PptReport:
     """
     if z.num_parties != 3:
         raise ValueError("the PPT report covers the tripartite pair marginal")
-    pt = partial_transpose(reduced_pair(z), subsystem=2)
+    pt = partial_transpose(pair, subsystem=2)
     a1, a2, a3 = (float(abs(c) ** 2) for c in z.coeffs)
     root = math.sqrt(a1**2 + 4.0 * a2 * a3)
     eigenvalues = (a2, a3, 0.5 * (a1 + root), 0.5 * (a1 - root))

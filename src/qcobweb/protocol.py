@@ -25,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PRODUCT_TOL, LinearOperator, PureState, tensor
-from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, build_state, slot_positions
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PRODUCT_TOL, LinearOperator, PureState
+from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, slot_positions
 
 DEGENERATE_PROBABILITY = 1e-14
 
@@ -70,7 +70,6 @@ BELL_VECTORS = {
     BellOutcome.PSI_PLUS: np.array([0, _S, _S, 0], dtype=complex),
     BellOutcome.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
 }
-_OUTCOMES = tuple(BellOutcome)  # by value; indexing it is cheaper than calling BellOutcome per draw
 
 I_SIGMA_Y = LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)
 
@@ -124,7 +123,7 @@ class CobwebState:
         return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
 
     def is_product(self) -> bool:
-        """True iff every single-qubit marginal is pure within `PRODUCT_TOL`, as `is_product_state` says of `vector`."""
+        """True iff every single-qubit marginal is pure within `PRODUCT_TOL`, as the dense oracle says of `vector`."""
         return bool(self.min_marginal_eigenvalues().max() <= PRODUCT_TOL)
 
 
@@ -162,21 +161,15 @@ def _require_protocol(z: ZsaAmplitudes) -> None:
         raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
 
 
-def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
-    """|psi>_a tensor the shared state; particle a is the most significant qubit.  The dense oracle."""
-    _require_protocol(z)
-    return tensor(q.state(), build_state(z))
-
-
 def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
     """Party 1's Bell projection on (a, 1): the Born probability and the unnormalized N slots of parties 2..N.
 
     Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
     only where one of them, party k, is 1 (c_k), so the residual lives on the
     N strings of `slot_positions` with reference bit 0, in that order.  The
-    products v_a c_k are the multiplies `joint_state`'s ``np.kron`` makes.  The
-    probability is the correctly rounded sum of the 2N squared parts, so it
-    depends on the slots alone and on no BLAS kernel.
+    products v_a c_k are the multiplies a dense ``np.kron`` of |psi>_a and the
+    shared state makes.  The probability is the correctly rounded sum of the
+    2N squared parts, so it depends on the slots alone and on no BLAS kernel.
     """
     _require_protocol(z)
     products = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
@@ -190,25 +183,12 @@ def branch_probabilities(q: UnknownQubit, z: ZsaAmplitudes) -> dict[BellOutcome,
     return {o: bell_projection(q, z, o)[0] for o in BellOutcome}
 
 
-def draw_outcome(probs: dict[BellOutcome, float], seed) -> BellOutcome:
-    """Draw a Bell outcome from its branch probabilities; the oracle `draw_outcome_block` is tested against.
-
-    ``seed`` is anything ``np.random.default_rng`` accepts, a Generator
-    included; identical seeds draw identical outcomes.  A Generator gives up
-    exactly one double per draw, in `Generator.choice`.
-    """
-    if seed is None:
-        raise ValueError("sampling an outcome requires a seed")
-    weights = np.array([probs[o] for o in BellOutcome])
-    return _OUTCOMES[int(np.random.default_rng(seed).choice(4, p=weights / weights.sum()))]
-
-
 def draw_outcome_block(probs: dict[BellOutcome, float], rng: np.random.Generator, count: int) -> np.ndarray:
-    """The outcome values of ``count`` successive `draw_outcome(probs, rng)` calls, bit for bit.
+    """The outcome values of ``count`` successive ``rng.choice(4, p=weights / weights.sum())`` calls, bit for bit.
 
-    Takes ``count`` doubles from ``rng`` at once and inverts `Generator.choice`'s
-    CDF on them.  The probabilities are taken as valid: unlike `draw_outcome`,
-    this does not check them.
+    Takes ``count`` doubles from ``rng`` at once, one per draw as `Generator.choice`
+    does, and inverts its CDF on them.  The probabilities are taken as valid:
+    unlike `Generator.choice`, this does not check them.
     """
     weights = np.array([probs[o] for o in BellOutcome])
     cdf = (weights / weights.sum()).cumsum()
@@ -253,13 +233,6 @@ def target_vector(qubit_vector: np.ndarray, z: ZsaAmplitudes, reference_bit: int
     return amps
 
 
-def generalized_target(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> PureState:
-    """The unnormalized protocol target; the oracle run_protocol is checked against."""
-    if z.num_parties < 3:
-        raise ValueError("targets are defined for at least three parties")
-    return PureState(z.num_parties - 1, target_vector(q.vector(), z, reference_bit), normalized=False)
-
-
 def _cobweb(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int, slots: np.ndarray) -> CobwebState:
     """An output state with its closed-form constant: N(beta) for reference bit 1, else N(alpha)."""
     n_alpha, n_beta = normalization_constants(q, z)
@@ -295,11 +268,15 @@ def run_protocol(
 ) -> Transcript:
     """Run one protocol instance, either forcing a Bell outcome or sampling it.
 
-    Sampling requires a seed; identical seeds reproduce identical transcripts
-    bit for bit.  The branch is projected, normalized and corrected on its N slots, in O(N).
+    Sampling requires a seed: anything ``np.random.default_rng`` accepts, a
+    Generator included, which gives up one double.  Identical seeds reproduce
+    identical transcripts bit for bit.  The branch is projected, normalized and
+    corrected on its N slots, in O(N).
     """
     if outcome is None:
-        outcome = draw_outcome(branch_probabilities(q, z), seed)
+        if seed is None:
+            raise ValueError("sampling an outcome requires a seed")
+        outcome = BellOutcome(int(draw_outcome_block(branch_probabilities(q, z), np.random.default_rng(seed), 1)[0]))
     prob, slots = bell_projection(q, z, outcome)
     if prob < DEGENERATE_PROBABILITY:
         raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")

@@ -2,9 +2,7 @@
 
 The special ZSA class puts one complex amplitude c_k on each one-hot basis
 string |x_k> (all zeros except a single 1 at party k), with sum(c_k) = 0 and
-sum(|c_k|^2) = 1 and every c_k nonzero.  The general class allows one
-amplitude per full computational-basis string and gets construction plus
-validation only.
+sum(|c_k|^2) = 1 and every c_k nonzero.
 """
 from __future__ import annotations
 
@@ -14,17 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    CONSTRUCTION_TOL,
-    DensityMatrix,
-    LinearOperator,
-    PureState,
-    project,
-)
+from .linalg import CONSTRUCTION_TOL, DensityMatrix, PureState
 
 ZERO_AMPLITUDE_TOL = 1e-12
 MIN_RANDOM_AMPLITUDE = 1e-3  # generator rejects smaller magnitudes after normalization
-IMPOSSIBLE_PROBABILITY = 1e-14
 MAX_DENSE_QUBITS = 20
 
 
@@ -51,35 +42,8 @@ class ZeroAmplitude(ZsaValidationError):
     pass
 
 
-class ImpossibleOutcome(ValueError):
-    """Requested measurement outcome has (numerically) zero probability."""
-
-
 class AmplitudeFileError(ValueError):
     """An amplitude JSON document is structurally malformed."""
-
-
-def _coefficient_array(coeffs, minimum: int) -> np.ndarray:
-    arr = np.array(coeffs, dtype=complex).reshape(-1)
-    if arr.size < minimum:
-        raise ValueError(f"need at least {minimum} coefficients, got {arr.size}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("coefficients must be finite")
-    return arr
-
-
-def _check_sum_and_norm(arr: np.ndarray) -> None:
-    total = complex(arr.sum())
-    if abs(total) > CONSTRUCTION_TOL:
-        raise ZeroSumViolation(
-            f"coefficients sum to {total!r} (|sum| = {abs(total):.6e}, required 0)", abs(total)
-        )
-    sq = float(np.vdot(arr, arr).real)
-    if abs(sq - 1.0) > CONSTRUCTION_TOL:
-        raise NormalizationViolation(
-            f"squared moduli sum to {sq!r} (deviation {abs(sq - 1.0):.6e} from 1)",
-            abs(sq - 1.0),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +53,22 @@ class ZsaAmplitudes:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _coefficient_array(self.coeffs, minimum=2)
-        _check_sum_and_norm(arr)
+        arr = np.array(self.coeffs, dtype=complex).reshape(-1)
+        if arr.size < 2:
+            raise ValueError(f"need at least 2 coefficients, got {arr.size}")
+        if not np.isfinite(arr).all():  # complex isfinite: both parts finite
+            raise ValueError("coefficients must be finite")
+        total = complex(arr.sum())
+        if abs(total) > CONSTRUCTION_TOL:
+            raise ZeroSumViolation(
+                f"coefficients sum to {total!r} (|sum| = {abs(total):.6e}, required 0)", abs(total)
+            )
+        sq = float(np.vdot(arr, arr).real)
+        if abs(sq - 1.0) > CONSTRUCTION_TOL:
+            raise NormalizationViolation(
+                f"squared moduli sum to {sq!r} (deviation {abs(sq - 1.0):.6e} from 1)",
+                abs(sq - 1.0),
+            )
         smallest = float(np.min(np.abs(arr)))
         if smallest <= ZERO_AMPLITUDE_TOL:
             raise ZeroAmplitude(
@@ -103,26 +81,6 @@ class ZsaAmplitudes:
     @property
     def num_parties(self) -> int:
         return self.coeffs.size
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralZsaAmplitudes:
-    """One amplitude per full basis string: zero sum and unit norm only."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = _coefficient_array(self.coeffs, minimum=4)
-        n = int(math.log2(arr.size))
-        if 2**n != arr.size:
-            raise ValueError(f"coefficient count {arr.size} is not a power of two")
-        _check_sum_and_norm(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(math.log2(self.coeffs.size))
 
 
 @dataclass(frozen=True)
@@ -230,47 +188,6 @@ def reduced_pair(z: ZsaAmplitudes) -> DensityMatrix:
     m[2, 1] = c2 * np.conj(c3)
     m[1, 2] = np.conj(c2) * c3
     return DensityMatrix(2, m)
-
-
-def project_qubit(state: PureState, k: int, outcome: int) -> tuple[float, PureState]:
-    """Measure qubit k in the computational basis and keep the given outcome.
-
-    Returns the Born probability and the renormalized residual state of the
-    remaining qubits.  Raises ImpossibleOutcome when the probability vanishes.
-    """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    target = np.zeros(2, dtype=complex)
-    target[outcome] = 1.0
-    prob, residual = project(state, [k], target)
-    if prob < IMPOSSIBLE_PROBABILITY:
-        raise ImpossibleOutcome(
-            f"outcome {outcome} on qubit {k} has probability {prob:.3e}"
-        )
-    return prob, PureState(state.num_qubits - 1, residual / math.sqrt(prob))
-
-
-def param_count(n: int, general: bool) -> int:
-    """Real parameters needed to specify a state: 2^(n+1) - 3 general, 2n - 3 special."""
-    if n < 2:
-        raise ValueError(f"need at least two parties, got {n}")
-    return 2 ** (n + 1) - 3 if general else 2 * n - 3
-
-
-def lu_phase_strip(z: ZsaAmplitudes) -> tuple[np.ndarray, list[LinearOperator]]:
-    """Local-phase normal form.
-
-    Returns the amplitude magnitudes and one diagonal phase gate per party;
-    applying gate k (|1>_k -> e^{-i arg c_k} |1>_k) to the built state leaves
-    the state with amplitudes |c_k|.  One-hot support makes each phase
-    independently removable.
-    """
-    magnitudes = np.abs(z.coeffs)
-    gates = [
-        LinearOperator(2, np.diag([1.0, np.exp(-1j * np.angle(c))]), unitary=True)
-        for c in z.coeffs
-    ]
-    return magnitudes, gates
 
 
 def _is_finite_number(x) -> bool:

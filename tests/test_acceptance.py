@@ -17,7 +17,6 @@ from qcobweb.disentangle import cnot_disentangle, obstruction, success_probabili
 from qcobweb.linalg import (
     PureState,
     hermitian_eigenvalues,
-    outer,
     partial_trace,
     single_qubit_spectra,
     state_fidelity,
@@ -35,9 +34,9 @@ from qcobweb.protocol import (
     BellOutcome,
     branch_probabilities,
     cobweb_state,
-    generalized_target,
     normalization_constants,
     run_protocol,
+    target_vector,
 )
 from qcobweb.session import classical_only_baseline
 from qcobweb.states import (
@@ -51,6 +50,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
+from oracles import outer
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896
@@ -91,7 +91,7 @@ def test_criterion_03_ppt_inseparability():
     worst_lambda4 = -1.0
     for _ in range(1000):
         z = random_zsa(3, rng)
-        report = ppt_report(z)
+        report = ppt_report(z, reduced_pair(z))
         oracle = hermitian_eigenvalues(report.matrix)
         worst_dev = max(worst_dev, float(np.max(np.abs(np.sort(report.eigenvalues) - oracle))))
         worst_lambda4 = max(worst_lambda4, report.eigenvalues[3])
@@ -111,8 +111,8 @@ def test_criterion_04_protocol_correctness():
             q = random_qubit(rng)
             for outcome in BellOutcome:
                 transcript = run_protocol(q, z, outcome=outcome)
-                raw = generalized_target(q, z, transcript.final.reference_bit)
-                target = PureState(n - 1, raw.amplitudes / np.linalg.norm(raw.amplitudes))
+                raw = target_vector(q.vector(), z, transcript.final.reference_bit)
+                target = PureState(n - 1, raw / np.linalg.norm(raw))
                 worst = min(worst, state_fidelity(transcript.final.vector, target))
                 assert transcript.cbits_sent == 2
     ok = worst >= 1 - 1e-10
@@ -158,8 +158,8 @@ def test_criterion_06_normalization_constants():
         z = random_zsa(n, rng)
         q = random_qubit(rng)
         n_alpha, n_beta = normalization_constants(q, z)
-        norm0 = float(np.linalg.norm(generalized_target(q, z, 0).amplitudes))
-        norm1 = float(np.linalg.norm(generalized_target(q, z, 1).amplitudes))
+        norm0 = float(np.linalg.norm(target_vector(q.vector(), z, 0)))
+        norm1 = float(np.linalg.norm(target_vector(q.vector(), z, 1)))
         worst = max(worst, abs(n_alpha - 1 / norm0), abs(n_beta - 1 / norm1))
         if n == 3:
             _, c2, c3 = z.coeffs

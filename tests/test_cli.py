@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import gc
@@ -20,10 +21,11 @@ import pytest
 
 from qcobweb import cli
 from qcobweb.cli import main
-from qcobweb.linalg import is_product_state
 from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.session import run_session
 from qcobweb.states import UnknownQubit, roots_of_unity_zsa
+
+from oracles import is_product_state
 
 
 def run_cli(capsys, *argv):
@@ -257,7 +259,7 @@ def test_run_rejects_non_finite_phi(capsys, phi):
 # log, was re-recorded when a call's trials came to take successive draws of one
 # default_rng(seed) instead of one default_rng([seed, t]) each.  Each new pin was
 # first checked against the bytes the previous implementation writes when its
-# outcomes are drawn one at a time by draw_outcome from default_rng(seed).
+# outcomes are drawn one at a time by Generator.choice on default_rng(seed).
 GOLDEN_RUNS = [
     (
         ["--gen", "cube", "--theta", "1.2", "--phi", "0.4", "--trials", "40", "--seed", "9"],
@@ -324,7 +326,7 @@ GOLDEN_RUNS = [
         "5a4f3754dc6cb06f14d2c816ad22f6986ec55bd6ebbba90cc38c43dc3769923f",
         None,
     ),
-    # Checked against draw_outcome drawing every trial in turn: calls that cross block draws, and
+    # Checked against Generator.choice drawing every trial in turn: calls that cross block draws, and
     # seeds of two, three and four 32-bit words.
     (
         ["--gen", "cube", "--theta", "1.3", "--phi", "0.5", "--trials", "5000", "--seed", "12"],
@@ -604,17 +606,17 @@ def _counted(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("trials", [1500, 1, 129, cli.DRAW_BLOCK + 1, 2 * cli.DRAW_BLOCK + 2])
 def test_run_draws_trial_zero_alone_then_blocks(capsys, monkeypatch, trials):
-    """Only trial 0 goes through `draw_outcome`; the rest come from block draws on the same generator, and a
-    one-trial call makes none."""
-    scalar, block = _counted(monkeypatch, "draw_outcome"), _counted(monkeypatch, "draw_outcome_block")
+    """Trial 0 is a block of one; the rest come from blocks of up to `DRAW_BLOCK` on the same generator, and a
+    one-trial call draws no other block."""
+    block = _counted(monkeypatch, "draw_outcome_block")
     code, out, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--trials", str(trials), "--seed", "8")
     assert code == 0
     assert len(out.splitlines()) == trials + 1
-    ((_, rng),) = scalar
+    rng = block[0][1]
     assert isinstance(rng, np.random.Generator)
     assert all(call[1] is rng for call in block)
     assert [call[2] for call in block] == [
-        min(cli.DRAW_BLOCK, trials - start) for start in range(1, trials, cli.DRAW_BLOCK)
+        1, *(min(cli.DRAW_BLOCK, trials - start) for start in range(1, trials, cli.DRAW_BLOCK))
     ]
 
 
@@ -952,12 +954,12 @@ def test_report_golden_output(capsys, argv, digest):
 
 @pytest.mark.parametrize(
     "argv,budget",
-    [(["measures", "--gen", "roots:8"], 1), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 8)],
+    [(["measures", "--gen", "roots:8"], 1), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 7)],
     ids=["roots8", "cube"],
 )
 def test_measures_eigensolve_budget(capsys, monkeypatch, argv, budget):
-    """One stacked eigensolve per state's single-qubit marginals; the cube's other five are the PPT, pair and
-    concurrence oracles."""
+    """One stacked eigensolve per state's single-qubit marginals; the cube's other four are the PPT oracle, the
+    positivity check of its one pair marginal and the concurrence oracle's two."""
     calls = []
 
     def counted(name, real):
@@ -1053,3 +1055,43 @@ def test_traced_counter_callables_exist():
         if method:
             obj = vars(obj)[method[0]]
         assert callable(obj) and obj.__module__ == f"qcobweb.{module}", key
+
+
+def _identifiers(tree) -> set:
+    """The names a syntax tree uses: each ``name`` and ``x.name`` but numpy's (``np.outer``, ``np.multiply.outer``),
+    and each name a ``from`` import takes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id == "np"):
+                names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_package_callable_is_run_by_the_package_or_bench():
+    """Each public top-level function and class of the package is used by package code outside its own
+    definition, or by `bench/`, or is a command entry point.  A dense oracle that only tests call belongs in
+    tests/oracles.py.  A package import counts as no use: only the code that calls a name does."""
+    defined, used = [], set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, ast.ImportFrom):
+                continue
+            own = set()
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{path.stem}.{statement.name}")
+                own = {statement.name}
+            used |= _identifiers(statement) - own
+    for path in sorted((REPO / "bench").glob("*.py")):
+        used |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [key for key in defined
+              if not (name := key.split(".")[1]).startswith("_") and name not in used
+              and name not in {"main", "build_parser"} and not name.startswith("cmd_")]
+    assert unused == []

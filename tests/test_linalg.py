@@ -9,22 +9,24 @@ from qcobweb.linalg import (
     LinearOperator,
     PureState,
     apply_gate,
-    basis_state,
     binary_entropy,
-    equal_up_to_global_phase,
     hermitian_eigenvalues,
-    is_product_state,
-    outer,
     partial_trace,
     partial_transpose,
     project,
-    pure_marginal,
     state_fidelity,
-    tensor,
-    von_neumann_entropy,
 )
 
 from _helpers import random_density_matrix, random_pure_state, random_unitary
+from oracles import (
+    basis_state,
+    equal_up_to_global_phase,
+    is_product_state,
+    outer,
+    pure_marginal,
+    tensor,
+    von_neumann_entropy,
+)
 
 SINGLET = PureState(2, np.array([0, -1, 1, 0]) / np.sqrt(2))
 
@@ -45,11 +47,9 @@ def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(2, np.array([1.0, 0.0]))  # wrong length
     with pytest.raises(ValueError):
-        PureState(1, np.array([1.0, 1.0]))  # not normalized but flagged
+        PureState(1, np.array([1.0, 1.0]))  # not normalized
     with pytest.raises(ValueError):
         PureState(1, np.array([np.nan, 0.0]))
-    unnorm = PureState(1, np.array([2.0, 0.0]), normalized=False)
-    assert unnorm.norm() == 2.0
 
 
 def test_pure_state_is_immutable():
@@ -81,7 +81,7 @@ def test_linear_operator_flags():
 ], ids=["nan-re", "nan-im", "inf-re", "-inf-re", "inf-im", "-inf-im"])
 def test_non_finite_entries_rejected_in_either_part(bad):
     with pytest.raises(ValueError, match="entries must be finite"):
-        PureState(1, np.array([bad, 0.0]), normalized=False)
+        PureState(1, np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="entries must be finite"):
         LinearOperator(2, [[1.0, 0.0], [0.0, bad]])
 

@@ -8,9 +8,7 @@ from qcobweb.linalg import (
     binary_entropy,
     entropy_of_eigenvalues,
     hermitian_eigenvalues,
-    pure_marginal,
     single_qubit_spectra,
-    von_neumann_entropy,
 )
 from qcobweb.measures import (
     cobweb_spectrum,
@@ -33,6 +31,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
+from oracles import pure_marginal, von_neumann_entropy
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896  # H2(1/3)
@@ -44,7 +43,7 @@ LAMBDA4_CUBE = (1 - math.sqrt(5)) / 6
 
 
 def test_ppt_report_cube_roots():
-    report = ppt_report(CUBE)
+    report = ppt_report(CUBE, reduced_pair(CUBE))
     expected = np.sort([1 / 3, 1 / 3, (1 + math.sqrt(5)) / 6, LAMBDA4_CUBE])
     np.testing.assert_allclose(np.sort(report.eigenvalues), expected, atol=1e-12)
     assert report.eigenvalues[3] == pytest.approx(LAMBDA4_CUBE, abs=1e-12)
@@ -66,14 +65,14 @@ def test_ppt_matrix_structure():
         expected[2, 2] = abs(c2) ** 2
         expected[0, 3] = np.conj(c2) * c3
         expected[3, 0] = c2 * np.conj(c3)
-        np.testing.assert_allclose(ppt_report(z).matrix.entries, expected, atol=1e-14)
+        np.testing.assert_allclose(ppt_report(z, reduced_pair(z)).matrix.entries, expected, atol=1e-14)
 
 
 def test_ppt_closed_form_vs_eigensolver():
     rng = np.random.default_rng(61)
     for _ in range(300):
         z = random_zsa(3, rng)
-        report = ppt_report(z)
+        report = ppt_report(z, reduced_pair(z))
         oracle = hermitian_eigenvalues(report.matrix)
         assert np.max(np.abs(np.sort(report.eigenvalues) - oracle)) < 1e-10
         a1, a2, a3 = (abs(c) ** 2 for c in z.coeffs)
@@ -84,7 +83,7 @@ def test_ppt_closed_form_vs_eigensolver():
 
 
 def test_ppt_report_serialization():
-    doc = ppt_report(CUBE).to_dict()
+    doc = ppt_report(CUBE, reduced_pair(CUBE)).to_dict()
     assert doc["max_abs_difference"] < 1e-10
     assert doc["min_eigenvalue"] < -0.2
     assert doc["separable"] is False
@@ -92,7 +91,7 @@ def test_ppt_report_serialization():
 
 def test_ppt_report_requires_three_parties():
     with pytest.raises(ValueError):
-        ppt_report(roots_of_unity_zsa(4))
+        ppt_report(roots_of_unity_zsa(4), reduced_pair(CUBE))
 
 
 # --- entanglement of formation ----------------------------------------------------

@@ -10,12 +10,8 @@ from qcobweb.linalg import (
     PAULI_Z,
     PureState,
     apply_gate,
-    basis_state,
-    equal_up_to_global_phase,
     hermitian_eigenvalues,
-    is_product_state,
     project,
-    pure_marginal,
     state_fidelity,
 )
 from qcobweb.protocol import (
@@ -28,10 +24,7 @@ from qcobweb.protocol import (
     branch_probabilities,
     cobweb_state,
     correction_for,
-    draw_outcome,
     draw_outcome_block,
-    generalized_target,
-    joint_state,
     normalization_constants,
     run_protocol,
     target_vector,
@@ -47,13 +40,16 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
+from oracles import basis_state, equal_up_to_global_phase, is_product_state, joint_state, pure_marginal
 
 CUBE = roots_of_unity_zsa(3)
 TINY_C1_COEFFS = [1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]
 
 
-def normalized(state: PureState) -> PureState:
-    return PureState(state.num_qubits, state.amplitudes / np.linalg.norm(state.amplitudes))
+def normalized_target(q: UnknownQubit, z, reference_bit: int) -> PureState:
+    """The protocol target of ``reference_bit``, normalized: the state `run_protocol` must leave."""
+    raw = target_vector(q.vector(), z, reference_bit)
+    return PureState(z.num_parties - 1, raw / np.linalg.norm(raw))
 
 
 # --- joint state -------------------------------------------------------------
@@ -255,31 +251,31 @@ def test_generalized_target_tripartite():
     rng = np.random.default_rng(12)
     z = random_zsa(3, rng)
     q = random_qubit(rng)
-    target = generalized_target(q, z, 0)
+    target = target_vector(q.vector(), z, 0)
     _, c2, c3 = z.coeffs
     expected = np.zeros(4, dtype=complex)
     expected += c2 * np.kron(q.vector(), [1, 0])  # c2 |psi>|0>
     expected += c3 * np.kron([1, 0], q.vector())  # c3 |0>|psi>
-    np.testing.assert_allclose(target.amplitudes, expected, atol=1e-14)
+    np.testing.assert_allclose(target, expected, atol=1e-14)
 
 
 def test_generalized_target_all_ones_input():
     rng = np.random.default_rng(14)
     z = random_zsa(5, rng)
-    target = generalized_target(UnknownQubit(np.pi), z, 1)
+    target = target_vector(UnknownQubit(np.pi).vector(), z, 1)
     # q = |1> collapses the reference-1 target onto -c1 |1111>
     expected = np.zeros(16, dtype=complex)
     expected[15] = -z.coeffs[0]
-    np.testing.assert_allclose(target.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(target, expected, atol=1e-12)
 
 
 def test_reference0_target_support():
     rng = np.random.default_rng(16)
     z = random_zsa(4, rng)
-    target = generalized_target(random_qubit(rng), z, 0)
+    target = target_vector(random_qubit(rng).vector(), z, 0)
     for idx in range(8):
         if bin(idx).count("1") >= 2:
-            assert target.amplitudes[idx] == 0.0
+            assert target[idx] == 0.0
 
 
 # --- end-to-end ------------------------------------------------------------------
@@ -293,7 +289,7 @@ def test_protocol_output_matches_target(n):
         q = random_qubit(rng)
         for outcome in BellOutcome:
             transcript = run_protocol(q, z, outcome=outcome)
-            target = normalized(generalized_target(q, z, transcript.final.reference_bit))
+            target = normalized_target(q, z, transcript.final.reference_bit)
             assert state_fidelity(transcript.final.vector, target) >= 1 - 1e-10
             assert transcript.cbits_sent == 2
             assert transcript.parties_notified == n - 1
@@ -339,7 +335,7 @@ def test_universality_over_angle_grid():
             q = UnknownQubit(theta, phi)
             for outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS):
                 transcript = run_protocol(q, CUBE, outcome=outcome)
-                target = normalized(generalized_target(q, CUBE, transcript.final.reference_bit))
+                target = normalized_target(q, CUBE, transcript.final.reference_bit)
                 worst = min(worst, state_fidelity(transcript.final.vector, target))
     assert 1 - worst < 1e-10
 
@@ -384,8 +380,8 @@ def test_normalization_matches_vector_norms():
         z = random_zsa(n, rng)
         q = random_qubit(rng)
         n_alpha, n_beta = normalization_constants(q, z)
-        norm0 = np.linalg.norm(generalized_target(q, z, 0).amplitudes)
-        norm1 = np.linalg.norm(generalized_target(q, z, 1).amplitudes)
+        norm0 = np.linalg.norm(target_vector(q.vector(), z, 0))
+        norm1 = np.linalg.norm(target_vector(q.vector(), z, 1))
         assert n_alpha == pytest.approx(1 / norm0, abs=1e-12)
         assert n_beta == pytest.approx(1 / norm1, abs=1e-12)
 
@@ -421,6 +417,16 @@ def test_sampling_requires_seed():
         run_protocol(UnknownQubit(1.0), CUBE)
 
 
+def test_sampled_outcome_is_generator_choice():
+    """A sampled run draws its outcome as ``Generator.choice`` does on ``default_rng(seed)``, seed by seed."""
+    q = UnknownQubit(1.0, 0.4)
+    probs = branch_probabilities(q, CUBE)
+    w = np.array([probs[o] for o in BellOutcome])
+    for seed in [*range(2000), *BLOCK_SEEDS]:
+        expected = int(np.random.default_rng(seed).choice(4, p=w / w.sum()))
+        assert run_protocol(q, CUBE, seed=seed).outcome.value == expected, seed
+
+
 def test_sampling_frequencies():
     q = UnknownQubit(np.pi / 3, 0.2)
     probs = branch_probabilities(q, CUBE)
@@ -428,7 +434,7 @@ def test_sampling_frequencies():
     counts = {o: 0 for o in BellOutcome}
     trials = 4000
     for _ in range(trials):
-        counts[draw_outcome(branch_probabilities(q, CUBE), rng)] += 1
+        counts[run_protocol(q, CUBE, seed=rng).outcome] += 1
     for o in BellOutcome:
         sigma = np.sqrt(trials * probs[o] * (1 - probs[o]))
         assert abs(counts[o] - trials * probs[o]) <= 3 * sigma
@@ -457,15 +463,17 @@ def test_block_uniforms_match_default_rng(seed):
     [1e-15, 0.4, 0.3, 0.3 - 1e-15],  # a branch of 1e-15
     [0.25, 0.25, 0.3, 0.2],  # two equal branches
     [0.0, 1.0, 0.0, 0.0],  # every draw on one branch
-    [0.3, 0.2, 0.1, 0.9],  # unnormalized: both samplers divide by the sum first
+    [0.3, 0.2, 0.1, 0.9],  # unnormalized: the block divides by the sum first
 ], ids=["zero", "tiny", "equal", "certain", "unnormalized"])
 def test_draw_outcome_block_matches_draw_outcome(weights):
-    """Blocks of any size, drawn in turn from one generator, equal `draw_outcome` called on another, draw by draw."""
-    probs = dict(zip(BellOutcome, weights))
+    """Blocks of any size, drawn in turn from one generator, equal outcomes drawn one at a time on another by
+    numpy's own ``Generator.choice``, draw by draw."""
+    probs, w = dict(zip(BellOutcome, weights)), np.array(weights)
+    p = w / w.sum()
     for seed in BLOCK_SEEDS:
         oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for count in BLOCK_COUNTS:
-            expected = [draw_outcome(probs, oracle).value for _ in range(count)]
+            expected = [int(oracle.choice(4, p=p)) for _ in range(count)]
             assert draw_outcome_block(probs, rng, count).tolist() == expected, (seed, count)
 
 
@@ -474,7 +482,9 @@ def test_draw_outcome_block_ties_go_right():
     u = np.random.default_rng(5).random(4)[3]
     probs = dict(zip(BellOutcome, [u, 0.0, (1.0 - u) / 2, (1.0 - u) / 2]))  # CDF [u, u, ..., 1], exactly
     oracle, rng = np.random.default_rng(5), np.random.default_rng(5)
-    assert [draw_outcome(probs, oracle) for _ in range(4)][3] is BellOutcome.PSI_PLUS  # past both steps at u
+    w = np.array(list(probs.values()))
+    p = w / w.sum()
+    assert [int(oracle.choice(4, p=p)) for _ in range(4)][3] == BellOutcome.PSI_PLUS.value  # past both steps at u
     assert draw_outcome_block(probs, rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
 
 
@@ -505,9 +515,8 @@ def test_cobweb_state_constructor_consistency():
         cw = cobweb_state(q, z, ref)
         raw = target_vector(q.vector(), z, ref)  # the dense view is the normalized target, bit for bit
         assert cw.vector.amplitudes.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
-        target = normalized(generalized_target(q, z, ref))
-        assert state_fidelity(cw.vector, target) >= 1 - 1e-12
-        raw_norm = np.linalg.norm(generalized_target(q, z, ref).amplitudes)
+        assert state_fidelity(cw.vector, normalized_target(q, z, ref)) >= 1 - 1e-12
+        raw_norm = np.linalg.norm(raw)
         assert cw.norm_constant * raw_norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -517,6 +526,6 @@ def test_protocol_scales_to_larger_registers():
     z = random_zsa(10, rng)
     q = random_qubit(rng)
     transcript = run_protocol(q, z, outcome=BellOutcome.PHI_MINUS)
-    target = normalized(generalized_target(q, z, 1))
+    target = normalized_target(q, z, 1)
     assert state_fidelity(transcript.final.vector, target) >= 1 - 1e-10
     assert transcript.parties_notified == 9

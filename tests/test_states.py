@@ -8,16 +8,11 @@ from qcobweb.linalg import (
     LinearOperator,
     PureState,
     apply_gate,
-    basis_state,
-    equal_up_to_global_phase,
-    outer,
     partial_trace,
     state_fidelity,
 )
 from qcobweb.states import (
     AmplitudeFileError,
-    GeneralZsaAmplitudes,
-    ImpossibleOutcome,
     NormalizationViolation,
     UnknownQubit,
     ZeroAmplitude,
@@ -26,15 +21,14 @@ from qcobweb.states import (
     build_state,
     epr_zsa,
     load_amplitudes,
-    lu_phase_strip,
-    param_count,
-    project_qubit,
     random_zsa,
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
     slot_positions,
 )
+
+from oracles import ImpossibleOutcome, basis_state, equal_up_to_global_phase, outer, project_qubit
 
 S2 = 1.0 / np.sqrt(2.0)
 SINGLET = PureState(2, np.array([0, -S2, S2, 0]))
@@ -68,19 +62,6 @@ def test_zero_amplitude():
 def test_too_short():
     with pytest.raises(ValueError):
         ZsaAmplitudes([1.0])
-
-
-def test_general_zsa():
-    z = GeneralZsaAmplitudes(np.array([1, -1, 1j, -1j]) / 2.0)
-    assert z.num_qubits == 2
-    with pytest.raises(ZeroSumViolation):
-        GeneralZsaAmplitudes(np.array([1, 1, -1, 1]) / 2.0)
-    with pytest.raises(NormalizationViolation):
-        GeneralZsaAmplitudes(np.array([1, -1, 1j, -1j]))
-    with pytest.raises(ValueError, match="power of two"):
-        GeneralZsaAmplitudes(np.array([1, -1, 1j, -1j, 0.0, 0.0]) / 2.0)
-    # zero entries are allowed in the general class
-    GeneralZsaAmplitudes(np.array([S2, -S2, 0.0, 0.0]))
 
 
 # --- construction -------------------------------------------------------------
@@ -233,52 +214,13 @@ def test_project_qubit_impossible_outcome():
         project_qubit(basis_state(2, 0), 1, 1)
 
 
-# --- parameter counts and phase stripping ---------------------------------------
-
-
-@pytest.mark.parametrize(
-    "n,general,expected", [(3, True, 13), (3, False, 3), (2, False, 1), (4, True, 29)]
-)
-def test_param_count(n, general, expected):
-    assert param_count(n, general) == expected
-
-
-def test_lu_phase_strip_cube_roots_gives_w_state():
-    z = roots_of_unity_zsa(3)
-    magnitudes, gates = lu_phase_strip(z)
-    np.testing.assert_allclose(magnitudes, np.full(3, 1 / np.sqrt(3)), atol=1e-15)
-    state = build_state(z)
-    for k, gate in enumerate(gates, start=1):
-        state = apply_gate(state, [k], gate)
-    w = np.zeros(8, dtype=complex)
-    w[slot_positions(3, 0)[1:]] = 1 / np.sqrt(3)
-    assert equal_up_to_global_phase(state, PureState(3, w), 1e-12)
-
-
-def test_lu_phase_strip_round_trip():
-    rng = np.random.default_rng(31)
-    z = random_zsa(4, rng)
-    original = build_state(z)
-    _, gates = lu_phase_strip(z)
-    state = original
-    for k, gate in enumerate(gates, start=1):
-        state = apply_gate(state, [k], gate)
-    # stripped amplitudes are the magnitudes
-    np.testing.assert_allclose(
-        np.sort(np.abs(state.amplitudes[state.amplitudes != 0])),
-        np.sort(np.abs(z.coeffs)),
-        atol=1e-15,
-    )
-    # conjugate gates restore the original state
-    for k, gate in enumerate(gates, start=1):
-        state = apply_gate(state, [k], LinearOperator(2, gate.entries.conj().T, unitary=True))
-    np.testing.assert_allclose(state.amplitudes, original.amplitudes, atol=1e-14)
+# --- local phases ----------------------------------------------------------------
 
 
 def test_magnitudes_invariant_under_extra_phases():
     rng = np.random.default_rng(37)
     z = random_zsa(3, rng)
-    magnitudes, _ = lu_phase_strip(z)
+    magnitudes = np.abs(z.coeffs)
     state = build_state(z)
     for k in range(1, 4):
         phase = LinearOperator(2, np.diag([1, np.exp(1j * rng.random())]), unitary=True)
