@@ -94,7 +94,10 @@ def _resolve_source(args) -> ZsaAmplitudes:
             n = int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad generator {name!r}; expected roots:N with integer N") from None
-        return roots_of_unity_zsa(n)
+        try:
+            return roots_of_unity_zsa(n)
+        except MemoryError:  # numpy refuses an array larger than the machine can map, before touching memory
+            raise ValueError(f"generator {name!r} needs more memory than can be allocated") from None
     raise ValueError(f"unknown generator {name!r}; expected epr, cube, or roots:N")
 
 
@@ -363,7 +366,7 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
         return report
 
     pair = reduced_pair(z)
-    report["ppt"] = ppt_report(z, pair).to_dict()
+    report["ppt"] = ppt_report(z, pair)
     closed_eof = entanglement_of_formation(z)
     route_eof = eof_from_concurrence(concurrence(pair))
     report["entanglement_of_formation"] = {
@@ -377,22 +380,22 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     for ref, cw in enumerate(outputs):
         spectrum = cobweb_spectrum(cw)
         oracle_eigs = single_qubit_spectra(cw.vector)  # rows: qubits 1 and 2
-        closed_sorted = np.array([spectrum.eta_minus, spectrum.eta_plus])
+        closed_sorted = np.array([spectrum["eta_minus"], spectrum["eta_plus"]])
         deviation = float(np.max(np.abs(closed_sorted - oracle_eigs)))
         det_oracle = float(np.prod(oracle_eigs[0]))
         cobwebs[f"reference_{ref}"] = {
-            **spectrum.to_dict(),
+            **spectrum,
             "oracle_eigenvalues": [float(v) for v in oracle_eigs[0]],
             "max_abs_difference": deviation,
             "determinant_oracle": det_oracle,
-            "epsilon_4x_variant": 4.0 * spectrum.epsilon,
-            "epsilon_4x_vs_determinant": abs(4.0 * spectrum.epsilon - det_oracle),
+            "epsilon_4x_variant": 4.0 * spectrum["epsilon"],
+            "epsilon_4x_vs_determinant": abs(4.0 * spectrum["epsilon"] - det_oracle),
         }
     report["cobweb"] = cobwebs
-    report["obstruction"] = obstruction(q, z).to_dict()
-    recovery = cnot_disentangle(outputs[0]).to_dict()
+    report["obstruction"] = obstruction(q, z)
+    recovery = cnot_disentangle(outputs[0])
     if 0.0 < q.theta < math.pi:
-        recovery["odds"] = success_probability_sign(z, q).to_dict()
+        recovery["odds"] = success_probability_sign(z, q)
     report["recovery"] = recovery
     return report
 
@@ -447,7 +450,7 @@ def _claims_rows() -> list[dict]:
     for _ in range(sign_draws):
         z = random_zsa(3, rng)
         q = UnknownQubit(math.acos(1.0 - 2.0 * rng.uniform(0.05, 0.95)), 2.0 * math.pi * rng.random())
-        simulated = cnot_disentangle(cobweb_state(q, z, 0)).success_probability
+        simulated = cnot_disentangle(cobweb_state(q, z, 0))["simulated_probability"]
         sign_agreements += (simulated > 0.5) == ((np.conj(z.coeffs[1]) * z.coeffs[2]).real > 0.0)
     table = [
         ("epr-reduction-singlet-fidelity", 1.0, state_fidelity(build_state(epr_zsa()), singlet), 1e-12,
@@ -472,9 +475,9 @@ def _claims_rows() -> list[dict]:
          "claimed better than chance; cube roots give P = 1/3 since Re(c2* c3) = -1/6 < 0"),
         ("recovery-sign-rule", 1.0, sign_agreements / sign_draws, 0.0,
          "P > 1/2 exactly when Re(c2* c3) > 0 (200 seeded random states)"),
-        ("obstruction-always-nonzero", 1.0, 1.0 if nulled.value > 0.0 else 0.0, 0.0,
+        ("obstruction-always-nonzero", 1.0, 1.0 if nulled["closed_form"] > 0.0 else 0.0, 0.0,
          f"claimed impossible to null with nonzero amplitudes; c2 = a, c3 = ia gives "
-         f"value {nulled.value!r} (oracle {nulled.oracle_value:.3e})"),
+         f"value {nulled['closed_form']!r} (oracle {nulled['simulated']:.3e})"),
         ("scaling-two-parties", 1.0, curve[2], 1e-12, ""),
         ("scaling-three-parties", 0.9183, curve[3], 1e-4, ""),
         ("scaling-four-parties", 0.8113, curve[4], 1e-4, ""),

@@ -16,74 +16,17 @@ Re(c2* c3) > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinearOperator, PureState, apply_gate, project, state_fidelity
+from .linalg import PureState, apply_gate, project, state_fidelity
 from .protocol import CobwebState, normalization_constants, target_vector
 from .states import UnknownQubit, ZsaAmplitudes
 
-CNOT = LinearOperator(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], unitary=True)
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+CNOT.setflags(write=False)
 _S = 1.0 / math.sqrt(2.0)
 PLUS = np.array([_S, _S], dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class ObstructionReport:
-    """Closed-form obstruction modulus, its inner-product oracle, and the inputs."""
-
-    value: float
-    oracle_value: float
-    theta: float
-    phi: float
-    coeffs: tuple[complex, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "closed_form": self.value,
-            "simulated": self.oracle_value,
-            "abs_difference": abs(self.value - self.oracle_value),
-            "theta": self.theta,
-            "phi": self.phi,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class DisentangleResult:
-    """Outcome of the probabilistic CNOT recovery."""
-
-    success_probability: float
-    closed_form_probability: float
-    success_state: PureState
-    success_fidelity: float
-
-    def to_dict(self) -> dict:
-        return {
-            "simulated_probability": self.success_probability,
-            "closed_form_probability": self.closed_form_probability,
-            "abs_difference": abs(self.success_probability - self.closed_form_probability),
-            "success_fidelity": self.success_fidelity,
-            "success_state": [[a.real, a.imag] for a in self.success_state.amplitudes],
-        }
-
-
-@dataclass(frozen=True)
-class RecoveryOddsReport:
-    """Recovery probability with the sign rule P > 1/2 iff Re(c2* c3) > 0."""
-
-    probability: float
-    better_than_half: bool
-    re_cross: float
-
-    def to_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "better_than_half": self.better_than_half,
-            "re_c2_conj_c3": self.re_cross,
-            "sign": (self.re_cross > 0) - (self.re_cross < 0),
-        }
 
 
 def orthogonal_complement(q: UnknownQubit) -> np.ndarray:
@@ -91,8 +34,8 @@ def orthogonal_complement(q: UnknownQubit) -> np.ndarray:
     return np.array([-np.conj(q.beta), q.alpha], dtype=complex)
 
 
-def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> ObstructionReport:
-    """Obstruction modulus |2 N(alpha) N(beta) alpha beta* Re(c2 c3*)|.
+def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
+    """Obstruction modulus |2 N(alpha) N(beta) alpha beta* Re(c2 c3*)|, its inner-product oracle, and the inputs.
 
     The oracle builds the reference-0 outputs for |psi> and its orthogonal
     complement and takes the modulus of their normalized inner product; a
@@ -107,13 +50,14 @@ def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> ObstructionReport:
     v = target_vector(q.vector(), z, 0)
     v_bar = target_vector(orthogonal_complement(q), z, 0)
     oracle = float(abs(np.vdot(v, v_bar)) / (np.linalg.norm(v) * np.linalg.norm(v_bar)))
-    return ObstructionReport(
-        value=value,
-        oracle_value=oracle,
-        theta=q.theta,
-        phi=q.phi,
-        coeffs=tuple(complex(c) for c in z.coeffs),
-    )
+    return {
+        "closed_form": value,
+        "simulated": oracle,
+        "abs_difference": abs(value - oracle),
+        "theta": q.theta,
+        "phi": q.phi,
+        "coeffs": [[c.real, c.imag] for c in z.coeffs],
+    }
 
 
 def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]:
@@ -124,13 +68,14 @@ def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]
     return (a2 + a3 + 2.0 * re_cross) / (2.0 * (a2 + a3 + 2.0 * alpha**2 * re_cross)), re_cross
 
 
-def cnot_disentangle(c: CobwebState) -> DisentangleResult:
+def cnot_disentangle(c: CobwebState) -> dict:
     """CNOT (first pair qubit controls the second), then measure the control in |+->.
 
     The |+> branch leaves the target qubit exactly in |psi>; the closed-form
     success probability (|c2|^2 + |c3|^2 + 2 Re(c2* c3)) /
     (2 (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3))) must match the simulated
-    branch probability.
+    branch probability.  Returns both, the fidelity of the |+> branch with
+    |psi> and that branch's state.
     """
     if c.zsa.num_parties != 3:
         raise ValueError("the CNOT recovery acts on the two-qubit output")
@@ -139,17 +84,18 @@ def cnot_disentangle(c: CobwebState) -> DisentangleResult:
     after = apply_gate(c.vector, (1, 2), CNOT)
     p_plus, res_plus = project(after, [1], PLUS)
     success_state = PureState(1, res_plus / math.sqrt(p_plus))
+    closed_form = _recovery_probability(c.zsa, c.qubit.alpha)[0]
+    return {
+        "simulated_probability": p_plus,
+        "closed_form_probability": closed_form,
+        "abs_difference": abs(p_plus - closed_form),
+        "success_fidelity": state_fidelity(success_state, c.qubit.state()),
+        "success_state": [[a.real, a.imag] for a in success_state.amplitudes],
+    }
 
-    return DisentangleResult(
-        success_probability=p_plus,
-        closed_form_probability=_recovery_probability(c.zsa, c.qubit.alpha)[0],
-        success_state=success_state,
-        success_fidelity=state_fidelity(success_state, c.qubit.state()),
-    )
 
-
-def success_probability_sign(z: ZsaAmplitudes, q: UnknownQubit) -> RecoveryOddsReport:
-    """Recovery odds and the sign rule, for theta strictly inside (0, pi).
+def success_probability_sign(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
+    """Recovery odds and the sign rule P > 1/2 iff Re(c2* c3) > 0, for theta strictly inside (0, pi).
 
     Raises RuntimeError if the computed probability ever disagrees with the
     sign of Re(c2* c3); the two are algebraically equivalent.
@@ -164,4 +110,9 @@ def success_probability_sign(z: ZsaAmplitudes, q: UnknownQubit) -> RecoveryOddsR
         raise RuntimeError(
             f"sign rule violated: P = {probability!r} while Re(c2* c3) = {re_cross!r}"
         )
-    return RecoveryOddsReport(probability=probability, better_than_half=better, re_cross=re_cross)
+    return {
+        "probability": probability,
+        "better_than_half": better,
+        "re_c2_conj_c3": re_cross,
+        "sign": (re_cross > 0) - (re_cross < 0),
+    }

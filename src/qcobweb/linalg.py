@@ -3,7 +3,9 @@
 The protocol runs on each output's N slots (see `protocol`).  The dense
 states and matrices here serve the `measures` oracles, the CNOT recovery,
 the negative control and the printed dense view of an output; the tests'
-own dense oracles are in tests/oracles.py.
+own dense oracles, the Pauli gates among them, are in tests/oracles.py.
+States are checked value classes (`PureState`, `DensityMatrix`); a gate or
+any other operator is a plain square complex numpy array.
 
 Conventions used by every module in this package:
 
@@ -17,8 +19,8 @@ Conventions used by every module in this package:
   single-qubit marginal is at most 1e-9 (PRODUCT_TOL); a forced Bell branch
   with probability below 1e-14 is degenerate (protocol.DEGENERATE_PROBABILITY).
 
-Everything here is immutable after construction and every operation is a
-pure function, so concurrent use is safe.
+The state classes are immutable after construction and every operation is
+a pure function, so concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -67,28 +69,6 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearOperator:
-    """Square complex matrix, optionally flagged (and then checked) unitary or Hermitian."""
-
-    dim: int
-    entries: np.ndarray
-    unitary: bool = False
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = _readonly_complex(self.entries, (self.dim, self.dim))
-        if self.unitary:
-            err = np.max(np.abs(m.conj().T @ m - np.eye(self.dim)))
-            if err > CONSTRUCTION_TOL:
-                raise ValueError(f"operator flagged unitary violates U^dag U = I by {err:.3e}")
-        if self.hermitian:
-            err = np.max(np.abs(m - m.conj().T))
-            if err > CONSTRUCTION_TOL:
-                raise ValueError(f"operator flagged Hermitian has asymmetry {err:.3e}")
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over ``num_qubits`` qubits."""
 
@@ -114,12 +94,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-PAULI_X = LinearOperator(2, [[0, 1], [1, 0]], unitary=True, hermitian=True)
-PAULI_Y = LinearOperator(2, [[0, -1j], [1j, 0]], unitary=True, hermitian=True)
-PAULI_Z = LinearOperator(2, [[1, 0], [0, -1]], unitary=True, hermitian=True)
-IDENTITY_2 = LinearOperator(2, [[1, 0], [0, 1]], unitary=True, hermitian=True)
 
 
 def _check_qubit_labels(n: int, labels) -> list[int]:
@@ -168,30 +142,24 @@ def single_qubit_spectra(state: PureState) -> np.ndarray:
     return np.linalg.eigvalsh(grams)
 
 
-def partial_transpose(rho: DensityMatrix | LinearOperator, subsystem: int) -> LinearOperator:
-    """Transpose the indices of one qubit; Hermitian and trace preserving, not necessarily positive.
+def partial_transpose(matrix: np.ndarray, subsystem: int) -> np.ndarray:
+    """A 2^n x 2^n matrix with the indices of one qubit transposed.
 
-    Also accepts a LinearOperator over qubits (e.g. its own output, since the
-    operation is an involution).
+    An involution; it keeps a density matrix's trace and Hermiticity, not necessarily its positivity.
     """
-    if isinstance(rho, DensityMatrix):
-        n = rho.num_qubits
-    else:
-        n = rho.dim.bit_length() - 1
-        if 2**n != rho.dim:
-            raise ValueError(f"operator dimension {rho.dim} is not a power of two")
+    d = matrix.shape[0]
+    n = d.bit_length() - 1
+    if matrix.shape != (d, d) or 2**n != d:
+        raise ValueError(f"a matrix of shape {matrix.shape} does not act on qubits")
     if not 1 <= subsystem <= n:
         raise ValueError(f"subsystem {subsystem} out of range 1..{n}")
     axes = list(range(2 * n))
     axes[subsystem - 1], axes[n + subsystem - 1] = axes[n + subsystem - 1], axes[subsystem - 1]
-    d = rho.entries.shape[0]
-    mat = rho.entries.reshape([2] * (2 * n)).transpose(axes).reshape(d, d)
-    return LinearOperator(d, mat, hermitian=bool(np.max(np.abs(mat - mat.conj().T)) <= CONSTRUCTION_TOL))
+    return matrix.reshape([2] * (2 * n)).transpose(axes).reshape(d, d)
 
 
-def hermitian_eigenvalues(op: LinearOperator | DensityMatrix) -> np.ndarray:
-    """Real eigenvalues in ascending order; rejects inputs that are not Hermitian within 1e-10."""
-    m = op.entries
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Real eigenvalues of a matrix in ascending order; rejects one that is not Hermitian within 1e-10."""
     asym = np.max(np.abs(m - m.conj().T))
     if asym > 1e-10:
         raise ValueError(f"matrix is not Hermitian within 1e-10 (asymmetry {asym:.3e})")
@@ -223,15 +191,15 @@ def state_fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def apply_gate(state: PureState, qubits, gate: LinearOperator) -> PureState:
-    """Apply a unitary gate to the given qubits (their order matches the gate's index order)."""
+def apply_gate(state: PureState, qubits, gate: np.ndarray) -> PureState:
+    """Apply a unitary gate matrix to the given qubits (their order matches the gate's index order)."""
     n = state.num_qubits
     targets = _check_qubit_labels(n, qubits)
     m = len(targets)
-    if gate.dim != 2 ** m:
-        raise ValueError(f"gate dimension {gate.dim} does not act on {m} qubit(s)")
+    if gate.shape != (2**m, 2**m):
+        raise ValueError(f"a gate of shape {gate.shape} does not act on {m} qubit(s)")
     psi = state.amplitudes.reshape([2] * n)
-    u = gate.entries.reshape([2] * (2 * m))
+    u = gate.reshape([2] * (2 * m))
     moved = np.tensordot(u, psi, axes=(list(range(m, 2 * m)), [q - 1 for q in targets]))
     rest = [ax for ax in range(n) if ax + 1 not in targets]
     order = [q - 1 for q in targets] + rest

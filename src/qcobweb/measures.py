@@ -1,95 +1,47 @@
 """Entanglement measures and obstruction certificates for ZSA states.
 
 Every closed form here has an independent dense-linear-algebra oracle (an
-eigensolver or a partial trace); report serializers include both values and
-their difference so disagreement is visible rather than silently absorbed.
+eigensolver or a partial trace); a report is the dict that `qcobweb measures`
+prints, with both values and their difference, so disagreement is visible
+rather than silently absorbed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PAULI_Y,
-    POSITIVITY_TOL,
-    DensityMatrix,
-    LinearOperator,
-    binary_entropy,
-    hermitian_eigenvalues,
-    partial_transpose,
-)
+from .linalg import POSITIVITY_TOL, DensityMatrix, binary_entropy, hermitian_eigenvalues, partial_transpose
 from .protocol import CobwebState
 from .states import ZsaAmplitudes
 
-
-@dataclass(frozen=True, eq=False)
-class PptReport:
-    """Partial transpose of the pair marginal with its closed-form spectrum.
-
-    ``eigenvalues`` keeps the closed-form labeling (|c2|^2, |c3|^2, then the
-    coherence-block pair); ``separable`` is the positivity verdict.
-    """
-
-    matrix: LinearOperator
-    eigenvalues: tuple[float, float, float, float]
-    separable: bool
-
-    def to_dict(self) -> dict:
-        oracle = hermitian_eigenvalues(self.matrix)
-        closed = np.sort(np.array(self.eigenvalues))
-        return {
-            "closed_form_eigenvalues": list(self.eigenvalues),
-            "oracle_eigenvalues": [float(v) for v in oracle],
-            "max_abs_difference": float(np.max(np.abs(closed - oracle))),
-            "min_eigenvalue": float(oracle[0]),
-            "separable": self.separable,
-            "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix.entries],
-        }
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Y.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CobwebSpectrum:
-    """Closed-form marginal spectrum of a tripartite output state.
-
-    epsilon is the determinant of either single-qubit marginal; the
-    eigenvalues are eta_pm = (1 +- sqrt(1 - 4 epsilon))/2 and the
-    entanglement is their binary entropy.
-    """
-
-    epsilon: float
-    eta_plus: float
-    eta_minus: float
-    entanglement: float
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eta_plus": self.eta_plus,
-            "eta_minus": self.eta_minus,
-            "entanglement_bits": self.entanglement,
-        }
-
-
-def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> PptReport:
+def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> dict:
     """Partial transpose (second subsystem) of the pair marginal ``pair`` = `reduced_pair(z)`, with spectrum.
 
     Closed-form eigenvalues: |c2|^2, |c3|^2, (|c1|^2 +- sqrt(|c1|^4 +
-    4|c2|^2|c3|^2))/2.  The last one is negative for every valid input, which
-    certifies inseparability of the pair marginal.
+    4|c2|^2|c3|^2))/2, in that order.  The last one is negative for every
+    valid input, which certifies inseparability of the pair marginal;
+    ``separable`` is the positivity verdict.
     """
     if z.num_parties != 3:
         raise ValueError("the PPT report covers the tripartite pair marginal")
-    pt = partial_transpose(pair, subsystem=2)
+    pt = partial_transpose(pair.entries, subsystem=2)
     a1, a2, a3 = (float(abs(c) ** 2) for c in z.coeffs)
     root = math.sqrt(a1**2 + 4.0 * a2 * a3)
-    eigenvalues = (a2, a3, 0.5 * (a1 + root), 0.5 * (a1 - root))
-    return PptReport(
-        matrix=pt,
-        eigenvalues=eigenvalues,
-        separable=min(eigenvalues) >= -POSITIVITY_TOL,
-    )
+    eigenvalues = [a2, a3, 0.5 * (a1 + root), 0.5 * (a1 - root)]
+    oracle = hermitian_eigenvalues(pt)
+    return {
+        "closed_form_eigenvalues": eigenvalues,
+        "oracle_eigenvalues": [float(v) for v in oracle],
+        "max_abs_difference": float(np.max(np.abs(np.sort(eigenvalues) - oracle))),
+        "min_eigenvalue": float(oracle[0]),
+        "separable": min(eigenvalues) >= -POSITIVITY_TOL,
+        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in pt],
+    }
 
 
 def entanglement_of_formation(z: ZsaAmplitudes) -> float:
@@ -113,7 +65,7 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.num_qubits != 2:
         raise ValueError("concurrence is defined for two-qubit density matrices")
-    yy = np.kron(PAULI_Y.entries, PAULI_Y.entries)
+    yy = np.kron(PAULI_Y, PAULI_Y)
     m = rho.entries
     evals, vecs = np.linalg.eigh(m)
     sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
@@ -144,13 +96,16 @@ def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
     return binary_entropy(float(abs(z.coeffs[k - 1]) ** 2))
 
 
-def cobweb_spectrum(c: CobwebState) -> CobwebSpectrum:
+def cobweb_spectrum(c: CobwebState) -> dict:
     """Closed-form spectrum of either single-qubit marginal of a tripartite output.
 
-    epsilon = N^4 |w|^4 |c2|^2 |c3|^2 where w is the amplitude on the
-    non-reference axis (beta for reference bit 0, alpha for reference bit 1)
-    and N is the output's normalization constant.  Note: no extra factor of
-    4 in epsilon; the determinant identity eta+ eta- = det(marginal) pins it.
+    epsilon = N^4 |w|^4 |c2|^2 |c3|^2 is the determinant of either marginal,
+    where w is the amplitude on the non-reference axis (beta for reference
+    bit 0, alpha for reference bit 1) and N is the output's normalization
+    constant.  Note: no extra factor of 4 in epsilon; the determinant identity
+    eta+ eta- = det(marginal) pins it.  The eigenvalues are
+    eta_pm = (1 +- sqrt(1 - 4 epsilon))/2 and the entanglement is their
+    binary entropy.
     """
     if c.zsa.num_parties != 3:
         raise ValueError("the closed-form spectrum covers tripartite outputs")
@@ -161,12 +116,12 @@ def cobweb_spectrum(c: CobwebState) -> CobwebSpectrum:
     disc = math.sqrt(max(0.0, 1.0 - 4.0 * eps))
     eta_plus = 0.5 * (1.0 + disc)
     eta_minus = 0.5 * (1.0 - disc)
-    return CobwebSpectrum(
-        epsilon=float(eps),
-        eta_plus=eta_plus,
-        eta_minus=eta_minus,
-        entanglement=binary_entropy(eta_plus),
-    )
+    return {
+        "epsilon": float(eps),
+        "eta_plus": eta_plus,
+        "eta_minus": eta_minus,
+        "entanglement_bits": binary_entropy(eta_plus),
+    }
 
 
 def scaling_curve(n_max: int) -> list[tuple[int, float]]:

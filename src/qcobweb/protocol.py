@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PRODUCT_TOL, LinearOperator, PureState
+from .linalg import PRODUCT_TOL, PureState
 from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, slot_positions
 
 DEGENERATE_PROBABILITY = 1e-14
@@ -71,27 +71,14 @@ BELL_VECTORS = {
     BellOutcome.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
 }
 
-I_SIGMA_Y = LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionRule:
-    """Single-qubit gate applied identically at every remote party, plus the reference bit."""
-
-    gate: LinearOperator
-    reference_bit: int
-
-
-_CORRECTION_TABLE = {
-    BellOutcome.PHI_PLUS: CorrectionRule(I_SIGMA_Y, 1),
-    BellOutcome.PHI_MINUS: CorrectionRule(PAULI_X, 1),
-    BellOutcome.PSI_PLUS: CorrectionRule(PAULI_Z, 0),
-    BellOutcome.PSI_MINUS: CorrectionRule(IDENTITY_2, 0),
+# Each outcome's correction as (reference bit r, e_r, e_f): its gate, the same at every remote party, takes |0> to
+# e_r |r> and |1> to e_f |1 - r>.  Those are the gates of the table above, read off their columns.
+CORRECTIONS = {
+    BellOutcome.PHI_PLUS: (1, -1, 1),  # i*sigma_y
+    BellOutcome.PHI_MINUS: (1, 1, 1),  # sigma_x
+    BellOutcome.PSI_PLUS: (0, 1, -1),  # sigma_z
+    BellOutcome.PSI_MINUS: (0, 1, 1),  # identity
 }
-
-
-def correction_for(outcome: BellOutcome) -> CorrectionRule:
-    return _CORRECTION_TABLE[outcome]
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,15 +234,13 @@ def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> Cobwe
     return _cobweb(q, z, reference_bit, raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw))
 
 
-def apply_correction(slots: np.ndarray, rule: CorrectionRule) -> np.ndarray:
-    """The rule's gate on every qubit of a branch held as its N slots of reference bit 0: the corrected slots.
+def apply_correction(slots: np.ndarray, outcome: BellOutcome) -> np.ndarray:
+    """The outcome's correction on every qubit of a branch held as its N slots of reference bit 0: the corrected slots.
 
-    The gate takes |0> to e_r |r> and |1> to e_f |1 - r> (r the reference bit, e_r and e_f each +-1), so every
-    slot keeps its kind: the all-r string gets e_r^(N-1), a single flip e_r^(N-2) e_f.  ``+ 0.0`` turns ``-0.0``
-    into ``0.0``.
+    The gate takes |0> to e_r |r> and |1> to e_f |1 - r> (`CORRECTIONS`), so every slot keeps its kind: the all-r
+    string gets e_r^(N-1), a single flip e_r^(N-2) e_f.  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
     """
-    g = rule.gate.entries.real
-    e_ref, e_flip = g[rule.reference_bit, 0], g[1 - rule.reference_bit, 1]
+    _, e_ref, e_flip = CORRECTIONS[outcome]
     n = slots.size - 1
     return slots * np.array([e_ref**n, *[e_ref ** (n - 1) * e_flip] * n]) + 0.0
 
@@ -280,7 +265,6 @@ def run_protocol(
     prob, slots = bell_projection(q, z, outcome)
     if prob < DEGENERATE_PROBABILITY:
         raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
-    rule = correction_for(outcome)
-    slots = apply_correction(slots / math.sqrt(prob), rule)
+    slots = apply_correction(slots / math.sqrt(prob), outcome)
     return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
-                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, rule.reference_bit, slots))
+                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, CORRECTIONS[outcome][0], slots))

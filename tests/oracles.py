@@ -1,7 +1,9 @@
 """Dense oracles the tests check the package against: whole statevectors and matrices, which no command builds.
 
 Each is the plain O(2^N) construction of a quantity that the package computes
-on the N slots of a one-hot state or in closed form.
+on the N slots of a one-hot state or in closed form.  The Pauli gates are the
+dense form of `protocol.CORRECTIONS`, which holds each correction as a
+reference bit and two signs.
 """
 from __future__ import annotations
 
@@ -12,16 +14,34 @@ import numpy as np
 from qcobweb.linalg import (
     PRODUCT_TOL,
     DensityMatrix,
-    LinearOperator,
     PureState,
     _marginal_entries,
     entropy_of_eigenvalues,
     project,
 )
-from qcobweb.protocol import _require_protocol
+from qcobweb.protocol import BellOutcome, _require_protocol
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state
 
 IMPOSSIBLE_PROBABILITY = 1e-14
+
+
+def _gate(entries) -> np.ndarray:
+    gate = np.array(entries, dtype=complex)
+    gate.setflags(write=False)
+    return gate
+
+
+PAULI_X = _gate([[0, 1], [1, 0]])
+PAULI_Z = _gate([[1, 0], [0, -1]])
+IDENTITY_2 = _gate([[1, 0], [0, 1]])
+I_SIGMA_Y = _gate([[0, 1], [-1, 0]])  # i*sigma_y: |0> -> -|1>, |1> -> |0>
+# The gate every remote party applies for each Bell outcome.
+CORRECTION_GATES = {
+    BellOutcome.PHI_PLUS: I_SIGMA_Y,
+    BellOutcome.PHI_MINUS: PAULI_X,
+    BellOutcome.PSI_PLUS: PAULI_Z,
+    BellOutcome.PSI_MINUS: IDENTITY_2,
+}
 
 
 class ImpossibleOutcome(ValueError):
@@ -38,17 +58,12 @@ def basis_state(num_qubits: int, index: int) -> PureState:
 
 
 def tensor(a, b):
-    """Kronecker product of two states or two operators; a's indices most significant."""
+    """Kronecker product of two states or two operator matrices; a's indices most significant."""
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
-        return LinearOperator(
-            a.dim * b.dim,
-            np.kron(a.entries, b.entries),
-            unitary=a.unitary and b.unitary,
-            hermitian=a.hermitian and b.hermitian,
-        )
-    raise TypeError("tensor expects two PureStates or two LinearOperators")
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.kron(a, b)
+    raise TypeError("tensor expects two PureStates or two operator matrices")
 
 
 def outer(state: PureState) -> DensityMatrix:

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -120,6 +119,23 @@ def test_validate_unknown_generator(capsys):
     code, _, err = run_cli(capsys, "validate", "--gen", "bogus")
     assert code == 2
     assert "unknown generator" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_generator_too_large_to_allocate_exits_2(command):
+    """A ``roots:N`` whose arrays no machine can map is a bad argument value: one stderr line, exit 2.
+
+    N = 10^17 needs 711 PiB, more than any 57-bit address space holds, so numpy's allocation is refused up front
+    under every overcommit setting and the call touches no memory.
+    """
+    argv = [command, "--gen", "roots:100000000000000000"] + (["--theta", "1.0"] if command == "run" else [])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "qcobweb.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "invalid request: generator 'roots:100000000000000000' needs more memory than can be allocated"]
 
 
 # --- run ---------------------------------------------------------------------
@@ -980,7 +996,7 @@ def test_claims_sign_rule_counts_disagreements(capsys, monkeypatch):
 
     def flipped(c):
         result = real(c)
-        return dataclasses.replace(result, success_probability=1.0 - result.success_probability)
+        return {**result, "simulated_probability": 1.0 - result["simulated_probability"]}
 
     monkeypatch.setattr(cli, "cnot_disentangle", flipped)
     code, out, _ = run_cli(capsys, "claims", "--format", "json")

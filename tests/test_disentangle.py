@@ -34,8 +34,8 @@ def test_orthogonal_complement():
 
 def test_obstruction_vanishes_at_pole():
     report = obstruction(UnknownQubit(0.0), CUBE)
-    assert report.value == 0.0
-    assert report.oracle_value < 1e-15
+    assert report["closed_form"] == 0.0
+    assert report["simulated"] < 1e-15
 
 
 def test_obstruction_cube_roots_positive():
@@ -43,8 +43,8 @@ def test_obstruction_cube_roots_positive():
     # Re(c2 c3*) = cos(2 pi / 3)/3 = -1/6 for the cube roots
     cross = (CUBE.coeffs[1] * np.conj(CUBE.coeffs[2])).real
     assert cross == pytest.approx(-1 / 6, abs=1e-15)
-    assert report.value > 0.3
-    assert abs(report.value - report.oracle_value) < 1e-11
+    assert report["closed_form"] > 0.3
+    assert abs(report["closed_form"] - report["simulated"]) < 1e-11
 
 
 def test_obstruction_matches_inner_product_oracle():
@@ -53,7 +53,7 @@ def test_obstruction_matches_inner_product_oracle():
         z = random_zsa(3, rng)
         q = random_qubit(rng)
         report = obstruction(q, z)
-        assert abs(report.value - report.oracle_value) < 1e-11
+        assert abs(report["closed_form"] - report["simulated"]) < 1e-11
 
 
 def test_obstruction_zero_cross_family():
@@ -61,16 +61,18 @@ def test_obstruction_zero_cross_family():
     cross = (z.coeffs[1] * np.conj(z.coeffs[2])).real
     assert cross == 0.0  # exactly, not just approximately
     report = obstruction(UnknownQubit(np.pi / 2, 0.7), z)
-    assert report.value == 0.0
-    assert report.oracle_value < 1e-15
+    assert report["closed_form"] == 0.0
+    assert report["simulated"] < 1e-15
     # the report echoes the inputs it was computed from
-    assert report.theta == pytest.approx(np.pi / 2)
-    assert report.coeffs == tuple(z.coeffs)
+    assert report["theta"] == pytest.approx(np.pi / 2)
+    assert report["phi"] == 0.7
+    assert report["coeffs"] == [[c.real, c.imag] for c in z.coeffs]
 
 
 def test_obstruction_report_serialization():
-    doc = obstruction(UnknownQubit(1.0, 0.5), CUBE).to_dict()
-    assert doc["abs_difference"] < 1e-11
+    doc = obstruction(UnknownQubit(1.0, 0.5), CUBE)
+    assert list(doc) == ["closed_form", "simulated", "abs_difference", "theta", "phi", "coeffs"]
+    assert doc["abs_difference"] == abs(doc["closed_form"] - doc["simulated"]) < 1e-11
     assert len(doc["coeffs"]) == 3
 
 
@@ -79,15 +81,17 @@ def test_obstruction_report_serialization():
 
 def test_recovery_pole_input():
     result = cnot_disentangle(cobweb_state(UnknownQubit(0.0), CUBE, 0))
-    assert result.success_fidelity >= 1 - 1e-12  # |+> branch still returns |0>
-    assert result.success_probability == pytest.approx(0.5, abs=1e-12)
+    assert result["success_fidelity"] >= 1 - 1e-12  # |+> branch still returns |0>
+    assert result["simulated_probability"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_recovery_cube_roots_equator():
     result = cnot_disentangle(cobweb_state(UnknownQubit(np.pi / 2, 0.0), CUBE, 0))
-    assert result.closed_form_probability == pytest.approx(1 / 3, abs=1e-12)
-    assert result.success_probability == pytest.approx(1 / 3, abs=1e-12)
-    assert result.success_fidelity >= 1 - 1e-12
+    assert result["closed_form_probability"] == pytest.approx(1 / 3, abs=1e-12)
+    assert result["simulated_probability"] == pytest.approx(1 / 3, abs=1e-12)
+    assert result["success_fidelity"] >= 1 - 1e-12
+    assert list(result) == ["simulated_probability", "closed_form_probability", "abs_difference",
+                            "success_fidelity", "success_state"]
 
 
 def test_recovery_random_states():
@@ -96,9 +100,9 @@ def test_recovery_random_states():
         z = random_zsa(3, rng)
         q = random_qubit(rng)
         result = cnot_disentangle(cobweb_state(q, z, 0))
-        assert result.success_fidelity >= 1 - 1e-12
-        assert abs(result.success_probability - result.closed_form_probability) < 1e-12
-        assert 0.0 < result.success_probability < 1.0
+        assert result["success_fidelity"] >= 1 - 1e-12
+        assert abs(result["simulated_probability"] - result["closed_form_probability"]) < 1e-12
+        assert 0.0 < result["simulated_probability"] < 1.0
 
 
 def test_recovery_branch_probabilities_sum():
@@ -142,22 +146,26 @@ def test_sign_rule_positive_cross():
     # c2 = c3 = -1/sqrt6, c1 = 2/sqrt6: Re(c2* c3) = 1/6 > 0
     z = ZsaAmplitudes(np.array([2.0, -1.0, -1.0]) / math.sqrt(6.0))
     report = success_probability_sign(z, UnknownQubit(np.pi / 2))
-    assert report.re_cross == pytest.approx(1 / 6, abs=1e-15)
-    assert report.probability == pytest.approx(2 / 3, abs=1e-12)
-    assert report.better_than_half
+    assert report["re_c2_conj_c3"] == pytest.approx(1 / 6, abs=1e-15)
+    assert report["probability"] == pytest.approx(2 / 3, abs=1e-12)
+    assert report["better_than_half"] is True
+    assert report["sign"] == 1
 
 
 def test_sign_rule_cube_roots():
     report = success_probability_sign(CUBE, UnknownQubit(np.pi / 2))
-    assert report.probability == pytest.approx(1 / 3, abs=1e-12)
-    assert not report.better_than_half
-    assert report.re_cross < 0
+    assert report["probability"] == pytest.approx(1 / 3, abs=1e-12)
+    assert report["better_than_half"] is False
+    assert report["re_c2_conj_c3"] < 0
+    assert report["sign"] == -1
+    assert list(report) == ["probability", "better_than_half", "re_c2_conj_c3", "sign"]
 
 
 def test_sign_rule_zero_cross_gives_exact_half():
     report = success_probability_sign(zero_cross_family(), UnknownQubit(1.1, 0.3))
-    assert report.probability == 0.5
-    assert not report.better_than_half
+    assert report["probability"] == 0.5
+    assert report["better_than_half"] is False
+    assert report["sign"] == 0
 
 
 def test_sign_rule_random_states():
@@ -166,7 +174,7 @@ def test_sign_rule_random_states():
         z = random_zsa(3, rng)
         theta = float(rng.uniform(0.05, np.pi - 0.05))
         report = success_probability_sign(z, UnknownQubit(theta, float(rng.uniform(0, 2 * np.pi))))
-        assert report.better_than_half == (report.re_cross > 0)
+        assert report["better_than_half"] == (report["re_c2_conj_c3"] > 0)
 
 
 def test_sign_rule_rejects_poles():

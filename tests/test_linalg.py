@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from qcobweb.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
     DensityMatrix,
-    LinearOperator,
     PureState,
     apply_gate,
     binary_entropy,
@@ -17,8 +13,16 @@ from qcobweb.linalg import (
     state_fidelity,
 )
 
+from qcobweb.disentangle import CNOT
+from qcobweb.measures import PAULI_Y
+
 from _helpers import random_density_matrix, random_pure_state, random_unitary
 from oracles import (
+    CORRECTION_GATES,
+    IDENTITY_2,
+    I_SIGMA_Y,
+    PAULI_X,
+    PAULI_Z,
     basis_state,
     equal_up_to_global_phase,
     is_product_state,
@@ -67,14 +71,6 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
 
 
-def test_linear_operator_flags():
-    with pytest.raises(ValueError, match="unitary"):
-        LinearOperator(2, [[1, 0], [0, 2]], unitary=True)
-    with pytest.raises(ValueError, match="Hermitian"):
-        LinearOperator(2, [[0, 1], [0, 0]], hermitian=True)
-    LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)  # i*sigma_y is fine
-
-
 @pytest.mark.parametrize("bad", [
     complex(np.nan, 0.0), complex(0.0, np.nan),
     complex(np.inf, 0.0), complex(-np.inf, 0.0), complex(0.0, np.inf), complex(0.0, -np.inf),
@@ -83,7 +79,26 @@ def test_non_finite_entries_rejected_in_either_part(bad):
     with pytest.raises(ValueError, match="entries must be finite"):
         PureState(1, np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="entries must be finite"):
-        LinearOperator(2, [[1.0, 0.0], [0.0, bad]])
+        DensityMatrix(1, np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+# --- gate constants ----------------------------------------------------------------
+
+
+GATE_CONSTANTS = {"CNOT": CNOT, "PAULI_Y": PAULI_Y, **{o.label: g for o, g in CORRECTION_GATES.items()}}
+
+
+@pytest.mark.parametrize("name", GATE_CONSTANTS)
+def test_gate_constants_are_exactly_unitary(name):
+    gate = GATE_CONSTANTS[name]
+    assert gate.dtype == complex
+    assert np.array_equal(gate.conj().T @ gate, np.eye(gate.shape[0]))
+
+
+@pytest.mark.parametrize("gate", [CNOT, PAULI_Y], ids=["CNOT", "PAULI_Y"])
+def test_package_gate_constants_are_read_only(gate):
+    with pytest.raises(ValueError, match="read-only"):
+        gate[0, 0] = 0.0
 
 
 # --- tensor -------------------------------------------------------------------
@@ -95,20 +110,17 @@ def test_tensor_basis_states():
 
 
 def test_tensor_identity_operators():
-    out = tensor(IDENTITY_2, IDENTITY_2)
-    np.testing.assert_array_equal(out.entries, np.eye(4))
-    assert out.unitary and out.hermitian
+    np.testing.assert_array_equal(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
 
 
 def test_tensor_i_sigma_y_pair():
     # hand oracle: kron([[0,1],[-1,0]], [[0,1],[-1,0]]) applied to (1,0,0,0)
-    isy = LinearOperator(2, [[0, 1], [-1, 0]], unitary=True)
-    pair = tensor(isy, isy)
+    pair = tensor(I_SIGMA_Y, I_SIGMA_Y)
     expected = np.array(
         [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=complex
     )
-    np.testing.assert_array_equal(pair.entries, expected)
-    out = pair.entries @ basis_state(2, 0).amplitudes
+    np.testing.assert_array_equal(pair, expected)
+    out = pair @ basis_state(2, 0).amplitudes
     np.testing.assert_array_equal(out, np.array([0, 0, 0, 1], dtype=complex))  # +|11>
 
 
@@ -119,8 +131,8 @@ def test_tensor_associativity_and_dims():
     right = tensor(a, tensor(b, c))
     assert left.num_qubits == right.num_qubits == 4
     np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-15)
-    u, v = (LinearOperator(2, random_unitary(2, rng), unitary=True) for _ in range(2))
-    assert tensor(u, v).dim == 4
+    u, v = (random_unitary(2, rng) for _ in range(2))
+    assert tensor(u, v).shape == (4, 4)
 
 
 def test_tensor_type_mismatch():
@@ -185,13 +197,13 @@ def test_partial_transpose_product_stays_positive():
     rho_a = random_density_matrix(1, rng)
     rho_b = random_density_matrix(1, rng)
     prod = DensityMatrix(2, np.kron(rho_a.entries, rho_b.entries))
-    pt = partial_transpose(prod, 2)
-    np.testing.assert_allclose(pt.entries, np.kron(rho_a.entries, rho_b.entries.T), atol=1e-15)
+    pt = partial_transpose(prod.entries, 2)
+    np.testing.assert_allclose(pt, np.kron(rho_a.entries, rho_b.entries.T), atol=1e-15)
     assert hermitian_eigenvalues(pt)[0] > -1e-12
 
 
 def test_partial_transpose_singlet_min_eigenvalue():
-    pt = partial_transpose(outer(SINGLET), 2)
+    pt = partial_transpose(outer(SINGLET).entries, 2)
     assert abs(hermitian_eigenvalues(pt)[0] - (-0.5)) < 1e-12
 
 
@@ -199,11 +211,11 @@ def test_partial_transpose_involution_and_trace():
     rng = np.random.default_rng(17)
     for _ in range(20):
         rho = random_density_matrix(2, rng)
-        pt = partial_transpose(rho, 2)
-        assert np.max(np.abs(pt.entries - pt.entries.conj().T)) < 1e-12
-        assert abs(np.trace(pt.entries) - 1.0) < 1e-12
+        pt = partial_transpose(rho.entries, 2)
+        assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
+        assert abs(np.trace(pt) - 1.0) < 1e-12
         back = partial_transpose(pt, 2)  # involution, exact
-        np.testing.assert_array_equal(back.entries, rho.entries)
+        np.testing.assert_array_equal(back, rho.entries)
         assert abs(hermitian_eigenvalues(pt).sum() - 1.0) < 1e-10
 
 
@@ -211,11 +223,10 @@ def test_partial_transpose_involution_and_trace():
 
 
 def test_hermitian_eigenvalues_basic():
-    diag = LinearOperator(2, np.diag([2 / 3, 1 / 3]), hermitian=True)
-    np.testing.assert_allclose(hermitian_eigenvalues(diag), [1 / 3, 2 / 3], atol=1e-15)
+    np.testing.assert_allclose(hermitian_eigenvalues(np.diag([2 / 3, 1 / 3])), [1 / 3, 2 / 3], atol=1e-15)
     np.testing.assert_allclose(hermitian_eigenvalues(PAULI_X), [-1.0, 1.0], atol=1e-15)
     with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigenvalues(LinearOperator(2, [[0, 1], [0, 0]]))
+        hermitian_eigenvalues(np.array([[0, 1], [0, 0]]))
 
 
 def test_hermitian_eigenvalues_coherence_block():
@@ -226,7 +237,7 @@ def test_hermitian_eigenvalues_coherence_block():
     m[0, 0] = m[1, 1] = m[2, 2] = 1 / 3
     m[0, 3] = w / 3
     m[3, 0] = w.conjugate() / 3
-    eigs = hermitian_eigenvalues(LinearOperator(4, m, hermitian=True))
+    eigs = hermitian_eigenvalues(m)
     expected = np.sort([(1 - np.sqrt(5)) / 6, 1 / 3, 1 / 3, (1 + np.sqrt(5)) / 6])
     np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
@@ -287,8 +298,7 @@ def test_apply_gate_matches_full_matrix():
     rng = np.random.default_rng(29)
     state = random_pure_state(3, rng)
     u = random_unitary(4, rng)
-    gate = LinearOperator(4, u, unitary=True)
-    out = apply_gate(state, [1, 3], gate)
+    out = apply_gate(state, [1, 3], u)
     # oracle: permute qubit 3 next to qubit 1, apply kron, permute back
     psi = state.amplitudes.reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
     expected = (np.kron(u, np.eye(2)) @ psi).reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
@@ -339,12 +349,21 @@ def test_is_product_state_one_eigensolve_per_marginal(monkeypatch):
     assert calls == [(2, 2)] * 3
 
 
+def test_partial_transpose_rejects_non_qubit_matrices():
+    with pytest.raises(ValueError, match="does not act on qubits"):
+        partial_transpose(np.eye(3), 1)
+    with pytest.raises(ValueError, match="does not act on qubits"):
+        partial_transpose(np.ones((4, 2)), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        partial_transpose(np.eye(4), 3)
+
+
 def test_partial_transpose_general_register():
     # three qubits: transposing the middle factor of A (x) B (x) C gives
     # A (x) B^T (x) C
     rng = np.random.default_rng(43)
     parts = [random_density_matrix(1, rng).entries for _ in range(3)]
     rho = DensityMatrix(3, np.kron(np.kron(parts[0], parts[1]), parts[2]))
-    pt = partial_transpose(rho, 2)
+    pt = partial_transpose(rho.entries, 2)
     expected = np.kron(np.kron(parts[0], parts[1].T), parts[2])
-    np.testing.assert_allclose(pt.entries, expected, atol=1e-15)
+    np.testing.assert_allclose(pt, expected, atol=1e-15)

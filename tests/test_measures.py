@@ -8,6 +8,7 @@ from qcobweb.linalg import (
     binary_entropy,
     entropy_of_eigenvalues,
     hermitian_eigenvalues,
+    partial_transpose,
     single_qubit_spectra,
 )
 from qcobweb.measures import (
@@ -44,11 +45,12 @@ LAMBDA4_CUBE = (1 - math.sqrt(5)) / 6
 
 def test_ppt_report_cube_roots():
     report = ppt_report(CUBE, reduced_pair(CUBE))
+    eigenvalues = report["closed_form_eigenvalues"]
     expected = np.sort([1 / 3, 1 / 3, (1 + math.sqrt(5)) / 6, LAMBDA4_CUBE])
-    np.testing.assert_allclose(np.sort(report.eigenvalues), expected, atol=1e-12)
-    assert report.eigenvalues[3] == pytest.approx(LAMBDA4_CUBE, abs=1e-12)
-    assert report.eigenvalues[3] < 0
-    assert not report.separable
+    np.testing.assert_allclose(np.sort(eigenvalues), expected, atol=1e-12)
+    assert eigenvalues[3] == pytest.approx(LAMBDA4_CUBE, abs=1e-12)
+    assert eigenvalues[3] < 0
+    assert report["separable"] is False
 
 
 def test_ppt_matrix_structure():
@@ -65,7 +67,8 @@ def test_ppt_matrix_structure():
         expected[2, 2] = abs(c2) ** 2
         expected[0, 3] = np.conj(c2) * c3
         expected[3, 0] = c2 * np.conj(c3)
-        np.testing.assert_allclose(ppt_report(z, reduced_pair(z)).matrix.entries, expected, atol=1e-14)
+        parts = np.array(ppt_report(z, reduced_pair(z))["matrix"])  # [row, column, (re, im)]
+        np.testing.assert_allclose(parts[..., 0] + 1j * parts[..., 1], expected, atol=1e-14)
 
 
 def test_ppt_closed_form_vs_eigensolver():
@@ -73,17 +76,21 @@ def test_ppt_closed_form_vs_eigensolver():
     for _ in range(300):
         z = random_zsa(3, rng)
         report = ppt_report(z, reduced_pair(z))
-        oracle = hermitian_eigenvalues(report.matrix)
-        assert np.max(np.abs(np.sort(report.eigenvalues) - oracle)) < 1e-10
+        eigenvalues = report["closed_form_eigenvalues"]
+        oracle = hermitian_eigenvalues(partial_transpose(reduced_pair(z).entries, 2))
+        assert report["oracle_eigenvalues"] == oracle.tolist()
+        assert np.max(np.abs(np.sort(eigenvalues) - oracle)) < 1e-10
         a1, a2, a3 = (abs(c) ** 2 for c in z.coeffs)
-        assert report.eigenvalues[0] == pytest.approx(a2, abs=1e-10)
-        assert report.eigenvalues[1] == pytest.approx(a3, abs=1e-10)
-        assert report.eigenvalues[2] * report.eigenvalues[3] < 0
-        assert sum(report.eigenvalues) == pytest.approx(1.0, abs=1e-12)
+        assert eigenvalues[0] == pytest.approx(a2, abs=1e-10)
+        assert eigenvalues[1] == pytest.approx(a3, abs=1e-10)
+        assert eigenvalues[2] * eigenvalues[3] < 0
+        assert sum(eigenvalues) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ppt_report_serialization():
-    doc = ppt_report(CUBE, reduced_pair(CUBE)).to_dict()
+    doc = ppt_report(CUBE, reduced_pair(CUBE))
+    assert list(doc) == ["closed_form_eigenvalues", "oracle_eigenvalues", "max_abs_difference", "min_eigenvalue",
+                         "separable", "matrix"]
     assert doc["max_abs_difference"] < 1e-10
     assert doc["min_eigenvalue"] < -0.2
     assert doc["separable"] is False
@@ -174,18 +181,17 @@ def test_splitting_entropy_nth_roots_matches_curve():
 def test_cobweb_spectrum_pole_is_product():
     cw = cobweb_state(UnknownQubit(0.0), CUBE, 0)
     spectrum = cobweb_spectrum(cw)
-    assert spectrum.epsilon == 0.0
-    assert (spectrum.eta_plus, spectrum.eta_minus) == (1.0, 0.0)
-    assert spectrum.entanglement == 0.0
+    assert spectrum == {"epsilon": 0.0, "eta_plus": 1.0, "eta_minus": 0.0, "entanglement_bits": 0.0}
+    assert list(spectrum) == ["epsilon", "eta_plus", "eta_minus", "entanglement_bits"]
 
 
 def test_cobweb_spectrum_cube_equator():
     cw = cobweb_state(UnknownQubit(np.pi / 2), CUBE, 0)
     spectrum = cobweb_spectrum(cw)
-    assert spectrum.epsilon == pytest.approx(1 / 9, abs=1e-12)
+    assert spectrum["epsilon"] == pytest.approx(1 / 9, abs=1e-12)
     oracle = single_qubit_spectra(cw.vector)[0]
-    np.testing.assert_allclose([spectrum.eta_minus, spectrum.eta_plus], oracle, atol=1e-10)
-    assert spectrum.entanglement == pytest.approx(
+    np.testing.assert_allclose([spectrum["eta_minus"], spectrum["eta_plus"]], oracle, atol=1e-10)
+    assert spectrum["entanglement_bits"] == pytest.approx(
         von_neumann_entropy(pure_marginal(cw.vector, [1])), abs=1e-10
     )
 
@@ -198,19 +204,19 @@ def test_cobweb_spectrum_schmidt_equality_random():
         ref = int(rng.integers(0, 2))
         cw = cobweb_state(q, z, ref)
         spectrum = cobweb_spectrum(cw)
-        closed = np.array([spectrum.eta_minus, spectrum.eta_plus])
+        closed = np.array([spectrum["eta_minus"], spectrum["eta_plus"]])
         for oracle in single_qubit_spectra(cw.vector):
             assert np.max(np.abs(closed - oracle)) < 1e-10
-        assert spectrum.eta_plus + spectrum.eta_minus == pytest.approx(1.0, abs=1e-14)
-        assert spectrum.eta_plus * spectrum.eta_minus == pytest.approx(spectrum.epsilon, abs=1e-12)
+        assert spectrum["eta_plus"] + spectrum["eta_minus"] == pytest.approx(1.0, abs=1e-14)
+        assert spectrum["eta_plus"] * spectrum["eta_minus"] == pytest.approx(spectrum["epsilon"], abs=1e-12)
 
 
 def test_cobweb_spectrum_factor_four_variant_fails_oracle():
     cw = cobweb_state(UnknownQubit(np.pi / 2), CUBE, 0)
     spectrum = cobweb_spectrum(cw)
     determinant = float(np.prod(single_qubit_spectra(cw.vector)[0]))
-    assert abs(spectrum.epsilon - determinant) < 1e-10
-    assert abs(4 * spectrum.epsilon - determinant) > 0.3  # the 4x variant misses by 1/3 here
+    assert abs(spectrum["epsilon"] - determinant) < 1e-10
+    assert abs(4 * spectrum["epsilon"] - determinant) > 0.3  # the 4x variant misses by 1/3 here
 
 
 def _assert_spectra_match_marginals_bitwise(state):
@@ -218,7 +224,7 @@ def _assert_spectra_match_marginals_bitwise(state):
     assert spectra.shape == (state.num_qubits, 2)
     for q in range(1, state.num_qubits + 1):
         rho = pure_marginal(state, [q])
-        assert np.array_equal(spectra[q - 1], hermitian_eigenvalues(rho))
+        assert np.array_equal(spectra[q - 1], hermitian_eigenvalues(rho.entries))
         assert entropy_of_eigenvalues(spectra[q - 1]) == von_neumann_entropy(rho)
 
 

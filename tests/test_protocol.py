@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 
 from qcobweb.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
     PureState,
     apply_gate,
     hermitian_eigenvalues,
@@ -16,14 +13,13 @@ from qcobweb.linalg import (
 )
 from qcobweb.protocol import (
     BELL_VECTORS,
-    I_SIGMA_Y,
+    CORRECTIONS,
     DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
     bell_projection,
     branch_probabilities,
     cobweb_state,
-    correction_for,
     draw_outcome_block,
     normalization_constants,
     run_protocol,
@@ -40,7 +36,15 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
-from oracles import basis_state, equal_up_to_global_phase, is_product_state, joint_state, pure_marginal
+from oracles import (
+    CORRECTION_GATES,
+    I_SIGMA_Y,
+    basis_state,
+    equal_up_to_global_phase,
+    is_product_state,
+    joint_state,
+    pure_marginal,
+)
 
 CUBE = roots_of_unity_zsa(3)
 TINY_C1_COEFFS = [1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]
@@ -81,8 +85,7 @@ def test_bell_resolution_matches_gate_twisted_targets():
         z = random_zsa(3, rng)
         q = random_qubit(rng)
         for outcome in BellOutcome:
-            gate = correction_for(outcome).gate
-            twisted = target_vector(gate.entries.conj().T @ q.vector(), z, 0)
+            twisted = target_vector(CORRECTION_GATES[outcome].conj().T @ q.vector(), z, 0)
             prob, slots = bell_projection(q, z, outcome)
             residual = np.zeros(4, dtype=complex)
             residual[slot_positions(2, 0)] = slots
@@ -121,7 +124,7 @@ def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
             continue
         oracle = PureState(n - 1, residual / np.sqrt(oracle_prob))
         for qubit in range(1, n):
-            oracle = apply_gate(oracle, [qubit], correction_for(outcome).gate)
+            oracle = apply_gate(oracle, [qubit], CORRECTION_GATES[outcome])
         transcript = run_protocol(q, z, outcome=outcome)
         assert transcript.outcome_probability == oracle_prob
         assert "vector" not in vars(transcript.final)  # the dense view is built only when asked for
@@ -161,7 +164,7 @@ def _assert_product_flag_matches_dense_oracle(q: UnknownQubit, z) -> None:
         final = run_protocol(q, z, outcome=outcome).final
         assert final.is_product() == is_product_state(final.vector), (q.theta, outcome)
         closed = final.min_marginal_eigenvalues()
-        dense = [hermitian_eigenvalues(pure_marginal(final.vector, [j]))[0] for j in range(1, z.num_parties)]
+        dense = [hermitian_eigenvalues(pure_marginal(final.vector, [j]).entries)[0] for j in range(1, z.num_parties)]
         small = (closed < 1e-3) | (np.array(dense) < 1e-3)
         assert np.abs(closed - dense)[small].max(initial=0.0) <= 1e-15, (q.theta, outcome)
 
@@ -220,21 +223,21 @@ def test_psi_branch_probability_closed_form():
 
 
 def test_correction_table():
-    rules = {o: correction_for(o) for o in BellOutcome}
-    np.testing.assert_array_equal(rules[BellOutcome.PHI_PLUS].gate.entries, I_SIGMA_Y.entries)
-    np.testing.assert_array_equal(rules[BellOutcome.PHI_MINUS].gate.entries, PAULI_X.entries)
-    np.testing.assert_array_equal(rules[BellOutcome.PSI_PLUS].gate.entries, PAULI_Z.entries)
-    np.testing.assert_array_equal(rules[BellOutcome.PSI_MINUS].gate.entries, IDENTITY_2.entries)
-    assert [rules[o].reference_bit for o in BellOutcome] == [1, 1, 0, 0]
-    # bijection onto (gate, reference bit) pairs
-    pairs = {(r.gate.entries.tobytes(), r.reference_bit) for r in rules.values()}
-    assert len(pairs) == 4
+    """Each (r, e_r, e_f) row is its outcome's dense gate: it takes |0> to e_r |r> and |1> to e_f |1 - r>."""
+    assert list(CORRECTIONS) == list(BellOutcome)
+    assert [CORRECTIONS[o][0] for o in BellOutcome] == [1, 1, 0, 0]
+    assert len(set(CORRECTIONS.values())) == 4  # a bijection onto the rows
+    zero, one = np.eye(2)
+    for outcome, (r, e_ref, e_flip) in CORRECTIONS.items():
+        gate = CORRECTION_GATES[outcome]
+        np.testing.assert_array_equal(gate @ zero, e_ref * np.eye(2)[r], err_msg=outcome.label)
+        np.testing.assert_array_equal(gate @ one, e_flip * np.eye(2)[1 - r], err_msg=outcome.label)
 
 
 def test_i_sigma_y_convention():
     # i*sigma_y|0> = -|1>, i*sigma_y|1> = |0>
-    np.testing.assert_array_equal(I_SIGMA_Y.entries @ [1, 0], [0, -1])
-    np.testing.assert_array_equal(I_SIGMA_Y.entries @ [0, 1], [1, 0])
+    np.testing.assert_array_equal(I_SIGMA_Y @ [1, 0], [0, -1])
+    np.testing.assert_array_equal(I_SIGMA_Y @ [0, 1], [1, 0])
 
 
 def test_payload_encoding():
@@ -518,6 +521,27 @@ def test_cobweb_state_constructor_consistency():
         assert state_fidelity(cw.vector, normalized_target(q, z, ref)) >= 1 - 1e-12
         raw_norm = np.linalg.norm(raw)
         assert cw.norm_constant * raw_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_relabeling_parties_permutes_the_output_slots():
+    """Relabeling parties 2..N by a permutation pi permutes the output's flipped-qubit slots by pi, bit for bit.
+
+    Everything else is unchanged bit for bit: the probability is a correctly rounded sum of the slots' squared
+    parts, and the norm constant and the all-r slot depend on c_1 and the qubit alone.
+    """
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        z = random_zsa(int(rng.integers(3, MAX_DENSE_QUBITS + 1)), rng)
+        pi = rng.permutation(z.num_parties - 1)
+        relabeled = ZsaAmplitudes(np.concatenate([z.coeffs[:1], z.coeffs[1:][pi]]))
+        q = random_qubit(rng)
+        for outcome in BellOutcome:
+            base = run_protocol(q, z, outcome=outcome)
+            moved = run_protocol(q, relabeled, outcome=outcome)
+            assert moved.outcome_probability == base.outcome_probability
+            assert moved.final.norm_constant == base.final.norm_constant
+            assert moved.final.slots[:1].tobytes() == base.final.slots[:1].tobytes()
+            assert moved.final.slots[1:].tobytes() == base.final.slots[1:][pi].tobytes(), (z.num_parties, outcome)
 
 
 def test_protocol_scales_to_larger_registers():

@@ -14,7 +14,6 @@ from qcobweb.protocol import (
     bell_projection,
     branch_probabilities,
     cobweb_state,
-    correction_for,
     run_protocol,
 )
 from qcobweb.session import (
@@ -26,6 +25,7 @@ from qcobweb.session import (
 from qcobweb.states import UnknownQubit, random_zsa, roots_of_unity_zsa, slot_positions
 
 from _helpers import random_qubit
+from oracles import CORRECTION_GATES
 
 CUBE = roots_of_unity_zsa(3)
 
@@ -91,7 +91,7 @@ def test_delivery_order_does_not_matter():
             residual = np.zeros(2 ** (z.num_parties - 1), dtype=complex)
             residual[slot_positions(z.num_parties - 1, 0)] = slots
             residual = PureState(z.num_parties - 1, residual / np.sqrt(prob))
-            gate = correction_for(outcome).gate
+            gate = CORRECTION_GATES[outcome]
             for order in itertools.permutations(remote):
                 state = residual
                 for qubit in order:
@@ -144,7 +144,7 @@ def test_baseline_against_quantum_run():
     baseline = classical_only_baseline(q, outcome=BellOutcome.PSI_MINUS)
     assert baseline.entanglement_of_formation == 0.0
     quantum = cobweb_spectrum(cobweb_state(q, CUBE, 0))
-    assert quantum.entanglement > 0.5
+    assert quantum["entanglement_bits"] > 0.5
     # classical cost alone does not separate the two runs
     session = run_session(q, CUBE, outcome=BellOutcome.PSI_MINUS)
     assert baseline.ledger.cbits_total == session.ledger.cbits_total
@@ -173,7 +173,7 @@ def _density_matrix_control(q, z, outcome):
     rho = np.kron(np.outer(q.vector(), q.vector().conj()), shared).reshape(4, 4, 4, 4)  # (a1, 23, a1, 23)
     blocks = {o: np.einsum("i,irjs,j->rs", b.conj(), rho, b) for o, b in BELL_VECTORS.items()}
     probs = {o: float(np.trace(block).real) for o, block in blocks.items()}
-    gate = correction_for(outcome).gate.entries
+    gate = CORRECTION_GATES[outcome]
     pair_gate = np.kron(gate, gate)
     return probs, pair_gate @ (blocks[outcome] / probs[outcome]) @ pair_gate.conj().T
 
