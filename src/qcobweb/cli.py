@@ -8,6 +8,7 @@ Subcommands:
 * ``scaling``   splitting-entanglement curve of the Nth-roots family
 * ``claims``    reference numeric claims vs computed values, pass/flag status
 
+A call parses its arguments once, with its subcommand's own parser (`main`).
 Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or malformed
 input.  Output is plain text or machine-readable JSON/CSV; no color is ever
 emitted, so NO_COLOR is honored trivially.
@@ -49,7 +50,8 @@ from .protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
     Transcript,
-    branch_probabilities,
+    _transcript,
+    bell_branches,
     cobweb_state,
     draw_outcome_block,
     normalization_constants,
@@ -57,10 +59,10 @@ from .protocol import (
 )
 from .session import (
     ResourceLedger,
+    _session_result,
     classical_only_baseline,
     messages_to_jsonl,
     require_session,
-    run_session,
 )
 from .states import (
     AmplitudeFileError,
@@ -106,12 +108,22 @@ def _qubit_from_args(args) -> UnknownQubit:
     return UnknownQubit(theta, args.phi)
 
 
-def _emit(text: str, path) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Characters per write: rows and message-log lines are joined at most this many at a time, whatever `--trials`,
+# `--max` or the row width.  A longer row is written on its own.
+WRITE_CHUNK = 1 << 16
+
+
+def _emit(lines, path) -> None:
+    """Write ``lines`` to ``path`` or stdout, joined at most `WRITE_CHUNK` characters at a time."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
+        chunk, size = [], 0
+        for line in lines:
+            if chunk and size + len(line) > WRITE_CHUNK:
+                out.write("".join(chunk))
+                chunk, size = [], 0
+            chunk.append(line)
+            size += len(line)
+        out.write("".join(chunk))
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -144,9 +156,11 @@ def _flatten(value, prefix: str = ""):
         yield prefix, value
 
 
-def _csv_table(header, rows) -> str:
+def _csv_lines(header, rows):
     """A header line, then one line per row with every cell rendered by `_render_cell`."""
-    return _csv_line(header) + "".join(_csv_line(map(_render_cell, row)) for row in rows)
+    yield _csv_line(header)
+    for row in rows:
+        yield _csv_line(map(_render_cell, row))
 
 
 # --- validate -------------------------------------------------------------
@@ -162,14 +176,14 @@ def cmd_validate(args) -> int:
         "min_abs_coefficient": float(np.min(np.abs(z.coeffs))),
     }
     if args.format == "json":
-        _emit(json.dumps(figures) + "\n", args.output)
+        _emit([json.dumps(figures) + "\n"], args.output)
     elif args.format == "csv":
-        _emit(_csv_table(["key", "value"], figures.items()), args.output)
+        _emit(_csv_lines(["key", "value"], figures.items()), args.output)
     else:
-        _emit(f"valid ZSA coefficients: {figures['parties']} parties\n"
-              f"|sum residual|  = {figures['sum_residual']:.6e}\n"
-              f"|norm - 1|      = {figures['norm_deviation']:.6e}\n"
-              f"min |c_k|       = {figures['min_abs_coefficient']:.6e}\n", args.output)
+        _emit([f"valid ZSA coefficients: {figures['parties']} parties\n"
+               f"|sum residual|  = {figures['sum_residual']:.6e}\n"
+               f"|norm - 1|      = {figures['norm_deviation']:.6e}\n"
+               f"min |c_k|       = {figures['min_abs_coefficient']:.6e}\n"], args.output)
     return EXIT_OK
 
 
@@ -224,14 +238,12 @@ class _Branch:
     ledger: ResourceLedger | None
 
 
-def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome) -> _Branch:
-    """Run one forced branch and serialize its row once for the whole call, from the output's N slots."""
-    ledger, messages = None, ""
+def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome, prob: float, slots) -> _Branch:
+    """Correct one projected branch and serialize its row once for the whole call, from the output's N slots."""
+    transcript, ledger, messages = _transcript(q, z, outcome, prob, slots), None, ""
     if args.session:
-        result = run_session(q, z, outcome=outcome)
-        transcript, ledger, messages = result.transcript, result.ledger, messages_to_jsonl(result.messages) + "\n"
-    else:
-        transcript = run_protocol(q, z, outcome=outcome)
+        result = _session_result(transcript)
+        ledger, messages = result.ledger, messages_to_jsonl(result.messages) + "\n"
     scalars, final = transcript.scalar_fields(), transcript.final
     product = int(final.is_product())
     amps = _amplitude_text(final.slots, final.reference_bit, args.format == "csv")
@@ -245,9 +257,6 @@ def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome)
 # Trials per block draw.  A block costs about 16 us of fixed numpy work plus 0.04 us and, at its peak, 16 B per
 # trial (2-vCPU x86-64, numpy 2.4.6): 0.055 us a trial for about 16 KB of buffers.  2048 would save 0.02 us a trial.
 DRAW_BLOCK = 1024
-# Characters per write: rows and message-log lines are joined at most this many at a time, whatever `--trials`
-# or the row width.  A longer row is written on its own, as its prefix and then its branch's shared tail.
-WRITE_CHUNK = 1 << 16
 
 
 def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
@@ -274,9 +283,10 @@ def _chunks(count: int, longest: int):
 def cmd_run(args) -> int:
     """Stream one row per trial; each Bell branch is run and serialized once per call, from its N slots.
 
-    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome.  Trials are drawn in
-    `_outcome_blocks` and written in chunks of at most `WRITE_CHUNK` characters, each row copied at most
-    once, so a call holds one block's draw buffers and one chunk of text, whatever `--trials`.  The first
+    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome, all four from one
+    `bell_branches` call.  Trials are drawn in `_outcome_blocks` and written in chunks of at most `WRITE_CHUNK`
+    characters, each row copied at most once, so a call holds one block's draw buffers and one chunk of text,
+    whatever `--trials`.  The first
     trial builds only the branch it lands on; a sampled call of at least four trials then builds every
     other branch that would not raise `DegenerateBranch`, so its cost does not depend on the draws.
     """
@@ -292,7 +302,7 @@ def cmd_run(args) -> int:
     q = _qubit_from_args(args)
     if args.session:
         require_session(z)
-    probs = branch_probabilities(q, z)
+    probs, slots = bell_branches(q, z)
     forced = BellOutcome.from_label(args.outcome) if args.outcome else None
     if forced is not None and probs[forced] < DEGENERATE_PROBABILITY:
         raise ValueError(f"forced outcome {forced.label} has probability {probs[forced]:.3e}")
@@ -306,7 +316,8 @@ def cmd_run(args) -> int:
             drawn = sorted(set(values))
             for value in drawn:
                 if branches[value] is None:
-                    branches[value] = _build_branch(args, z, q, BellOutcome(value))
+                    outcome = BellOutcome(value)
+                    branches[value] = _build_branch(args, z, q, outcome, probs[outcome], slots[outcome])
             if start == 0 and args.format == "csv":
                 out.write(_csv_header(branches[values[0]].transcript))
             tails = {value: branches[value].tail for value in drawn}
@@ -325,7 +336,7 @@ def cmd_run(args) -> int:
             if start == 0 and forced is None and args.trials >= len(BellOutcome):
                 for other in BellOutcome:
                     if branches[other.value] is None and probs[other] >= DEGENERATE_PROBABILITY:
-                        branches[other.value] = _build_branch(args, z, q, other)
+                        branches[other.value] = _build_branch(args, z, q, other, probs[other], slots[other])
 
         summary = {"trials": args.trials, "seed": args.seed}
         for outcome in BellOutcome:
@@ -405,9 +416,9 @@ def cmd_measures(args) -> int:
     q = _qubit_from_args(args)
     report = _measures_report(z, q)
     if args.format == "csv":
-        _emit(_csv_table(["key", "value"], _flatten(report)), args.output)
+        _emit(_csv_lines(["key", "value"], _flatten(report)), args.output)
     else:
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
+        _emit([json.dumps(report, indent=2) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -415,12 +426,12 @@ def cmd_measures(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    """One row per party count, written as the curve is computed, so memory does not grow with ``--max``."""
     curve = scaling_curve(args.max)
     if args.format == "csv":
-        _emit(_csv_table(["parties", "ebits"], curve), args.output)
+        _emit(_csv_lines(["parties", "ebits"], curve), args.output)
     else:
-        lines = [json.dumps({"parties": n, "ebits": e}) for n, e in curve]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit((json.dumps({"parties": n, "ebits": e}) + "\n" for n, e in curve), args.output)
     return EXIT_OK
 
 
@@ -527,11 +538,11 @@ def _claims_text(rows) -> str:
 def cmd_claims(args) -> int:
     rows = _claims_rows()
     if args.format == "json":
-        _emit("\n".join(json.dumps(row) for row in rows) + "\n", args.output)
+        _emit([json.dumps(row) + "\n" for row in rows], args.output)
     elif args.format == "csv":
-        _emit(_csv_table(CLAIM_FIELDS, (row.values() for row in rows)), args.output)
+        _emit(_csv_lines(CLAIM_FIELDS, (row.values() for row in rows)), args.output)
     else:
-        _emit(_claims_text(rows), args.output)
+        _emit([_claims_text(rows)], args.output)
     return EXIT_OK
 
 
@@ -559,8 +570,8 @@ def _add_output(parser: argparse.ArgumentParser, default_format: str = "json") -
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; `main` maps the subcommand to its ``cmd_*`` function per call."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own parser by name, built once per process."""
     parser = argparse.ArgumentParser(prog="qcobweb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -592,11 +603,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("claims", help="reference numeric claims vs computed values")
     _add_output(p, default_format="text")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.  A call parses once: with its subcommand's parser alone, failing on
+    leftover tokens through the full parser's ``error`` as that parser would; any other argv (none, ``-h``, an
+    unknown command) goes to the full parser."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a replaced command is the one run
     except BrokenPipeError:

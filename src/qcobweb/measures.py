@@ -8,6 +8,7 @@ rather than silently absorbed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -124,8 +125,8 @@ def cobweb_spectrum(c: CobwebState) -> dict:
     }
 
 
-def scaling_curve(n_max: int) -> list[tuple[int, float]]:
-    """Splitting entanglement H2(1/N) of the Nth-roots state for N = 2..n_max."""
+def scaling_curve(n_max: int) -> Iterator[tuple[int, float]]:
+    """Splitting entanglement H2(1/N) of the Nth-roots state for N = 2..n_max, one (N, H2(1/N)) pair at a time."""
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
-    return [(n, binary_entropy(1.0 / n)) for n in range(2, n_max + 1)]
+    return ((n, binary_entropy(1.0 / n)) for n in range(2, n_max + 1))

@@ -70,6 +70,7 @@ BELL_VECTORS = {
     BellOutcome.PSI_PLUS: np.array([0, _S, _S, 0], dtype=complex),
     BellOutcome.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
 }
+_BELL_CONJ = np.array([BELL_VECTORS[o] for o in BellOutcome]).conj().reshape(4, 2, 2, 1)  # [outcome, a, bit of 1, -]
 
 # Each outcome's correction as (reference bit r, e_r, e_f): its gate, the same at every remote party, takes |0> to
 # e_r |r> and |1> to e_f |1 - r>.  Those are the gates of the table above, read off their columns.
@@ -148,26 +149,24 @@ def _require_protocol(z: ZsaAmplitudes) -> None:
         raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
 
 
-def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
-    """Party 1's Bell projection on (a, 1): the Born probability and the unnormalized N slots of parties 2..N.
+def bell_branches(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[dict[BellOutcome, float], dict[BellOutcome, np.ndarray]]:
+    """Party 1's Bell measurement on (a, 1): each outcome's Born probability and unnormalized N slots of parties 2..N.
 
     Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
-    only where one of them, party k, is 1 (c_k), so the residual lives on the
+    only where one of them, party k, is 1 (c_k), so each residual lives on the
     N strings of `slot_positions` with reference bit 0, in that order.  The
     products v_a c_k are the multiplies a dense ``np.kron`` of |psi>_a and the
-    shared state makes.  The probability is the correctly rounded sum of the
-    2N squared parts, so it depends on the slots alone and on no BLAS kernel.
+    shared state makes, taken once for all four outcomes.  Each probability is
+    the correctly rounded sum of its branch's 2N squared parts, so it depends on
+    the slots alone and on no BLAS kernel.
     """
     _require_protocol(z)
     products = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
-    projected = (BELL_VECTORS[outcome].conj().reshape(2, 2, 1) * products).sum(axis=0)  # [bit of party 1, k]
-    slots = projected[0]
-    slots[0] = projected[1, 0]
-    return math.fsum((slots.view(np.float64) ** 2).tolist()), slots
-
-
-def branch_probabilities(q: UnknownQubit, z: ZsaAmplitudes) -> dict[BellOutcome, float]:
-    return {o: bell_projection(q, z, o)[0] for o in BellOutcome}
+    projected = (_BELL_CONJ * products).sum(axis=1)  # [outcome, bit of party 1, k]
+    slots = projected[:, 0]
+    slots[:, 0] = projected[:, 1, 0]
+    return ({o: math.fsum((row.view(np.float64) ** 2).tolist()) for o, row in zip(BellOutcome, slots)},
+            dict(zip(BellOutcome, slots)))
 
 
 def draw_outcome_block(probs: dict[BellOutcome, float], rng: np.random.Generator, count: int) -> np.ndarray:
@@ -245,6 +244,15 @@ def apply_correction(slots: np.ndarray, outcome: BellOutcome) -> np.ndarray:
     return slots * np.array([e_ref**n, *[e_ref ** (n - 1) * e_flip] * n]) + 0.0
 
 
+def _transcript(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome, prob: float, slots: np.ndarray) -> Transcript:
+    """One projected branch of `bell_branches`, normalized and corrected on its N slots, in O(N)."""
+    if prob < DEGENERATE_PROBABILITY:
+        raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
+    slots = apply_correction(slots / math.sqrt(prob), outcome)
+    return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
+                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, CORRECTIONS[outcome][0], slots))
+
+
 def run_protocol(
     q: UnknownQubit,
     z: ZsaAmplitudes,
@@ -255,16 +263,12 @@ def run_protocol(
 
     Sampling requires a seed: anything ``np.random.default_rng`` accepts, a
     Generator included, which gives up one double.  Identical seeds reproduce
-    identical transcripts bit for bit.  The branch is projected, normalized and
-    corrected on its N slots, in O(N).
+    identical transcripts bit for bit.  One `bell_branches` call projects every
+    branch; the drawn or forced one is normalized and corrected by `_transcript`.
     """
+    if outcome is None and seed is None:
+        raise ValueError("sampling an outcome requires a seed")
+    probs, slots = bell_branches(q, z)
     if outcome is None:
-        if seed is None:
-            raise ValueError("sampling an outcome requires a seed")
-        outcome = BellOutcome(int(draw_outcome_block(branch_probabilities(q, z), np.random.default_rng(seed), 1)[0]))
-    prob, slots = bell_projection(q, z, outcome)
-    if prob < DEGENERATE_PROBABILITY:
-        raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
-    slots = apply_correction(slots / math.sqrt(prob), outcome)
-    return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
-                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, CORRECTIONS[outcome][0], slots))
+        outcome = BellOutcome(int(draw_outcome_block(probs, np.random.default_rng(seed), 1)[0]))
+    return _transcript(q, z, outcome, probs[outcome], slots[outcome])

@@ -68,14 +68,6 @@ def require_session(z: ZsaAmplitudes) -> None:
         raise ValueError("a session needs at least three parties")
 
 
-def _broadcast(outcome: BellOutcome, num_parties: int) -> tuple[ClassicalMessage, ...]:
-    """The two-bit message from party 1 to each of parties 2..N, in ascending order."""
-    return tuple(
-        ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=outcome.payload)
-        for k in range(2, num_parties + 1)
-    )
-
-
 def run_session(
     q: UnknownQubit,
     z: ZsaAmplitudes,
@@ -84,10 +76,17 @@ def run_session(
 ) -> SessionResult:
     """Run the protocol as N communicating parties; the transcript is run_protocol's, bit for bit."""
     require_session(z)
-    transcript = run_protocol(q, z, outcome, seed)
+    return _session_result(run_protocol(q, z, outcome, seed))
+
+
+def _session_result(transcript: Transcript) -> SessionResult:
+    """A protocol run with its ledger and its messages: two bits from party 1 to each of parties 2..N, in order."""
+    z = transcript.final.zsa
     n = z.num_parties
     ledger = ResourceLedger(ebits_consumed=splitting_entropy(z, 1), cbits_total=2 * (n - 1), parties=n)
-    return SessionResult(transcript=transcript, ledger=ledger, messages=_broadcast(transcript.outcome, n))
+    messages = tuple(ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=transcript.outcome.payload)
+                     for k in range(2, n + 1))
+    return SessionResult(transcript=transcript, ledger=ledger, messages=messages)
 
 
 def classical_only_baseline(
@@ -96,7 +95,7 @@ def classical_only_baseline(
     outcome: BellOutcome | None = None,
     zsa: ZsaAmplitudes | None = None,
 ) -> BaselineReport:
-    """Run the protocol's Bell branches and messages on a classically correlated shared state.
+    """Run the protocol's Bell branches and the session's messages on a classically correlated shared state.
 
     The shared state keeps the ZSA populations |c_k|^2 on the one-hot strings
     |x_k> but none of their coherences, so it is separable.  The Bell
@@ -111,8 +110,8 @@ def classical_only_baseline(
     if z.num_parties != 3:
         raise ValueError("the baseline analyzes a two-party output, so it needs three parties")
 
-    transcript = run_protocol(q, z, outcome, seed)
-    final = transcript.final
+    session = run_session(q, z, outcome, seed)
+    final = session.transcript.final
     strings = np.zeros((3, 4), dtype=complex)  # row k: the corrected branch of slot k alone
     strings[np.arange(3), slot_positions(2, final.reference_bit)] = final.slots
     out = strings.T @ strings.conj()  # the sum of |slot><slot|
@@ -121,12 +120,12 @@ def classical_only_baseline(
     off_diag = np.abs(out - np.diag(np.diag(out)))
     marginal_coherences = [float(np.abs(partial_trace(out_dm, [qubit]).entries[0, 1])) for qubit in (1, 2)]
     return BaselineReport(
-        outcome=transcript.outcome,
+        outcome=session.transcript.outcome,
         max_coherence=float(off_diag.max()),
         max_marginal_coherence=max(marginal_coherences),
         entanglement_of_formation=eof_from_concurrence(concurrence(out_dm)),
         ledger=ResourceLedger(ebits_consumed=0.0, cbits_total=4, parties=3),
-        messages=_broadcast(transcript.outcome, 3),
+        messages=session.messages,
     )
 
 

@@ -19,8 +19,8 @@ from qcobweb.linalg import (
     entropy_of_eigenvalues,
     project,
 )
-from qcobweb.protocol import BellOutcome, _require_protocol
-from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state
+from qcobweb.protocol import BELL_VECTORS, BellOutcome, _require_protocol
+from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state, slot_positions
 
 IMPOSSIBLE_PROBABILITY = 1e-14
 
@@ -103,6 +103,16 @@ def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
     """|psi>_a tensor the shared state; particle a is the most significant qubit."""
     _require_protocol(z)
     return tensor(q.state(), build_state(z))
+
+
+def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
+    """One Bell branch the dense way: `joint_state` projected onto the outcome's Bell vector on (a, 1).
+
+    The probability is the correctly rounded sum of the residual's squared parts (its zero cells add exactly); the
+    slots are its cells at `slot_positions(N - 1, 0)`.
+    """
+    _, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
+    return math.fsum((residual.view(np.float64) ** 2).tolist()), residual[slot_positions(z.num_parties - 1, 0)]
 
 
 def project_qubit(state: PureState, k: int, outcome: int) -> tuple[float, PureState]:

@@ -33,7 +33,7 @@ from qcobweb.measures import (
 )
 from qcobweb.protocol import (
     BellOutcome,
-    branch_probabilities,
+    bell_branches,
     cobweb_state,
     normalization_constants,
     run_protocol,
@@ -128,7 +128,7 @@ def test_criterion_05_outcome_statistics():
     worst_pair = 0.0
     for _ in range(1000):
         z = random_zsa(int(rng.integers(3, 7)), rng)
-        probs = branch_probabilities(random_qubit(rng), z)
+        probs, _ = bell_branches(random_qubit(rng), z)
         worst_sum = max(worst_sum, abs(sum(probs.values()) - 1.0))
         worst_pair = max(
             worst_pair,
@@ -136,7 +136,7 @@ def test_criterion_05_outcome_statistics():
             abs(probs[BellOutcome.PSI_PLUS] - probs[BellOutcome.PSI_MINUS]),
         )
     # empirical check: 10^4 seeded draws against the exact distribution
-    probs = branch_probabilities(UnknownQubit(np.pi / 2, 0.3), CUBE)
+    probs, _ = bell_branches(UnknownQubit(np.pi / 2, 0.3), CUBE)
     weights = np.array([probs[o] for o in BellOutcome])
     draws = np.random.default_rng(50505).choice(4, size=10_000, p=weights / weights.sum())
     counts = np.bincount(draws, minlength=4)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcobweb import cli
+from qcobweb import cli, protocol
 from qcobweb.cli import main
 from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.session import run_session
@@ -113,6 +113,15 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert code == 3
     assert err.startswith("input error: ")
     assert not rows.exists()
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["measures"], ["run", "--theta", "1.0"]], ids=lambda a: a[0])
+def test_coefficients_near_the_largest_double_exit_2_with_one_line(capsys, tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"coeffs": [[1e308, 1e308], [1e308, 1e308], [-1e308, 0]]}))
+    code, out, err = run_cli(capsys, *argv, "--coeffs", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ZeroSumViolation: ") and err.count("\n") == 1
 
 
 def test_validate_unknown_generator(capsys):
@@ -590,20 +599,26 @@ def test_amplitude_text_matches_json_dumps_per_cell(cases):
             assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
 
-@pytest.mark.parametrize("name,extra", [("run_protocol", []), ("run_session", ["--session"])])
-def test_run_builds_each_branch_once(capsys, monkeypatch, name, extra):
+def _counted_builds(monkeypatch) -> list:
+    """The outcome of each branch a `run` call corrects, in build order, protocol and session alike."""
     calls = []
-    real = getattr(cli, name)
+    real = cli._transcript
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("outcome"))
-        return real(*args, **kwargs)
+    def counted(q, z, outcome, prob, slots):
+        calls.append(outcome)
+        return real(q, z, outcome, prob, slots)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(cli, "_transcript", counted)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [[], ["--session"]], ids=["protocol", "session"])
+def test_run_builds_each_branch_once(capsys, monkeypatch, extra):
+    calls = _counted_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--trials", "1000", "--seed", "4", *extra)
     assert code == 0
     assert len(out.splitlines()) == 1001
-    assert len(calls) <= 4
+    assert 1 <= len(calls) <= 4
     assert len(set(calls)) == len(calls)
 
 
@@ -653,14 +668,7 @@ def test_run_rejects_negative_seed(capsys, tmp_path, monkeypatch, extra):
 
 
 def _built_outcomes(capsys, monkeypatch, *argv) -> list:
-    calls = []
-    real = cli.run_protocol
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("outcome"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_protocol", counted)
+    calls = _counted_builds(monkeypatch)
     code, _, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", *argv)
     assert code == 0
     return calls
@@ -677,14 +685,37 @@ def test_run_builds_every_branch_whatever_the_draws(capsys, monkeypatch):
 
 
 def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
-    real = cli.branch_probabilities
+    real = cli.bell_branches
 
     def no_psi_minus(q, z):
-        return {**real(q, z), BellOutcome.PSI_MINUS: 0.0}
+        probs, slots = real(q, z)
+        return {**probs, BellOutcome.PSI_MINUS: 0.0}, slots
 
-    monkeypatch.setattr(cli, "branch_probabilities", no_psi_minus)
+    monkeypatch.setattr(cli, "bell_branches", no_psi_minus)
     calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
     assert sorted(calls, key=lambda o: o.value) == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "1"],
+    ["--trials", "1500", "--seed", "4"],
+    ["--outcome", "PsiPlus", "--trials", "3"],
+    ["--trials", "16", "--seed", "5", "--session", "--format", "csv"],
+], ids=["one-trial", "sampled", "forced", "session"])
+def test_run_projects_once_per_call(capsys, monkeypatch, extra):
+    """Every `run` call makes one stacked Bell projection, whichever branches it builds."""
+    calls = []
+    real = protocol.bell_branches
+
+    def counted(q, z):
+        calls.append(z.num_parties)
+        return real(q, z)
+
+    for module in (protocol, cli):
+        monkeypatch.setattr(module, "bell_branches", counted)
+    code, _, _ = run_cli(capsys, "run", "--gen", "roots:6", "--theta", "1.3", *extra)
+    assert code == 0
+    assert calls == [6]
 
 
 def _traced_peak(capsys, path, trials: int, gen: str = "roots:8") -> int:
@@ -902,6 +933,30 @@ def test_scaling_csv(capsys):
     assert float(rows[2]["ebits"]) == pytest.approx(0.8112781244591328, abs=1e-12)
 
 
+def test_scaling_memory_flat_in_max(capsys, tmp_path):
+    """Rows are written as the curve is computed, at most `WRITE_CHUNK` characters at a time, so the peak does not
+    grow with ``--max``; both calls write several chunks."""
+
+    def peak(n_max: int) -> int:
+        path = tmp_path / f"curve-{n_max}.jsonl"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["scaling", "--max", str(n_max), "--output", str(path)])
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        with open(path, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == n_max - 1
+        return top
+
+    peak(100)  # imports and caches outside the measurement
+    small, large = peak(4000), peak(40000)
+    assert large <= 1.5 * small
+
+
 # --- claims ------------------------------------------------------------------------
 
 
@@ -1032,6 +1087,64 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, "scaling", "--max", "3")[0] == 7
     assert built == []
+
+
+_VALID_ARGVS = [
+    ["validate", "--gen", "cube"],
+    ["validate", "--coeffs", "c.json", "--format", "json", "--output", "out.json"],
+    ["run", "--gen", "roots:5", "--theta", "1.1", "--phi", "-0.5", "--trials", "7", "--seed", "3",
+     "--outcome", "PsiPlus", "--session", "--messages", "m.jsonl", "--format=csv"],
+    ["run", "--theta-d", "30", "--gen", "cube"],
+    ["measures", "--gen", "cube"],
+    ["measures", "--coeffs", "c.json", "--theta-deg", "45", "--format", "csv"],
+    ["scaling"],
+    ["scaling", "--max", "10", "--format", "csv"],
+    ["claims"],
+    ["claims", "--format", "json", "--output", "c.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
+def test_main_parses_as_the_full_parser(monkeypatch, argv):
+    """main parses with the subcommand's parser alone, into the namespace the full parser gives."""
+    seen, progs = [], []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(argv) == 0
+    assert progs == [f"qcobweb {argv[0]}"]
+    assert vars(seen[0]) == vars(cli.build_parser()[0].parse_args(argv))
+
+
+def _exit(capsys, parse, argv) -> tuple:
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--gen", "cube", "--theta", "1.0", "--bogus"],
+    ["run", "--gen", "cube"],
+    ["measures", "--gen", "cube", "--format", "xml"],
+    ["run", "--gen", "cube", "--theta", "1.0", "--theta-deg", "30"],
+    ["run", "-h"],
+    ["validate", "--gen", "cube", "stray", "--bogus=1", "-x"],
+    ["scaling", "--max", "3", "--", "x"],
+    ["run", "--gen", "cube", "--the", "1.0"],
+    [],
+    ["-h"],
+    ["bogus", "--gen", "cube"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_fails_as_the_full_parser(capsys, argv):
+    """A bad argv exits with the full parser's code and its stdout and stderr bytes."""
+    expected = _exit(capsys, cli.build_parser()[0].parse_args, argv)
+    assert _exit(capsys, main, argv) == expected
 
 
 # --- package surface ----------------------------------------------------------------

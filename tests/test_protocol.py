@@ -17,8 +17,7 @@ from qcobweb.protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
-    bell_projection,
-    branch_probabilities,
+    bell_branches,
     cobweb_state,
     draw_outcome_block,
     normalization_constants,
@@ -40,6 +39,7 @@ from oracles import (
     CORRECTION_GATES,
     I_SIGMA_Y,
     basis_state,
+    bell_projection,
     equal_up_to_global_phase,
     is_product_state,
     joint_state,
@@ -84,9 +84,10 @@ def test_bell_resolution_matches_gate_twisted_targets():
     for _ in range(25):
         z = random_zsa(3, rng)
         q = random_qubit(rng)
+        probs, branch_slots = bell_branches(q, z)
         for outcome in BellOutcome:
             twisted = target_vector(CORRECTION_GATES[outcome].conj().T @ q.vector(), z, 0)
-            prob, slots = bell_projection(q, z, outcome)
+            prob, slots = probs[outcome], branch_slots[outcome]
             residual = np.zeros(4, dtype=complex)
             residual[slot_positions(2, 0)] = slots
             residual = PureState(2, residual / np.sqrt(prob))
@@ -112,10 +113,11 @@ def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
     the slot sum bit for bit; the BLAS ``vdot`` of the same residual must agree with it within a few ULP.
     """
     n = z.num_parties
+    probs, branch_slots = bell_branches(q, z)
     for outcome in BellOutcome:
         dense_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
         oracle_prob = math.fsum((residual.view(np.float64) ** 2).tolist())  # the zero cells add exactly
-        prob, slots = bell_projection(q, z, outcome)
+        prob, slots = probs[outcome], branch_slots[outcome]
         assert slots.shape == (n,)  # N slots at every N, not a 2^(N-1) residual
         assert slots.tolist() == residual[slot_positions(n - 1, 0)].tolist()
         assert prob == oracle_prob
@@ -154,10 +156,24 @@ def test_one_hot_branches_match_dense_oracle_bitwise(n):
                 _assert_branches_match_dense_oracle(UnknownQubit(theta, phi), z)
 
 
+@pytest.mark.parametrize("n", range(3, MAX_DENSE_QUBITS + 1))
+def test_bell_branches_match_the_dense_per_outcome_oracle(n):
+    """One stacked `bell_branches` call against four dense per-outcome projections of `joint_state`, bit for bit:
+    every probability and every slot's real and imaginary part, sign of zero included."""
+    rng = np.random.default_rng(4000 + n)
+    q, z = random_qubit(rng), random_zsa(n, rng)
+    probs, slots = bell_branches(q, z)
+    assert list(probs) == list(slots) == list(BellOutcome)
+    for outcome in BellOutcome:
+        oracle_prob, oracle_slots = bell_projection(q, z, outcome)
+        assert probs[outcome] == oracle_prob
+        assert slots[outcome].view(np.int64).tolist() == oracle_slots.view(np.int64).tolist(), outcome
+
+
 def _assert_product_flag_matches_dense_oracle(q: UnknownQubit, z) -> None:
     """The slot product flag against `is_product_state` of the dense view, and each small eigenvalue against
     ``eigvalsh`` of its dense marginal.  Near 1/2 both are ill-conditioned, so larger ones go unbounded."""
-    probs = branch_probabilities(q, z)
+    probs, _ = bell_branches(q, z)
     for outcome in BellOutcome:
         if probs[outcome] < DEGENERATE_PROBABILITY:
             continue
@@ -198,7 +214,7 @@ def test_branch_probabilities_sum_and_pairing():
         n = int(rng.integers(3, 7))
         z = random_zsa(n, rng)
         q = random_qubit(rng)
-        probs = branch_probabilities(q, z)
+        probs, _ = bell_branches(q, z)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert probs[BellOutcome.PHI_PLUS] == pytest.approx(probs[BellOutcome.PHI_MINUS], abs=1e-12)
         assert probs[BellOutcome.PSI_PLUS] == pytest.approx(probs[BellOutcome.PSI_MINUS], abs=1e-12)
@@ -213,7 +229,7 @@ def test_psi_branch_probability_closed_form():
         closed = (
             abs(c2) ** 2 + abs(c3) ** 2 + 2 * q.alpha**2 * (np.conj(c2) * c3).real
         ) / 2
-        probs = branch_probabilities(q, z)
+        probs, _ = bell_branches(q, z)
         assert probs[BellOutcome.PSI_MINUS] == pytest.approx(closed, abs=1e-12)
         n_alpha, _ = normalization_constants(q, z)
         assert probs[BellOutcome.PSI_MINUS] == pytest.approx(1 / (2 * n_alpha**2), abs=1e-12)
@@ -423,7 +439,7 @@ def test_sampling_requires_seed():
 def test_sampled_outcome_is_generator_choice():
     """A sampled run draws its outcome as ``Generator.choice`` does on ``default_rng(seed)``, seed by seed."""
     q = UnknownQubit(1.0, 0.4)
-    probs = branch_probabilities(q, CUBE)
+    probs, _ = bell_branches(q, CUBE)
     w = np.array([probs[o] for o in BellOutcome])
     for seed in [*range(2000), *BLOCK_SEEDS]:
         expected = int(np.random.default_rng(seed).choice(4, p=w / w.sum()))
@@ -432,7 +448,7 @@ def test_sampled_outcome_is_generator_choice():
 
 def test_sampling_frequencies():
     q = UnknownQubit(np.pi / 3, 0.2)
-    probs = branch_probabilities(q, CUBE)
+    probs, _ = bell_branches(q, CUBE)
     rng = np.random.default_rng(777)
     counts = {o: 0 for o in BellOutcome}
     trials = 4000

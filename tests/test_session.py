@@ -11,8 +11,7 @@ from qcobweb.linalg import DensityMatrix, PureState, apply_gate
 from qcobweb.protocol import (
     BELL_VECTORS,
     BellOutcome,
-    bell_projection,
-    branch_probabilities,
+    bell_branches,
     cobweb_state,
     run_protocol,
 )
@@ -85,9 +84,10 @@ def test_delivery_order_does_not_matter():
     for z in (CUBE, random_zsa(5, rng)):
         q = random_qubit(rng)
         remote = list(range(1, z.num_parties))
+        probs, branch_slots = bell_branches(q, z)
         for outcome in BellOutcome:
             reference = run_session(q, z, outcome=outcome).transcript.final.vector.amplitudes
-            prob, slots = bell_projection(q, z, outcome)
+            prob, slots = probs[outcome], branch_slots[outcome]
             residual = np.zeros(2 ** (z.num_parties - 1), dtype=complex)
             residual[slot_positions(z.num_parties - 1, 0)] = slots
             residual = PureState(z.num_parties - 1, residual / np.sqrt(prob))
@@ -199,7 +199,7 @@ def test_baseline_matches_density_matrix_simulation(monkeypatch):
     for z in (CUBE, *(random_zsa(3, rng) for _ in range(40))):
         for theta in (0.0, np.pi, *np.arccos(1.0 - 2.0 * rng.random(2))):
             q = UnknownQubit(float(theta), float(2.0 * np.pi * rng.random()))
-            probs = branch_probabilities(q, z)
+            probs, _ = bell_branches(q, z)
             for outcome in BellOutcome:
                 oracle_probs, oracle_out = _density_matrix_control(q, z, outcome)
                 assert abs(probs[outcome] - oracle_probs[outcome]) <= 1e-15

@@ -18,6 +18,7 @@ from qcobweb.states import (
     ZeroSumViolation,
     ZsaAmplitudes,
     build_state,
+    coefficients_from_document,
     epr_zsa,
     load_amplitudes,
     random_zsa,
@@ -56,6 +57,16 @@ def test_normalization_violation():
 def test_zero_amplitude():
     with pytest.raises(ZeroAmplitude):
         ZsaAmplitudes([S2, -S2, 0.0])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1e308 + 1e308j, 1e308 + 1e308j, -1e308],  # the sum overflows to inf
+    [1e308, -1e308, 1e-3, 1e-3, 1e308, -1e308, 1e-3, 1e-3],  # numpy's pairwise sum meets inf - inf: nan
+], ids=["inf-sum", "nan-sum"])
+def test_coefficients_near_the_largest_double_fail_the_zero_sum_check(coeffs):
+    """Finite parts whose sum overflows raise a `ZeroSumViolation`, not numpy's RuntimeWarning (an error here)."""
+    with pytest.raises(ZeroSumViolation, match="coefficients sum to"):
+        ZsaAmplitudes(coeffs)
 
 
 def test_too_short():
@@ -280,6 +291,37 @@ def test_malformed_amplitude_documents(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(AmplitudeFileError):
         load_amplitudes(path)
+
+
+_PAIR = b"[0.7071067811865476, 0]", b"[-0.7071067811865476, 0]"  # the EPR coefficients, a valid document's
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"coeffs": [%s, %s]}' % _PAIR,
+    b'{"coeffs":\r\n [%s,\r\n %s]}\r\n' % _PAIR,
+    b'\xef\xbb\xbf{"coeffs": [%s, %s]}' % _PAIR,
+    b'\xff\xfe{"coeffs": [[1, 0]]}',
+    b'{"coeffs": [["\xc3\xa9", 0]]} \xe9',
+    b'{"coeffs":\r\n [%s,\r\n %s\r\n' % _PAIR,
+    b'{"coeffs":\r [%s,\r %s %s]}' % (*_PAIR, _PAIR[0]),
+    b'{"coeffs": [["a\rb", 0]]}',
+    b'{"coeffs": [%s\n\r\n\r, %s]] ' % _PAIR,
+    b"",
+], ids=["plain", "crlf", "bom", "not-utf8", "bad-byte-late", "crlf-truncated", "cr-missing-comma",
+        "cr-in-string", "mixed-newlines", "empty"])
+def test_load_amplitudes_reads_as_text_mode_json_load(tmp_path, raw):
+    """The one-read byte loader against text-mode ``json.load``: the same coefficients, or the same error text."""
+    path = tmp_path / "coeffs.json"
+    path.write_bytes(raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        with pytest.raises(AmplitudeFileError) as err:
+            load_amplitudes(path)
+        assert str(err.value) == str(exc)
+    else:
+        assert load_amplitudes(path).coeffs.tolist() == coefficients_from_document(doc).tolist()
 
 
 def test_roots_of_unity_large_register_still_validates():
