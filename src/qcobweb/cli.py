@@ -9,6 +9,9 @@ Subcommands:
 * ``claims``    reference numeric claims vs computed values, pass/flag status
 
 A call parses its arguments once, with its subcommand's own parser (`main`).
+A `run` call reads all four Bell branches from one `protocol.bell_table` and
+renders each branch's row at most once, as one join of its scalars, its N
+slot cells and the cached zero runs between them (`_branch_row`).
 Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or malformed
 input.  Output is plain text or machine-readable JSON/CSV; no color is ever
 emitted, so NO_COLOR is honored trivially.
@@ -25,7 +28,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -49,21 +51,15 @@ from .measures import (
 from .protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
+    BellTable,
     Transcript,
-    _transcript,
-    bell_branches,
+    bell_table,
     cobweb_state,
     draw_outcome_block,
     normalization_constants,
     run_protocol,
 )
-from .session import (
-    ResourceLedger,
-    _session_result,
-    classical_only_baseline,
-    messages_to_jsonl,
-    require_session,
-)
+from .session import classical_only_baseline, message_log, require_session, resource_ledger
 from .states import (
     AmplitudeFileError,
     UnknownQubit,
@@ -76,7 +72,6 @@ from .states import (
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
-    slot_positions,
 )
 
 EXIT_OK = 0
@@ -132,6 +127,15 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _refuse_overwriting_coeffs(args, *options: str) -> None:
+    """Exit 2 before any file opens when one of these output options names the ``--coeffs`` file, which writing
+    would overwrite before, or while, it is read."""
+    for option in options:
+        path = getattr(args, option)
+        if path and args.coeffs is not None and _same_file(path, args.coeffs):
+            raise ValueError(f"--{option} and --coeffs name the same file")
+
+
 def _render_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -168,6 +172,7 @@ def _csv_lines(header, rows):
 
 def cmd_validate(args) -> int:
     """The four figures of a valid source: plain lines, one JSON object, or ``key,value`` rows."""
+    _refuse_overwriting_coeffs(args, "output")
     z = _resolve_source(args)
     figures = {
         "parties": z.num_parties,
@@ -191,67 +196,62 @@ def cmd_validate(args) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _zero_run(csv_cells: bool, count: int) -> str:
-    """``count`` zero pairs, each followed by its separator; only the last format and count are kept."""
-    return ("0.0,0.0," if csv_cells else "[0.0, 0.0], ") * count
+def _zero_runs(n: int, csv_cells: bool) -> tuple[str, ...]:
+    """Run j, for j < n, is 2^j - 1 zero cells, each after its separator: every gap between the slots of an
+    n-qubit output, for either reference bit, in fewer than its 2^n cells of text.  Only the last register and
+    format are kept, so a wide call pins nothing past it."""
+    zero = ",0.0,0.0" if csv_cells else ", [0.0, 0.0]"
+    return tuple(zero * ((1 << j) - 1) for j in range(n))
 
 
-def _amplitude_text(slots: np.ndarray, reference_bit: int, csv_cells: bool) -> str:
-    """A `CobwebState`'s dense amplitudes as CSV cells ``re,im,...`` or JSON pairs ``[[re, im], ...]``.
+def _amplitude_parts(slots: np.ndarray, reference_bit: int, csv_cells: bool) -> list[str]:
+    """The parts whose join is a `CobwebState`'s dense amplitudes, as CSV cells ``,re,im,...`` (each after its
+    separator, as after a row's scalar cells) or the inside of the JSON list ``[re, im], ...``.
 
-    Each cell reads as ``json.dumps(float(x))``.  Only the N slots are formatted, in ascending basis position
-    (``str.format`` writes a float as its ``repr``, as ``json.dumps`` does a finite one); the zero runs between
-    them are slices of one cached string, so the cost is set by N, not by 2^(N-1).
+    Each cell reads as ``json.dumps(float(x))``.  Only the N slots are formatted (``str.format`` writes a float as
+    its ``repr``, as ``json.dumps`` does a finite one); the zero cells between them are runs of `_zero_runs`, so
+    the cost is set by N, not by 2^(N-1).  For reference bit 0, slot 0 sits at basis position 0 and slot n - j at
+    2^j, followed by run j; reference bit 1 puts each at 2^n - 1 minus that position, so its parts come in reverse.
     """
     n = slots.size - 1
-    cell, sep = ("{},{}", ",") if csv_cells else ("[{}, {}]", ", ")
-    zeros = _zero_run(csv_cells, 1 << n)
-    width = len(zeros) >> n
-    parts, done = [], 0
-    for k, pair in sorted(zip(slot_positions(n, reference_bit), slots.view(np.float64).reshape(-1, 2).tolist())):
-        parts += [zeros[: (k - done) * width], cell.format(*pair), sep]
-        done = k + 1
-    parts.append(zeros[: ((1 << n) - done) * width])
-    text = "".join(parts)[: -len(sep)]
-    return text if csv_cells else f"[{text}]"
+    sep, cell = (",", ",{},{}") if csv_cells else (", ", ", [{}, {}]")
+    cells = [cell.format(*pair) for pair in slots.view(np.float64).reshape(-1, 2).tolist()]
+    runs = _zero_runs(n, csv_cells)
+    parts = [cells[0]]
+    for slot_cell, run in zip(cells[:0:-1], runs):
+        parts.append(slot_cell)
+        if run:
+            parts.append(run)
+    if reference_bit:
+        parts.reverse()
+    if not csv_cells:  # a JSON list has no separator before its first cell
+        if reference_bit and n >= 2:  # the first part is run n - 1: one zero cell, then run n - 2 twice
+            parts[:1] = ["[0.0, 0.0]", runs[n - 2], runs[n - 2]]
+        else:
+            parts[0] = parts[0][len(sep):]
+    return parts
 
 
 @functools.lru_cache(maxsize=1)
-def _amplitude_names(count: int) -> str:
-    """``amp0_re,amp0_im,...`` for ``count`` amplitudes; only the last count is kept, so a wide call pins nothing."""
-    return ",".join(f"amp{i}_re,amp{i}_im" for i in range(count))
+def _csv_header(num_parties: int) -> str:
+    """The header line of a `run` call's CSV rows; only the last party count is kept, so a wide call pins nothing
+    past it.  Like the amplitude cells, the scalar field and ``amp{i}_re`` names need no quoting."""
+    names = ",".join(f"amp{i}_re,amp{i}_im" for i in range(2 ** (num_parties - 1)))
+    return ",".join(["trial", *Transcript.SCALAR_FIELDS, "product_state", names]) + "\n"
 
 
-def _csv_header(transcript: Transcript) -> str:
-    """The header line; like the amplitude cells, the generated ``amp{i}_re`` names need no quoting."""
-    amps = _amplitude_names(2 ** (transcript.final.zsa.num_parties - 1))
-    return _csv_line(["trial", *transcript.scalar_fields(), "product_state"])[:-1] + "," + amps + "\n"
-
-
-@dataclasses.dataclass(frozen=True)
-class _Branch:
-    """What every trial that lands on one Bell branch writes."""
-
-    transcript: Transcript
-    tail: str  # serialized row after the trial index, newline included
-    messages: str  # the session's message log as JSON lines, newline-ended; empty without --session
-    ledger: ResourceLedger | None
-
-
-def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome, prob: float, slots) -> _Branch:
-    """Correct one projected branch and serialize its row once for the whole call, from the output's N slots."""
-    transcript, ledger, messages = _transcript(q, z, outcome, prob, slots), None, ""
-    if args.session:
-        result = _session_result(transcript)
-        ledger, messages = result.ledger, messages_to_jsonl(result.messages) + "\n"
+def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
+    """What every trial that lands on ``outcome`` writes after its trial index, newline included: one join of the
+    branch's scalars, its amplitude parts and its product flag.  No scalar cell holds a comma, quote or newline,
+    so CSV quotes none."""
+    transcript = table.transcript(outcome)
     scalars, final = transcript.scalar_fields(), transcript.final
-    product = int(final.is_product())
-    amps = _amplitude_text(final.slots, final.reference_bit, args.format == "csv")
-    if args.format == "csv":
-        tail = "," + _csv_line(map(_render_cell, [*scalars.values(), product]))[:-1] + "," + amps + "\n"
-    else:
-        tail = f", {json.dumps(scalars)[1:-1]}, \"final_state\": {amps}, \"product_state\": {product}}}\n"
-    return _Branch(transcript, tail, messages, ledger)
+    product = int(table.products[outcome.value])
+    amplitudes = _amplitude_parts(final.slots, final.reference_bit, csv_cells)
+    if csv_cells:
+        return "".join([",", ",".join(map(_render_cell, [*scalars.values(), product])), *amplitudes, "\n"])
+    return "".join([", ", json.dumps(scalars)[1:-1], ', "final_state": [', *amplitudes,
+                    f'], "product_state": {product}}}\n'])
 
 
 # Trials per block draw.  A block costs about 16 us of fixed numpy work plus 0.04 us and, at its peak, 16 B per
@@ -259,18 +259,18 @@ def _build_branch(args, z: ZsaAmplitudes, q: UnknownQubit, outcome: BellOutcome,
 DRAW_BLOCK = 1024
 
 
-def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
-    """(first trial, outcome values) per block: trial 0 on its own, then up to `DRAW_BLOCK` trials at a time.
+def _outcome_blocks(probs: np.ndarray, seed: int, trials: int, forced: BellOutcome | None):
+    """(first trial, outcome values array) per block: trial 0 on its own, then up to `DRAW_BLOCK` trials at a time.
 
     A sampled call draws trial t from the t-th double of ``default_rng(seed)``.  Trial 0 is a block of one, so the
     first row waits for one draw only.
     """
     rng = np.random.default_rng(seed) if forced is None else None
-    yield 0, [forced.value] if forced is not None else draw_outcome_block(probs, rng, 1).tolist()
+    yield 0, np.full(1, forced.value) if forced is not None else draw_outcome_block(probs, rng, 1)
     for start in range(1, trials, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, trials)
-        yield start, ([forced.value] * (stop - start) if forced is not None
-                      else draw_outcome_block(probs, rng, stop - start).tolist())
+        yield start, (np.full(stop - start, forced.value) if forced is not None
+                      else draw_outcome_block(probs, rng, stop - start))
 
 
 def _chunks(count: int, longest: int):
@@ -281,14 +281,15 @@ def _chunks(count: int, longest: int):
 
 
 def cmd_run(args) -> int:
-    """Stream one row per trial; each Bell branch is run and serialized once per call, from its N slots.
+    """Stream one row per trial; the four Bell branches come from one `bell_table` call, each rendered once.
 
-    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome, all four from one
-    `bell_branches` call.  Trials are drawn in `_outcome_blocks` and written in chunks of at most `WRITE_CHUNK`
+    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome.  Trials are drawn in
+    `_outcome_blocks`, counted with one ``np.bincount`` per block, and written in chunks of at most `WRITE_CHUNK`
     characters, each row copied at most once, so a call holds one block's draw buffers and one chunk of text,
-    whatever `--trials`.  The first
-    trial builds only the branch it lands on; a sampled call of at least four trials then builds every
-    other branch that would not raise `DegenerateBranch`, so its cost does not depend on the draws.
+    whatever `--trials`.  The first trial renders only the branch it lands on; a sampled call of at least four
+    trials then renders every other branch that would not raise `DegenerateBranch`, so its cost does not depend on
+    the draws.  With `--session`, each rendered branch's message log is rendered once from its payload, and the
+    ledger once per call.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -298,53 +299,62 @@ def cmd_run(args) -> int:
         raise ValueError("--messages requires --session")
     if args.messages and args.output and _same_file(args.messages, args.output):
         raise ValueError("--messages and --output name the same file")
+    _refuse_overwriting_coeffs(args, "output", "messages")
     z = _resolve_source(args)
     q = _qubit_from_args(args)
     if args.session:
         require_session(z)
-    probs, slots = bell_branches(q, z)
+    table = bell_table(q, z)
+    probs = table.probabilities
     forced = BellOutcome.from_label(args.outcome) if args.outcome else None
-    if forced is not None and probs[forced] < DEGENERATE_PROBABILITY:
-        raise ValueError(f"forced outcome {forced.label} has probability {probs[forced]:.3e}")
-    lead = '{"trial": ' if args.format != "csv" else ""
-    branches: list[_Branch | None] = [None] * len(BellOutcome)  # by outcome value
-    counts: Counter = Counter()
+    if forced is not None and probs[forced.value] < DEGENERATE_PROBABILITY:
+        raise ValueError(f"forced outcome {forced.label} has probability {probs[forced.value]:.3e}")
+    csv_cells = args.format == "csv"
+    lead = "" if csv_cells else '{"trial": '
+    rows: list = [None] * len(BellOutcome)  # by outcome value: the row after the trial index
+    logs: list = [None] * len(BellOutcome)  # by outcome value: the message log, with --messages
+    totals = np.zeros(len(BellOutcome), dtype=np.int64)
     with contextlib.ExitStack() as stack:
         log = stack.enter_context(open(args.messages, "w", encoding="utf-8")) if args.messages else None
         out = stack.enter_context(open(args.output, "w", encoding="utf-8")) if args.output else sys.stdout
-        for start, values in _outcome_blocks(probs, args.seed, args.trials, forced):
-            drawn = sorted(set(values))
+
+        def render(value: int) -> None:
+            if rows[value] is None:
+                rows[value] = _branch_row(table, BellOutcome(value), csv_cells)
+                if log is not None:
+                    logs[value] = message_log(z.num_parties, value)
+
+        for start, block in _outcome_blocks(probs, args.seed, args.trials, forced):
+            counts = np.bincount(block, minlength=len(BellOutcome))
+            totals += counts
+            drawn = [value for value, count in enumerate(counts.tolist()) if count]
             for value in drawn:
-                if branches[value] is None:
-                    outcome = BellOutcome(value)
-                    branches[value] = _build_branch(args, z, q, outcome, probs[outcome], slots[outcome])
-            if start == 0 and args.format == "csv":
-                out.write(_csv_header(branches[values[0]].transcript))
-            tails = {value: branches[value].tail for value in drawn}
-            longest = len(lead) + len(str(start + len(values) - 1)) + max(map(len, tails.values()))
+                render(value)
+            values = block.tolist()
+            if start == 0 and csv_cells:
+                out.write(_csv_header(z.num_parties))
+            longest = len(lead) + len(str(start + len(values) - 1)) + max(len(rows[value]) for value in drawn)
             for i, j in _chunks(len(values), longest):
-                parts = [lead] * (3 * (j - i))  # lead, trial, tail per row
+                parts = [lead] * (3 * (j - i))  # lead, trial, row per trial
                 parts[1::3] = map(str, range(start + i, start + j))
-                parts[2::3] = map(tails.__getitem__, values[i:j])
-                out.write("".join(parts[:-1]))  # the last tail goes on its own, so a row wider than a chunk
-                out.write(parts[-1])  # is written without a copy of its branch's tail
+                parts[2::3] = map(rows.__getitem__, values[i:j])
+                out.write("".join(parts[:-1]))  # the last row goes on its own, so a row wider than a chunk
+                out.write(parts[-1])  # is written without a copy
             if log is not None:
-                lines = {value: branches[value].messages for value in drawn}
-                for i, j in _chunks(len(values), max(map(len, lines.values()))):
-                    log.write("".join([lines[value] for value in values[i:j]]))
-            counts.update(values)
+                for i, j in _chunks(len(values), max(len(logs[value]) for value in drawn)):
+                    log.write("".join(map(logs.__getitem__, values[i:j])))
             if start == 0 and forced is None and args.trials >= len(BellOutcome):
-                for other in BellOutcome:
-                    if branches[other.value] is None and probs[other] >= DEGENERATE_PROBABILITY:
-                        branches[other.value] = _build_branch(args, z, q, other, probs[other], slots[other])
+                for value in range(len(BellOutcome)):
+                    if probs[value] >= DEGENERATE_PROBABILITY:
+                        render(value)
 
         summary = {"trials": args.trials, "seed": args.seed}
+        counts = totals.tolist()  # Python ints, so each frequency is an int division
         for outcome in BellOutcome:
             summary[f"empirical_{outcome.label}"] = counts[outcome.value] / args.trials
-            summary[f"expected_{outcome.label}"] = probs[outcome]
-        ledger = next(branch.ledger for branch in branches if branch is not None)
-        if ledger is not None:  # a session's ledger is the same on every branch
-            summary.update(dataclasses.asdict(ledger))
+            summary[f"expected_{outcome.label}"] = float(probs[outcome.value])
+        if args.session:
+            summary.update(dataclasses.asdict(resource_ledger(z)))
         if args.format == "csv":
             out.write(f"# summary: {json.dumps(summary)}\n")
         else:
@@ -412,6 +422,7 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
 
 
 def cmd_measures(args) -> int:
+    _refuse_overwriting_coeffs(args, "output")
     z = _resolve_source(args)
     q = _qubit_from_args(args)
     report = _measures_report(z, q)

@@ -15,6 +15,10 @@ reference state:
 Bell basis: Phi+- = (|00> +- |11>)/sqrt2, Psi+- = (|01> +- |10>)/sqrt2, and
 sigma_y = [[0, -i], [i, 0]] so that i*sigma_y|0> = -|1>, i*sigma_y|1> = |0>.
 Protocol outputs are defined up to global phase.
+
+One `bell_table` call projects all four branches of a (qubit, shared state)
+pair, normalizes and corrects them, and flags the product outputs; every run
+of the protocol, sampled or forced, reads its branch from that table.
 """
 from __future__ import annotations
 
@@ -102,23 +106,24 @@ class CobwebState:
         amplitudes[slot_positions(self.slots.size - 1, self.reference_bit)] = self.slots
         return PureState(self.slots.size - 1, amplitudes)
 
-    def min_marginal_eigenvalues(self) -> np.ndarray:
-        """The smaller eigenvalue of each qubit j's marginal, d_j / (1/2 + sqrt(1/4 - d_j)) without cancellation.
 
-        The marginal holds |a_j|^2 on the flipped bit and a_0 a_j*, so d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2."""
-        flips = (self.slots[1:] * self.slots[1:].conj()).real
-        det = flips * (flips.sum() - flips)
-        return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
+def min_marginal_eigenvalues(slots: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue of each qubit j's marginal, d_j / (1/2 + sqrt(1/4 - d_j)) without cancellation, for
+    every output held as its N slots along the last axis of ``slots``.
 
-    def is_product(self) -> bool:
-        """True iff every single-qubit marginal is pure within `PRODUCT_TOL`, as the dense oracle says of `vector`."""
-        return bool(self.min_marginal_eigenvalues().max() <= PRODUCT_TOL)
+    The marginal holds |a_j|^2 on the flipped bit and a_0 a_j*, so d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2."""
+    flipped = slots[..., 1:]
+    flips = (flipped * flipped.conj()).real
+    det = flips * (flips.sum(axis=-1, keepdims=True) - flips)
+    return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """Record of one protocol run."""
 
+    SCALAR_FIELDS = ("outcome", "payload", "probability", "cbits_sent", "parties_notified", "reference_bit",
+                     "norm_constant")  # the keys of `scalar_fields`, in order
     outcome: BellOutcome
     outcome_probability: float
     cbits_sent: int
@@ -127,15 +132,9 @@ class Transcript:
 
     def scalar_fields(self) -> dict:
         """Every field of `to_dict` but ``final_state``, in the same order."""
-        return {
-            "outcome": self.outcome.label,
-            "payload": self.outcome.payload,
-            "probability": self.outcome_probability,
-            "cbits_sent": self.cbits_sent,
-            "parties_notified": self.parties_notified,
-            "reference_bit": self.final.reference_bit,
-            "norm_constant": self.final.norm_constant,
-        }
+        return dict(zip(self.SCALAR_FIELDS, (self.outcome.label, self.outcome.payload, self.outcome_probability,
+                                             self.cbits_sent, self.parties_notified, self.final.reference_bit,
+                                             self.final.norm_constant)))
 
     def to_dict(self) -> dict:
         pairs = [[float(a.real), float(a.imag)] for a in self.final.vector.amplitudes]
@@ -149,8 +148,48 @@ def _require_protocol(z: ZsaAmplitudes) -> None:
         raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
 
 
-def bell_branches(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[dict[BellOutcome, float], dict[BellOutcome, np.ndarray]]:
-    """Party 1's Bell measurement on (a, 1): each outcome's Born probability and unnormalized N slots of parties 2..N.
+@functools.lru_cache(maxsize=MAX_DENSE_QUBITS)
+def _sign_rows(n: int) -> np.ndarray:
+    """Each outcome's correction of an n-qubit output on its N = n + 1 slots, by outcome value: the gate takes |0>
+    to e_r |r> and |1> to e_f |1 - r> (`CORRECTIONS`), so every slot keeps its kind, the all-r string getting e_r^n
+    and a single flip e_r^(n-1) e_f."""
+    signs = np.array([[e_ref**n, *[e_ref ** (n - 1) * e_flip] * n] for _, e_ref, e_flip in CORRECTIONS.values()],
+                     dtype=float)
+    signs.setflags(write=False)
+    return signs
+
+
+@dataclass(frozen=True, eq=False)
+class BellTable:
+    """Every branch of party 1's Bell measurement for one (qubit, shared state) pair, normalized and corrected.
+
+    Row ``o.value`` of each array belongs to outcome ``o``.  ``slots`` (4, N) holds each output's N slots of
+    reference bit ``CORRECTIONS[o][0]``, as `CobwebState.slots` does; a row whose probability is below
+    `DEGENERATE_PROBABILITY` is left unnormalized, and nothing reads it.  ``products`` flags the outputs whose
+    single-qubit marginals are all pure within `PRODUCT_TOL`, as the dense oracle says of `CobwebState.vector`.
+    """
+
+    qubit: UnknownQubit
+    zsa: ZsaAmplitudes
+    probabilities: np.ndarray
+    slots: np.ndarray
+    products: np.ndarray
+    norm_constants: tuple[float, float]  # N(alpha), N(beta): those of reference bits 0 and 1
+
+    def transcript(self, outcome: BellOutcome) -> Transcript:
+        """The run that lands on ``outcome``: a view of its row.  Raises `DegenerateBranch` on a degenerate row."""
+        prob = float(self.probabilities[outcome.value])
+        if prob < DEGENERATE_PROBABILITY:
+            raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
+        reference_bit = CORRECTIONS[outcome][0]
+        final = CobwebState(reference_bit=reference_bit, zsa=self.zsa, qubit=self.qubit,
+                            slots=self.slots[outcome.value], norm_constant=self.norm_constants[reference_bit])
+        return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
+                          parties_notified=self.zsa.num_parties - 1, final=final)
+
+
+def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
+    """Party 1's Bell measurement on (a, 1) and the remote corrections, for all four outcomes at once, in O(N).
 
     Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
     only where one of them, party k, is 1 (c_k), so each residual lives on the
@@ -159,25 +198,34 @@ def bell_branches(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[dict[BellOutcome, 
     shared state makes, taken once for all four outcomes.  Each probability is
     the correctly rounded sum of its branch's 2N squared parts, so it depends on
     the slots alone and on no BLAS kernel.
+
+    One divide by the square roots of the probabilities normalizes every branch, and one multiply by
+    `_sign_rows` corrects it.  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
     """
     _require_protocol(z)
-    products = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
-    projected = (_BELL_CONJ * products).sum(axis=1)  # [outcome, bit of party 1, k]
+    outer = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
+    projected = (_BELL_CONJ * outer).sum(axis=1)  # [outcome, bit of party 1, k]
     slots = projected[:, 0]
     slots[:, 0] = projected[:, 1, 0]
-    return ({o: math.fsum((row.view(np.float64) ** 2).tolist()) for o, row in zip(BellOutcome, slots)},
-            dict(zip(BellOutcome, slots)))
+    probs = np.array([math.fsum(parts) for parts in (slots.view(np.float64) ** 2).tolist()])
+    scale = np.where(probs >= DEGENERATE_PROBABILITY, np.sqrt(probs), 1.0)  # so a degenerate row raises no warning
+    slots = slots / scale[:, None] * _sign_rows(z.num_parties - 1) + 0.0
+    for array in (probs, slots):
+        array.setflags(write=False)  # every transcript of the table views them
+    products = min_marginal_eigenvalues(slots).max(axis=-1) <= PRODUCT_TOL
+    return BellTable(qubit=q, zsa=z, probabilities=probs, slots=slots, products=products,
+                     norm_constants=normalization_constants(q, z))
 
 
-def draw_outcome_block(probs: dict[BellOutcome, float], rng: np.random.Generator, count: int) -> np.ndarray:
-    """The outcome values of ``count`` successive ``rng.choice(4, p=weights / weights.sum())`` calls, bit for bit.
+def draw_outcome_block(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The outcome values of ``count`` successive ``rng.choice(4, p=probs / probs.sum())`` calls, bit for bit.
 
-    Takes ``count`` doubles from ``rng`` at once, one per draw as `Generator.choice`
-    does, and inverts its CDF on them.  The probabilities are taken as valid:
-    unlike `Generator.choice`, this does not check them.
+    ``probs`` holds the four weights by outcome value.  Takes ``count`` doubles
+    from ``rng`` at once, one per draw as `Generator.choice` does, and inverts
+    its CDF on them.  The probabilities are taken as valid: unlike
+    `Generator.choice`, this does not check them.
     """
-    weights = np.array([probs[o] for o in BellOutcome])
-    cdf = (weights / weights.sum()).cumsum()
+    cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(count), side="right")
 
@@ -219,38 +267,14 @@ def target_vector(qubit_vector: np.ndarray, z: ZsaAmplitudes, reference_bit: int
     return amps
 
 
-def _cobweb(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int, slots: np.ndarray) -> CobwebState:
-    """An output state with its closed-form constant: N(beta) for reference bit 1, else N(alpha)."""
-    n_alpha, n_beta = normalization_constants(q, z)
+def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> CobwebState:
+    """Build the normalized output state directly from its definition: the slots of the dense target, with its
+    closed-form constant, N(beta) for reference bit 1, else N(alpha)."""
+    raw = target_vector(q.vector(), z, reference_bit)
+    slots = raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw)
     slots.setflags(write=False)  # `CobwebState.vector` is built from them once
     return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, slots=slots,
-                       norm_constant=n_beta if reference_bit else n_alpha)
-
-
-def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> CobwebState:
-    """Build the normalized output state directly from its definition: the slots of the dense target."""
-    raw = target_vector(q.vector(), z, reference_bit)
-    return _cobweb(q, z, reference_bit, raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw))
-
-
-def apply_correction(slots: np.ndarray, outcome: BellOutcome) -> np.ndarray:
-    """The outcome's correction on every qubit of a branch held as its N slots of reference bit 0: the corrected slots.
-
-    The gate takes |0> to e_r |r> and |1> to e_f |1 - r> (`CORRECTIONS`), so every slot keeps its kind: the all-r
-    string gets e_r^(N-1), a single flip e_r^(N-2) e_f.  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
-    """
-    _, e_ref, e_flip = CORRECTIONS[outcome]
-    n = slots.size - 1
-    return slots * np.array([e_ref**n, *[e_ref ** (n - 1) * e_flip] * n]) + 0.0
-
-
-def _transcript(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome, prob: float, slots: np.ndarray) -> Transcript:
-    """One projected branch of `bell_branches`, normalized and corrected on its N slots, in O(N)."""
-    if prob < DEGENERATE_PROBABILITY:
-        raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
-    slots = apply_correction(slots / math.sqrt(prob), outcome)
-    return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
-                      parties_notified=z.num_parties - 1, final=_cobweb(q, z, CORRECTIONS[outcome][0], slots))
+                       norm_constant=normalization_constants(q, z)[reference_bit])
 
 
 def run_protocol(
@@ -263,12 +287,11 @@ def run_protocol(
 
     Sampling requires a seed: anything ``np.random.default_rng`` accepts, a
     Generator included, which gives up one double.  Identical seeds reproduce
-    identical transcripts bit for bit.  One `bell_branches` call projects every
-    branch; the drawn or forced one is normalized and corrected by `_transcript`.
+    identical transcripts bit for bit.  The run is its outcome's row of `bell_table`.
     """
     if outcome is None and seed is None:
         raise ValueError("sampling an outcome requires a seed")
-    probs, slots = bell_branches(q, z)
+    table = bell_table(q, z)
     if outcome is None:
-        outcome = BellOutcome(int(draw_outcome_block(probs, np.random.default_rng(seed), 1)[0]))
-    return _transcript(q, z, outcome, probs[outcome], slots[outcome])
+        outcome = BellOutcome(int(draw_outcome_block(table.probabilities, np.random.default_rng(seed), 1)[0]))
+    return table.transcript(outcome)

@@ -8,6 +8,11 @@ recipient with a total-order step, and the ledger of ebits and classical
 bits spent.  Delivery is reliable, ordered and loss-free; the order in which
 messages land cannot change the final state, because the corrections act on
 distinct qubits and so commute.
+
+The transcript is a row of the protocol's `bell_table`.  The ledger depends
+on the shared state alone (`resource_ledger`) and the log text on the party
+count and the payload alone (`message_log`), so a `run --session` call
+builds one ledger and renders each drawn payload's log once.
 """
 from __future__ import annotations
 
@@ -68,25 +73,26 @@ def require_session(z: ZsaAmplitudes) -> None:
         raise ValueError("a session needs at least three parties")
 
 
+def resource_ledger(z: ZsaAmplitudes) -> ResourceLedger:
+    """What a session on ``z`` spends, whatever its outcome: the shared state's splitting entropy at party 1, and
+    two classical bits to each of parties 2..N."""
+    n = z.num_parties
+    return ResourceLedger(ebits_consumed=splitting_entropy(z, 1), cbits_total=2 * (n - 1), parties=n)
+
+
 def run_session(
     q: UnknownQubit,
     z: ZsaAmplitudes,
     outcome: BellOutcome | None = None,
     seed=None,
 ) -> SessionResult:
-    """Run the protocol as N communicating parties; the transcript is run_protocol's, bit for bit."""
+    """Run the protocol as N communicating parties; the transcript is run_protocol's, bit for bit.  Its messages
+    carry two bits from party 1 to each of parties 2..N, in order."""
     require_session(z)
-    return _session_result(run_protocol(q, z, outcome, seed))
-
-
-def _session_result(transcript: Transcript) -> SessionResult:
-    """A protocol run with its ledger and its messages: two bits from party 1 to each of parties 2..N, in order."""
-    z = transcript.final.zsa
-    n = z.num_parties
-    ledger = ResourceLedger(ebits_consumed=splitting_entropy(z, 1), cbits_total=2 * (n - 1), parties=n)
+    transcript = run_protocol(q, z, outcome, seed)
     messages = tuple(ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=transcript.outcome.payload)
-                     for k in range(2, n + 1))
-    return SessionResult(transcript=transcript, ledger=ledger, messages=messages)
+                     for k in range(2, z.num_parties + 1))
+    return SessionResult(transcript=transcript, ledger=resource_ledger(z), messages=messages)
 
 
 def classical_only_baseline(
@@ -129,7 +135,8 @@ def classical_only_baseline(
     )
 
 
-def messages_to_jsonl(messages) -> str:
-    """One JSON object per line: {step, from, to, payload}, as ``json.dumps`` writes it for these int fields."""
-    return "\n".join(f'{{"step": {m.step}, "from": {m.sender}, "to": {m.recipient}, "payload": {m.payload}}}'
-                     for m in messages)
+def message_log(num_parties: int, payload: int) -> str:
+    """The message log of a session of ``num_parties`` whose outcome has this payload, one newline-ended JSON line
+    per `ClassicalMessage` of `run_session`, in order: {step, from, to, payload}, as ``json.dumps`` writes it."""
+    return "".join(f'{{"step": {k - 1}, "from": 1, "to": {k}, "payload": {payload}}}\n'
+                   for k in range(2, num_parties + 1))

@@ -33,7 +33,7 @@ from qcobweb.measures import (
 )
 from qcobweb.protocol import (
     BellOutcome,
-    bell_branches,
+    bell_table,
     cobweb_state,
     normalization_constants,
     run_protocol,
@@ -128,16 +128,11 @@ def test_criterion_05_outcome_statistics():
     worst_pair = 0.0
     for _ in range(1000):
         z = random_zsa(int(rng.integers(3, 7)), rng)
-        probs, _ = bell_branches(random_qubit(rng), z)
-        worst_sum = max(worst_sum, abs(sum(probs.values()) - 1.0))
-        worst_pair = max(
-            worst_pair,
-            abs(probs[BellOutcome.PHI_PLUS] - probs[BellOutcome.PHI_MINUS]),
-            abs(probs[BellOutcome.PSI_PLUS] - probs[BellOutcome.PSI_MINUS]),
-        )
+        phi_plus, phi_minus, psi_plus, psi_minus = bell_table(random_qubit(rng), z).probabilities.tolist()
+        worst_sum = max(worst_sum, abs(phi_plus + phi_minus + psi_plus + psi_minus - 1.0))
+        worst_pair = max(worst_pair, abs(phi_plus - phi_minus), abs(psi_plus - psi_minus))
     # empirical check: 10^4 seeded draws against the exact distribution
-    probs, _ = bell_branches(UnknownQubit(np.pi / 2, 0.3), CUBE)
-    weights = np.array([probs[o] for o in BellOutcome])
+    weights = bell_table(UnknownQubit(np.pi / 2, 0.3), CUBE).probabilities
     draws = np.random.default_rng(50505).choice(4, size=10_000, p=weights / weights.sum())
     counts = np.bincount(draws, minlength=4)
     within = [

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -587,28 +588,30 @@ def _dense(slots: np.ndarray, reference_bit: int) -> np.ndarray:
         "adjacent-pairs", "one-amplitude", "one-imaginary", "one-zero", "protocol-14-reference-0",
         "protocol-14-reference-1"])
 def test_amplitude_text_matches_json_dumps_per_cell(cases):
+    """The joined amplitude parts: in CSV each cell after its comma, in JSON the inside of the list."""
     for slots in cases:
         for reference_bit in (0, 1):
             dense = _dense(slots, reference_bit)
             oracle = [[float(a.real), float(a.imag)] for a in dense]  # as `Transcript.to_dict` writes them
-            assert cli._amplitude_text(slots, reference_bit, True).split(",") == [
-                json.dumps(float(x)) for x in dense.view(np.float64)
-            ]
-            text = cli._amplitude_text(slots, reference_bit, False)
+            assert "".join(cli._amplitude_parts(slots, reference_bit, True)) == "".join(
+                "," + json.dumps(float(x)) for x in dense.view(np.float64)
+            )
+            text = "[" + "".join(cli._amplitude_parts(slots, reference_bit, False)) + "]"
             assert json.loads(text) == oracle
             assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
 
 def _counted_builds(monkeypatch) -> list:
-    """The outcome of each branch a `run` call corrects, in build order, protocol and session alike."""
+    """The outcome of each branch row a `run` call renders from its table, in render order, protocol and session
+    alike."""
     calls = []
-    real = cli._transcript
+    real = cli._branch_row
 
-    def counted(q, z, outcome, prob, slots):
+    def counted(table, outcome, csv_cells):
         calls.append(outcome)
-        return real(q, z, outcome, prob, slots)
+        return real(table, outcome, csv_cells)
 
-    monkeypatch.setattr(cli, "_transcript", counted)
+    monkeypatch.setattr(cli, "_branch_row", counted)
     return calls
 
 
@@ -685,13 +688,15 @@ def test_run_builds_every_branch_whatever_the_draws(capsys, monkeypatch):
 
 
 def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
-    real = cli.bell_branches
+    real = cli.bell_table
 
     def no_psi_minus(q, z):
-        probs, slots = real(q, z)
-        return {**probs, BellOutcome.PSI_MINUS: 0.0}, slots
+        table = real(q, z)
+        probs = table.probabilities.copy()
+        probs[BellOutcome.PSI_MINUS.value] = 0.0
+        return dataclasses.replace(table, probabilities=probs)
 
-    monkeypatch.setattr(cli, "bell_branches", no_psi_minus)
+    monkeypatch.setattr(cli, "bell_table", no_psi_minus)
     calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
     assert sorted(calls, key=lambda o: o.value) == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS]
 
@@ -703,16 +708,16 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
     ["--trials", "16", "--seed", "5", "--session", "--format", "csv"],
 ], ids=["one-trial", "sampled", "forced", "session"])
 def test_run_projects_once_per_call(capsys, monkeypatch, extra):
-    """Every `run` call makes one stacked Bell projection, whichever branches it builds."""
+    """Every `run` call makes one stacked Bell projection, one `bell_table`, whichever branches it renders."""
     calls = []
-    real = protocol.bell_branches
+    real = protocol.bell_table
 
     def counted(q, z):
         calls.append(z.num_parties)
         return real(q, z)
 
     for module in (protocol, cli):
-        monkeypatch.setattr(module, "bell_branches", counted)
+        monkeypatch.setattr(module, "bell_table", counted)
     code, _, _ = run_cli(capsys, "run", "--gen", "roots:6", "--theta", "1.3", *extra)
     assert code == 0
     assert calls == [6]
@@ -823,6 +828,26 @@ def test_run_rejects_messages_and_output_on_one_file(capsys, tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if layout in ("symlink", "existing"):
         assert (tmp_path / "rows.txt").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--output", "state.json"],
+    ["measures", "--format", "csv", "--output", "state.json"],
+    ["run", "--theta", "1.0", "--output", "./state.json"],
+    ["run", "--theta", "1.0", "--session", "--messages", "link.json", "--output", "rows.jsonl"],
+], ids=["validate", "measures", "run-output", "run-messages"])
+def test_output_naming_the_coeffs_file_exits_2_before_any_file_opens(capsys, tmp_path, monkeypatch, argv):
+    """Writing the ``--coeffs`` file would overwrite the input, so each command refuses it before reading it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_amplitudes", lambda path: pytest.fail(f"{path} was read"))
+    text = json.dumps({"coeffs": [[c.real, c.imag] for c in roots_of_unity_zsa(3).coeffs]})
+    (tmp_path / "state.json").write_text(text)
+    (tmp_path / "link.json").symlink_to(tmp_path / "state.json")
+    code, out, err = run_cli(capsys, argv[0], "--coeffs", "state.json", *argv[1:])
+    assert (code, out) == (2, "")
+    assert "and --coeffs name the same file" in err
+    assert (tmp_path / "state.json").read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "state.json"]
 
 
 def test_run_rejects_zero_probability_forced_outcome(capsys, tmp_path):

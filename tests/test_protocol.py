@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from qcobweb.linalg import (
     project,
     state_fidelity,
 )
+from qcobweb import protocol
 from qcobweb.protocol import (
     BELL_VECTORS,
     CORRECTIONS,
     DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
-    bell_branches,
+    bell_table,
     cobweb_state,
     draw_outcome_block,
+    min_marginal_eigenvalues,
     normalization_constants,
     run_protocol,
     target_vector,
@@ -84,10 +87,10 @@ def test_bell_resolution_matches_gate_twisted_targets():
     for _ in range(25):
         z = random_zsa(3, rng)
         q = random_qubit(rng)
-        probs, branch_slots = bell_branches(q, z)
+        probs = bell_table(q, z).probabilities
         for outcome in BellOutcome:
             twisted = target_vector(CORRECTION_GATES[outcome].conj().T @ q.vector(), z, 0)
-            prob, slots = probs[outcome], branch_slots[outcome]
+            prob, (_, slots) = probs[outcome.value], bell_projection(q, z, outcome)
             residual = np.zeros(4, dtype=complex)
             residual[slot_positions(2, 0)] = slots
             residual = PureState(2, residual / np.sqrt(prob))
@@ -113,14 +116,12 @@ def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
     the slot sum bit for bit; the BLAS ``vdot`` of the same residual must agree with it within a few ULP.
     """
     n = z.num_parties
-    probs, branch_slots = bell_branches(q, z)
+    table = bell_table(q, z)
+    assert table.slots.shape == (len(BellOutcome), n)  # N slots a branch at every N, not a 2^(N-1) residual
     for outcome in BellOutcome:
         dense_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
         oracle_prob = math.fsum((residual.view(np.float64) ** 2).tolist())  # the zero cells add exactly
-        prob, slots = probs[outcome], branch_slots[outcome]
-        assert slots.shape == (n,)  # N slots at every N, not a 2^(N-1) residual
-        assert slots.tolist() == residual[slot_positions(n - 1, 0)].tolist()
-        assert prob == oracle_prob
+        assert table.probabilities[outcome.value] == oracle_prob
         assert abs(dense_prob - oracle_prob) <= 8 * np.spacing(oracle_prob), (q.theta, q.phi, outcome)
         if oracle_prob < DEGENERATE_PROBABILITY:
             continue
@@ -156,30 +157,67 @@ def test_one_hot_branches_match_dense_oracle_bitwise(n):
                 _assert_branches_match_dense_oracle(UnknownQubit(theta, phi), z)
 
 
+def _corrected_dense_oracle(q: UnknownQubit, z, outcome: BellOutcome) -> tuple[float, PureState]:
+    """One branch the dense way: `bell_projection`, normalized, then the outcome's Pauli gate on every qubit."""
+    prob, slots = bell_projection(q, z, outcome)
+    residual = np.zeros(2 ** (z.num_parties - 1), dtype=complex)
+    residual[slot_positions(z.num_parties - 1, 0)] = slots
+    oracle = PureState(z.num_parties - 1, residual / np.sqrt(prob))
+    for qubit in range(1, z.num_parties):
+        oracle = apply_gate(oracle, [qubit], CORRECTION_GATES[outcome])
+    return prob, oracle
+
+
 @pytest.mark.parametrize("n", range(3, MAX_DENSE_QUBITS + 1))
-def test_bell_branches_match_the_dense_per_outcome_oracle(n):
-    """One stacked `bell_branches` call against four dense per-outcome projections of `joint_state`, bit for bit:
-    every probability and every slot's real and imaginary part, sign of zero included."""
+def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
+    """One `bell_table` call against four dense per-outcome branches, normalized and corrected gate by gate.
+
+    Bit for bit: every probability, and every slot's real and imaginary part against the oracle's cell at that
+    slot's basis position, its ``-0.0`` made ``0.0``.  Each product flag equals `is_product_state` of the oracle,
+    and each norm constant is the closed form's, within 1e-12 of the dense target's inverse norm.  A branch whose
+    projection is made exactly zero has probability 0, raises no warning, is refused by `BellTable.transcript`,
+    and leaves the other rows bit for bit as they were.
+    """
     rng = np.random.default_rng(4000 + n)
     q, z = random_qubit(rng), random_zsa(n, rng)
-    probs, slots = bell_branches(q, z)
-    assert list(probs) == list(slots) == list(BellOutcome)
+    table = bell_table(q, z)
+    assert table.norm_constants == normalization_constants(q, z)
     for outcome in BellOutcome:
-        oracle_prob, oracle_slots = bell_projection(q, z, outcome)
-        assert probs[outcome] == oracle_prob
-        assert slots[outcome].view(np.int64).tolist() == oracle_slots.view(np.int64).tolist(), outcome
+        oracle_prob, oracle = _corrected_dense_oracle(q, z, outcome)
+        reference_bit = CORRECTIONS[outcome][0]
+        expected = oracle.amplitudes[slot_positions(n - 1, reference_bit)] + 0.0
+        assert table.probabilities[outcome.value] == oracle_prob
+        assert table.slots[outcome.value].view(np.int64).tolist() == expected.view(np.int64).tolist(), outcome
+        assert table.products[outcome.value] == is_product_state(oracle), outcome
+        inverse_norm = 1.0 / np.linalg.norm(target_vector(q.vector(), z, reference_bit))
+        assert table.norm_constants[reference_bit] == pytest.approx(inverse_norm, rel=1e-12)
+
+    dropped = BellOutcome(int(rng.integers(len(BellOutcome))))
+    bell_conj = protocol._BELL_CONJ.copy()
+    bell_conj[dropped.value] = 0.0
+    monkeypatch.setattr(protocol, "_BELL_CONJ", bell_conj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        degenerate = bell_table(q, z)
+    assert degenerate.probabilities[dropped.value] == 0.0
+    assert not degenerate.slots[dropped.value].any()
+    with pytest.raises(DegenerateBranch):
+        degenerate.transcript(dropped)
+    for outcome in set(BellOutcome) - {dropped}:
+        for field in ("probabilities", "slots", "products"):
+            assert getattr(degenerate, field)[outcome.value].tobytes() == getattr(table, field)[outcome.value].tobytes()
 
 
 def _assert_product_flag_matches_dense_oracle(q: UnknownQubit, z) -> None:
     """The slot product flag against `is_product_state` of the dense view, and each small eigenvalue against
     ``eigvalsh`` of its dense marginal.  Near 1/2 both are ill-conditioned, so larger ones go unbounded."""
-    probs, _ = bell_branches(q, z)
+    table = bell_table(q, z)
     for outcome in BellOutcome:
-        if probs[outcome] < DEGENERATE_PROBABILITY:
+        if table.probabilities[outcome.value] < DEGENERATE_PROBABILITY:
             continue
         final = run_protocol(q, z, outcome=outcome).final
-        assert final.is_product() == is_product_state(final.vector), (q.theta, outcome)
-        closed = final.min_marginal_eigenvalues()
+        assert table.products[outcome.value] == is_product_state(final.vector), (q.theta, outcome)
+        closed = min_marginal_eigenvalues(final.slots)
         dense = [hermitian_eigenvalues(pure_marginal(final.vector, [j]).entries)[0] for j in range(1, z.num_parties)]
         small = (closed < 1e-3) | (np.array(dense) < 1e-3)
         assert np.abs(closed - dense)[small].max(initial=0.0) <= 1e-15, (q.theta, outcome)
@@ -214,10 +252,10 @@ def test_branch_probabilities_sum_and_pairing():
         n = int(rng.integers(3, 7))
         z = random_zsa(n, rng)
         q = random_qubit(rng)
-        probs, _ = bell_branches(q, z)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert probs[BellOutcome.PHI_PLUS] == pytest.approx(probs[BellOutcome.PHI_MINUS], abs=1e-12)
-        assert probs[BellOutcome.PSI_PLUS] == pytest.approx(probs[BellOutcome.PSI_MINUS], abs=1e-12)
+        phi_plus, phi_minus, psi_plus, psi_minus = bell_table(q, z).probabilities.tolist()
+        assert phi_plus + phi_minus + psi_plus + psi_minus == pytest.approx(1.0, abs=1e-12)
+        assert phi_plus == pytest.approx(phi_minus, abs=1e-12)
+        assert psi_plus == pytest.approx(psi_minus, abs=1e-12)
 
 
 def test_psi_branch_probability_closed_form():
@@ -229,10 +267,10 @@ def test_psi_branch_probability_closed_form():
         closed = (
             abs(c2) ** 2 + abs(c3) ** 2 + 2 * q.alpha**2 * (np.conj(c2) * c3).real
         ) / 2
-        probs, _ = bell_branches(q, z)
-        assert probs[BellOutcome.PSI_MINUS] == pytest.approx(closed, abs=1e-12)
+        psi_minus = bell_table(q, z).probabilities[BellOutcome.PSI_MINUS.value]
+        assert psi_minus == pytest.approx(closed, abs=1e-12)
         n_alpha, _ = normalization_constants(q, z)
-        assert probs[BellOutcome.PSI_MINUS] == pytest.approx(1 / (2 * n_alpha**2), abs=1e-12)
+        assert psi_minus == pytest.approx(1 / (2 * n_alpha**2), abs=1e-12)
 
 
 # --- correction table -----------------------------------------------------------
@@ -439,8 +477,7 @@ def test_sampling_requires_seed():
 def test_sampled_outcome_is_generator_choice():
     """A sampled run draws its outcome as ``Generator.choice`` does on ``default_rng(seed)``, seed by seed."""
     q = UnknownQubit(1.0, 0.4)
-    probs, _ = bell_branches(q, CUBE)
-    w = np.array([probs[o] for o in BellOutcome])
+    w = bell_table(q, CUBE).probabilities
     for seed in [*range(2000), *BLOCK_SEEDS]:
         expected = int(np.random.default_rng(seed).choice(4, p=w / w.sum()))
         assert run_protocol(q, CUBE, seed=seed).outcome.value == expected, seed
@@ -448,15 +485,16 @@ def test_sampled_outcome_is_generator_choice():
 
 def test_sampling_frequencies():
     q = UnknownQubit(np.pi / 3, 0.2)
-    probs, _ = bell_branches(q, CUBE)
+    probs = bell_table(q, CUBE).probabilities
     rng = np.random.default_rng(777)
     counts = {o: 0 for o in BellOutcome}
     trials = 4000
     for _ in range(trials):
         counts[run_protocol(q, CUBE, seed=rng).outcome] += 1
     for o in BellOutcome:
-        sigma = np.sqrt(trials * probs[o] * (1 - probs[o]))
-        assert abs(counts[o] - trials * probs[o]) <= 3 * sigma
+        p = probs[o.value]
+        sigma = np.sqrt(trials * p * (1 - p))
+        assert abs(counts[o] - trials * p) <= 3 * sigma
 
 
 # Seeds of one to five 32-bit entropy words (2^100 and 2^128 + 3 fill SeedSequence's pool of four and run
@@ -469,7 +507,7 @@ BLOCK_COUNTS = [0, 1, DRAW_BLOCK - 1, 3 * DRAW_BLOCK]
 def test_block_uniforms_match_default_rng(seed):
     """A block of ``count`` trials takes exactly ``count`` doubles of its generator, so the next block starts
     where ``PCG64(seed).advance(t)`` does: trial t draws from the t-th double of ``default_rng(seed)``."""
-    probs = dict(zip(BellOutcome, [0.25] * 4))
+    probs = np.full(len(BellOutcome), 0.25)
     rng, done = np.random.default_rng(seed), 0
     for count in BLOCK_COUNTS:
         draw_outcome_block(probs, rng, count)
@@ -487,24 +525,23 @@ def test_block_uniforms_match_default_rng(seed):
 def test_draw_outcome_block_matches_draw_outcome(weights):
     """Blocks of any size, drawn in turn from one generator, equal outcomes drawn one at a time on another by
     numpy's own ``Generator.choice``, draw by draw."""
-    probs, w = dict(zip(BellOutcome, weights)), np.array(weights)
+    w = np.array(weights)
     p = w / w.sum()
     for seed in BLOCK_SEEDS:
         oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for count in BLOCK_COUNTS:
             expected = [int(oracle.choice(4, p=p)) for _ in range(count)]
-            assert draw_outcome_block(probs, rng, count).tolist() == expected, (seed, count)
+            assert draw_outcome_block(w, rng, count).tolist() == expected, (seed, count)
 
 
 def test_draw_outcome_block_ties_go_right():
     """A draw equal to a CDF step lands past it, as in `Generator.choice`'s ``searchsorted(side="right")``."""
     u = np.random.default_rng(5).random(4)[3]
-    probs = dict(zip(BellOutcome, [u, 0.0, (1.0 - u) / 2, (1.0 - u) / 2]))  # CDF [u, u, ..., 1], exactly
+    w = np.array([u, 0.0, (1.0 - u) / 2, (1.0 - u) / 2])  # CDF [u, u, ..., 1], exactly
     oracle, rng = np.random.default_rng(5), np.random.default_rng(5)
-    w = np.array(list(probs.values()))
     p = w / w.sum()
     assert [int(oracle.choice(4, p=p)) for _ in range(4)][3] == BellOutcome.PSI_PLUS.value  # past both steps at u
-    assert draw_outcome_block(probs, rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
+    assert draw_outcome_block(w, rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
 
 
 def test_degenerate_branch_guard():

@@ -11,20 +11,20 @@ from qcobweb.linalg import DensityMatrix, PureState, apply_gate
 from qcobweb.protocol import (
     BELL_VECTORS,
     BellOutcome,
-    bell_branches,
+    bell_table,
     cobweb_state,
     run_protocol,
 )
 from qcobweb.session import (
     ClassicalMessage,
     classical_only_baseline,
-    messages_to_jsonl,
+    message_log,
     run_session,
 )
 from qcobweb.states import UnknownQubit, random_zsa, roots_of_unity_zsa, slot_positions
 
 from _helpers import random_qubit
-from oracles import CORRECTION_GATES
+from oracles import CORRECTION_GATES, bell_projection
 
 CUBE = roots_of_unity_zsa(3)
 
@@ -57,7 +57,7 @@ def test_message_log_shape():
 
 def test_message_log_serialization():
     result = run_session(UnknownQubit(1.2), CUBE, seed=3)
-    lines = messages_to_jsonl(result.messages).splitlines()
+    lines = message_log(3, result.transcript.outcome.payload).splitlines()
     assert len(lines) == 2
     for i, line in enumerate(lines, start=1):
         doc = json.loads(line)
@@ -68,14 +68,20 @@ def test_message_log_serialization():
 
 
 def test_message_log_text_matches_json_dumps():
+    """The log rendered from (N, payload) is, line for line, `json.dumps` of each message a session sends."""
     for n in range(3, 21):
         for payload in range(4):
             messages = [ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=payload) for k in range(2, n + 1)]
-            expected = "\n".join(
-                json.dumps({"step": m.step, "from": m.sender, "to": m.recipient, "payload": m.payload})
+            expected = "".join(
+                json.dumps({"step": m.step, "from": m.sender, "to": m.recipient, "payload": m.payload}) + "\n"
                 for m in messages
             )
-            assert messages_to_jsonl(messages) == expected, (n, payload)
+            assert message_log(n, payload) == expected, (n, payload)
+    result = run_session(UnknownQubit(0.9, 0.3), roots_of_unity_zsa(6), seed=7)
+    assert message_log(6, result.transcript.outcome.payload) == "".join(
+        json.dumps({"step": m.step, "from": m.sender, "to": m.recipient, "payload": m.payload}) + "\n"
+        for m in result.messages
+    )
 
 
 def test_delivery_order_does_not_matter():
@@ -84,10 +90,9 @@ def test_delivery_order_does_not_matter():
     for z in (CUBE, random_zsa(5, rng)):
         q = random_qubit(rng)
         remote = list(range(1, z.num_parties))
-        probs, branch_slots = bell_branches(q, z)
         for outcome in BellOutcome:
             reference = run_session(q, z, outcome=outcome).transcript.final.vector.amplitudes
-            prob, slots = probs[outcome], branch_slots[outcome]
+            prob, slots = bell_projection(q, z, outcome)
             residual = np.zeros(2 ** (z.num_parties - 1), dtype=complex)
             residual[slot_positions(z.num_parties - 1, 0)] = slots
             residual = PureState(z.num_parties - 1, residual / np.sqrt(prob))
@@ -199,10 +204,10 @@ def test_baseline_matches_density_matrix_simulation(monkeypatch):
     for z in (CUBE, *(random_zsa(3, rng) for _ in range(40))):
         for theta in (0.0, np.pi, *np.arccos(1.0 - 2.0 * rng.random(2))):
             q = UnknownQubit(float(theta), float(2.0 * np.pi * rng.random()))
-            probs, _ = bell_branches(q, z)
+            probs = bell_table(q, z).probabilities
             for outcome in BellOutcome:
                 oracle_probs, oracle_out = _density_matrix_control(q, z, outcome)
-                assert abs(probs[outcome] - oracle_probs[outcome]) <= 1e-15
+                assert abs(probs[outcome.value] - oracle_probs[outcome]) <= 1e-15
                 out = _control_output(monkeypatch, q, z, outcome)
                 assert np.max(np.abs(out - oracle_out)) <= 1e-15
 
