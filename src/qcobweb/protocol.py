@@ -176,15 +176,19 @@ class BellTable:
     products: np.ndarray
     norm_constants: tuple[float, float]  # N(alpha), N(beta): those of reference bits 0 and 1
 
-    def transcript(self, outcome: BellOutcome) -> Transcript:
-        """The run that lands on ``outcome``: a view of its row.  Raises `DegenerateBranch` on a degenerate row."""
+    def probability(self, outcome: BellOutcome) -> float:
+        """The probability of ``outcome``.  Raises `DegenerateBranch` on a degenerate row."""
         prob = float(self.probabilities[outcome.value])
         if prob < DEGENERATE_PROBABILITY:
             raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
+        return prob
+
+    def transcript(self, outcome: BellOutcome) -> Transcript:
+        """The run that lands on ``outcome``: a view of its row.  Raises `DegenerateBranch` on a degenerate row."""
         reference_bit = CORRECTIONS[outcome][0]
         final = CobwebState(reference_bit=reference_bit, zsa=self.zsa, qubit=self.qubit,
                             slots=self.slots[outcome.value], norm_constant=self.norm_constants[reference_bit])
-        return Transcript(outcome=outcome, outcome_probability=prob, cbits_sent=2,
+        return Transcript(outcome=outcome, outcome_probability=self.probability(outcome), cbits_sent=2,
                           parties_notified=self.zsa.num_parties - 1, final=final)
 
 

@@ -23,7 +23,7 @@ from qcobweb import cli, protocol
 from qcobweb.cli import main
 from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.session import run_session
-from qcobweb.states import UnknownQubit, roots_of_unity_zsa
+from qcobweb.states import UnknownQubit, ZsaAmplitudes, random_zsa, roots_of_unity_zsa
 
 from oracles import is_product_state
 
@@ -601,6 +601,44 @@ def test_amplitude_text_matches_json_dumps_per_cell(cases):
             assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
 
+def _transcript_rows(transcript, product: int) -> tuple[str, str]:
+    """The JSON and CSV texts a trial of this branch wrote after its trial index, newline included, by the per-row
+    path: the branch's `Transcript`, ``json.dumps`` of its `scalar_fields` (in CSV, one ``json.dumps`` per cell
+    that is not a string) and its dense `to_dict` amplitudes."""
+    scalars = transcript.scalar_fields()
+    amplitudes = json.dumps(transcript.to_dict()["final_state"])
+    as_json = f', {json.dumps(scalars)[1:-1]}, "final_state": {amplitudes}, "product_state": {product}}}\n'
+    cells = [value if isinstance(value, str) else json.dumps(value) for value in [*scalars.values(), product]]
+    as_csv = "".join([",", ",".join(cells), ",", amplitudes.translate({ord(c): None for c in "[] "}), "\n"])
+    return as_json, as_csv
+
+
+@pytest.mark.parametrize("parties", [3, 4, 7, 14, 20])
+def test_branch_row_matches_the_transcript_path(parties):
+    """Differential check of `_branch_row`, which reads a row off the table's arrays alone, against the per-row
+    path: every outcome, both formats, theta at both poles and one seeded draw.  The roots of unity, whose exact
+    zero parts test the signs of zero cells, and below 20 parties a seeded random state too: a 20-party dense
+    `to_dict` takes about a second."""
+    rng = np.random.default_rng(600 + parties)
+    for z in [roots_of_unity_zsa(parties), *([random_zsa(parties, rng)] if parties < 20 else [])]:
+        for theta in (0.0, math.pi, rng.uniform(0.0, math.pi)):
+            table = protocol.bell_table(UnknownQubit(theta, rng.uniform(0.0, 2.0 * math.pi)), z)
+            for outcome in BellOutcome:
+                as_json, as_csv = _transcript_rows(table.transcript(outcome), int(table.products[outcome.value]))
+                assert cli._branch_row(table, outcome, False) == as_json
+                assert cli._branch_row(table, outcome, True) == as_csv
+
+
+@pytest.mark.parametrize("csv_cells", [False, True], ids=["json", "csv"])
+def test_branch_row_raises_on_a_degenerate_branch(csv_cells):
+    # a valid ZSA state with c_1 = 1e-8: at theta = 0 the Psi branches have probability |c_1|^2 / 2
+    table = protocol.bell_table(UnknownQubit(0.0), ZsaAmplitudes([1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]))
+    for outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS):
+        with pytest.raises(protocol.DegenerateBranch, match=f"outcome {outcome.label} has probability 5.000e-17"):
+            cli._branch_row(table, outcome, csv_cells)
+    assert cli._branch_row(table, BellOutcome.PHI_PLUS, csv_cells)  # the Phi branches still render
+
+
 def _counted_builds(monkeypatch) -> list:
     """The outcome of each branch row a `run` call renders from its table, in render order, protocol and session
     alike."""
@@ -638,6 +676,17 @@ def _counted(monkeypatch, name: str) -> list:
     return calls
 
 
+@pytest.mark.parametrize("first,stop", [
+    (0, 1), (0, 1000), (1, 1025), (998, 1002), (999, 2001), (1025, 2049), (1000, 1001), (9999, 10001),
+    (123456, 125001), (10**12 - 3, 10**12 + 2500),
+])
+@pytest.mark.parametrize("lead", ["", '{"trial": '], ids=["csv", "json"])
+def test_index_parts_join_to_the_lead_and_str_of_each_trial(first, stop, lead):
+    """Differential check of the table-built trial indices against ``str``, across thousands and block edges."""
+    heads, tails = cli._index_parts(lead, first, stop)
+    assert list(map(str.__add__, heads, tails)) == [lead + str(t) for t in range(first, stop)]
+
+
 @pytest.mark.parametrize("trials", [1500, 1, 129, cli.DRAW_BLOCK + 1, 2 * cli.DRAW_BLOCK + 2])
 def test_run_draws_trial_zero_alone_then_blocks(capsys, monkeypatch, trials):
     """Trial 0 is a block of one; the rest come from blocks of up to `DRAW_BLOCK` on the same generator, and a
@@ -667,6 +716,7 @@ def test_run_rejects_negative_seed(capsys, tmp_path, monkeypatch, extra):
     assert code == 2
     assert out == ""
     assert "expected non-negative integer" in err
+    assert err == "invalid request: --seed: expected non-negative integer, got -1\n"
     assert list(tmp_path.iterdir()) == []
 
 

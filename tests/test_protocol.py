@@ -243,6 +243,29 @@ def test_product_flag_matches_dense_oracle_at_twenty_parties():
         _assert_product_flag_matches_dense_oracle(UnknownQubit(theta, 0.7), z)
 
 
+@pytest.mark.parametrize("n", range(3, MAX_DENSE_QUBITS + 1))
+def test_corrected_branches_land_on_two_outputs_bitwise(n):
+    """The paper's two types of reference state: once corrected, the four branches hold two outputs.
+
+    Psi+ and Psi- differ only in the sign of the flipped slots, which sigma_z undoes, so their rows agree in slots,
+    probability and product flag.  Phi+ and Phi- differ in the sign of the all-r slot; i*sigma_y and sigma_x then
+    leave Phi+ as (-1)^N times Phi-.  Each holds bit for bit, for the roots of unity and four seeded random states,
+    each with qubits at both poles and six seeded random ones.
+    """
+    rng = np.random.default_rng(7000 + n)
+    phi_plus, phi_minus, psi_plus, psi_minus = (outcome.value for outcome in BellOutcome)
+    for z in [roots_of_unity_zsa(n), *(random_zsa(n, rng) for _ in range(4))]:
+        for q in [UnknownQubit(0.0), UnknownQubit(np.pi, rng.uniform(0.0, 2.0 * np.pi)),
+                  *(random_qubit(rng) for _ in range(6))]:
+            table = bell_table(q, z)
+            assert table.slots[psi_plus].tobytes() == table.slots[psi_minus].tobytes()
+            assert table.probabilities[psi_plus].tobytes() == table.probabilities[psi_minus].tobytes()
+            assert table.products[psi_plus] == table.products[psi_minus]
+            if table.probabilities[phi_plus] >= DEGENERATE_PROBABILITY:
+                # + 0.0, as in `bell_table`: a zero part of Phi- times -1 is -0.0, which the table never holds
+                assert ((-1) ** n * table.slots[phi_minus] + 0.0).tobytes() == table.slots[phi_plus].tobytes()
+
+
 # --- branch probabilities ------------------------------------------------------
 
 
