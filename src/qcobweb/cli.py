@@ -11,17 +11,21 @@ Subcommands:
 A call parses its arguments once, with its subcommand's own parser (`main`).
 A `run` call renders each branch's row of one `protocol.bell_table` at most
 once, from the table's arrays alone (`_branch_row`), and writes it after each
-trial's index, which `_index_parts` builds from digit tables.
-Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or malformed
-input.  Output is plain text or machine-readable JSON/CSV; no color is ever
-emitted, so NO_COLOR is honored trivially.
+trial's index, which `_index_parts` builds from digit tables.  Per-process
+caches, by key and bound: `build_parser` (one entry), `_named_source` (the
+last ``--gen`` name), `session.message_log` (party count and payload, four),
+`_zero_runs` (the last register and format), `_csv_header` (the last party
+count) and `protocol._sign_rows` (register, 20).  Only a process that calls
+`main` more than once gains from them; a ``--coeffs`` file is read on every
+call.  Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or
+malformed input.  Output is plain text or machine-readable JSON/CSV; no color
+is ever emitted, so NO_COLOR is honored trivially.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -81,9 +85,11 @@ EXIT_DOMAIN = 2
 EXIT_IO = 3
 
 def _resolve_source(args) -> ZsaAmplitudes:
-    if args.coeffs is not None:
-        return load_amplitudes(args.coeffs)
-    name = args.gen
+    return load_amplitudes(args.coeffs) if args.coeffs is not None else _named_source(args.gen)
+
+
+@functools.lru_cache(maxsize=1)  # the last name only; a name that fails is not kept
+def _named_source(name: str) -> ZsaAmplitudes:
     if name == "epr":
         return epr_zsa()
     if name == "cube":
@@ -307,8 +313,8 @@ def cmd_run(args) -> int:
     characters, each row copied at most once after its trial index from `_index_parts`, so a call holds one
     block's draw buffers and one chunk of text, whatever `--trials`.  The first trial renders only the branch it
     lands on; a sampled call of at least four trials then renders every other branch that would not raise
-    `DegenerateBranch`, so its cost does not depend on the draws.  With `--session`, each rendered branch's message
-    log is rendered once from its payload, and the ledger once per call.
+    `DegenerateBranch`, so its cost does not depend on the draws.  With `--messages`, each payload's log is read
+    once per call from `message_log`'s cache; with `--session`, the ledger is built once per call.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -331,7 +337,7 @@ def cmd_run(args) -> int:
     csv_cells = args.format == "csv"
     lead = "" if csv_cells else '{"trial": '
     rows: list = [None] * len(BellOutcome)  # by outcome value: the row after the trial index
-    logs: list = [None] * len(BellOutcome)  # by outcome value: the message log, with --messages
+    logs = [message_log(z.num_parties, value) for value in range(len(BellOutcome))] if args.messages else None
     totals = np.zeros(len(BellOutcome), dtype=np.int64)
     with contextlib.ExitStack() as stack:
         log = stack.enter_context(open(args.messages, "w", encoding="utf-8")) if args.messages else None
@@ -340,8 +346,6 @@ def cmd_run(args) -> int:
         def render(value: int) -> None:
             if rows[value] is None:
                 rows[value] = _branch_row(table, BellOutcome(value), csv_cells)
-                if log is not None:
-                    logs[value] = message_log(z.num_parties, value)
 
         for start, block in _outcome_blocks(probs, args.seed, args.trials, forced):
             counts = np.bincount(block, minlength=len(BellOutcome))
@@ -371,7 +375,7 @@ def cmd_run(args) -> int:
             summary[f"empirical_{label}"] = count / args.trials
             summary[f"expected_{label}"] = prob
         if args.session:
-            summary.update(dataclasses.asdict(resource_ledger(z)))
+            summary.update(vars(resource_ledger(z)))
         if args.format == "csv":
             out.write(f"# summary: {json.dumps(summary)}\n")
         else:

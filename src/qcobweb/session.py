@@ -12,10 +12,11 @@ distinct qubits and so commute.
 The transcript is a row of the protocol's `bell_table`.  The ledger depends
 on the shared state alone (`resource_ledger`) and the log text on the party
 count and the payload alone (`message_log`), so a `run --session` call
-builds one ledger and renders each drawn payload's log once.
+builds one ledger and a process renders each payload's log once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,9 @@ def classical_only_baseline(
     )
 
 
+@functools.lru_cache(maxsize=len(BellOutcome))
 def message_log(num_parties: int, payload: int) -> str:
-    """The message log of a session of ``num_parties`` whose outcome has this payload, one newline-ended JSON line
-    per `ClassicalMessage` of `run_session`, in order: {step, from, to, payload}, as ``json.dumps`` writes it."""
+    """One newline-ended ``json.dumps`` line {step, from, to, payload} per `ClassicalMessage` of `run_session`, in
+    order, for ``num_parties`` and this payload; the last four (party count, payload) logs are kept per process."""
     return "".join(f'{{"step": {k - 1}, "from": 1, "to": {k}, "payload": {payload}}}\n'
                    for k in range(2, num_parties + 1))

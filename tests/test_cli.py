@@ -22,7 +22,7 @@ import pytest
 from qcobweb import cli, protocol
 from qcobweb.cli import main
 from qcobweb.protocol import BellOutcome, run_protocol
-from qcobweb.session import run_session
+from qcobweb.session import message_log, run_session
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, random_zsa, roots_of_unity_zsa
 
 from oracles import is_product_state
@@ -114,6 +114,22 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert code == 3
     assert err.startswith("input error: ")
     assert not rows.exists()
+
+
+def test_coeffs_file_is_read_on_every_call(capsys, tmp_path):
+    """A ``--coeffs`` file can change between two calls of one process, so no call reuses what an earlier one read:
+    a rewritten file prints its own figures (those of the same state by name), and a truncated one exits 3."""
+    path = tmp_path / "s.json"
+    for name, z in (("cube", roots_of_unity_zsa(3)), ("roots:4", roots_of_unity_zsa(4))):
+        path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in z.coeffs]}))
+        code, out, err = run_cli(capsys, "validate", "--coeffs", str(path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "validate", "--gen", name)[1]
+        assert out.startswith(f"valid ZSA coefficients: {z.num_parties} parties\n")
+    path.write_text("")
+    code, out, err = run_cli(capsys, "validate", "--coeffs", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: ")
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["measures"], ["run", "--theta", "1.0"]], ids=lambda a: a[0])
@@ -460,6 +476,55 @@ def test_run_golden_output_on_every_blas_kernel(tmp_path):
     stdin = json.dumps([[argv, bool(m)] for argv, _, m in GOLDEN_RUNS])
     for kernel in _host_blas_kernels():
         assert json.loads(_stdout_on_kernel(kernel, _GOLDEN_DIGESTS, stdin, tmp_path)) == pins, kernel
+
+
+def test_repeated_and_interleaved_gen_calls_in_one_process(capsys, tmp_path):
+    """`run` bytes do not depend on what earlier calls of the same process built.  The named-source cache keeps one
+    name, read-only, and never a name that failed; the message-log cache gives each party count its own logs."""
+    cube_argv, cube_digest, _ = GOLDEN_RUNS[0]
+    wide_argv, wide_digest, wide_log_digest = GOLDEN_RUNS[5]  # roots:6 --session, forced PsiPlus, CSV
+    cube_session = [*cube_argv, "--session", "--messages", str(tmp_path / "log3.jsonl")]
+    wide_session = [*wide_argv, "--messages", str(tmp_path / "log6.jsonl")]
+    cli._named_source.cache_clear()
+    message_log.cache_clear()
+
+    def call(*argv) -> str:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert cli._named_source.cache_info().currsize <= 1
+        assert message_log.cache_info().currsize <= len(BellOutcome)
+        return out
+
+    def check_wide() -> None:
+        assert hashlib.sha256(call("run", *wide_session).encode()).hexdigest() == wide_digest
+        assert hashlib.sha256((tmp_path / "log6.jsonl").read_bytes()).hexdigest() == wide_log_digest
+
+    first = call("run", *cube_argv)
+    assert hashlib.sha256(first.encode()).hexdigest() == cube_digest
+    check_wide()
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "validate", "--gen", "roots:100000000000000000")
+        assert (code, out) == (2, "")
+        assert "needs more memory than can be allocated" in err
+        assert cli._named_source.cache_info().currsize == 1
+    assert call("run", *cube_argv) == first
+    cube = cli._named_source("cube")
+    assert cube is cli._named_source("cube")
+    assert cube.coeffs.flags.writeable is False
+    assert cli._named_source.cache_info().currsize == 1
+
+    # N = 3 logs between N = 6 ones: each trial's lines are json.dumps of its session's messages
+    q = UnknownQubit(float(cube_argv[cube_argv.index("--theta") + 1]), float(cube_argv[cube_argv.index("--phi") + 1]))
+    messages = {o.label: "".join(json.dumps({"step": m.step, "from": m.sender, "to": m.recipient,
+                                             "payload": m.payload}) + "\n"
+                                 for m in run_session(q, cube, outcome=o).messages) for o in BellOutcome}
+    rows = call("run", *cube_session).splitlines()[:-1]
+    log3 = (tmp_path / "log3.jsonl").read_text()
+    assert log3 == "".join(messages[json.loads(row)["outcome"]] for row in rows)
+    check_wide()
+    assert call("run", *cube_session).splitlines()[:-1] == rows
+    assert (tmp_path / "log3.jsonl").read_text() == log3
+    check_wide()
 
 
 # Runs `validate --gen roots:N --format json` for each N read as JSON from stdin and prints the outputs.
