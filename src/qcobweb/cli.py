@@ -11,7 +11,10 @@ Subcommands:
 A call parses its arguments once, with its subcommand's own parser (`main`).
 A `run` call renders each branch's row of one `protocol.bell_table` at most
 once, from the table's arrays alone (`_branch_row`), and writes it after each
-trial's index, which `_index_parts` builds from digit tables.  Per-process
+trial's index, which `_index_parts` builds from digit tables.  A `measures`
+report is built with one array pass per entropy formula and one stacked
+eigensolve, and written by `_indented_json`: the bytes of ``json.dumps(report,
+indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
 caches, by key and bound: `build_parser` (one entry), `_named_source` (the
 last ``--gen`` name), `session.message_log` (party count and payload, four),
 `_zero_runs` (the last register and format), `_csv_header` (the last party
@@ -33,6 +36,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -40,8 +44,8 @@ from .disentangle import cnot_disentangle, obstruction, success_probability_sign
 from .linalg import (
     PureState,
     binary_entropy,
-    entropy_of_eigenvalues,
     single_qubit_spectra,
+    spectrum_entropies,
     state_fidelity,
 )
 from .measures import (
@@ -51,7 +55,7 @@ from .measures import (
     eof_from_concurrence,
     ppt_report,
     scaling_curve,
-    splitting_entropy,
+    splitting_entropies,
 )
 from .protocol import (
     CORRECTIONS,
@@ -387,24 +391,22 @@ def cmd_run(args) -> int:
 
 
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
-    spectra = single_qubit_spectra(build_state(z))
+    n = z.num_parties
+    outputs = [cobweb_state(q, z, ref) for ref in (0, 1)] if n == 3 else []
+    # rows: the shared state's N qubits, then qubits 1 and 2 of each output
+    spectra = single_qubit_spectra(build_state(z), *(cw.vector for cw in outputs))
+    closed, oracle = splitting_entropies(z), spectrum_entropies(spectra[:n])
     report: dict = {
-        "num_parties": z.num_parties,
+        "num_parties": n,
         "coefficients": [[c.real, c.imag] for c in z.coeffs],
         "theta": q.theta,
         "phi": q.phi,
+        "splitting_entropy": {
+            f"party_{k}": {"closed_form": c, "oracle": o, "abs_difference": d}
+            for k, c, o, d in zip(range(1, n + 1), closed.tolist(), oracle.tolist(), np.abs(closed - oracle).tolist())
+        },
     }
-    entries = {}
-    for k in range(1, z.num_parties + 1):
-        closed = splitting_entropy(z, k)
-        oracle = entropy_of_eigenvalues(spectra[k - 1])
-        entries[f"party_{k}"] = {
-            "closed_form": closed,
-            "oracle": oracle,
-            "abs_difference": abs(closed - oracle),
-        }
-    report["splitting_entropy"] = entries
-    if z.num_parties != 3:
+    if n != 3:
         return report
 
     pair = reduced_pair(z)
@@ -417,11 +419,10 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
         "abs_difference": abs(closed_eof - route_eof),
     }
 
-    outputs = [cobweb_state(q, z, ref) for ref in (0, 1)]
     cobwebs = {}
     for ref, cw in enumerate(outputs):
         spectrum = cobweb_spectrum(cw)
-        oracle_eigs = single_qubit_spectra(cw.vector)  # rows: qubits 1 and 2
+        oracle_eigs = spectra[3 + 2 * ref:5 + 2 * ref]
         closed_sorted = np.array([spectrum["eta_minus"], spectrum["eta_plus"]])
         deviation = float(np.max(np.abs(closed_sorted - oracle_eigs)))
         det_oracle = float(np.prod(oracle_eigs[0]))
@@ -442,6 +443,22 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     return report
 
 
+def _indented_json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value whose dict keys are all strings, without `json`'s pure-Python
+    indenting encoder: a finite float as ``float.__repr__`` writes it (`json`'s own rule), a key as
+    `encode_basestring_ascii` escapes it, and any other scalar, NaN and the infinities included, by `json.dumps`."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_indented_json(sub, inner)}" for key, sub in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [inner + _indented_json(sub, inner) for sub in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return json.dumps(value)
+
+
 def cmd_measures(args) -> int:
     _refuse_overwriting_coeffs(args, "output")
     z = _resolve_source(args)
@@ -450,7 +467,7 @@ def cmd_measures(args) -> int:
     if args.format == "csv":
         _emit(_csv_lines(["key", "value"], _flatten(report)), args.output)
     else:
-        _emit([json.dumps(report, indent=2) + "\n"], args.output)
+        _emit([_indented_json(report) + "\n"], args.output)
     return EXIT_OK
 
 

@@ -124,22 +124,15 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(kept), t.reshape(d, d))
 
 
-def _marginal_entries(state: PureState, keep) -> tuple[int, np.ndarray]:
-    """Qubit count and matrix of a pure state's marginal over the kept qubits, unvalidated."""
-    n = state.num_qubits
-    kept = sorted(set(_check_qubit_labels(n, keep)))
-    if not kept:
-        raise ValueError("keep set must be nonempty")
-    rest = [q for q in range(1, n + 1) if q not in kept]
-    psi = state.amplitudes.reshape([2] * n)
-    m = psi.transpose([q - 1 for q in kept] + [q - 1 for q in rest]).reshape(2 ** len(kept), -1)
-    return len(kept), m @ m.conj().T
-
-
-def single_qubit_spectra(state: PureState) -> np.ndarray:
-    """Qubit q's marginal spectrum, ascending, in row q - 1: one eigvalsh on the stacked Grams, no `DensityMatrix`."""
-    grams = np.array([_marginal_entries(state, [q])[1] for q in range(1, state.num_qubits + 1)])
-    return np.linalg.eigvalsh(grams)
+def single_qubit_spectra(*states: PureState) -> np.ndarray:
+    """Each qubit's marginal spectrum, ascending, one row per qubit, the states' rows in order (qubit q of the first
+    state in row q - 1): one eigvalsh on the stacked Grams of every state, no `DensityMatrix`."""
+    grams = []
+    for state in states:
+        for q in range(state.num_qubits):  # qubit q + 1's bit indexes the rows, the other qubits' bits the columns
+            m = state.amplitudes.reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
+            grams.append(m @ m.conj().T)
+    return np.linalg.eigvalsh(np.array(grams))
 
 
 def partial_transpose(matrix: np.ndarray, subsystem: int) -> np.ndarray:
@@ -166,10 +159,13 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def entropy_of_eigenvalues(evals: np.ndarray) -> float:
-    """-sum(l log2 l) over a density matrix's eigenvalues, in bits, with 0 log 0 := 0."""
-    evals = evals[evals > ENTROPY_CUTOFF]
-    return float(-np.sum(evals * np.log2(evals)))
+def spectrum_entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum(l log2 l) along each row of single-qubit eigenvalues, in bits, with 0 log 0 := 0 for l <= 1e-14.
+
+    One unmasked log2 over the stack, each dropped eigenvalue replaced by 1 (a log2 with ``where=`` runs another
+    loop, which rounds some values differently)."""
+    kept = np.where(spectra > ENTROPY_CUTOFF, spectra, 1.0)
+    return -(kept * np.log2(kept)).sum(axis=-1)
 
 
 def binary_entropy(p: float) -> float:

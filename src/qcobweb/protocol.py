@@ -137,7 +137,7 @@ class Transcript:
                                              self.final.norm_constant)))
 
     def to_dict(self) -> dict:
-        pairs = [[float(a.real), float(a.imag)] for a in self.final.vector.amplitudes]
+        pairs = self.final.vector.amplitudes.view(np.float64).reshape(-1, 2).tolist()  # one [re, im] per amplitude
         return {**self.scalar_fields(), "final_state": pairs}
 
 

@@ -12,11 +12,12 @@ import math
 import numpy as np
 
 from qcobweb.linalg import (
+    ENTROPY_CUTOFF,
     PRODUCT_TOL,
     DensityMatrix,
     PureState,
-    _marginal_entries,
-    entropy_of_eigenvalues,
+    _check_qubit_labels,
+    binary_entropy,
     project,
 )
 from qcobweb.protocol import BELL_VECTORS, BellOutcome, _require_protocol
@@ -71,9 +72,37 @@ def outer(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
+def _marginal_entries(state: PureState, keep) -> tuple[int, np.ndarray]:
+    """Qubit count and matrix of a pure state's marginal over the kept qubits, unvalidated: the general form of the
+    Grams `linalg.single_qubit_spectra` builds."""
+    n = state.num_qubits
+    kept = sorted(set(_check_qubit_labels(n, keep)))
+    if not kept:
+        raise ValueError("keep set must be nonempty")
+    rest = [q for q in range(1, n + 1) if q not in kept]
+    psi = state.amplitudes.reshape([2] * n)
+    m = psi.transpose([q - 1 for q in kept] + [q - 1 for q in rest]).reshape(2 ** len(kept), -1)
+    return len(kept), m @ m.conj().T
+
+
 def pure_marginal(state: PureState, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state without forming the full projector."""
     return DensityMatrix(*_marginal_entries(state, keep))
+
+
+def entropy_of_eigenvalues(evals: np.ndarray) -> float:
+    """-sum(l log2 l) over a density matrix's eigenvalues, in bits, with 0 log 0 := 0: the per-spectrum form of
+    `linalg.spectrum_entropies`."""
+    evals = evals[evals > ENTROPY_CUTOFF]
+    return float(-np.sum(evals * np.log2(evals)))
+
+
+def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
+    """Bipartite entanglement of party k versus the rest, in bits: H2(|c_k|^2), the per-party form of
+    `measures.splitting_entropies`."""
+    if not 1 <= k <= z.num_parties:
+        raise ValueError(f"party index {k} out of range 1..{z.num_parties}")
+    return binary_entropy(float(abs(z.coeffs[k - 1]) ** 2))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

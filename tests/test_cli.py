@@ -1053,6 +1053,45 @@ def test_measures_many_parties(capsys):
     assert len(doc["splitting_entropy"]) == 5
 
 
+def test_measures_sign_rule_holds_where_the_probability_rounds_to_one_half(capsys, tmp_path):
+    """Re(c2* c3) = 2.5e-18 > 0 makes P - 1/2 about 1e-18, so P prints as 0.5; the verdict follows the closed-form
+    excess, and the call exits 0 rather than raising."""
+    path = tmp_path / "near-half.json"
+    path.write_text('{"coeffs": [[-0.5, -0.5], [0.5, 0.0], [5e-18, 0.5]]}')
+    code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "1.1")
+    assert (code, err) == (0, "")
+    assert '"better_than_half": true' in out
+    odds = json.loads(out)["recovery"]["odds"]
+    assert odds["probability"] == 0.5
+    assert odds["re_c2_conj_c3"] == 2.5e-18
+    assert odds["better_than_half"] == (odds["re_c2_conj_c3"] > 0) and odds["sign"] == 1
+
+
+def _writer_values():
+    rng = np.random.default_rng(2306)
+    for n in range(3, 9):
+        yield cli._measures_report(random_zsa(n, rng), UnknownQubit(float(rng.uniform(0.0, math.pi)), 0.4))
+    yield cli._measures_report(roots_of_unity_zsa(20), UnknownQubit(1.1, 0.3))
+    yield {
+        "floats": [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7, np.float64(2.5)],
+        "ints": [0, -1, 10**30],
+        "flags": [True, False, None],
+        "empty": [[], {}, [[]], {"inner": {}}],
+        "nested": {"a": [[1.5, [2, {"b": []}]], {"c": (3.0, "t")}]},
+        'key "quoted"\\ \u00e9\n': 'text "quoted"\\ \u00e9\t\u2028',
+        "nonfinite": [float("nan"), float("inf"), -float("inf")],
+        "empty string": "",
+    }
+    yield from ([], {}, 0.25, -0.0, 7, "s", None, float("nan"))
+
+
+def test_indented_writer_matches_json_dumps():
+    """`cli._indented_json` is ``json.dumps(value, indent=2)`` byte for byte: seeded reports and one value with
+    every kind of scalar, empty and nested containers, escapes and non-finite floats."""
+    for value in _writer_values():
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
 # --- scaling ----------------------------------------------------------------------
 
 
@@ -1134,8 +1173,33 @@ def test_claims_csv(capsys):
     assert float(by_claim["scaling-two-parties"]["computed"]) == 1.0
 
 
+@dataclasses.dataclass(frozen=True)
+class SeededCoeffs:
+    """A ``--coeffs`` file, written when a test runs: normalized zero-sum complex Gaussian draws from
+    ``default_rng(seed)``, with the first draw replaced by 1e-8 when ``tiny`` (|c_1|^2 about 5e-18)."""
+
+    parties: int
+    seed: int
+    tiny: bool = False
+
+    def write(self, directory: Path) -> str:
+        rng = np.random.default_rng(self.seed)
+        c = rng.standard_normal(self.parties - 1) + 1j * rng.standard_normal(self.parties - 1)
+        if self.tiny:
+            c[0] = 1e-8
+        c = np.append(c, -c.sum())
+        c /= np.linalg.norm(c)
+        path = directory / f"seeded-{self.parties}-{self.seed}.json"
+        path.write_text(json.dumps({"coeffs": [[float(v.real), float(v.imag)] for v in c]}))
+        return str(path)
+
+
 # SHA-256 of stdout, recorded from the implementation that built the claims row
 # by row and wrote each CSV through its own writer (numpy 2.4.6, x86-64).
+# The three `--coeffs` pins were recorded from the implementation that took each party's entropies one at a time
+# and wrote the report with `json.dumps(..., indent=2)`.  Their amplitude magnitudes differ, so unlike the cube's
+# they pin the rounding of every per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form
+# prints 0.0 and its oracle -0.0.
 GOLDEN_REPORTS = [
     (["claims"], "b6d5ea957e4bca64ed7fdd66d48c66dd630d4d39de53b054d96f8d48932103c0"),
     (["claims", "--format", "json"], "967778f0bde0d0aed1d03c4b7760ca521a7f492f674a8fdd08e3f7a5bfbc1ee5"),
@@ -1147,6 +1211,12 @@ GOLDEN_REPORTS = [
     (["scaling", "--max", "40"], "a3b9808e77986abc69f686e2160312627c9c03cde57aeac2db057e098e71cf17"),
     (["scaling", "--max", "40", "--format", "csv"],
      "73755f0a747d115d7e406d70fefc8bf39a985977e8d6fdbb74df258265a0301d"),
+    (["measures", "--coeffs", SeededCoeffs(4, 2304), "--theta", "0.7", "--phi", "0.2"],
+     "715f983573715d3897c820350e1ac340fab5dce0151659cbaf57a47f5885f96e"),
+    (["measures", "--coeffs", SeededCoeffs(5, 2305), "--theta", "2.3", "--phi", "4.1"],
+     "1dac4d11632501b215c019fa40c5bd6c8a37ce39342e3177f89e73530c87d304"),
+    (["measures", "--coeffs", SeededCoeffs(8, 2308, tiny=True), "--theta", "1.9", "--phi", "5.5"],
+     "f9bb21a1088d3ac42fd42743f107ed61b98a844d7f96e125171f8d8b116b9dbd"),
 ]
 
 
@@ -1154,9 +1224,10 @@ GOLDEN_REPORTS = [
     "argv,digest",
     GOLDEN_REPORTS,
     ids=["claims-text", "claims-json", "claims-csv", "measures-json", "measures-csv", "scaling-json",
-         "scaling-csv"],
+         "scaling-csv", "measures-coeffs4", "measures-coeffs5", "measures-coeffs8-tiny"],
 )
-def test_report_golden_output(capsys, argv, digest):
+def test_report_golden_output(capsys, tmp_path, argv, digest):
+    argv = [arg.write(tmp_path) if isinstance(arg, SeededCoeffs) else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert err == ""
@@ -1165,12 +1236,13 @@ def test_report_golden_output(capsys, argv, digest):
 
 @pytest.mark.parametrize(
     "argv,budget",
-    [(["measures", "--gen", "roots:8"], 1), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 7)],
+    [(["measures", "--gen", "roots:8"], 1), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 5)],
     ids=["roots8", "cube"],
 )
 def test_measures_eigensolve_budget(capsys, monkeypatch, argv, budget):
-    """One stacked eigensolve per state's single-qubit marginals; the cube's other four are the PPT oracle, the
-    positivity check of its one pair marginal and the concurrence oracle's two."""
+    """One stacked eigensolve for every single-qubit marginal of a report, the shared state's and, for the cube,
+    both outputs'; the cube's other four are the PPT oracle, the positivity check of its one pair marginal and the
+    concurrence oracle's two."""
     calls = []
 
     def counted(name, real):

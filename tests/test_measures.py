@@ -6,10 +6,10 @@ import pytest
 from qcobweb.linalg import (
     DensityMatrix,
     binary_entropy,
-    entropy_of_eigenvalues,
     hermitian_eigenvalues,
     partial_transpose,
     single_qubit_spectra,
+    spectrum_entropies,
 )
 from qcobweb.measures import (
     cobweb_spectrum,
@@ -18,7 +18,7 @@ from qcobweb.measures import (
     eof_from_concurrence,
     ppt_report,
     scaling_curve,
-    splitting_entropy,
+    splitting_entropies,
 )
 from qcobweb.protocol import cobweb_state
 from qcobweb.states import (
@@ -32,7 +32,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
-from oracles import pure_marginal, von_neumann_entropy
+from oracles import entropy_of_eigenvalues, pure_marginal, splitting_entropy, von_neumann_entropy
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896  # H2(1/3)
@@ -141,10 +141,9 @@ def test_concurrence_reference_values():
 
 
 def test_splitting_entropy_cube_roots():
-    for k in (1, 2, 3):
-        assert splitting_entropy(CUBE, k) == pytest.approx(ENTROPY_THIRD, abs=1e-12)
+    np.testing.assert_allclose(splitting_entropies(CUBE), ENTROPY_THIRD, rtol=0, atol=1e-12)
     # the rounded reference figure
-    assert abs(splitting_entropy(CUBE, 1) - 0.9) < 0.05
+    assert abs(splitting_entropies(CUBE)[0] - 0.9) < 0.05
 
 
 def test_splitting_entropy_equals_marginal_entropy():
@@ -153,8 +152,7 @@ def test_splitting_entropy_equals_marginal_entropy():
         n = int(rng.integers(3, 7))
         z = random_zsa(n, rng)
         psi = build_state(z)
-        for k in range(1, n + 1):
-            closed = splitting_entropy(z, k)
+        for k, closed in enumerate(splitting_entropies(z), start=1):
             assert abs(closed - von_neumann_entropy(reduced_single(z, k))) < 1e-11
             assert abs(closed - von_neumann_entropy(pure_marginal(psi, [k]))) < 1e-11
 
@@ -165,14 +163,14 @@ def test_splitting_entropy_half():
         [1 / math.sqrt(2), complex(-a, a) / math.sqrt(2), complex(-a, -a) / math.sqrt(2)]
     )
     assert abs(z.coeffs[0]) ** 2 == pytest.approx(0.5, abs=1e-15)
-    assert splitting_entropy(z, 1) == pytest.approx(1.0, abs=1e-12)
+    assert splitting_entropies(z)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_splitting_entropy_nth_roots_matches_curve():
     curve = dict(scaling_curve(8))
     for n in (4, 6, 8):
         z = roots_of_unity_zsa(n)
-        assert splitting_entropy(z, 2) == pytest.approx(curve[n], abs=1e-12)
+        assert splitting_entropies(z)[1] == pytest.approx(curve[n], abs=1e-12)
 
 
 # --- cobweb spectrum ------------------------------------------------------------------
@@ -222,10 +220,11 @@ def test_cobweb_spectrum_factor_four_variant_fails_oracle():
 def _assert_spectra_match_marginals_bitwise(state):
     spectra = single_qubit_spectra(state)
     assert spectra.shape == (state.num_qubits, 2)
+    entropies = spectrum_entropies(spectra)
     for q in range(1, state.num_qubits + 1):
         rho = pure_marginal(state, [q])
         assert np.array_equal(spectra[q - 1], hermitian_eigenvalues(rho.entries))
-        assert entropy_of_eigenvalues(spectra[q - 1]) == von_neumann_entropy(rho)
+        assert entropies[q - 1] == von_neumann_entropy(rho)
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -237,11 +236,58 @@ def test_single_qubit_spectra_match_pure_marginal_bitwise(n):
 
 
 def test_single_qubit_spectra_match_pure_marginal_bitwise_on_cobwebs():
+    """Also: the shared state and both outputs in one call give each state's own rows, in order, bit for bit."""
     rng = np.random.default_rng(1603)
     for _ in range(200):
         z, q = random_zsa(3, rng), random_qubit(rng)
-        for ref in (0, 1):
-            _assert_spectra_match_marginals_bitwise(cobweb_state(q, z, ref).vector)
+        outputs = [cobweb_state(q, z, ref).vector for ref in (0, 1)]
+        for output in outputs:
+            _assert_spectra_match_marginals_bitwise(output)
+        states = [build_state(z), *outputs]
+        assert np.array_equal(single_qubit_spectra(*states), np.concatenate([single_qubit_spectra(s) for s in states]))
+
+
+def _tiny_zsa(n: int, rng: np.random.Generator) -> ZsaAmplitudes:
+    """A seeded ZSA state with one |c_k|^2 below 1e-14 (often below 1.1e-16, where 1 - |c_k|^2 rounds to 1)."""
+    c = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    c[int(rng.integers(n - 1))] = 10.0 ** -rng.uniform(7.0, 10.5)
+    c = np.append(c, -c.sum())
+    return ZsaAmplitudes(c / np.linalg.norm(c))
+
+
+def _bits(values) -> list[str]:
+    """Each value's repr: equal lists are equal bit for bit, the sign of a zero included."""
+    return [repr(float(v)) for v in values]
+
+
+def _entropy_states(max_n: int):
+    rng = np.random.default_rng(2303)
+    for n in range(2, max_n + 1):
+        yield roots_of_unity_zsa(n)
+        yield random_zsa(n, rng)
+        if n > 2:  # at N = 2 both amplitudes have the same magnitude
+            yield _tiny_zsa(n, rng)
+
+
+def test_splitting_entropies_match_the_per_party_form_bitwise():
+    """The one array pass over all parties is `binary_entropy` of each |c_k|^2, zero signs included."""
+    for z in _entropy_states(20):
+        want = [splitting_entropy(z, k) for k in range(1, z.num_parties + 1)]
+        assert _bits(splitting_entropies(z)) == _bits(want)
+
+
+def test_spectrum_entropies_match_the_per_spectrum_form_bitwise():
+    """The one array pass over all rows is `entropy_of_eigenvalues` of each row, zero signs included, on the
+    shared states' and the outputs' spectra and on rows at the cutoff, below it and negative."""
+    rng = np.random.default_rng(2304)
+    stacks = [single_qubit_spectra(build_state(z)) for z in _entropy_states(12)]
+    for _ in range(50):
+        z, q = _tiny_zsa(3, rng), random_qubit(rng)
+        stacks.append(single_qubit_spectra(*(cobweb_state(q, z, ref).vector for ref in (0, 1))))
+    stacks.append(np.array([[0.0, 1.0], [-1e-17, 1.0], [1e-14, 1.0 - 1e-14], [1.0000000000000002e-14, 0.9],
+                            [0.5, 0.5], [5e-324, 1.0], [0.25, 0.75]]))
+    for spectra in stacks:
+        assert _bits(spectrum_entropies(spectra)) == _bits([entropy_of_eigenvalues(row) for row in spectra])
 
 
 def test_cobweb_spectrum_requires_three_parties():
