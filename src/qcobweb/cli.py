@@ -12,8 +12,8 @@ A call parses its arguments once, with its subcommand's own parser (`main`).
 A `run` call renders each branch's row of one `protocol.bell_table` at most
 once, from the table's arrays alone (`_branch_row`), and writes it after each
 trial's index, which `_index_parts` builds from digit tables.  A `measures`
-report is built with one array pass per entropy formula and one stacked
-eigensolve, and written by `_indented_json`: the bytes of ``json.dumps(report,
+report takes its oracle entropies from one array pass over one stacked
+eigensolve, and is written by `_indented_json`: the bytes of ``json.dumps(report,
 indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
 caches, by key and bound: `build_parser` (one entry), `_named_source` (the
 last ``--gen`` name), `session.message_log` (party count and payload, four),
@@ -55,7 +55,7 @@ from .measures import (
     eof_from_concurrence,
     ppt_report,
     scaling_curve,
-    splitting_entropies,
+    splitting_entropy,
 )
 from .protocol import (
     CORRECTIONS,
@@ -395,15 +395,16 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     outputs = [cobweb_state(q, z, ref) for ref in (0, 1)] if n == 3 else []
     # rows: the shared state's N qubits, then qubits 1 and 2 of each output
     spectra = single_qubit_spectra(build_state(z), *(cw.vector for cw in outputs))
-    closed, oracle = splitting_entropies(z), spectrum_entropies(spectra[:n])
+    closed = [splitting_entropy(z, k) for k in range(1, n + 1)]
+    oracle = spectrum_entropies(spectra[:n]).tolist()
     report: dict = {
         "num_parties": n,
         "coefficients": [[c.real, c.imag] for c in z.coeffs],
         "theta": q.theta,
         "phi": q.phi,
         "splitting_entropy": {
-            f"party_{k}": {"closed_form": c, "oracle": o, "abs_difference": d}
-            for k, c, o, d in zip(range(1, n + 1), closed.tolist(), oracle.tolist(), np.abs(closed - oracle).tolist())
+            f"party_{k}": {"closed_form": c, "oracle": o, "abs_difference": abs(c - o)}
+            for k, c, o in zip(range(1, n + 1), closed, oracle)
         },
     }
     if n != 3:

@@ -60,15 +60,12 @@ def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
     }
 
 
-def _recovery_probability(z: ZsaAmplitudes, q: UnknownQubit) -> tuple[float, float, float]:
-    """The closed-form recovery probability P, its excess P - 1/2 and Re(c2* c3), for `cnot_disentangle` and its sign
-    rule.  P - 1/2 = |beta|^2 Re(c2* c3) / (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3)), whose denominator is
-    1/N(alpha)^2 > 0, so the excess has the sign of Re(c2* c3) even where P itself rounds to 1/2."""
+def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]:
+    """The closed-form recovery probability and Re(c2* c3), shared by `cnot_disentangle` and its sign rule."""
     a2 = float(abs(z.coeffs[1]) ** 2)
     a3 = float(abs(z.coeffs[2]) ** 2)
     re_cross = float((np.conj(z.coeffs[1]) * z.coeffs[2]).real)
-    denominator = a2 + a3 + 2.0 * q.alpha**2 * re_cross
-    return (a2 + a3 + 2.0 * re_cross) / (2.0 * denominator), abs(q.beta) ** 2 * re_cross / denominator, re_cross
+    return (a2 + a3 + 2.0 * re_cross) / (2.0 * (a2 + a3 + 2.0 * alpha**2 * re_cross)), re_cross
 
 
 def cnot_disentangle(c: CobwebState) -> dict:
@@ -87,7 +84,7 @@ def cnot_disentangle(c: CobwebState) -> dict:
     after = apply_gate(c.vector, (1, 2), CNOT)
     p_plus, res_plus = project(after, [1], PLUS)
     success_state = PureState(1, res_plus / math.sqrt(p_plus))
-    closed_form = _recovery_probability(c.zsa, c.qubit)[0]
+    closed_form = _recovery_probability(c.zsa, c.qubit.alpha)[0]
     return {
         "simulated_probability": p_plus,
         "closed_form_probability": closed_form,
@@ -100,20 +97,22 @@ def cnot_disentangle(c: CobwebState) -> dict:
 def success_probability_sign(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     """Recovery odds and the sign rule P > 1/2 iff Re(c2* c3) > 0, for theta strictly inside (0, pi).
 
-    ``better_than_half`` is the sign of the closed-form excess P - 1/2, not a
-    comparison of the rounded P with 1/2.  Raises RuntimeError if that sign
-    ever disagrees with the sign of Re(c2* c3); the two are algebraically
-    equivalent.
+    ``better_than_half`` is the sign rule itself: P - 1/2 = |beta|^2 Re(c2* c3)
+    / (2 (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3))) has the sign of Re(c2* c3),
+    while the rounded P can land on exactly 1/2 when Re(c2* c3) is tiny or
+    |beta|^2 underflows.  Rounding is monotonic and alpha^2 <= 1, so the
+    rounded P never lies on the wrong side of 1/2: RuntimeError is raised if
+    it does, which only a wrong P formula can cause.
     """
     if z.num_parties != 3:
         raise ValueError("recovery odds are computed for the tripartite output")
     if q.theta in (0.0, math.pi):
         raise ValueError("theta must lie strictly inside (0, pi)")
-    probability, excess, re_cross = _recovery_probability(z, q)
-    better = excess > 0.0
-    if better != (re_cross > 0.0):
+    probability, re_cross = _recovery_probability(z, q.alpha)
+    better = re_cross > 0.0
+    if probability != 0.5 and (probability > 0.5) != better:
         raise RuntimeError(
-            f"sign rule violated: P - 1/2 = {excess!r} while Re(c2* c3) = {re_cross!r}"
+            f"sign rule violated: P = {probability!r} while Re(c2* c3) = {re_cross!r}"
         )
     return {
         "probability": probability,

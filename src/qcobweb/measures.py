@@ -12,8 +12,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import (POSITIVITY_TOL, DensityMatrix, binary_entropy, hermitian_eigenvalues, partial_transpose,
-                     spectrum_entropies)
+from .linalg import POSITIVITY_TOL, DensityMatrix, binary_entropy, hermitian_eigenvalues, partial_transpose
 from .protocol import CobwebState
 from .states import ZsaAmplitudes
 
@@ -87,16 +86,15 @@ def eof_from_concurrence(con: float) -> float:
     return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - con**2)))
 
 
-def splitting_entropies(z: ZsaAmplitudes) -> np.ndarray:
-    """Bipartite entanglement of each party k versus the rest, in bits, in entry k - 1: one array pass.
+def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
+    """Bipartite entanglement of party k versus the rest, in bits.
 
-    H2(|c_k|^2), the entropy of party k's marginal diag(1 - |c_k|^2, |c_k|^2).
-    Each |c_k|^2 is a scalar ``abs(c) ** 2`` (array `np.abs` rounds some of
-    them differently), and ``+ 0.0`` keeps `binary_entropy`'s +0.0 where both
-    terms vanish, at |c_k|^2 below 1.1e-16, where the spectrum form gives -0.0.
+    -(1-|c_k|^2) log2 (1-|c_k|^2) - |c_k|^2 log2 |c_k|^2, which is the von
+    Neumann entropy of the single-party marginal.
     """
-    populations = np.array([abs(c) ** 2 for c in z.coeffs])
-    return spectrum_entropies(np.array([populations, 1.0 - populations]).T) + 0.0
+    if not 1 <= k <= z.num_parties:
+        raise ValueError(f"party index {k} out of range 1..{z.num_parties}")
+    return binary_entropy(float(abs(z.coeffs[k - 1]) ** 2))
 
 
 def cobweb_spectrum(c: CobwebState) -> dict:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, binary_entropy, partial_trace
-from .measures import concurrence, eof_from_concurrence
+from .linalg import DensityMatrix, partial_trace
+from .measures import concurrence, eof_from_concurrence, splitting_entropy
 from .protocol import BellOutcome, Transcript, run_protocol
 from .states import UnknownQubit, ZsaAmplitudes, roots_of_unity_zsa, slot_positions
 
@@ -75,11 +75,10 @@ def require_session(z: ZsaAmplitudes) -> None:
 
 
 def resource_ledger(z: ZsaAmplitudes) -> ResourceLedger:
-    """What a session on ``z`` spends, whatever its outcome: the shared state's splitting entropy at party 1,
-    H2(|c_1|^2), and two classical bits to each of parties 2..N."""
+    """What a session on ``z`` spends, whatever its outcome: the shared state's splitting entropy at party 1, and
+    two classical bits to each of parties 2..N."""
     n = z.num_parties
-    ebits = binary_entropy(float(abs(z.coeffs[0]) ** 2))  # party 1's `splitting_entropies` entry, bit for bit
-    return ResourceLedger(ebits_consumed=ebits, cbits_total=2 * (n - 1), parties=n)
+    return ResourceLedger(ebits_consumed=splitting_entropy(z, 1), cbits_total=2 * (n - 1), parties=n)
 
 
 def run_session(

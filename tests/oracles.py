@@ -17,7 +17,6 @@ from qcobweb.linalg import (
     DensityMatrix,
     PureState,
     _check_qubit_labels,
-    binary_entropy,
     project,
 )
 from qcobweb.protocol import BELL_VECTORS, BellOutcome, _require_protocol
@@ -95,14 +94,6 @@ def entropy_of_eigenvalues(evals: np.ndarray) -> float:
     `linalg.spectrum_entropies`."""
     evals = evals[evals > ENTROPY_CUTOFF]
     return float(-np.sum(evals * np.log2(evals)))
-
-
-def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
-    """Bipartite entanglement of party k versus the rest, in bits: H2(|c_k|^2), the per-party form of
-    `measures.splitting_entropies`."""
-    if not 1 <= k <= z.num_parties:
-        raise ValueError(f"party index {k} out of range 1..{z.num_parties}")
-    return binary_entropy(float(abs(z.coeffs[k - 1]) ** 2))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -29,7 +29,7 @@ from qcobweb.measures import (
     eof_from_concurrence,
     ppt_report,
     scaling_curve,
-    splitting_entropies,
+    splitting_entropy,
 )
 from qcobweb.protocol import (
     BellOutcome,
@@ -78,7 +78,7 @@ def test_criterion_02_cube_roots_marginals():
         worst = max(worst, float(np.max(np.abs(reduced_single(CUBE, k).entries - expected))))
         oracle = partial_trace(outer(psi), [k])
         worst = max(worst, float(np.max(np.abs(oracle.entries - expected))))
-    entropy = float(splitting_entropies(CUBE)[0])
+    entropy = splitting_entropy(CUBE, 1)
     ok = worst < 1e-12 and abs(entropy - 0.9) <= 0.05 and abs(entropy - ENTROPY_THIRD) < 1e-11
     _line(2, ok, f"cube-roots marginals diag(2/3,1/3) (deviation {worst:.2e}), entropy {entropy:.4f}")
     assert worst < 1e-12

@@ -1053,12 +1053,14 @@ def test_measures_many_parties(capsys):
     assert len(doc["splitting_entropy"]) == 5
 
 
-def test_measures_sign_rule_holds_where_the_probability_rounds_to_one_half(capsys, tmp_path):
-    """Re(c2* c3) = 2.5e-18 > 0 makes P - 1/2 about 1e-18, so P prints as 0.5; the verdict follows the closed-form
-    excess, and the call exits 0 rather than raising."""
+@pytest.mark.parametrize("theta", ["1.1", "1e-170"])
+def test_measures_sign_rule_holds_where_the_probability_rounds_to_one_half(capsys, tmp_path, theta):
+    """Re(c2* c3) = 2.5e-18 > 0 makes P - 1/2 about 1e-18 at theta = 1.1, and |beta|^2 Re(c2* c3) underflows to 0
+    at theta = 1e-170, so P prints as 0.5 in both; the verdict follows the sign rule, and the call exits 0 rather
+    than raising."""
     path = tmp_path / "near-half.json"
     path.write_text('{"coeffs": [[-0.5, -0.5], [0.5, 0.0], [5e-18, 0.5]]}')
-    code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "1.1")
+    code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", theta)
     assert (code, err) == (0, "")
     assert '"better_than_half": true' in out
     odds = json.loads(out)["recovery"]["odds"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcobweb import disentangle
 from qcobweb.disentangle import (
     cnot_disentangle,
     obstruction,
@@ -175,6 +176,27 @@ def test_sign_rule_random_states():
         theta = float(rng.uniform(0.05, np.pi - 0.05))
         report = success_probability_sign(z, UnknownQubit(theta, float(rng.uniform(0, 2 * np.pi))))
         assert report["better_than_half"] == (report["re_c2_conj_c3"] > 0)
+
+
+def test_sign_rule_near_the_poles_and_at_tiny_crosses():
+    """Where P rounds to 1/2 the verdict still follows Re(c2* c3), and a rounded P never lands on the wrong side."""
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        delta = float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-18, -12))
+        c2, c3 = phase, phase * (1j + delta)  # Re(c2* c3) = delta
+        coeffs = np.array([-(c2 + c3), c2, c3])
+        z = ZsaAmplitudes(coeffs / np.linalg.norm(coeffs))
+        for theta in (10.0 ** float(rng.uniform(-170, 0)), math.pi - 10.0 ** float(rng.uniform(-15, 0))):
+            q = UnknownQubit(theta)
+            report = success_probability_sign(z, q)
+            assert report["better_than_half"] == (report["re_c2_conj_c3"] > 0)
+
+
+def test_sign_rule_flags_a_probability_on_the_wrong_side(monkeypatch):
+    monkeypatch.setattr(disentangle, "_recovery_probability", lambda z, alpha: (0.4, 1 / 6))
+    with pytest.raises(RuntimeError, match="sign rule violated"):
+        success_probability_sign(CUBE, UnknownQubit(np.pi / 2))
 
 
 def test_sign_rule_rejects_poles():

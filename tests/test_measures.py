@@ -18,7 +18,7 @@ from qcobweb.measures import (
     eof_from_concurrence,
     ppt_report,
     scaling_curve,
-    splitting_entropies,
+    splitting_entropy,
 )
 from qcobweb.protocol import cobweb_state
 from qcobweb.states import (
@@ -32,7 +32,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
-from oracles import entropy_of_eigenvalues, pure_marginal, splitting_entropy, von_neumann_entropy
+from oracles import entropy_of_eigenvalues, pure_marginal, von_neumann_entropy
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896  # H2(1/3)
@@ -141,9 +141,10 @@ def test_concurrence_reference_values():
 
 
 def test_splitting_entropy_cube_roots():
-    np.testing.assert_allclose(splitting_entropies(CUBE), ENTROPY_THIRD, rtol=0, atol=1e-12)
+    for k in (1, 2, 3):
+        assert splitting_entropy(CUBE, k) == pytest.approx(ENTROPY_THIRD, abs=1e-12)
     # the rounded reference figure
-    assert abs(splitting_entropies(CUBE)[0] - 0.9) < 0.05
+    assert abs(splitting_entropy(CUBE, 1) - 0.9) < 0.05
 
 
 def test_splitting_entropy_equals_marginal_entropy():
@@ -152,7 +153,8 @@ def test_splitting_entropy_equals_marginal_entropy():
         n = int(rng.integers(3, 7))
         z = random_zsa(n, rng)
         psi = build_state(z)
-        for k, closed in enumerate(splitting_entropies(z), start=1):
+        for k in range(1, n + 1):
+            closed = splitting_entropy(z, k)
             assert abs(closed - von_neumann_entropy(reduced_single(z, k))) < 1e-11
             assert abs(closed - von_neumann_entropy(pure_marginal(psi, [k]))) < 1e-11
 
@@ -163,14 +165,14 @@ def test_splitting_entropy_half():
         [1 / math.sqrt(2), complex(-a, a) / math.sqrt(2), complex(-a, -a) / math.sqrt(2)]
     )
     assert abs(z.coeffs[0]) ** 2 == pytest.approx(0.5, abs=1e-15)
-    assert splitting_entropies(z)[0] == pytest.approx(1.0, abs=1e-12)
+    assert splitting_entropy(z, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_splitting_entropy_nth_roots_matches_curve():
     curve = dict(scaling_curve(8))
     for n in (4, 6, 8):
         z = roots_of_unity_zsa(n)
-        assert splitting_entropies(z)[1] == pytest.approx(curve[n], abs=1e-12)
+        assert splitting_entropy(z, 2) == pytest.approx(curve[n], abs=1e-12)
 
 
 # --- cobweb spectrum ------------------------------------------------------------------
@@ -267,13 +269,6 @@ def _entropy_states(max_n: int):
         yield random_zsa(n, rng)
         if n > 2:  # at N = 2 both amplitudes have the same magnitude
             yield _tiny_zsa(n, rng)
-
-
-def test_splitting_entropies_match_the_per_party_form_bitwise():
-    """The one array pass over all parties is `binary_entropy` of each |c_k|^2, zero signs included."""
-    for z in _entropy_states(20):
-        want = [splitting_entropy(z, k) for k in range(1, z.num_parties + 1)]
-        assert _bits(splitting_entropies(z)) == _bits(want)
 
 
 def test_spectrum_entropies_match_the_per_spectrum_form_bitwise():
