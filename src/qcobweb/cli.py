@@ -10,15 +10,16 @@ Subcommands:
 
 A call parses its arguments once, with its subcommand's own parser (`main`).
 A `run` call renders each branch's row of one `protocol.bell_table` at most
-once, from the table's arrays alone (`_branch_row`), and writes it after each
-trial's index, which `_index_parts` builds from digit tables.  A `measures`
+once, by one fill of a template with the table's floats (`_branch_row`),
+draws every trial from one `protocol.outcome_cdf`, and writes each row after
+its trial's index, which `_index_parts` builds from digit tables.  A `measures`
 report takes its oracle entropies from one array pass over one stacked
 eigensolve, and is written by `_indented_json`: the bytes of ``json.dumps(report,
 indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
 caches, by key and bound: `build_parser` (one entry), `_named_source` (the
 last ``--gen`` name), `session.message_log` (party count and payload, four),
-`_zero_runs` (the last register and format), `_csv_header` (the last party
-count) and `protocol._sign_rows` (register, 20).  Only a process that calls
+`_zero_runs` (the last register and format), `_row_template` (the last two
+reference bits) and `_csv_header` (the last party count).  Only a process that calls
 `main` more than once gains from them; a ``--coeffs`` file is read on every
 call.  Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or
 malformed input.  Output is plain text or machine-readable JSON/CSV; no color
@@ -67,6 +68,7 @@ from .protocol import (
     cobweb_state,
     draw_outcome_block,
     normalization_constants,
+    outcome_cdf,
     run_protocol,
 )
 from .session import classical_only_baseline, message_log, require_session, resource_ledger
@@ -213,24 +215,24 @@ def _zero_runs(n: int, csv_cells: bool) -> tuple[str, ...]:
     return tuple(zero * ((1 << j) - 1) for j in range(n))
 
 
-def _amplitude_parts(slots: np.ndarray, reference_bit: int, csv_cells: bool) -> list[str]:
-    """The parts whose join is a `CobwebState`'s dense amplitudes, as CSV cells ``,re,im,...`` (each after its
+def _amplitude_template(n: int, reference_bit: int, csv_cells: bool) -> str:
+    """The format template of a `CobwebState`'s 2^n dense amplitudes, as CSV cells ``,re,im,...`` (each after its
     separator, as after a row's scalar cells) or the inside of the JSON list ``[re, im], ...``.
 
-    Each cell reads as ``json.dumps(float(x))``.  Only the N slots are formatted (``str.format`` writes a float as
-    its ``repr``, as ``json.dumps`` does a finite one); the zero cells between them are runs of `_zero_runs`, so
-    the cost is set by N, not by 2^(N-1).  For reference bit 0, slot 0 sits at basis position 0 and slot n - j at
-    2^j, followed by run j; reference bit 1 puts each at 2^n - 1 minus that position, so its parts come in reverse.
+    Positional fields 0 .. 2n + 1 take the 2N floats of the state's `BellTable` row, and field 2n + 2 + j run j of
+    `_zero_runs`: only the N slots are fields, so the template's length is set by N, not by 2^(N-1).  ``{}`` writes
+    a float as its ``repr``, as ``json.dumps`` does a finite one.  For reference bit 0, slot 0 sits at basis position
+    0 and slot n - j at 2^j, followed by run j; reference bit 1 puts each at 2^n - 1 minus that position, so its parts
+    come in reverse.
     """
-    n = slots.size - 1
-    sep, cell = (",", ",{},{}") if csv_cells else (", ", ", [{}, {}]")
-    cells = [cell.format(*pair) for pair in slots.view(np.float64).reshape(-1, 2).tolist()]
-    runs = _zero_runs(n, csv_cells)
+    sep, cell = (",", ",{%d},{%d}") if csv_cells else (", ", ", [{%d}, {%d}]")
+    cells = [cell % (2 * k, 2 * k + 1) for k in range(n + 1)]
+    runs = ["{%d}" % (2 * n + 2 + j) for j in range(n)]
     parts = [cells[0]]
-    for slot_cell, run in zip(cells[:0:-1], runs):
+    for j, slot_cell in enumerate(cells[:0:-1]):
         parts.append(slot_cell)
-        if run:
-            parts.append(run)
+        if j:  # run 0 is empty
+            parts.append(runs[j])
     if reference_bit:
         parts.reverse()
     if not csv_cells:  # a JSON list has no separator before its first cell
@@ -238,7 +240,24 @@ def _amplitude_parts(slots: np.ndarray, reference_bit: int, csv_cells: bool) -> 
             parts[:1] = ["[0.0, 0.0]", runs[n - 2], runs[n - 2]]
         else:
             parts[0] = parts[0][len(sep):]
-    return parts
+    return "".join(parts)
+
+
+# A row's text around its amplitudes, by format (JSON, CSV), as templates whose named fields are the scalar fields
+# and the product flag.
+_ROW_FRAMES = (
+    (', "outcome": "{outcome}", ' + ", ".join(f'"{name}": {{{name}}}' for name in Transcript.SCALAR_FIELDS[1:])
+     + ', "final_state": [', '], "product_state": {product_state}}}\n'),
+    ("," + ",".join(f"{{{name}}}" for name in (*Transcript.SCALAR_FIELDS, "product_state")), "\n"),
+)
+
+
+@functools.lru_cache(maxsize=2)
+def _row_template(n: int, reference_bit: int, csv_cells: bool) -> str:
+    """The format template of a `run` row after its trial index, for an n-qubit output: `_amplitude_template` in its
+    format's `_ROW_FRAMES`.  Only the last two are kept, the two reference bits of one call."""
+    head, tail = _ROW_FRAMES[csv_cells]
+    return head + _amplitude_template(n, reference_bit, csv_cells) + tail
 
 
 @functools.lru_cache(maxsize=1)
@@ -250,19 +269,16 @@ def _csv_header(num_parties: int) -> str:
 
 
 def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
-    """What every trial that lands on ``outcome`` writes after its trial index, newline included: one join of the
-    branch's `Transcript.scalar_fields`, amplitude parts and product flag, all read from the table's arrays.  Each
-    number reads as ``json.dumps`` writes it (a finite float as its ``repr``), and the label is quoted in JSON only;
-    no cell holds a comma, quote or newline, so CSV quotes none.  Raises `DegenerateBranch` on a degenerate row."""
-    value, reference_bit = outcome.value, CORRECTIONS[outcome][0]
-    cells = [_LABELS[value], value, repr(table.probability(outcome)), 2, table.zsa.num_parties - 1, reference_bit,
-             repr(table.norm_constants[reference_bit])]
-    product = int(table.products[value])
-    amplitudes = _amplitude_parts(table.slots[value], reference_bit, csv_cells)
-    if csv_cells:
-        return "".join([",", ",".join(map(str, [*cells, product])), *amplitudes, "\n"])
-    scalars = ", ".join(map('"{}": {}'.format, Transcript.SCALAR_FIELDS, [f'"{cells[0]}"', *cells[1:]]))
-    return "".join([", ", scalars, ', "final_state": [', *amplitudes, f'], "product_state": {product}}}\n'])
+    """What every trial that lands on ``outcome`` writes after its trial index, newline included: one fill of
+    `_row_template` with the branch's `Transcript.scalar_fields`, row floats, zero runs and product flag, all read
+    from the table.  Each number reads as ``json.dumps`` writes it (a finite float as its ``repr``), and the label is
+    quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes none.  Raises `DegenerateBranch` on
+    a degenerate row."""
+    value, reference_bit, n = outcome.value, CORRECTIONS[outcome][0], table.zsa.num_parties - 1
+    scalars = zip(Transcript.SCALAR_FIELDS, (_LABELS[value], value, table.probability(outcome), 2, n, reference_bit,
+                                             table.norm_constants[reference_bit]))
+    return _row_template(n, reference_bit, csv_cells).format(*table.rows[value], *_zero_runs(n, csv_cells),
+                                                             **dict(scalars), product_state=int(table.products[value]))
 
 
 # Trials per block draw.  A block costs about 16 us of fixed numpy work plus 0.04 us and, at its peak, 16 B per
@@ -270,16 +286,16 @@ def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
 DRAW_BLOCK = 1024
 
 
-def _outcome_blocks(probs: np.ndarray, seed: int, trials: int, forced: BellOutcome | None):
+def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
     """(first trial, outcome values array) per block: trial 0 on its own, then up to `DRAW_BLOCK` trials at a time.
 
-    A sampled call draws trial t from the t-th double of ``default_rng(seed)``.  Trial 0 is a block of one, so the
-    first row waits for one draw only.
+    A sampled call draws trial t from the t-th double of ``default_rng(seed)``, every block on the one
+    `outcome_cdf` of ``probs``.  Trial 0 is a block of one, so the first row waits for one draw only.
     """
-    rng = np.random.default_rng(seed) if forced is None else None
+    rng, cdf = (np.random.default_rng(seed), outcome_cdf(probs)) if forced is None else (None, None)
     for start in itertools.chain([0], range(1, trials, DRAW_BLOCK)):
         count = min(DRAW_BLOCK, trials - start) if start else 1
-        yield start, np.full(count, forced.value) if forced is not None else draw_outcome_block(probs, rng, count)
+        yield start, np.full(count, forced.value) if forced is not None else draw_outcome_block(cdf, rng, count)
 
 
 # Every trial index below 1000, and every last three digits of a larger one, as text.
@@ -313,7 +329,7 @@ def cmd_run(args) -> int:
     """Stream one row per trial; the four Bell branches come from one `bell_table` call, each rendered once.
 
     Every trial shares (q, z), so its row is one of four fixed by its Bell outcome.  Trials are drawn in
-    `_outcome_blocks`, counted with one ``np.bincount`` per block, and written in chunks of at most `WRITE_CHUNK`
+    `_outcome_blocks` from one `outcome_cdf` per call, counted with one ``np.bincount`` per block, and written in chunks of at most `WRITE_CHUNK`
     characters, each row copied at most once after its trial index from `_index_parts`, so a call holds one
     block's draw buffers and one chunk of text, whatever `--trials`.  The first trial renders only the branch it
     lands on; a sampled call of at least four trials then renders every other branch that would not raise
@@ -371,11 +387,12 @@ def cmd_run(args) -> int:
                 for i, j in _chunks(len(values), max(len(logs[value]) for value in drawn)):
                     log.write("".join(map(logs.__getitem__, values[i:j])))
             if start == 0 and forced is None and args.trials >= len(BellOutcome):
-                for value in np.flatnonzero(probs >= DEGENERATE_PROBABILITY).tolist():
-                    render(value)
+                for value, prob in enumerate(probs):
+                    if prob >= DEGENERATE_PROBABILITY:
+                        render(value)
 
         summary = {"trials": args.trials, "seed": args.seed}
-        for label, count, prob in zip(_LABELS, totals.tolist(), probs.tolist()):  # Python ints: an int division
+        for label, count, prob in zip(_LABELS, totals.tolist(), probs):  # Python ints: an int division
             summary[f"empirical_{label}"] = count / args.trials
             summary[f"expected_{label}"] = prob
         if args.session:

@@ -18,11 +18,13 @@ Protocol outputs are defined up to global phase.
 
 One `bell_table` call projects all four branches of a (qubit, shared state)
 pair, normalizes and corrects them, and flags the product outputs; every run
-of the protocol, sampled or forced, reads its branch from that table.
+of the protocol, sampled or forced, reads its branch from that table, and a
+sampled run draws it from `outcome_cdf` of the table's probabilities.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -74,7 +76,6 @@ BELL_VECTORS = {
     BellOutcome.PSI_PLUS: np.array([0, _S, _S, 0], dtype=complex),
     BellOutcome.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
 }
-_BELL_CONJ = np.array([BELL_VECTORS[o] for o in BellOutcome]).conj().reshape(4, 2, 2, 1)  # [outcome, a, bit of 1, -]
 
 # Each outcome's correction as (reference bit r, e_r, e_f): its gate, the same at every remote party, takes |0> to
 # e_r |r> and |1> to e_f |1 - r>.  Those are the gates of the table above, read off their columns.
@@ -84,6 +85,10 @@ CORRECTIONS = {
     BellOutcome.PSI_PLUS: (0, 1, -1),  # sigma_z
     BellOutcome.PSI_MINUS: (0, 1, 1),  # identity
 }
+# Each outcome's row as (r, e_r, e_f, b_1, b_0), by outcome value: with r its reference bit, slot 0 is v_r c_1 (party
+# 1 set) and slot k >= 1 is v_(1-r) c_k (party 1 clear), so they take the entries b_1 and b_0 of its Bell vector.
+_ROW_FACTORS = tuple((r, e_ref, e_flip, BELL_VECTORS[o][2 * r + 1].real.item(), BELL_VECTORS[o][2 - 2 * r].real.item())
+                     for o, (r, e_ref, e_flip) in CORRECTIONS.items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,17 +110,6 @@ class CobwebState:
         amplitudes = np.zeros(2 ** (self.slots.size - 1), dtype=complex)
         amplitudes[slot_positions(self.slots.size - 1, self.reference_bit)] = self.slots
         return PureState(self.slots.size - 1, amplitudes)
-
-
-def min_marginal_eigenvalues(slots: np.ndarray) -> np.ndarray:
-    """The smaller eigenvalue of each qubit j's marginal, d_j / (1/2 + sqrt(1/4 - d_j)) without cancellation, for
-    every output held as its N slots along the last axis of ``slots``.
-
-    The marginal holds |a_j|^2 on the flipped bit and a_0 a_j*, so d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2."""
-    flipped = slots[..., 1:]
-    flips = (flipped * flipped.conj()).real
-    det = flips * (flips.sum(axis=-1, keepdims=True) - flips)
-    return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,47 +142,41 @@ def _require_protocol(z: ZsaAmplitudes) -> None:
         raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
 
 
-@functools.lru_cache(maxsize=MAX_DENSE_QUBITS)
-def _sign_rows(n: int) -> np.ndarray:
-    """Each outcome's correction of an n-qubit output on its N = n + 1 slots, by outcome value: the gate takes |0>
-    to e_r |r> and |1> to e_f |1 - r> (`CORRECTIONS`), so every slot keeps its kind, the all-r string getting e_r^n
-    and a single flip e_r^(n-1) e_f."""
-    signs = np.array([[e_ref**n, *[e_ref ** (n - 1) * e_flip] * n] for _, e_ref, e_flip in CORRECTIONS.values()],
-                     dtype=float)
-    signs.setflags(write=False)
-    return signs
-
-
 @dataclass(frozen=True, eq=False)
 class BellTable:
     """Every branch of party 1's Bell measurement for one (qubit, shared state) pair, normalized and corrected.
 
-    Row ``o.value`` of each array belongs to outcome ``o``.  ``slots`` (4, N) holds each output's N slots of
-    reference bit ``CORRECTIONS[o][0]``, as `CobwebState.slots` does; a row whose probability is below
-    `DEGENERATE_PROBABILITY` is left unnormalized, and nothing reads it.  ``products`` flags the outputs whose
-    single-qubit marginals are all pure within `PRODUCT_TOL`, as the dense oracle says of `CobwebState.vector`.
+    Entry ``o.value`` of each tuple belongs to outcome ``o``, and every entry is a plain Python value.  ``rows``
+    holds each output's N slots of reference bit ``CORRECTIONS[o][0]``, in `CobwebState.slots` order, as 2N floats:
+    the real and the imaginary part of each slot in turn.  A row whose probability is below `DEGENERATE_PROBABILITY`
+    is left unnormalized, and nothing reads it; a reference bit with no other row has no norm constant (None).
+    ``products`` flags the outputs whose single-qubit marginals are all pure within `PRODUCT_TOL`, as the dense
+    oracle says of `CobwebState.vector`.
     """
 
     qubit: UnknownQubit
     zsa: ZsaAmplitudes
-    probabilities: np.ndarray
-    slots: np.ndarray
-    products: np.ndarray
-    norm_constants: tuple[float, float]  # N(alpha), N(beta): those of reference bits 0 and 1
+    probabilities: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...]
+    products: tuple[bool, ...]
+    norm_constants: tuple[float | None, float | None]  # N(alpha), N(beta): those of reference bits 0 and 1
 
     def probability(self, outcome: BellOutcome) -> float:
         """The probability of ``outcome``.  Raises `DegenerateBranch` on a degenerate row."""
-        prob = float(self.probabilities[outcome.value])
+        prob = self.probabilities[outcome.value]
         if prob < DEGENERATE_PROBABILITY:
             raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
         return prob
 
     def transcript(self, outcome: BellOutcome) -> Transcript:
-        """The run that lands on ``outcome``: a view of its row.  Raises `DegenerateBranch` on a degenerate row."""
-        reference_bit = CORRECTIONS[outcome][0]
-        final = CobwebState(reference_bit=reference_bit, zsa=self.zsa, qubit=self.qubit,
-                            slots=self.slots[outcome.value], norm_constant=self.norm_constants[reference_bit])
-        return Transcript(outcome=outcome, outcome_probability=self.probability(outcome), cbits_sent=2,
+        """The run that lands on ``outcome``, its slots an array of its row.  Raises `DegenerateBranch` on a
+        degenerate row."""
+        probability, reference_bit = self.probability(outcome), CORRECTIONS[outcome][0]
+        slots = np.array(self.rows[outcome.value]).view(complex)
+        slots.setflags(write=False)  # `CobwebState.vector` is built from them once
+        final = CobwebState(reference_bit=reference_bit, zsa=self.zsa, qubit=self.qubit, slots=slots,
+                            norm_constant=self.norm_constants[reference_bit])
+        return Transcript(outcome=outcome, outcome_probability=probability, cbits_sent=2,
                           parties_notified=self.zsa.num_parties - 1, final=final)
 
 
@@ -196,61 +184,84 @@ def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
     """Party 1's Bell measurement on (a, 1) and the remote corrections, for all four outcomes at once, in O(N).
 
     Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
-    only where one of them, party k, is 1 (c_k), so each residual lives on the
-    N strings of `slot_positions` with reference bit 0, in that order.  The
-    products v_a c_k are the multiplies a dense ``np.kron`` of |psi>_a and the
-    shared state makes, taken once for all four outcomes.  Each probability is
-    the correctly rounded sum of its branch's 2N squared parts, so it depends on
-    the slots alone and on no BLAS kernel.
+    only where one of them, party k, is 1 (c_k).  So with r the outcome's
+    reference bit, its slot 0 is v_r c_1 and its slot k is v_(1-r) c_k, each
+    times the outcome's Bell-vector entry +-1/sqrt2 and the sign its correction
+    gives that slot: e_r^n on the all-r string, e_r^(n-1) e_f on a single flip
+    (`CORRECTIONS`, n = N - 1).  The products v_a c_k are the one numpy call,
+    the complex multiplies a dense ``np.kron`` of |psi>_a and the shared state
+    makes; the rest is plain float arithmetic on their parts.  A sign is exact,
+    so each part is numpy's ``(+-1/sqrt2 * v_a c_k) / sqrt(P) * sign`` bit for
+    bit: numpy's complex-by-real divide multiplies by the reciprocal.  Each
+    probability P is the correctly rounded sum of its branch's 2N squared
+    parts, so it depends on the slots alone and on no BLAS kernel.  ``+ 0.0``
+    turns ``-0.0`` into ``0.0``.
 
-    One divide by the square roots of the probabilities normalizes every branch, and one multiply by
-    `_sign_rows` corrects it.  ``+ 0.0`` turns ``-0.0`` into ``0.0``.
+    Each flag is the closed form of the smaller eigenvalue of qubit j's
+    marginal, d_j / (1/2 + sqrt(1/4 - d_j)) with d_j = |a_j|^2 sum_{i not 0, j}
+    |a_i|^2, taken at the largest d_j alone: it rises with d_j.  The norm
+    constant of a reference bit is taken only when one of its rows is not
+    degenerate, so a closed form that rounds to zero there raises nothing.
     """
     _require_protocol(z)
-    outer = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
-    projected = (_BELL_CONJ * outer).sum(axis=1)  # [outcome, bit of party 1, k]
-    slots = projected[:, 0]
-    slots[:, 0] = projected[:, 1, 0]
-    probs = np.array([math.fsum(parts) for parts in (slots.view(np.float64) ** 2).tolist()])
-    scale = np.where(probs >= DEGENERATE_PROBABILITY, np.sqrt(probs), 1.0)  # so a degenerate row raises no warning
-    slots = slots / scale[:, None] * _sign_rows(z.num_parties - 1) + 0.0
-    for array in (probs, slots):
-        array.setflags(write=False)  # every transcript of the table views them
-    products = min_marginal_eigenvalues(slots).max(axis=-1) <= PRODUCT_TOL
-    return BellTable(qubit=q, zsa=z, probabilities=probs, slots=slots, products=products,
-                     norm_constants=normalization_constants(q, z))
+    n = z.num_parties - 1
+    parts = np.multiply.outer(q.vector(), z.coeffs).view(np.float64).tolist()  # [a][2k + part]: v_a c_(k+1)
+    probabilities, rows, flags, live = [], [], [], set()
+    for ref, e_ref, e_flip, bell_set, bell_clear in _ROW_FACTORS:
+        head, tail = bell_set * e_ref**n, bell_clear * e_ref ** (n - 1) * e_flip
+        raw = [head * x for x in parts[ref][:2]] + [tail * x for x in parts[1 - ref][2:]]
+        prob = math.fsum([x * x for x in raw])
+        scale = 1.0
+        if prob >= DEGENERATE_PROBABILITY:
+            scale = 1.0 / math.sqrt(prob)
+            live.add(ref)
+        row = tuple([x * scale + 0.0 for x in raw])
+        flips = [re * re + im * im for re, im in zip(row[2::2], row[3::2])]  # |a_j|^2, j = 1..n
+        total = math.fsum(flips)
+        det = max([flip * (total - flip) for flip in flips])
+        probabilities.append(prob)
+        rows.append(row)
+        flags.append(det / (0.5 + math.sqrt(max(0.25 - det, 0.0))) <= PRODUCT_TOL)
+    return BellTable(qubit=q, zsa=z, probabilities=tuple(probabilities), rows=tuple(rows), products=tuple(flags),
+                     norm_constants=normalization_constants(q, z, live))
 
 
-def draw_outcome_block(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """The outcome values of ``count`` successive ``rng.choice(4, p=probs / probs.sum())`` calls, bit for bit.
+def outcome_cdf(weights) -> list[float]:
+    """The CDF that ``Generator.choice(4, p=w / w.sum())`` inverts for the weights ``w`` by outcome value, bit for
+    bit: numpy's ``(w / w.sum()).cumsum()`` divided by its last entry, in plain floats.  numpy sums four doubles in
+    order, as `itertools.accumulate` does (Python 3.12's ``sum`` compensates, so it is not used)."""
+    *_, total = itertools.accumulate(weights)
+    cdf = list(itertools.accumulate([w / total for w in weights]))
+    return [c / cdf[-1] for c in cdf]
 
-    ``probs`` holds the four weights by outcome value.  Takes ``count`` doubles
-    from ``rng`` at once, one per draw as `Generator.choice` does, and inverts
-    its CDF on them.  The probabilities are taken as valid: unlike
-    `Generator.choice`, this does not check them.
+
+def draw_outcome_block(cdf, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The outcome values of ``count`` successive ``rng.choice(4, p=...)`` calls, bit for bit, for the `outcome_cdf`
+    ``cdf`` of their weights.
+
+    Takes ``count`` doubles from ``rng`` at once, one per draw as `Generator.choice` does, and inverts the CDF on
+    them.  Unlike `Generator.choice`, this does not check the weights.
     """
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(count), side="right")
+    return np.searchsorted(cdf, rng.random(count), side="right")
 
 
-def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:
-    """Closed-form normalization constants N(alpha), N(beta).
+def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes, bits=(0, 1)) -> tuple[float | None, float | None]:
+    """Closed-form normalization constants N(alpha), N(beta) of reference bits 0 and 1; a bit not in ``bits`` gets
+    None instead.
 
     1/N(alpha)^2 = (1 - |c_1|^2) + alpha^2 (2|c_1|^2 - 1), and N(beta) with
     |beta|^2 in place of alpha^2.  For three parties this is the same as
-    |c_2|^2 + |c_3|^2 + 2 alpha^2 Re(c_2* c_3).
+    |c_2|^2 + |c_3|^2 + 2 alpha^2 Re(c_2* c_3).  Raises `NonPositiveNorm` when one
+    that is taken comes out nonpositive.
     """
     if z.num_parties < 3:
         raise ValueError("normalization constants are defined for at least three parties")
     a1 = float(abs(z.coeffs[0]) ** 2)
-    inv_sq_alpha = (1.0 - a1) + q.alpha**2 * (2.0 * a1 - 1.0)
-    inv_sq_beta = (1.0 - a1) + abs(q.beta) ** 2 * (2.0 * a1 - 1.0)
-    if inv_sq_alpha <= 0.0 or inv_sq_beta <= 0.0:
-        raise NonPositiveNorm(
-            f"closed-form 1/N^2 values ({inv_sq_alpha!r}, {inv_sq_beta!r}) must be positive"
-        )
-    return 1.0 / math.sqrt(inv_sq_alpha), 1.0 / math.sqrt(inv_sq_beta)
+    inv_sq = [(1.0 - a1) + weight * (2.0 * a1 - 1.0) if bit in bits else None
+              for bit, weight in enumerate((q.alpha**2, abs(q.beta) ** 2))]
+    if any(value is not None and value <= 0.0 for value in inv_sq):
+        raise NonPositiveNorm(f"closed-form 1/N^2 values ({inv_sq[0]!r}, {inv_sq[1]!r}) must be positive")
+    return tuple(None if value is None else 1.0 / math.sqrt(value) for value in inv_sq)
 
 
 def target_vector(qubit_vector: np.ndarray, z: ZsaAmplitudes, reference_bit: int) -> np.ndarray:
@@ -297,5 +308,6 @@ def run_protocol(
         raise ValueError("sampling an outcome requires a seed")
     table = bell_table(q, z)
     if outcome is None:
-        outcome = BellOutcome(int(draw_outcome_block(table.probabilities, np.random.default_rng(seed), 1)[0]))
+        cdf, rng = outcome_cdf(table.probabilities), np.random.default_rng(seed)
+        outcome = BellOutcome(int(draw_outcome_block(cdf, rng, 1)[0]))
     return table.transcript(outcome)

@@ -19,7 +19,7 @@ from qcobweb.linalg import (
     _check_qubit_labels,
     project,
 )
-from qcobweb.protocol import BELL_VECTORS, BellOutcome, _require_protocol
+from qcobweb.protocol import BELL_VECTORS, CORRECTIONS, DEGENERATE_PROBABILITY, BellOutcome, _require_protocol
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state, slot_positions
 
 IMPOSSIBLE_PROBABILITY = 1e-14
@@ -117,6 +117,38 @@ def is_product_state(state: PureState, tol: float = PRODUCT_TOL) -> bool:
         if low > tol:
             return False
     return True
+
+
+def min_marginal_eigenvalues(slots: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue of each qubit j's marginal, d_j / (1/2 + sqrt(1/4 - d_j)) without cancellation, for
+    every output held as its N slots along the last axis of ``slots``: the array form of `protocol.bell_table`'s
+    product flag, which takes the largest d_j alone.
+
+    The marginal holds |a_j|^2 on the flipped bit and a_0 a_j*, so d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2."""
+    flipped = slots[..., 1:]
+    flips = (flipped * flipped.conj()).real
+    det = flips * (flips.sum(axis=-1, keepdims=True) - flips)
+    return det / (0.5 + np.sqrt(np.maximum(0.25 - det, 0.0)))
+
+
+def numpy_bell_table(q: UnknownQubit, z: ZsaAmplitudes,
+                     dropped: BellOutcome | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probabilities (4,), slots (4, N), product flags (4,)) of every Bell branch, by outcome value, the numpy way
+    that `protocol.bell_table` does in plain floats: the stacked conjugated Bell vectors contracted with v_a c_k, one
+    broadcast divide by the square roots of the probabilities, one multiply by each outcome's correction signs and
+    `min_marginal_eigenvalues` of every row.  The Bell vector of ``dropped`` is taken as zero.
+    """
+    bell = np.array([np.zeros(4) if o is dropped else BELL_VECTORS[o] for o in BellOutcome], dtype=complex)
+    outer = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
+    projected = (bell.conj().reshape(4, 2, 2, 1) * outer).sum(axis=1)  # [outcome, bit of party 1, k]
+    slots = projected[:, 0]
+    slots[:, 0] = projected[:, 1, 0]
+    probs = np.array([math.fsum(parts) for parts in (slots.view(np.float64) ** 2).tolist()])
+    scale = np.where(probs >= DEGENERATE_PROBABILITY, np.sqrt(probs), 1.0)
+    n = z.num_parties - 1
+    signs = np.array([[e_ref**n, *[e_ref ** (n - 1) * e_flip] * n] for _, e_ref, e_flip in CORRECTIONS.values()])
+    slots = slots / scale[:, None] * signs + 0.0
+    return probs, slots, min_marginal_eigenvalues(slots).max(axis=-1) <= PRODUCT_TOL
 
 
 def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:

@@ -128,11 +128,11 @@ def test_criterion_05_outcome_statistics():
     worst_pair = 0.0
     for _ in range(1000):
         z = random_zsa(int(rng.integers(3, 7)), rng)
-        phi_plus, phi_minus, psi_plus, psi_minus = bell_table(random_qubit(rng), z).probabilities.tolist()
+        phi_plus, phi_minus, psi_plus, psi_minus = bell_table(random_qubit(rng), z).probabilities
         worst_sum = max(worst_sum, abs(phi_plus + phi_minus + psi_plus + psi_minus - 1.0))
         worst_pair = max(worst_pair, abs(phi_plus - phi_minus), abs(psi_plus - psi_minus))
     # empirical check: 10^4 seeded draws against the exact distribution
-    weights = bell_table(UnknownQubit(np.pi / 2, 0.3), CUBE).probabilities
+    weights = np.array(bell_table(UnknownQubit(np.pi / 2, 0.3), CUBE).probabilities)
     draws = np.random.default_rng(50505).choice(4, size=10_000, p=weights / weights.sum())
     counts = np.bincount(draws, minlength=4)
     within = [

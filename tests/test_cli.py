@@ -653,15 +653,21 @@ def _dense(slots: np.ndarray, reference_bit: int) -> np.ndarray:
         "adjacent-pairs", "one-amplitude", "one-imaginary", "one-zero", "protocol-14-reference-0",
         "protocol-14-reference-1"])
 def test_amplitude_text_matches_json_dumps_per_cell(cases):
-    """The joined amplitude parts: in CSV each cell after its comma, in JSON the inside of the list."""
+    """The filled amplitude template: in CSV each cell after its comma, in JSON the inside of the list."""
+
+    def filled(slots, reference_bit, csv_cells):
+        n = slots.size - 1
+        template = cli._amplitude_template(n, reference_bit, csv_cells)
+        return template.format(*slots.view(np.float64).tolist(), *cli._zero_runs(n, csv_cells))
+
     for slots in cases:
         for reference_bit in (0, 1):
             dense = _dense(slots, reference_bit)
             oracle = [[float(a.real), float(a.imag)] for a in dense]  # as `Transcript.to_dict` writes them
-            assert "".join(cli._amplitude_parts(slots, reference_bit, True)) == "".join(
+            assert filled(slots, reference_bit, True) == "".join(
                 "," + json.dumps(float(x)) for x in dense.view(np.float64)
             )
-            text = "[" + "".join(cli._amplitude_parts(slots, reference_bit, False)) + "]"
+            text = "[" + filled(slots, reference_bit, False) + "]"
             assert json.loads(text) == oracle
             assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
@@ -807,9 +813,9 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
 
     def no_psi_minus(q, z):
         table = real(q, z)
-        probs = table.probabilities.copy()
+        probs = list(table.probabilities)
         probs[BellOutcome.PSI_MINUS.value] = 0.0
-        return dataclasses.replace(table, probabilities=probs)
+        return dataclasses.replace(table, probabilities=tuple(probs))
 
     monkeypatch.setattr(cli, "bell_table", no_psi_minus)
     calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
@@ -979,6 +985,37 @@ def test_run_rejects_zero_probability_forced_outcome(capsys, tmp_path):
     # a sampled call never lands there
     code, _, err = run_cli(capsys, *argv, "--trials", "40")
     assert (code, err) == (0, "")
+
+
+# |c_1|^2 = 6.8e-22: at a pole the closed-form 1/N^2 of one reference bit rounds to 0.0.
+POLE_TINY_C1 = ('{"coeffs": [[2.6019241460158823e-11, 0.0], [-0.614122056339072, 0.35050549201667086], '
+                '[0.6141220563130528, -0.35050549201667086]]}')
+
+
+@pytest.mark.parametrize("theta,drawable", [
+    ("3.141592653589793", ("PsiPlus", "PsiMinus")),
+    ("0", ("PhiPlus", "PhiMinus")),
+], ids=["pi", "zero"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_at_a_pole_needs_no_norm_constant_of_the_degenerate_reference_bit(capsys, tmp_path, theta, drawable, fmt):
+    """Both branches of the reference bit whose 1/N^2 rounds to zero have P = |c_1|^2 / 2 = 3.4e-22, so a sampled
+    call draws only the other two, prints them with their own norm constant and exits 0; forcing a degenerate
+    branch still exits 2.  `validate` accepts the file."""
+    path = tmp_path / "tiny-c1.json"
+    path.write_text(POLE_TINY_C1)
+    assert run_cli(capsys, "validate", "--coeffs", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "run", "--coeffs", str(path), "--theta", theta, "--trials", "40", "--seed", "3",
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    rows = list(csv.DictReader(lines[:-1])) if fmt == "csv" else [json.loads(line) for line in lines[:-1]]
+    assert len(rows) == 40
+    assert {row["outcome"] for row in rows} == set(drawable)
+    assert {float(row["norm_constant"]) for row in rows} == {1.0}
+    degenerate = ({"PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus"} - set(drawable)).pop()
+    code, out, err = run_cli(capsys, "run", "--coeffs", str(path), "--theta", theta, "--outcome", degenerate)
+    assert (code, out) == (2, "")
+    assert err == f"invalid request: forced outcome {degenerate} has probability 3.385e-22\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--session", "--messages", "log.jsonl"]], ids=["protocol", "session"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcobweb.linalg import (
+    PRODUCT_TOL,
     PureState,
     apply_gate,
     hermitian_eigenvalues,
@@ -19,11 +20,12 @@ from qcobweb.protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
+    NonPositiveNorm,
     bell_table,
     cobweb_state,
     draw_outcome_block,
-    min_marginal_eigenvalues,
     normalization_constants,
+    outcome_cdf,
     run_protocol,
     target_vector,
 )
@@ -46,11 +48,18 @@ from oracles import (
     equal_up_to_global_phase,
     is_product_state,
     joint_state,
+    min_marginal_eigenvalues,
+    numpy_bell_table,
     pure_marginal,
 )
 
 CUBE = roots_of_unity_zsa(3)
 TINY_C1_COEFFS = [1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]
+
+
+def _bits(values) -> bytes:
+    """The bytes of a float, a bool or a `BellTable` row as float64: equal only when equal bit for bit."""
+    return np.array(values, dtype=np.float64).tobytes()
 
 
 def normalized_target(q: UnknownQubit, z, reference_bit: int) -> PureState:
@@ -117,7 +126,7 @@ def _assert_branches_match_dense_oracle(q: UnknownQubit, z) -> None:
     """
     n = z.num_parties
     table = bell_table(q, z)
-    assert table.slots.shape == (len(BellOutcome), n)  # N slots a branch at every N, not a 2^(N-1) residual
+    assert [len(row) for row in table.rows] == [2 * n] * len(BellOutcome)  # N slots a branch, not a 2^(N-1) residual
     for outcome in BellOutcome:
         dense_prob, residual = project(joint_state(q, z), (1, 2), BELL_VECTORS[outcome])
         oracle_prob = math.fsum((residual.view(np.float64) ** 2).tolist())  # the zero cells add exactly
@@ -175,8 +184,8 @@ def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
     Bit for bit: every probability, and every slot's real and imaginary part against the oracle's cell at that
     slot's basis position, its ``-0.0`` made ``0.0``.  Each product flag equals `is_product_state` of the oracle,
     and each norm constant is the closed form's, within 1e-12 of the dense target's inverse norm.  A branch whose
-    projection is made exactly zero has probability 0, raises no warning, is refused by `BellTable.transcript`,
-    and leaves the other rows bit for bit as they were.
+    Bell vector is made zero has probability 0 and a zero row, raises no warning, is refused by
+    `BellTable.transcript`, and leaves the other rows bit for bit as they were.
     """
     rng = np.random.default_rng(4000 + n)
     q, z = random_qubit(rng), random_zsa(n, rng)
@@ -187,25 +196,71 @@ def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
         reference_bit = CORRECTIONS[outcome][0]
         expected = oracle.amplitudes[slot_positions(n - 1, reference_bit)] + 0.0
         assert table.probabilities[outcome.value] == oracle_prob
-        assert table.slots[outcome.value].view(np.int64).tolist() == expected.view(np.int64).tolist(), outcome
+        assert _bits(table.rows[outcome.value]) == expected.tobytes(), outcome
         assert table.products[outcome.value] == is_product_state(oracle), outcome
         inverse_norm = 1.0 / np.linalg.norm(target_vector(q.vector(), z, reference_bit))
         assert table.norm_constants[reference_bit] == pytest.approx(inverse_norm, rel=1e-12)
 
     dropped = BellOutcome(int(rng.integers(len(BellOutcome))))
-    bell_conj = protocol._BELL_CONJ.copy()
-    bell_conj[dropped.value] = 0.0
-    monkeypatch.setattr(protocol, "_BELL_CONJ", bell_conj)
+    factors = list(protocol._ROW_FACTORS)
+    factors[dropped.value] = (*factors[dropped.value][:3], 0.0, 0.0)  # both Bell-vector entries of its row
+    monkeypatch.setattr(protocol, "_ROW_FACTORS", tuple(factors))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         degenerate = bell_table(q, z)
     assert degenerate.probabilities[dropped.value] == 0.0
-    assert not degenerate.slots[dropped.value].any()
+    assert _bits(degenerate.rows[dropped.value]) == bytes(16 * n)  # every part +0.0
     with pytest.raises(DegenerateBranch):
         degenerate.transcript(dropped)
+    assert degenerate.norm_constants == table.norm_constants
     for outcome in set(BellOutcome) - {dropped}:
-        for field in ("probabilities", "slots", "products"):
-            assert getattr(degenerate, field)[outcome.value].tobytes() == getattr(table, field)[outcome.value].tobytes()
+        for field in ("probabilities", "rows", "products"):
+            assert _bits(getattr(degenerate, field)[outcome.value]) == _bits(getattr(table, field)[outcome.value])
+
+
+def _assert_table_is_numpys(table, probs: np.ndarray, slots: np.ndarray, products: np.ndarray) -> None:
+    assert _bits(table.probabilities) == probs.tobytes()
+    assert _bits(table.rows) == slots.tobytes()  # each row's parts in slot order, as the complex slots lie in memory
+    assert table.products == tuple(products.tolist())
+
+
+@pytest.mark.parametrize("n", range(3, MAX_DENSE_QUBITS + 1))
+def test_bell_table_matches_the_numpy_contraction_bitwise(n, monkeypatch):
+    """The plain-float table against `numpy_bell_table`, the numpy contraction it replaced, bit for bit: every
+    probability, row part and product flag of every outcome.  The roots of unity, a real state and two seeded random
+    states, each with qubits at both poles and at three seeded angles, at phi = 0 and at a seeded phi; then one
+    outcome's row made zero in both, which leaves it degenerate and the other rows as they were."""
+    rng = np.random.default_rng(9000 + n)
+    for z in [roots_of_unity_zsa(n), _real_zsa(n, rng), random_zsa(n, rng), random_zsa(n, rng)]:
+        for theta in [0.0, np.pi, *rng.uniform(0.0, np.pi, 3)]:
+            for phi in [0.0, rng.uniform(0.0, 2.0 * np.pi)]:
+                q = UnknownQubit(theta, phi)
+                _assert_table_is_numpys(bell_table(q, z), *numpy_bell_table(q, z))
+    dropped = BellOutcome(int(rng.integers(len(BellOutcome))))
+    factors = list(protocol._ROW_FACTORS)
+    factors[dropped.value] = (*factors[dropped.value][:3], 0.0, 0.0)
+    monkeypatch.setattr(protocol, "_ROW_FACTORS", tuple(factors))
+    table = bell_table(q, z)
+    assert table.probabilities[dropped.value] == 0.0
+    _assert_table_is_numpys(table, *numpy_bell_table(q, z, dropped))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9, 13, MAX_DENSE_QUBITS])
+def test_product_flag_is_the_largest_smaller_marginal_eigenvalue_at_the_tolerance(n):
+    """Each product flag, taken from the largest d_j alone, against the smaller eigenvalue of every qubit's
+    marginal (`min_marginal_eigenvalues` of the row's slots) held to `PRODUCT_TOL`, on every row.  Theta sweeps
+    600 points from 1e-4 to 1e-1 away from each pole, across which every flag turns over."""
+    rng = np.random.default_rng(9500 + n)
+    seen = set()
+    for z in [roots_of_unity_zsa(n), random_zsa(n, rng)]:
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        for d in np.geomspace(1e-4, 1e-1, 300):
+            for theta in (d, np.pi - d):
+                table = bell_table(UnknownQubit(theta, phi), z)
+                for row, flag in zip(table.rows, table.products):
+                    assert flag == (min_marginal_eigenvalues(np.array(row).view(complex)).max() <= PRODUCT_TOL)
+                    seen.add(flag)
+    assert seen == {False, True}
 
 
 def _assert_product_flag_matches_dense_oracle(q: UnknownQubit, z) -> None:
@@ -258,12 +313,12 @@ def test_corrected_branches_land_on_two_outputs_bitwise(n):
         for q in [UnknownQubit(0.0), UnknownQubit(np.pi, rng.uniform(0.0, 2.0 * np.pi)),
                   *(random_qubit(rng) for _ in range(6))]:
             table = bell_table(q, z)
-            assert table.slots[psi_plus].tobytes() == table.slots[psi_minus].tobytes()
-            assert table.probabilities[psi_plus].tobytes() == table.probabilities[psi_minus].tobytes()
+            assert _bits(table.rows[psi_plus]) == _bits(table.rows[psi_minus])
+            assert _bits(table.probabilities[psi_plus]) == _bits(table.probabilities[psi_minus])
             assert table.products[psi_plus] == table.products[psi_minus]
             if table.probabilities[phi_plus] >= DEGENERATE_PROBABILITY:
                 # + 0.0, as in `bell_table`: a zero part of Phi- times -1 is -0.0, which the table never holds
-                assert ((-1) ** n * table.slots[phi_minus] + 0.0).tobytes() == table.slots[phi_plus].tobytes()
+                assert ((-1) ** n * np.array(table.rows[phi_minus]) + 0.0).tobytes() == _bits(table.rows[phi_plus])
 
 
 # --- branch probabilities ------------------------------------------------------
@@ -275,7 +330,7 @@ def test_branch_probabilities_sum_and_pairing():
         n = int(rng.integers(3, 7))
         z = random_zsa(n, rng)
         q = random_qubit(rng)
-        phi_plus, phi_minus, psi_plus, psi_minus = bell_table(q, z).probabilities.tolist()
+        phi_plus, phi_minus, psi_plus, psi_minus = bell_table(q, z).probabilities
         assert phi_plus + phi_minus + psi_plus + psi_minus == pytest.approx(1.0, abs=1e-12)
         assert phi_plus == pytest.approx(phi_minus, abs=1e-12)
         assert psi_plus == pytest.approx(psi_minus, abs=1e-12)
@@ -500,7 +555,7 @@ def test_sampling_requires_seed():
 def test_sampled_outcome_is_generator_choice():
     """A sampled run draws its outcome as ``Generator.choice`` does on ``default_rng(seed)``, seed by seed."""
     q = UnknownQubit(1.0, 0.4)
-    w = bell_table(q, CUBE).probabilities
+    w = np.array(bell_table(q, CUBE).probabilities)
     for seed in [*range(2000), *BLOCK_SEEDS]:
         expected = int(np.random.default_rng(seed).choice(4, p=w / w.sum()))
         assert run_protocol(q, CUBE, seed=seed).outcome.value == expected, seed
@@ -530,10 +585,10 @@ BLOCK_COUNTS = [0, 1, DRAW_BLOCK - 1, 3 * DRAW_BLOCK]
 def test_block_uniforms_match_default_rng(seed):
     """A block of ``count`` trials takes exactly ``count`` doubles of its generator, so the next block starts
     where ``PCG64(seed).advance(t)`` does: trial t draws from the t-th double of ``default_rng(seed)``."""
-    probs = np.full(len(BellOutcome), 0.25)
+    cdf = outcome_cdf([0.25] * len(BellOutcome))
     rng, done = np.random.default_rng(seed), 0
     for count in BLOCK_COUNTS:
-        draw_outcome_block(probs, rng, count)
+        draw_outcome_block(cdf, rng, count)
         done += count
         assert rng.bit_generator.state == np.random.PCG64(seed).advance(done).state, (seed, count)
 
@@ -543,18 +598,34 @@ def test_block_uniforms_match_default_rng(seed):
     [1e-15, 0.4, 0.3, 0.3 - 1e-15],  # a branch of 1e-15
     [0.25, 0.25, 0.3, 0.2],  # two equal branches
     [0.0, 1.0, 0.0, 0.0],  # every draw on one branch
-    [0.3, 0.2, 0.1, 0.9],  # unnormalized: the block divides by the sum first
+    [0.3, 0.2, 0.1, 0.9],  # unnormalized: the CDF divides by the sum first
 ], ids=["zero", "tiny", "equal", "certain", "unnormalized"])
 def test_draw_outcome_block_matches_draw_outcome(weights):
     """Blocks of any size, drawn in turn from one generator, equal outcomes drawn one at a time on another by
-    numpy's own ``Generator.choice``, draw by draw."""
+    numpy's own ``Generator.choice``, draw by draw, all on one `outcome_cdf`."""
     w = np.array(weights)
-    p = w / w.sum()
+    p, cdf = w / w.sum(), outcome_cdf(weights)
     for seed in BLOCK_SEEDS:
         oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for count in BLOCK_COUNTS:
             expected = [int(oracle.choice(4, p=p)) for _ in range(count)]
-            assert draw_outcome_block(w, rng, count).tolist() == expected, (seed, count)
+            assert draw_outcome_block(cdf, rng, count).tolist() == expected, (seed, count)
+
+
+def test_outcome_cdf_is_numpys_bit_for_bit():
+    """`outcome_cdf` against the CDF ``Generator.choice`` inverts, ``(w / w.sum()).cumsum()`` divided by its last
+    entry, on 100000 seeded weight vectors: each weight scaled by 10^u, u uniform in [-3, 3], and one vector in five
+    with one to three zero weights."""
+    rng = np.random.default_rng(20261020)
+    weights = rng.random((100_000, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (100_000, 4))
+    zeroed = rng.random((100_000, 4)) < 0.25
+    zeroed[zeroed.all(axis=1)] = False
+    weights[(rng.random(100_000) < 0.2)[:, None] & zeroed] = 0.0
+    assert (weights == 0.0).any(axis=1).sum() > 10_000
+    for w in weights:
+        expected = (w / w.sum()).cumsum()
+        expected /= expected[-1]
+        assert np.array(outcome_cdf(w.tolist())).tobytes() == expected.tobytes(), w.tolist()
 
 
 def test_draw_outcome_block_ties_go_right():
@@ -564,7 +635,8 @@ def test_draw_outcome_block_ties_go_right():
     oracle, rng = np.random.default_rng(5), np.random.default_rng(5)
     p = w / w.sum()
     assert [int(oracle.choice(4, p=p)) for _ in range(4)][3] == BellOutcome.PSI_PLUS.value  # past both steps at u
-    assert draw_outcome_block(w, rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
+    assert outcome_cdf(w.tolist())[:2] == [u, u]
+    assert draw_outcome_block(outcome_cdf(w.tolist()), rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
 
 
 def test_degenerate_branch_guard():
@@ -572,6 +644,25 @@ def test_degenerate_branch_guard():
     tiny_c1 = ZsaAmplitudes(TINY_C1_COEFFS)
     with pytest.raises(DegenerateBranch):
         run_protocol(UnknownQubit(0.0), tiny_c1, outcome=BellOutcome.PSI_PLUS)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi])
+def test_table_takes_no_norm_constant_for_a_reference_bit_with_no_live_row(theta):
+    """|c_1|^2 = 6.8e-22: at a pole one reference bit's closed-form 1/N^2 rounds to 0.0, where both its rows are
+    degenerate.  The table leaves that bit's constant out (None) and keeps the other's; asked for both,
+    `normalization_constants` still raises."""
+    z = ZsaAmplitudes([2.6019241460158823e-11, -0.614122056339072 + 0.35050549201667086j,
+                       0.6141220563130528 - 0.35050549201667086j])
+    q = UnknownQubit(theta)
+    table = bell_table(q, z)
+    dead = 1 if theta else 0  # Phi (bit 1) dies at pi, Psi (bit 0) at 0
+    assert [CORRECTIONS[o][0] for o in BellOutcome if table.probabilities[o.value] < DEGENERATE_PROBABILITY] == [dead] * 2
+    assert table.norm_constants[dead] is None
+    assert table.norm_constants[1 - dead] == normalization_constants(q, z, {1 - dead})[1 - dead] == 1.0
+    with pytest.raises(NonPositiveNorm):
+        normalization_constants(q, z)
+    with pytest.raises(NonPositiveNorm):
+        normalization_constants(q, z, {dead})
 
 
 def test_transcript_serialization():
