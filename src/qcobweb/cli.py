@@ -18,12 +18,11 @@ eigensolve, and is written by `_indented_json`: the bytes of ``json.dumps(report
 indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
 caches, by key and bound: `build_parser` (one entry), `_named_source` (the
 last ``--gen`` name), `session.message_log` (party count and payload, four),
-`_zero_runs` (the last register and format), `_row_template` (the last two
-reference bits) and `_csv_header` (the last party count).  Only a process that calls
-`main` more than once gains from them; a ``--coeffs`` file is read on every
-call.  Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or
-malformed input.  Output is plain text or machine-readable JSON/CSV; no color
-is ever emitted, so NO_COLOR is honored trivially.
+`_row_templates` (the last register and format) and `_csv_header` (the last
+party count).  Only a process that calls `main` more than once gains from
+them; a ``--coeffs`` file is read on every call.  Exit codes: 0 success, 2 domain-invalid input, 3 unreadable
+or malformed input.  Output is plain text or machine-readable JSON/CSV; no
+color is ever emitted, so NO_COLOR is honored trivially.
 """
 from __future__ import annotations
 
@@ -206,25 +205,12 @@ def cmd_validate(args) -> int:
 _LABELS = tuple(outcome.label for outcome in BellOutcome)  # by outcome value
 
 
-@functools.lru_cache(maxsize=1)
-def _zero_runs(n: int, csv_cells: bool) -> tuple[str, ...]:
-    """Run j, for j < n, is 2^j - 1 zero cells, each after its separator: every gap between the slots of an
-    n-qubit output, for either reference bit, in fewer than its 2^n cells of text.  Only the last register and
-    format are kept, so a wide call pins nothing past it."""
-    zero = ",0.0,0.0" if csv_cells else ", [0.0, 0.0]"
-    return tuple(zero * ((1 << j) - 1) for j in range(n))
-
-
 def _amplitude_template(n: int, reference_bit: int, csv_cells: bool) -> str:
     """The format template of a `CobwebState`'s 2^n dense amplitudes, as CSV cells ``,re,im,...`` (each after its
-    separator, as after a row's scalar cells) or the inside of the JSON list ``[re, im], ...``.
-
-    Positional fields 0 .. 2n + 1 take the 2N floats of the state's `BellTable` row, and field 2n + 2 + j run j of
-    `_zero_runs`: only the N slots are fields, so the template's length is set by N, not by 2^(N-1).  ``{}`` writes
-    a float as its ``repr``, as ``json.dumps`` does a finite one.  For reference bit 0, slot 0 sits at basis position
-    0 and slot n - j at 2^j, followed by run j; reference bit 1 puts each at 2^n - 1 minus that position, so its parts
-    come in reverse.
-    """
+    separator, as after a row's scalar cells) or the inside of the JSON list ``[re, im], ...``.  Fields 0 .. 2n + 1
+    take the 2N floats of its `BellTable` row and field 2n + 2 + j zero run j (`_row_templates`), so the template's
+    length is set by N, not by 2^(N-1).  For reference bit 0, slot 0 sits at basis position 0 and slot n - j at 2^j,
+    followed by run j; reference bit 1 puts each at 2^n - 1 minus that position, so its parts come in reverse."""
     sep, cell = (",", ",{%d},{%d}") if csv_cells else (", ", ", [{%d}, {%d}]")
     cells = [cell % (2 * k, 2 * k + 1) for k in range(n + 1)]
     runs = ["{%d}" % (2 * n + 2 + j) for j in range(n)]
@@ -243,21 +229,20 @@ def _amplitude_template(n: int, reference_bit: int, csv_cells: bool) -> str:
     return "".join(parts)
 
 
-# A row's text around its amplitudes, by format (JSON, CSV), as templates whose named fields are the scalar fields
-# and the product flag.
-_ROW_FRAMES = (
-    (', "outcome": "{outcome}", ' + ", ".join(f'"{name}": {{{name}}}' for name in Transcript.SCALAR_FIELDS[1:])
-     + ', "final_state": [', '], "product_state": {product_state}}}\n'),
-    ("," + ",".join(f"{{{name}}}" for name in (*Transcript.SCALAR_FIELDS, "product_state")), "\n"),
-)
-
-
-@functools.lru_cache(maxsize=2)
-def _row_template(n: int, reference_bit: int, csv_cells: bool) -> str:
-    """The format template of a `run` row after its trial index, for an n-qubit output: `_amplitude_template` in its
-    format's `_ROW_FRAMES`.  Only the last two are kept, the two reference bits of one call."""
-    head, tail = _ROW_FRAMES[csv_cells]
-    return head + _amplitude_template(n, reference_bit, csv_cells) + tail
+@functools.lru_cache(maxsize=1)
+def _row_templates(n: int, csv_cells: bool) -> tuple[tuple[str, str], tuple[str, ...]]:
+    """(format template by reference bit, zero runs) of the text a `run` row writes after its trial index, for an
+    n-qubit output.  Named fields take the scalar fields and the product flag.  Run j, for j < n, is 2^j - 1 zero
+    cells, each after its separator: every gap between the slots of either reference bit, in fewer than 2^n cells.
+    Only the last register and format are kept, so a wide call pins nothing past it."""
+    zero = ",0.0,0.0" if csv_cells else ", [0.0, 0.0]"
+    names = (*Transcript.SCALAR_FIELDS, "product_state")
+    head, tail = "".join(f",{{{name}}}" for name in names), "\n"
+    if not csv_cells:  # the label is the one string field, and the product flag follows the amplitudes
+        head = "".join(f', "{name}": {{{name}}}' for name in names[:-1]).replace("{outcome}", '"{outcome}"')
+        head, tail = head + ', "final_state": [', '], "product_state": {product_state}}}\n'
+    return (tuple(head + _amplitude_template(n, ref, csv_cells) + tail for ref in (0, 1)),
+            tuple(zero * ((1 << j) - 1) for j in range(n)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -269,20 +254,20 @@ def _csv_header(num_parties: int) -> str:
 
 
 def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
-    """What every trial that lands on ``outcome`` writes after its trial index, newline included: one fill of
-    `_row_template` with the branch's `Transcript.scalar_fields`, row floats, zero runs and product flag, all read
-    from the table.  Each number reads as ``json.dumps`` writes it (a finite float as its ``repr``), and the label is
-    quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes none.  Raises `DegenerateBranch` on
-    a degenerate row."""
+    """What every trial that lands on ``outcome`` writes after its trial index, newline included: one fill of its
+    `_row_templates` template from the table.  Each number reads as ``json.dumps`` writes it (``{}`` writes a float
+    as its ``repr``), and the label is quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes
+    none.  Raises `DegenerateBranch` on a degenerate row."""
     value, reference_bit, n = outcome.value, CORRECTIONS[outcome][0], table.zsa.num_parties - 1
+    templates, runs = _row_templates(n, csv_cells)
     scalars = zip(Transcript.SCALAR_FIELDS, (_LABELS[value], value, table.probability(outcome), 2, n, reference_bit,
                                              table.norm_constants[reference_bit]))
-    return _row_template(n, reference_bit, csv_cells).format(*table.rows[value], *_zero_runs(n, csv_cells),
-                                                             **dict(scalars), product_state=int(table.products[value]))
+    return templates[reference_bit].format(*table.rows[value], *runs, **dict(scalars),
+                                           product_state=int(table.products[value]))
 
 
-# Trials per block draw.  A block costs about 16 us of fixed numpy work plus 0.04 us and, at its peak, 16 B per
-# trial (2-vCPU x86-64, numpy 2.4.6): 0.055 us a trial for about 16 KB of buffers.  2048 would save 0.02 us a trial.
+# Trials per block draw.  A block costs about 6-10 us of fixed numpy work plus 0.03 us and, at its peak, 16 B per
+# trial (2-vCPU x86-64, numpy 2.4.6): under 0.04 us a trial for about 16 KB of buffers.  2048 would save less.
 DRAW_BLOCK = 1024
 
 
@@ -329,12 +314,13 @@ def cmd_run(args) -> int:
     """Stream one row per trial; the four Bell branches come from one `bell_table` call, each rendered once.
 
     Every trial shares (q, z), so its row is one of four fixed by its Bell outcome.  Trials are drawn in
-    `_outcome_blocks` from one `outcome_cdf` per call, counted with one ``np.bincount`` per block, and written in chunks of at most `WRITE_CHUNK`
-    characters, each row copied at most once after its trial index from `_index_parts`, so a call holds one
-    block's draw buffers and one chunk of text, whatever `--trials`.  The first trial renders only the branch it
-    lands on; a sampled call of at least four trials then renders every other branch that would not raise
-    `DegenerateBranch`, so its cost does not depend on the draws.  With `--messages`, each payload's log is read
-    once per call from `message_log`'s cache; with `--session`, the ledger is built once per call.
+    `_outcome_blocks` from one `outcome_cdf` per call, counted with one ``np.bincount`` per block, and written in
+    chunks of at most `WRITE_CHUNK` characters, each row copied at most once after its trial index from
+    `_index_parts`, so a call holds one block's draw buffers and one chunk of text, whatever `--trials`.  The first
+    trial renders only the branch it lands on; a sampled call of at least four trials then renders every other
+    branch that would not raise `DegenerateBranch`, so its cost does not depend on the draws.  With `--messages`,
+    each payload's log is read once per call from `message_log`'s cache; with `--session`, the ledger is built once
+    per call.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")

@@ -146,12 +146,11 @@ def _require_protocol(z: ZsaAmplitudes) -> None:
 class BellTable:
     """Every branch of party 1's Bell measurement for one (qubit, shared state) pair, normalized and corrected.
 
-    Entry ``o.value`` of each tuple belongs to outcome ``o``, and every entry is a plain Python value.  ``rows``
-    holds each output's N slots of reference bit ``CORRECTIONS[o][0]``, in `CobwebState.slots` order, as 2N floats:
-    the real and the imaginary part of each slot in turn.  A row whose probability is below `DEGENERATE_PROBABILITY`
-    is left unnormalized, and nothing reads it; a reference bit with no other row has no norm constant (None).
-    ``products`` flags the outputs whose single-qubit marginals are all pure within `PRODUCT_TOL`, as the dense
-    oracle says of `CobwebState.vector`.
+    Entry ``o.value`` of each tuple, a plain Python value, belongs to outcome ``o``.  ``rows`` holds each output's N
+    slots of reference bit ``CORRECTIONS[o][0]`` as 2N floats, real and imaginary part in turn; a row whose
+    probability is below `DEGENERATE_PROBABILITY` is left unnormalized, and if both rows of a reference bit are, its
+    norm constant is None.  ``products`` flags the outputs whose single-qubit marginals are all pure within
+    `PRODUCT_TOL`, as the dense oracle says of `CobwebState.vector`.
     """
 
     qubit: UnknownQubit
@@ -169,8 +168,7 @@ class BellTable:
         return prob
 
     def transcript(self, outcome: BellOutcome) -> Transcript:
-        """The run that lands on ``outcome``, its slots an array of its row.  Raises `DegenerateBranch` on a
-        degenerate row."""
+        """The run that lands on ``outcome``.  Raises `DegenerateBranch` on a degenerate row."""
         probability, reference_bit = self.probability(outcome), CORRECTIONS[outcome][0]
         slots = np.array(self.rows[outcome.value]).view(complex)
         slots.setflags(write=False)  # `CobwebState.vector` is built from them once
@@ -183,38 +181,25 @@ class BellTable:
 def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
     """Party 1's Bell measurement on (a, 1) and the remote corrections, for all four outcomes at once, in O(N).
 
-    Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear
-    only where one of them, party k, is 1 (c_k).  So with r the outcome's
-    reference bit, its slot 0 is v_r c_1 and its slot k is v_(1-r) c_k, each
-    times the outcome's Bell-vector entry +-1/sqrt2 and the sign its correction
-    gives that slot: e_r^n on the all-r string, e_r^(n-1) e_f on a single flip
-    (`CORRECTIONS`, n = N - 1).  The products v_a c_k are the one numpy call,
-    the complex multiplies a dense ``np.kron`` of |psi>_a and the shared state
-    makes; the rest is plain float arithmetic on their parts.  A sign is exact,
-    so each part is numpy's ``(+-1/sqrt2 * v_a c_k) / sqrt(P) * sign`` bit for
-    bit: numpy's complex-by-real divide multiplies by the reciprocal.  Each
-    probability P is the correctly rounded sum of its branch's 2N squared
-    parts, so it depends on the slots alone and on no BLAS kernel.  ``+ 0.0``
-    turns ``-0.0`` into ``0.0``.
-
-    Each flag is the closed form of the smaller eigenvalue of qubit j's
-    marginal, d_j / (1/2 + sqrt(1/4 - d_j)) with d_j = |a_j|^2 sum_{i not 0, j}
-    |a_i|^2, taken at the largest d_j alone: it rises with d_j.  The norm
-    constant of a reference bit is taken only when one of its rows is not
-    degenerate, so a closed form that rounds to zero there raises nothing.
+    Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear only where one of them, party k, is
+    1 (c_k).  So with r the outcome's reference bit, slot 0 is v_r c_1 and slot k is v_(1-r) c_k, times a Bell-vector
+    entry and the exact sign its correction gives the slot: e_r^n on the all-r string, e_r^(n-1) e_f on a flip
+    (n = N - 1).  The products v_a c_k, the multiplies ``np.kron`` makes, are the one numpy call; the rest works on
+    their parts as floats, bit for bit numpy's contraction, whose complex-by-real divide multiplies by the reciprocal.
+    Each probability is the correctly rounded sum of its row's 2N squared parts, so no BLAS kernel moves it, and
+    ``+ 0.0`` turns ``-0.0`` into ``0.0``.  A flag tests d / (1/2 + sqrt(1/4 - d)), the smaller eigenvalue of qubit
+    j's marginal at d = d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d.  A
+    reference bit whose rows are both degenerate takes no norm constant, whose closed form may round to zero.
     """
     _require_protocol(z)
     n = z.num_parties - 1
     parts = np.multiply.outer(q.vector(), z.coeffs).view(np.float64).tolist()  # [a][2k + part]: v_a c_(k+1)
-    probabilities, rows, flags, live = [], [], [], set()
+    probabilities, rows, flags = [], [], []
     for ref, e_ref, e_flip, bell_set, bell_clear in _ROW_FACTORS:
         head, tail = bell_set * e_ref**n, bell_clear * e_ref ** (n - 1) * e_flip
         raw = [head * x for x in parts[ref][:2]] + [tail * x for x in parts[1 - ref][2:]]
         prob = math.fsum([x * x for x in raw])
-        scale = 1.0
-        if prob >= DEGENERATE_PROBABILITY:
-            scale = 1.0 / math.sqrt(prob)
-            live.add(ref)
+        scale = 1.0 / math.sqrt(prob) if prob >= DEGENERATE_PROBABILITY else 1.0
         row = tuple([x * scale + 0.0 for x in raw])
         flips = [re * re + im * im for re, im in zip(row[2::2], row[3::2])]  # |a_j|^2, j = 1..n
         total = math.fsum(flips)
@@ -222,6 +207,7 @@ def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
         probabilities.append(prob)
         rows.append(row)
         flags.append(det / (0.5 + math.sqrt(max(0.25 - det, 0.0))) <= PRODUCT_TOL)
+    live = {ref for (ref, *_), prob in zip(_ROW_FACTORS, probabilities) if prob >= DEGENERATE_PROBABILITY}
     return BellTable(qubit=q, zsa=z, probabilities=tuple(probabilities), rows=tuple(rows), products=tuple(flags),
                      norm_constants=normalization_constants(q, z, live))
 
@@ -236,12 +222,9 @@ def outcome_cdf(weights) -> list[float]:
 
 
 def draw_outcome_block(cdf, rng: np.random.Generator, count: int) -> np.ndarray:
-    """The outcome values of ``count`` successive ``rng.choice(4, p=...)`` calls, bit for bit, for the `outcome_cdf`
-    ``cdf`` of their weights.
-
-    Takes ``count`` doubles from ``rng`` at once, one per draw as `Generator.choice` does, and inverts the CDF on
-    them.  Unlike `Generator.choice`, this does not check the weights.
-    """
+    """The outcome values of ``count`` successive ``rng.choice(4, p=...)`` calls on the weights whose `outcome_cdf` is
+    ``cdf``, bit for bit: ``count`` doubles from ``rng`` at once, one per draw as `Generator.choice` takes, and the CDF
+    inverted on them.  Unlike `Generator.choice`, this does not check the weights."""
     return np.searchsorted(cdf, rng.random(count), side="right")
 
 
@@ -308,6 +291,6 @@ def run_protocol(
         raise ValueError("sampling an outcome requires a seed")
     table = bell_table(q, z)
     if outcome is None:
-        cdf, rng = outcome_cdf(table.probabilities), np.random.default_rng(seed)
-        outcome = BellOutcome(int(draw_outcome_block(cdf, rng, 1)[0]))
+        cdf = outcome_cdf(table.probabilities)
+        outcome = BellOutcome(int(draw_outcome_block(cdf, np.random.default_rng(seed), 1)[0]))
     return table.transcript(outcome)

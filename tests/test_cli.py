@@ -658,7 +658,7 @@ def test_amplitude_text_matches_json_dumps_per_cell(cases):
     def filled(slots, reference_bit, csv_cells):
         n = slots.size - 1
         template = cli._amplitude_template(n, reference_bit, csv_cells)
-        return template.format(*slots.view(np.float64).tolist(), *cli._zero_runs(n, csv_cells))
+        return template.format(*slots.view(np.float64).tolist(), *cli._row_templates(n, csv_cells)[1])
 
     for slots in cases:
         for reference_bit in (0, 1):
