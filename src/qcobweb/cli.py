@@ -20,9 +20,10 @@ caches, by key and bound: `build_parser` (one entry), `_named_source` (the
 last ``--gen`` name), `session.message_log` (party count and payload, four),
 `_row_templates` (the last register and format) and `_csv_header` (the last
 party count).  Only a process that calls `main` more than once gains from
-them; a ``--coeffs`` file is read on every call.  Exit codes: 0 success, 2 domain-invalid input, 3 unreadable
-or malformed input.  Output is plain text or machine-readable JSON/CSV; no
-color is ever emitted, so NO_COLOR is honored trivially.
+them; a ``--coeffs`` file is read on every call.  Exit codes: 0 success, 2
+domain-invalid input, 3 unreadable or malformed input.  Output is plain text
+or machine-readable JSON/CSV; no color is ever emitted, so NO_COLOR is
+honored trivially.
 """
 from __future__ import annotations
 
@@ -267,7 +268,7 @@ def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
 
 
 # Trials per block draw.  A block costs about 6-10 us of fixed numpy work plus 0.03 us and, at its peak, 16 B per
-# trial (2-vCPU x86-64, numpy 2.4.6): under 0.04 us a trial for about 16 KB of buffers.  2048 would save less.
+# trial (2-vCPU x86-64, numpy 2.4.6): under 0.04 us a trial for 16 KB of buffers.  2048 would save under 0.01 us.
 DRAW_BLOCK = 1024
 
 
