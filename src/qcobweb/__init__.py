@@ -6,7 +6,7 @@ linear-algebra oracle.
 """
 
 from .measures import cobweb_spectrum
-from .protocol import BellOutcome, cobweb_state, run_protocol
+from .protocol import BellOutcome, run_protocol
 from .session import run_session
 from .states import UnknownQubit, roots_of_unity_zsa
 

@@ -13,7 +13,8 @@ A `run` call renders each branch's row of one `protocol.bell_table` at most
 once, by one fill of a template with the table's floats (`_branch_row`),
 draws every trial from one `protocol.outcome_cdf`, and writes each row after
 its trial's index, which `_index_parts` builds from digit tables.  A `measures`
-report takes its oracle entropies from one array pass over one stacked
+report reads its two outputs from one `bell_table` (`_reference_outputs`),
+takes its oracle entropies from one array pass over one stacked
 eigensolve, and is written by `_indented_json`: the bytes of ``json.dumps(report,
 indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
 caches, by key and bound: `build_parser` (one entry), `_named_source` (the
@@ -63,9 +64,9 @@ from .protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
     BellTable,
+    CobwebState,
     Transcript,
     bell_table,
-    cobweb_state,
     draw_outcome_block,
     normalization_constants,
     outcome_cdf,
@@ -394,9 +395,19 @@ def cmd_run(args) -> int:
 # --- measures ---------------------------------------------------------------
 
 
+def _reference_outputs(q: UnknownQubit, z: ZsaAmplitudes) -> list[CobwebState]:
+    """The outputs of reference bits 0 and 1: one `bell_table`'s PsiMinus and PhiMinus rows, corrected by the
+    identity and sigma_x.  A degenerate one is refused with its probability, as `cmd_run` refuses a forced one."""
+    table, outcomes = bell_table(q, z), (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)
+    for ref, outcome in enumerate(outcomes):
+        if (prob := table.probabilities[outcome.value]) < DEGENERATE_PROBABILITY:
+            raise ValueError(f"reference-{ref} output ({outcome.label}) has probability {prob:.3e}")
+    return [table.transcript(outcome).final for outcome in outcomes]
+
+
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     n = z.num_parties
-    outputs = [cobweb_state(q, z, ref) for ref in (0, 1)] if n == 3 else []
+    outputs = _reference_outputs(q, z) if n == 3 else []
     # rows: the shared state's N qubits, then qubits 1 and 2 of each output
     spectra = single_qubit_spectra(build_state(z), *(cw.vector for cw in outputs))
     closed = [splitting_entropy(z, k) for k in range(1, n + 1)]
@@ -515,7 +526,7 @@ def _claims_rows() -> list[dict]:
     for _ in range(sign_draws):
         z = random_zsa(3, rng)
         q = UnknownQubit(math.acos(1.0 - 2.0 * rng.uniform(0.05, 0.95)), 2.0 * math.pi * rng.random())
-        simulated = cnot_disentangle(cobweb_state(q, z, 0))["simulated_probability"]
+        simulated = cnot_disentangle(_reference_outputs(q, z)[0])["simulated_probability"]
         sign_agreements += (simulated > 0.5) == ((np.conj(z.coeffs[1]) * z.coeffs[2]).real > 0.0)
     table = [
         ("epr-reduction-singlet-fidelity", 1.0, state_fidelity(build_state(epr_zsa()), singlet), 1e-12,

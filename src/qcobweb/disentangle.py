@@ -6,7 +6,8 @@ complement, inner-product preservation would force
 2 N(alpha) N(beta) alpha beta* Re(c2 c3*) = 0.  The modulus of that quantity
 is the obstruction value; it vanishes only at the poles (theta in {0, pi})
 or when Re(c2 c3*) = 0, which IS reachable with all amplitudes nonzero
-(for example c2 = a, c3 = ia).
+(for example c2 = a, c3 = ia).  Its oracle is the overlap of the protocol's
+two outputs, each read from `bell_table`.
 
 A nonlocal probabilistic recovery exists: CNOT across the pair, then measure
 the control in the |+->  basis.  The |+> branch restores |psi> exactly with
@@ -16,11 +17,12 @@ Re(c2* c3) > 0.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .linalg import PureState, apply_gate, project, state_fidelity
-from .protocol import CobwebState, normalization_constants, target_vector
+from .protocol import BellOutcome, CobwebState, bell_table, normalization_constants
 from .states import UnknownQubit, ZsaAmplitudes
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -29,17 +31,12 @@ _S = 1.0 / math.sqrt(2.0)
 PLUS = np.array([_S, _S], dtype=complex)
 
 
-def orthogonal_complement(q: UnknownQubit) -> np.ndarray:
-    """The vector alpha|1> - beta*|0>, orthogonal to q's state."""
-    return np.array([-np.conj(q.beta), q.alpha], dtype=complex)
-
-
 def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
     """Obstruction modulus |2 N(alpha) N(beta) alpha beta* Re(c2 c3*)|, its inner-product oracle, and the inputs.
 
-    The oracle builds the reference-0 outputs for |psi> and its orthogonal
-    complement and takes the modulus of their normalized inner product; a
-    perfect disentangler would need it to be zero.
+    The oracle is the modulus of the inner product of the protocol's reference-0 outputs for |psi> and for
+    (pi - theta, phi + pi), which is alpha|1> - beta*|0> up to a global phase: a perfect disentangler would need it
+    to be zero.  Each part of the product is the `math.fsum` of the products of row parts.
     """
     if z.num_parties != 3:
         raise ValueError("the obstruction is computed for the tripartite output")
@@ -47,9 +44,10 @@ def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
     re_cross = float((z.coeffs[1] * np.conj(z.coeffs[2])).real)
     value = 2.0 * n_alpha * n_beta * q.alpha * abs(q.beta) * abs(re_cross)
 
-    v = target_vector(q.vector(), z, 0)
-    v_bar = target_vector(orthogonal_complement(q), z, 0)
-    oracle = float(abs(np.vdot(v, v_bar)) / (np.linalg.norm(v) * np.linalg.norm(v_bar)))
+    v, w = (_identity_row(qubit, z) for qubit in (q, UnknownQubit(math.pi - q.theta, q.phi + math.pi)))
+    re = math.fsum(map(operator.mul, v, w))
+    im = math.fsum([*map(operator.mul, v[::2], w[1::2]), *(-x * y for x, y in zip(v[1::2], w[::2]))])
+    oracle = math.hypot(re, im)
     return {
         "closed_form": value,
         "simulated": oracle,
@@ -58,6 +56,14 @@ def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
         "phi": q.phi,
         "coeffs": [[c.real, c.imag] for c in z.coeffs],
     }
+
+
+def _identity_row(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, ...]:
+    """The reference-0 output for ``q``: `bell_table`'s PsiMinus row, corrected by the identity.  Raises
+    `DegenerateBranch` on a degenerate row."""
+    table = bell_table(q, z)
+    table.probability(BellOutcome.PSI_MINUS)  # called for its check alone
+    return table.rows[BellOutcome.PSI_MINUS.value]
 
 
 def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]:

@@ -17,9 +17,11 @@ sigma_y = [[0, -i], [i, 0]] so that i*sigma_y|0> = -|1>, i*sigma_y|1> = |0>.
 Protocol outputs are defined up to global phase.
 
 One `bell_table` call projects all four branches of a (qubit, shared state)
-pair, normalizes and corrects them, and flags the product outputs; every run
-of the protocol, sampled or forced, reads its branch from that table, and a
-sampled run draws it from `outcome_cdf` of the table's probabilities.
+pair, normalizes and corrects them, and flags the product outputs.  It is the
+one builder of protocol outputs: every run, sampled or forced, reads its
+branch from that table, a sampled run draws it from `outcome_cdf` of the
+table's probabilities, and the reports take their outputs from its identity
+and sigma_x rows.
 """
 from __future__ import annotations
 
@@ -245,34 +247,6 @@ def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes, bits=(0, 1)) -> t
     if any(value is not None and value <= 0.0 for value in inv_sq):
         raise NonPositiveNorm(f"closed-form 1/N^2 values ({inv_sq[0]!r}, {inv_sq[1]!r}) must be positive")
     return tuple(None if value is None else 1.0 / math.sqrt(value) for value in inv_sq)
-
-
-def target_vector(qubit_vector: np.ndarray, z: ZsaAmplitudes, reference_bit: int) -> np.ndarray:
-    """Unnormalized amplitudes of sum_{k>=2} c_k |r r ... v@slot(k-1) ... r>.
-
-    Slot k-1 of the (N-1)-qubit register carries the given single-qubit
-    vector; every other slot carries the reference bit r.
-    """
-    if reference_bit not in (0, 1):
-        raise ValueError(f"reference bit must be 0 or 1, got {reference_bit!r}")
-    v = np.asarray(qubit_vector, dtype=complex).reshape(2)
-    n_out = z.num_parties - 1
-    all_r, *flipped = slot_positions(n_out, reference_bit)
-    amps = np.zeros(2**n_out, dtype=complex)
-    for c_k, position in zip(z.coeffs[1:], flipped):  # party k = 2..N; qubit k - 1 carries v
-        amps[all_r] += c_k * v[reference_bit]
-        amps[position] += c_k * v[1 - reference_bit]
-    return amps
-
-
-def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> CobwebState:
-    """Build the normalized output state directly from its definition: the slots of the dense target, with its
-    closed-form constant, N(beta) for reference bit 1, else N(alpha)."""
-    raw = target_vector(q.vector(), z, reference_bit)
-    slots = raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw)
-    slots.setflags(write=False)  # `CobwebState.vector` is built from them once
-    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, slots=slots,
-                       norm_constant=normalization_constants(q, z)[reference_bit])
 
 
 def run_protocol(

@@ -3,7 +3,9 @@
 Each is the plain O(2^N) construction of a quantity that the package computes
 on the N slots of a one-hot state or in closed form.  The Pauli gates are the
 dense form of `protocol.CORRECTIONS`, which holds each correction as a
-reference bit and two signs.
+reference bit and two signs.  `target_vector` and `cobweb_state` build a
+protocol output from its definition, the reference-string target, and are the
+oracle of every output `protocol.bell_table` makes.
 """
 from __future__ import annotations
 
@@ -19,7 +21,15 @@ from qcobweb.linalg import (
     _check_qubit_labels,
     project,
 )
-from qcobweb.protocol import BELL_VECTORS, CORRECTIONS, DEGENERATE_PROBABILITY, BellOutcome, _require_protocol
+from qcobweb.protocol import (
+    BELL_VECTORS,
+    CORRECTIONS,
+    DEGENERATE_PROBABILITY,
+    BellOutcome,
+    CobwebState,
+    _require_protocol,
+    normalization_constants,
+)
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state, slot_positions
 
 IMPOSSIBLE_PROBABILITY = 1e-14
@@ -149,6 +159,40 @@ def numpy_bell_table(q: UnknownQubit, z: ZsaAmplitudes,
     signs = np.array([[e_ref**n, *[e_ref ** (n - 1) * e_flip] * n] for _, e_ref, e_flip in CORRECTIONS.values()])
     slots = slots / scale[:, None] * signs + 0.0
     return probs, slots, min_marginal_eigenvalues(slots).max(axis=-1) <= PRODUCT_TOL
+
+
+def target_vector(qubit_vector: np.ndarray, z: ZsaAmplitudes, reference_bit: int) -> np.ndarray:
+    """Unnormalized amplitudes of sum_{k>=2} c_k |r r ... v@slot(k-1) ... r>.
+
+    Slot k-1 of the (N-1)-qubit register carries the given single-qubit
+    vector; every other slot carries the reference bit r.
+    """
+    if reference_bit not in (0, 1):
+        raise ValueError(f"reference bit must be 0 or 1, got {reference_bit!r}")
+    v = np.asarray(qubit_vector, dtype=complex).reshape(2)
+    n_out = z.num_parties - 1
+    all_r, *flipped = slot_positions(n_out, reference_bit)
+    amps = np.zeros(2**n_out, dtype=complex)
+    for c_k, position in zip(z.coeffs[1:], flipped):  # party k = 2..N; qubit k - 1 carries v
+        amps[all_r] += c_k * v[reference_bit]
+        amps[position] += c_k * v[1 - reference_bit]
+    return amps
+
+
+def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> CobwebState:
+    """Build the normalized output state directly from its definition: the slots of the dense target, with its
+    closed-form constant, N(beta) for reference bit 1, else N(alpha).  `bell_table`'s PsiMinus row is -1 times its
+    reference-0 slots and its PhiMinus row +1 times its reference-1 slots, within rounding."""
+    raw = target_vector(q.vector(), z, reference_bit)
+    slots = raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw)
+    slots.setflags(write=False)  # `CobwebState.vector` is built from them once
+    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, slots=slots,
+                       norm_constant=normalization_constants(q, z)[reference_bit])
+
+
+def orthogonal_complement(q: UnknownQubit) -> np.ndarray:
+    """The vector alpha|1> - beta*|0>, orthogonal to q's state."""
+    return np.array([-np.conj(q.beta), q.alpha], dtype=complex)
 
 
 def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:

@@ -34,10 +34,8 @@ from qcobweb.measures import (
 from qcobweb.protocol import (
     BellOutcome,
     bell_table,
-    cobweb_state,
     normalization_constants,
     run_protocol,
-    target_vector,
 )
 from qcobweb.session import classical_only_baseline
 from qcobweb.states import (
@@ -51,7 +49,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
-from oracles import outer
+from oracles import cobweb_state, outer, target_vector
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896

@@ -25,7 +25,7 @@ from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.session import message_log, run_session
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, random_zsa, roots_of_unity_zsa
 
-from oracles import is_product_state
+from oracles import cobweb_state, is_product_state
 
 
 def run_cli(capsys, *argv):
@@ -1018,6 +1018,25 @@ def test_run_at_a_pole_needs_no_norm_constant_of_the_degenerate_reference_bit(ca
     assert err == f"invalid request: forced outcome {degenerate} has probability 3.385e-22\n"
 
 
+@pytest.mark.parametrize("theta,degenerate", [
+    ("3.141592653589793", "reference-1 output (PhiMinus)"),
+    ("0", "reference-0 output (PsiMinus)"),
+], ids=["pi", "zero"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_measures_at_a_pole_refuses_a_degenerate_reference_output(capsys, tmp_path, theta, degenerate, fmt):
+    """A three-party report needs both outputs, and at a pole the file's |c_1| of 2.6e-11 leaves one at
+    P = |c_1|^2 / 2 = 3.4e-22: the call exits 2 with one line naming it, as `run` refuses a degenerate forced
+    outcome, and writes nothing.  Off the poles the same file reports."""
+    path = tmp_path / "tiny-c1.json"
+    path.write_text(POLE_TINY_C1)
+    code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", theta, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"invalid request: {degenerate} has probability 3.385e-22\n"
+    code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "1.0", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out
+
+
 @pytest.mark.parametrize("extra", [[], ["--session", "--messages", "log.jsonl"]], ids=["protocol", "session"])
 def test_run_rejects_parties_past_the_dense_cap(capsys, tmp_path, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)
@@ -1080,6 +1099,25 @@ def test_measures_csv_matches_json(capsys):
     for key, value in flat.items():
         if isinstance(value, float):
             assert float(csv_map[key]) == value
+
+
+def test_measures_outputs_are_the_table_rows_of_the_oracle_states():
+    """The outputs a three-party report reads from one `bell_table`, over seeded states at both poles and inside:
+    the reference-0 output (the PsiMinus row) is -1 times `oracles.cobweb_state` and the reference-1 output (the
+    PhiMinus row) +1 times it, and each norm constant is the oracle's bit for bit.  Each part agrees within 1e-15
+    times that constant N >= 1, which is 1 / |target|: the oracle's all-r slot holds sum_{k>=2} c_k where the table
+    holds -c_1, and normalizing multiplies their rounding by N (1.7e-15 at theta = pi, |c_1| = 0.077, N = 13)."""
+    rng = np.random.default_rng(2501)
+    for _ in range(40):
+        z = random_zsa(3, rng)
+        for theta in (0.0, math.pi, math.pi * rng.random()):
+            q = UnknownQubit(theta, 2.0 * math.pi * rng.random())
+            for ref, (sign, output) in enumerate(zip((-1.0, 1.0), cli._reference_outputs(q, z))):
+                oracle = cobweb_state(q, z, ref)
+                assert output.reference_bit == ref
+                assert output.norm_constant.hex() == oracle.norm_constant.hex()
+                gap = np.abs((output.slots - sign * oracle.slots).view(np.float64)).max()
+                assert gap <= 1e-15 * oracle.norm_constant
 
 
 def test_measures_many_parties(capsys):
@@ -1234,19 +1272,21 @@ class SeededCoeffs:
 
 
 # SHA-256 of stdout, recorded from the implementation that built the claims row
-# by row and wrote each CSV through its own writer (numpy 2.4.6, x86-64).
+# by row and wrote each CSV through its own writer (numpy 2.4.6, x86-64).  The claims and cube `measures` pins
+# were re-recorded when those reports took their outputs from `bell_table`: only oracle fields moved, and the
+# global sign of `recovery.success_state`.
 # The three `--coeffs` pins were recorded from the implementation that took each party's entropies one at a time
 # and wrote the report with `json.dumps(..., indent=2)`.  Their amplitude magnitudes differ, so unlike the cube's
 # they pin the rounding of every per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form
 # prints 0.0 and its oracle -0.0.
 GOLDEN_REPORTS = [
-    (["claims"], "b6d5ea957e4bca64ed7fdd66d48c66dd630d4d39de53b054d96f8d48932103c0"),
-    (["claims", "--format", "json"], "967778f0bde0d0aed1d03c4b7760ca521a7f492f674a8fdd08e3f7a5bfbc1ee5"),
-    (["claims", "--format", "csv"], "b4a0168aedf8cbe6001942bb0d0d498680552a02dd533090ab3b1bb8160358b0"),
+    (["claims"], "5072b6b35e6fe8872bebfa7ab2c45003d1cc13bd9ebe31f86132b1e802223201"),
+    (["claims", "--format", "json"], "34883ad21fc1ea2b3c3edfd27757a965aada9460e46b4f528d3e090415872492"),
+    (["claims", "--format", "csv"], "9261da5f1482d3bb6dfa7f2b9e18067ac1981e19e52ba733e4915641dd648367"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"],
-     "73252d987ae5b2f0fa34852b6f5144c3b7db70b7f3e7d2a28fde81a91c4556b2"),
+     "046e1aeb04ec56cd2df5684d00a1d2c485838e0fe9ad5f978af3061fa461dd3e"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3", "--format", "csv"],
-     "c5c582f42cc0ed5f241c3235f3508d396b7c974d2bb0b1596fe9e865c5e97d18"),
+     "9974e50e5ae439ac57424f0a7053be106fa3b0a571f542fbaec8d42127f785b5"),
     (["scaling", "--max", "40"], "a3b9808e77986abc69f686e2160312627c9c03cde57aeac2db057e098e71cf17"),
     (["scaling", "--max", "40", "--format", "csv"],
      "73755f0a747d115d7e406d70fefc8bf39a985977e8d6fdbb74df258265a0301d"),

@@ -7,13 +7,13 @@ from qcobweb import disentangle
 from qcobweb.disentangle import (
     cnot_disentangle,
     obstruction,
-    orthogonal_complement,
     success_probability_sign,
 )
-from qcobweb.protocol import cobweb_state
+from qcobweb.protocol import DegenerateBranch
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, random_zsa, roots_of_unity_zsa
 
 from _helpers import random_qubit
+from oracles import cobweb_state, orthogonal_complement, target_vector
 
 CUBE = roots_of_unity_zsa(3)
 
@@ -24,10 +24,14 @@ def zero_cross_family(a: float = 0.5):
 
 
 def test_orthogonal_complement():
+    """The oracle's complement is orthogonal to the qubit, and it is the qubit (pi - theta, phi + pi) that
+    `obstruction` runs the protocol on, up to a global phase."""
     rng = np.random.default_rng(2)
     for _ in range(20):
         q = random_qubit(rng)
         assert abs(np.vdot(q.vector(), orthogonal_complement(q))) < 1e-15
+        flipped = UnknownQubit(np.pi - q.theta, q.phi + np.pi).vector()
+        assert abs(abs(np.vdot(orthogonal_complement(q), flipped)) - 1.0) < 1e-15
 
 
 # --- obstruction -------------------------------------------------------------
@@ -55,6 +59,28 @@ def test_obstruction_matches_inner_product_oracle():
         q = random_qubit(rng)
         report = obstruction(q, z)
         assert abs(report["closed_form"] - report["simulated"]) < 1e-11
+
+
+def test_obstruction_oracle_matches_the_dense_inner_product():
+    """`simulated`, the overlap of two `bell_table` rows, against the modulus of the normalized inner product of the
+    dense targets for |psi> and its orthogonal complement, on the 300 seeded states of the closed-form check."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        z = random_zsa(3, rng)
+        q = random_qubit(rng)
+        v, w = target_vector(q.vector(), z, 0), target_vector(orthogonal_complement(q), z, 0)
+        dense = abs(np.vdot(v, w)) / (np.linalg.norm(v) * np.linalg.norm(w))
+        assert abs(obstruction(q, z)["simulated"] - dense) < 1e-14
+
+
+def test_obstruction_refuses_a_degenerate_output_row():
+    """With |c_1| = 1e-8 and theta = 1e-8 the output for |psi> has probability 6.2e-17, below
+    `DEGENERATE_PROBABILITY`, so its row is left unnormalized: the overlap would read 3.5e-9 against a closed form
+    of 0.47.  The call raises instead."""
+    r = np.sqrt((1 - 1.5e-16) / 2)
+    z = ZsaAmplitudes([1e-8, -5e-9 + 1j * r, -5e-9 - 1j * r])
+    with pytest.raises(DegenerateBranch, match="PsiMinus has probability 6.250e-17"):
+        obstruction(UnknownQubit(1e-8), z)
 
 
 def test_obstruction_zero_cross_family():

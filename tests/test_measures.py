@@ -20,7 +20,6 @@ from qcobweb.measures import (
     scaling_curve,
     splitting_entropy,
 )
-from qcobweb.protocol import cobweb_state
 from qcobweb.states import (
     UnknownQubit,
     ZsaAmplitudes,
@@ -32,7 +31,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit
-from oracles import entropy_of_eigenvalues, pure_marginal, von_neumann_entropy
+from oracles import cobweb_state, entropy_of_eigenvalues, pure_marginal, von_neumann_entropy
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896  # H2(1/3)

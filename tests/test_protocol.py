@@ -21,12 +21,10 @@ from qcobweb.protocol import (
     DegenerateBranch,
     NonPositiveNorm,
     bell_table,
-    cobweb_state,
     draw_outcome_block,
     normalization_constants,
     outcome_cdf,
     run_protocol,
-    target_vector,
 )
 from qcobweb.cli import DRAW_BLOCK
 from qcobweb.states import (
@@ -44,12 +42,14 @@ from oracles import (
     I_SIGMA_Y,
     basis_state,
     bell_projection,
+    cobweb_state,
     equal_up_to_global_phase,
     is_product_state,
     joint_state,
     min_marginal_eigenvalues,
     numpy_bell_table,
     pure_marginal,
+    target_vector,
 )
 
 CUBE = roots_of_unity_zsa(3)

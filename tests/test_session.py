@@ -12,7 +12,6 @@ from qcobweb.protocol import (
     BELL_VECTORS,
     BellOutcome,
     bell_table,
-    cobweb_state,
     run_protocol,
 )
 from qcobweb.session import (
@@ -24,7 +23,7 @@ from qcobweb.session import (
 from qcobweb.states import UnknownQubit, random_zsa, roots_of_unity_zsa, slot_positions
 
 from _helpers import random_qubit
-from oracles import CORRECTION_GATES, bell_projection
+from oracles import CORRECTION_GATES, bell_projection, cobweb_state
 
 CUBE = roots_of_unity_zsa(3)
 
