@@ -19,8 +19,8 @@ eigensolve, and is written by `_indented_json`: the bytes of ``json.dumps(report
 indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
 caches, by key and bound: `build_parser` (one entry), `_named_source` (the
 last ``--gen`` name), `session.message_log` (party count and payload, four),
-`_row_templates` (the last register and format) and `_csv_header` (the last
-party count).  Only a process that calls `main` more than once gains from
+and `_row_templates` (the last register and format, with its CSV header).
+Only a process that calls `main` more than once gains from
 them; a ``--coeffs`` file is read on every call.  Exit codes: 0 success, 2
 domain-invalid input, 3 unreadable or malformed input.  Output is plain text
 or machine-readable JSON/CSV; no color is ever emitted, so NO_COLOR is
@@ -85,6 +85,7 @@ from .states import (
     reduced_pair,
     reduced_single,
     roots_of_unity_zsa,
+    slot_positions,
 )
 
 EXIT_OK = 0
@@ -114,8 +115,11 @@ def _named_source(name: str) -> ZsaAmplitudes:
 
 
 def _qubit_from_args(args) -> UnknownQubit:
-    theta = math.radians(args.theta_deg) if args.theta_deg is not None else args.theta
-    return UnknownQubit(theta, args.phi)
+    if args.theta_deg is None:
+        return UnknownQubit(args.theta, args.phi)
+    if not 0.0 <= args.theta_deg <= 180.0:  # checked in degrees, so the message quotes the value given
+        raise ValueError(f"--theta-deg must lie in [0, 180], got {args.theta_deg!r}")
+    return UnknownQubit(math.radians(args.theta_deg), args.phi)
 
 
 # Characters per write: rows and message-log lines are joined at most this many at a time, whatever `--trials`,
@@ -208,51 +212,41 @@ _LABELS = tuple(outcome.label for outcome in BellOutcome)  # by outcome value
 
 
 def _amplitude_template(n: int, reference_bit: int, csv_cells: bool) -> str:
-    """The format template of a `CobwebState`'s 2^n dense amplitudes, as CSV cells ``,re,im,...`` (each after its
-    separator, as after a row's scalar cells) or the inside of the JSON list ``[re, im], ...``.  Fields 0 .. 2n + 1
-    take the 2N floats of its `BellTable` row and field 2n + 2 + j zero run j (`_row_templates`), so the template's
-    length is set by N, not by 2^(N-1).  For reference bit 0, slot 0 sits at basis position 0 and slot n - j at 2^j,
-    followed by run j; reference bit 1 puts each at 2^n - 1 minus that position, so its parts come in reverse."""
-    sep, cell = (",", ",{%d},{%d}") if csv_cells else (", ", ", [{%d}, {%d}]")
-    cells = [cell % (2 * k, 2 * k + 1) for k in range(n + 1)]
-    runs = ["{%d}" % (2 * n + 2 + j) for j in range(n)]
-    parts = [cells[0]]
-    for j, slot_cell in enumerate(cells[:0:-1]):
-        parts.append(slot_cell)
-        if j:  # run 0 is empty
-            parts.append(runs[j])
-    if reference_bit:
-        parts.reverse()
-    if not csv_cells:  # a JSON list has no separator before its first cell
-        if reference_bit and n >= 2:  # the first part is run n - 1: one zero cell, then run n - 2 twice
-            parts[:1] = ["[0.0, 0.0]", runs[n - 2], runs[n - 2]]
-        else:
-            parts[0] = parts[0][len(sep):]
-    return "".join(parts)
+    """The format template of a `CobwebState`'s 2^n dense amplitudes, as CSV cells ``,re,im,...`` (after one comma,
+    as after a row's scalar cells) or the inside of the JSON list ``[re, im], ...``.  In basis order, slot k of
+    `slot_positions` takes fields 2k and 2k + 1 from the 2N floats of its `BellTable` row, and each gap of 2^j - 1
+    zero cells takes field 2n + 2 + j, zero run j (`_row_templates`), so the template's length is set by N, not by
+    2^(N-1)."""
+    sep, cell = (",", "{%d},{%d}") if csv_cells else (", ", "[{%d}, {%d}]")
+    parts, end = [], 0  # end: the basis position after the last part
+    for position, k in [*sorted(zip(slot_positions(n, reference_bit), range(n + 1))), (1 << n, None)]:
+        if position > end:
+            parts.append("{%d}" % (2 * n + 2 + (position - end).bit_length()))
+        if k is not None:
+            parts.append(cell % (2 * k, 2 * k + 1))
+        end = position + 1
+    return ("," if csv_cells else "") + sep.join(parts)
 
 
 @functools.lru_cache(maxsize=1)
-def _row_templates(n: int, csv_cells: bool) -> tuple[tuple[str, str], tuple[str, ...]]:
-    """(format template by reference bit, zero runs) of the text a `run` row writes after its trial index, for an
-    n-qubit output.  Named fields take the scalar fields and the product flag.  Run j, for j < n, is 2^j - 1 zero
-    cells, each after its separator: every gap between the slots of either reference bit, in fewer than 2^n cells.
-    Only the last register and format are kept, so a wide call pins nothing past it."""
-    zero = ",0.0,0.0" if csv_cells else ", [0.0, 0.0]"
+def _row_templates(n: int, csv_cells: bool) -> tuple[tuple[str, str], tuple[str, ...], str]:
+    """(format template by reference bit, zero runs, header line) of a `run` call's rows for an n-qubit output.  A
+    template is the text a row writes after its trial index; its named fields take the scalar fields and the product
+    flag.  Run j, for j < n, is 2^j - 1 zero cells joined by their separator: every gap between the slots of either
+    reference bit, in fewer than 2^n cells.  The header is the CSV header line, empty in JSON; like the cells, its
+    scalar field and ``amp{i}_re`` names need no quoting.  Only the last register and format are kept, so a wide call
+    pins nothing past it."""
+    sep, zero = (",", "0.0,0.0") if csv_cells else (", ", "[0.0, 0.0]")
     names = (*Transcript.SCALAR_FIELDS, "product_state")
-    head, tail = "".join(f",{{{name}}}" for name in names), "\n"
-    if not csv_cells:  # the label is the one string field, and the product flag follows the amplitudes
+    head, tail, header = "".join(f",{{{name}}}" for name in names), "\n", ""
+    if csv_cells:
+        amplitudes = ",".join(f"amp{i}_re,amp{i}_im" for i in range(1 << n))
+        header = ",".join(["trial", *names, amplitudes]) + "\n"
+    else:  # the label is the one string field, and the product flag follows the amplitudes
         head = "".join(f', "{name}": {{{name}}}' for name in names[:-1]).replace("{outcome}", '"{outcome}"')
         head, tail = head + ', "final_state": [', '], "product_state": {product_state}}}\n'
     return (tuple(head + _amplitude_template(n, ref, csv_cells) + tail for ref in (0, 1)),
-            tuple(zero * ((1 << j) - 1) for j in range(n)))
-
-
-@functools.lru_cache(maxsize=1)
-def _csv_header(num_parties: int) -> str:
-    """The header line of a `run` call's CSV rows; only the last party count is kept, so a wide call pins nothing
-    past it.  Like the amplitude cells, the scalar field and ``amp{i}_re`` names need no quoting."""
-    names = ",".join(f"amp{i}_re,amp{i}_im" for i in range(2 ** (num_parties - 1)))
-    return ",".join(["trial", *Transcript.SCALAR_FIELDS, "product_state", names]) + "\n"
+            tuple(sep.join([zero] * ((1 << j) - 1)) for j in range(n)), header)
 
 
 def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
@@ -261,7 +255,7 @@ def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
     as its ``repr``), and the label is quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes
     none.  Raises `DegenerateBranch` on a degenerate row."""
     value, reference_bit, n = outcome.value, CORRECTIONS[outcome][0], table.zsa.num_parties - 1
-    templates, runs = _row_templates(n, csv_cells)
+    templates, runs, _ = _row_templates(n, csv_cells)
     scalars = zip(Transcript.SCALAR_FIELDS, (_LABELS[value], value, table.probability(outcome), 2, n, reference_bit,
                                              table.norm_constants[reference_bit]))
     return templates[reference_bit].format(*table.rows[value], *runs, **dict(scalars),
@@ -362,8 +356,8 @@ def cmd_run(args) -> int:
             for value in drawn:
                 render(value)
             values = block.tolist()
-            if start == 0 and csv_cells:
-                out.write(_csv_header(z.num_parties))
+            if start == 0:
+                out.write(_row_templates(z.num_parties - 1, csv_cells)[2])
             longest = len(lead) + len(str(start + len(values) - 1)) + max(len(rows[value]) for value in drawn)
             for i, j in _chunks(len(values), longest):
                 parts = [None] * (3 * (j - i))  # lead and thousands, last digits, row per trial

@@ -198,6 +198,15 @@ def test_run_theta_degrees(capsys):
     assert row["reference_bit"] == 1
 
 
+@pytest.mark.parametrize("command", ["run", "measures"])
+@pytest.mark.parametrize("degrees", ["200", "-0.5", "nan"])
+def test_theta_degrees_out_of_range_names_the_option(capsys, command, degrees):
+    """A `--theta-deg` outside [0, 180] exits 2 with the degrees given, not their value in radians."""
+    code, out, err = run_cli(capsys, command, "--gen", "cube", "--theta-deg", degrees)
+    assert (code, out) == (2, "")
+    assert err == f"invalid request: --theta-deg must lie in [0, 180], got {float(degrees)!r}\n"
+
+
 def test_run_sampled_frequencies_within_three_sigma(capsys):
     trials = 10000
     code, out, _ = run_cli(
@@ -493,6 +502,7 @@ def test_repeated_and_interleaved_gen_calls_in_one_process(capsys, tmp_path):
         assert (code, err) == (0, "")
         assert cli._named_source.cache_info().currsize <= 1
         assert message_log.cache_info().currsize <= len(BellOutcome)
+        assert cli._row_templates.cache_info().currsize <= 1
         return out
 
     def check_wide() -> None:
@@ -633,6 +643,12 @@ def _dense(slots: np.ndarray, reference_bit: int) -> np.ndarray:
     return dense
 
 
+def _random_slots(n: int) -> list[np.ndarray]:
+    """Four seeded slot arrays of an n-qubit output: normal parts, with about one slot in four zeroed."""
+    rng = np.random.default_rng(900 + n)
+    return [rng.normal(size=2 * n + 2).view(complex) * (rng.random(n + 1) < 0.75) for _ in range(4)]
+
+
 # Each case is a list of slot arrays, each rendered with both reference bits; the first and last slots in
 # basis order are slot 0 and slot N-1 for reference bit 0, slot 1 and slot 0 for reference bit 1.
 @pytest.mark.parametrize("cases", [
@@ -649,9 +665,10 @@ def _dense(slots: np.ndarray, reference_bit: int) -> np.ndarray:
     [np.zeros(1, dtype=complex)],
     *([run_protocol(UnknownQubit(0.8, 2.9), roots_of_unity_zsa(14), outcome=outcome).final.slots]
       for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS)),
+    *(_random_slots(n) for n in range(1, 13)),
 ], ids=["crafted", "signed-zeros", "all-zero", "sparse-random", "first-pair", "last-pair", "first-and-last",
         "adjacent-pairs", "one-amplitude", "one-imaginary", "one-zero", "protocol-14-reference-0",
-        "protocol-14-reference-1"])
+        "protocol-14-reference-1", *(f"random-{n}-qubits" for n in range(1, 13))])
 def test_amplitude_text_matches_json_dumps_per_cell(cases):
     """The filled amplitude template: in CSV each cell after its comma, in JSON the inside of the list."""
 
