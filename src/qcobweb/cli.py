@@ -10,21 +10,21 @@ Subcommands:
 
 A call parses its arguments once, with its subcommand's own parser (`main`).
 A `run` call renders each branch's row of one `protocol.bell_table` at most
-once, by one fill of a template with the table's floats (`_branch_row`),
-draws every trial from one `protocol.outcome_cdf`, and writes each row after
-its trial's index, which `_index_parts` builds from digit tables.  A `measures`
-report reads its two outputs from one `bell_table` (`_reference_outputs`),
-takes its oracle entropies from one array pass over one stacked
-eigensolve, and is written by `_indented_json`: the bytes of ``json.dumps(report,
-indent=2)`` without `json`'s pure-Python indenting encoder.  Per-process
-caches, by key and bound: `build_parser` (one entry), `_named_source` (the
-last ``--gen`` name), `session.message_log` (party count and payload, four),
-and `_row_templates` (the last register and format, with its CSV header).
-Only a process that calls `main` more than once gains from
-them; a ``--coeffs`` file is read on every call.  Exit codes: 0 success, 2
-domain-invalid input, 3 unreadable or malformed input.  Output is plain text
-or machine-readable JSON/CSV; no color is ever emitted, so NO_COLOR is
-honored trivially.
+once (`_branch_row`): a head and an amplitude text filled once per distinct
+row, so two fills at even N and three at odd N.  It draws trial 0 by a scalar
+`bisect`, the rest in blocks, from one `protocol.outcome_cdf`, and writes each
+row after its index from digit tables (`_index_parts`).  A `measures` report
+reads its two outputs from one `bell_table` (`_reference_outputs`), takes its
+oracle entropies from one array pass over one stacked eigensolve, and is
+written by `_indented_json`: the bytes of ``json.dumps(report, indent=2)``
+without `json`'s pure-Python indenting encoder.  Per-process caches, by key
+and bound: `build_parser` (one entry), `_named_source` (the last ``--gen``
+name), `session.message_log` (party count and payload, four), and
+`_row_templates` (the last register and format, with its CSV header).  Only a
+process that calls `main` more than once gains from them; a ``--coeffs`` file
+is read on every call.  Exit codes: 0 success, 2 domain-invalid input, 3
+unreadable or malformed input.  Output is plain text or machine-readable
+JSON/CSV; no color is ever emitted, so NO_COLOR is honored trivially.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -67,6 +66,7 @@ from .protocol import (
     CobwebState,
     Transcript,
     bell_table,
+    draw_outcome,
     draw_outcome_block,
     normalization_constants,
     outcome_cdf,
@@ -209,6 +209,7 @@ def cmd_validate(args) -> int:
 
 
 _LABELS = tuple(outcome.label for outcome in BellOutcome)  # by outcome value
+_FIELDS = (*Transcript.SCALAR_FIELDS, "product_state")  # the named fields of a row, in CSV order
 
 
 def _amplitude_template(n: int, reference_bit: int, csv_cells: bool) -> str:
@@ -229,37 +230,39 @@ def _amplitude_template(n: int, reference_bit: int, csv_cells: bool) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _row_templates(n: int, csv_cells: bool) -> tuple[tuple[str, str], tuple[str, ...], str]:
-    """(format template by reference bit, zero runs, header line) of a `run` call's rows for an n-qubit output.  A
-    template is the text a row writes after its trial index; its named fields take the scalar fields and the product
-    flag.  Run j, for j < n, is 2^j - 1 zero cells joined by their separator: every gap between the slots of either
-    reference bit, in fewer than 2^n cells.  The header is the CSV header line, empty in JSON; like the cells, its
-    scalar field and ``amp{i}_re`` names need no quoting.  Only the last register and format are kept, so a wide call
-    pins nothing past it."""
+def _row_templates(n: int, csv_cells: bool) -> tuple[str, tuple[str, str], tuple[str, ...], str]:
+    """(head, amplitude template by reference bit, zero runs, header line) of a `run` call's rows for an n-qubit output.
+    A row, written after its trial index, is its filled head and amplitude template, whose named fields take the
+    scalar fields and the product flag.  Run j, for j < n, is 2^j - 1 zero cells joined by their separator: every gap
+    between the slots of either reference bit, in fewer than 2^n cells.  The header is the CSV header line, empty in
+    JSON; like the cells, its scalar field and ``amp{i}_re`` names need no quoting.  Only the last register and format
+    are kept, so a wide call pins nothing past it."""
     sep, zero = (",", "0.0,0.0") if csv_cells else (", ", "[0.0, 0.0]")
-    names = (*Transcript.SCALAR_FIELDS, "product_state")
-    head, tail, header = "".join(f",{{{name}}}" for name in names), "\n", ""
+    head, tail, header = "".join(f",{{{name}}}" for name in _FIELDS), "\n", ""
     if csv_cells:
         amplitudes = ",".join(f"amp{i}_re,amp{i}_im" for i in range(1 << n))
-        header = ",".join(["trial", *names, amplitudes]) + "\n"
+        header = ",".join(["trial", *_FIELDS, amplitudes]) + "\n"
     else:  # the label is the one string field, and the product flag follows the amplitudes
-        head = "".join(f', "{name}": {{{name}}}' for name in names[:-1]).replace("{outcome}", '"{outcome}"')
+        head = "".join(f', "{name}": {{{name}}}' for name in _FIELDS[:-1]).replace("{outcome}", '"{outcome}"')
         head, tail = head + ', "final_state": [', '], "product_state": {product_state}}}\n'
-    return (tuple(head + _amplitude_template(n, ref, csv_cells) + tail for ref in (0, 1)),
+    return (head, tuple(_amplitude_template(n, ref, csv_cells) + tail for ref in (0, 1)),
             tuple(sep.join([zero] * ((1 << j) - 1)) for j in range(n)), header)
 
 
-def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool) -> str:
-    """What every trial that lands on ``outcome`` writes after its trial index, newline included: one fill of its
-    `_row_templates` template from the table.  Each number reads as ``json.dumps`` writes it (``{}`` writes a float
-    as its ``repr``), and the label is quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes
-    none.  Raises `DegenerateBranch` on a degenerate row."""
+def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool, texts: dict) -> str:
+    """What every trial that lands on ``outcome`` writes after its trial index, newline included: its `_row_templates`
+    head filled from the table, then its amplitude text, kept in ``texts`` by reference bit and row, so it is filled
+    once per distinct row.  Each number reads as ``json.dumps`` writes it (``{}`` writes a float as its ``repr``), and
+    the label is quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes none.  Raises
+    `DegenerateBranch` on a degenerate row."""
     value, reference_bit, n = outcome.value, CORRECTIONS[outcome][0], table.zsa.num_parties - 1
-    templates, runs, _ = _row_templates(n, csv_cells)
-    scalars = zip(Transcript.SCALAR_FIELDS, (_LABELS[value], value, table.probability(outcome), 2, n, reference_bit,
-                                             table.norm_constants[reference_bit]))
-    return templates[reference_bit].format(*table.rows[value], *runs, **dict(scalars),
-                                           product_state=int(table.products[value]))
+    head, templates, runs, _ = _row_templates(n, csv_cells)
+    fields = dict(zip(_FIELDS, (_LABELS[value], value, table.probability(outcome), 2, n, reference_bit,
+                                table.norm_constants[reference_bit], int(table.products[value]))))
+    key = (reference_bit, table.rows[value])
+    if key not in texts:
+        texts[key] = templates[reference_bit].format(*key[1], *runs, **fields)
+    return head.format(**fields) + texts[key]
 
 
 # Trials per block draw.  A block costs about 6-10 us of fixed numpy work plus 0.03 us and, at its peak, 16 B per
@@ -268,15 +271,19 @@ DRAW_BLOCK = 1024
 
 
 def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
-    """(first trial, outcome values array) per block: trial 0 on its own, then up to `DRAW_BLOCK` trials at a time.
+    """(first trial, outcome values, count by outcome value) per block, in Python ints: trial 0, then `DRAW_BLOCK`s.
 
-    A sampled call draws trial t from the t-th double of ``default_rng(seed)``, every block on the one
-    `outcome_cdf` of ``probs``.  Trial 0 is a block of one, so the first row waits for one draw only.
+    A sampled call draws trial t from the t-th double of ``default_rng(seed)``, on one `outcome_cdf` of ``probs``:
+    trial 0 by a scalar `draw_outcome`, so the first row waits for no numpy array, and the rest by
+    `draw_outcome_block`, its CDF an array built once.
     """
-    rng, cdf = (np.random.default_rng(seed), outcome_cdf(probs)) if forced is None else (None, None)
-    for start in itertools.chain([0], range(1, trials, DRAW_BLOCK)):
-        count = min(DRAW_BLOCK, trials - start) if start else 1
-        yield start, np.full(count, forced.value) if forced is not None else draw_outcome_block(cdf, rng, count)
+    rng, cdf = (np.random.default_rng(seed), outcome_cdf(probs)) if forced is None else (None, [])
+    first, cdf = draw_outcome(cdf, rng) if forced is None else forced.value, np.array(cdf)
+    yield 0, [first], [int(value == first) for value in range(len(BellOutcome))]
+    for start in range(1, trials, DRAW_BLOCK):
+        count = min(DRAW_BLOCK, trials - start)
+        block = np.full(count, forced.value) if forced is not None else draw_outcome_block(cdf, rng, count)
+        yield start, block.tolist(), np.bincount(block, minlength=len(BellOutcome)).tolist()
 
 
 # Every trial index below 1000, and every last three digits of a larger one, as text.
@@ -309,14 +316,13 @@ def _chunks(count: int, longest: int):
 def cmd_run(args) -> int:
     """Stream one row per trial; the four Bell branches come from one `bell_table` call, each rendered once.
 
-    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome.  Trials are drawn in
-    `_outcome_blocks` from one `outcome_cdf` per call, counted with one ``np.bincount`` per block, and written in
-    chunks of at most `WRITE_CHUNK` characters, each row copied at most once after its trial index from
-    `_index_parts`, so a call holds one block's draw buffers and one chunk of text, whatever `--trials`.  The first
-    trial renders only the branch it lands on; a sampled call of at least four trials then renders every other
-    branch that would not raise `DegenerateBranch`, so its cost does not depend on the draws.  With `--messages`,
-    each payload's log is read once per call from `message_log`'s cache; with `--session`, the ledger is built once
-    per call.
+    Every trial shares (q, z), so its row is one of four fixed by its Bell outcome: a head and an amplitude text, filled
+    once per distinct row.  Trials are drawn in `_outcome_blocks`, counted in Python ints, and written in chunks of at
+    most `WRITE_CHUNK` characters, each row copied at most once after its trial index from `_index_parts`, built once
+    per block, so a call holds one block's draw buffers and one chunk of text, whatever `--trials`.  The first trial
+    renders only the branch it lands on; a sampled call of at least four trials then renders every other branch that
+    would not raise `DegenerateBranch`, so its cost does not depend on the draws.  With `--messages`, each payload's
+    log is read once per call from `message_log`'s cache; with `--session`, the ledger is built once per call.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -339,29 +345,29 @@ def cmd_run(args) -> int:
     csv_cells = args.format == "csv"
     lead = "" if csv_cells else '{"trial": '
     rows: list = [None] * len(BellOutcome)  # by outcome value: the row after the trial index
+    texts: dict = {}  # the amplitude texts `_branch_row` fills, by reference bit and row
     logs = [message_log(z.num_parties, value) for value in range(len(BellOutcome))] if args.messages else None
-    totals = np.zeros(len(BellOutcome), dtype=np.int64)
+    totals = [0] * len(BellOutcome)
     with contextlib.ExitStack() as stack:
         log = stack.enter_context(open(args.messages, "w", encoding="utf-8")) if args.messages else None
         out = stack.enter_context(open(args.output, "w", encoding="utf-8")) if args.output else sys.stdout
 
         def render(value: int) -> None:
             if rows[value] is None:
-                rows[value] = _branch_row(table, BellOutcome(value), csv_cells)
+                rows[value] = _branch_row(table, BellOutcome(value), csv_cells, texts)
 
-        for start, block in _outcome_blocks(probs, args.seed, args.trials, forced):
-            counts = np.bincount(block, minlength=len(BellOutcome))
-            totals += counts
-            drawn = [value for value, count in enumerate(counts.tolist()) if count]
+        for start, values, counts in _outcome_blocks(probs, args.seed, args.trials, forced):
+            totals = [total + count for total, count in zip(totals, counts)]
+            drawn = [value for value, count in enumerate(counts) if count]
             for value in drawn:
                 render(value)
-            values = block.tolist()
             if start == 0:
-                out.write(_row_templates(z.num_parties - 1, csv_cells)[2])
-            longest = len(lead) + len(str(start + len(values) - 1)) + max(len(rows[value]) for value in drawn)
+                out.write(_row_templates(z.num_parties - 1, csv_cells)[3])
+            heads, tails = _index_parts(lead, start, start + len(values))
+            longest = len(heads[-1]) + len(tails[-1]) + max(len(rows[value]) for value in drawn)
             for i, j in _chunks(len(values), longest):
                 parts = [None] * (3 * (j - i))  # lead and thousands, last digits, row per trial
-                parts[0::3], parts[1::3] = _index_parts(lead, start + i, start + j)
+                parts[0::3], parts[1::3] = heads[i:j], tails[i:j]
                 parts[2::3] = map(rows.__getitem__, values[i:j])
                 out.write("".join(parts[:-1]))  # the last row goes on its own, so a row wider than a chunk
                 out.write(parts[-1])  # is written without a copy
@@ -374,7 +380,7 @@ def cmd_run(args) -> int:
                         render(value)
 
         summary = {"trials": args.trials, "seed": args.seed}
-        for label, count, prob in zip(_LABELS, totals.tolist(), probs):  # Python ints: an int division
+        for label, count, prob in zip(_LABELS, totals, probs):  # Python ints: an int division
             summary[f"empirical_{label}"] = count / args.trials
             summary[f"expected_{label}"] = prob
         if args.session:

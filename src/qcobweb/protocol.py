@@ -16,15 +16,17 @@ Bell basis: Phi+- = (|00> +- |11>)/sqrt2, Psi+- = (|01> +- |10>)/sqrt2, and
 sigma_y = [[0, -i], [i, 0]] so that i*sigma_y|0> = -|1>, i*sigma_y|1> = |0>.
 Protocol outputs are defined up to global phase.
 
-One `bell_table` call projects all four branches of a (qubit, shared state)
-pair, normalizes and corrects them, and flags the product outputs.  It is the
-one builder of protocol outputs: every run, sampled or forced, reads its
-branch from that table, a sampled run draws it from `outcome_cdf` of the
-table's probabilities, and the reports take their outputs from its identity
-and sigma_x rows.
+One `bell_table` call holds every branch of a (qubit, shared state) pair:
+two outputs, partners by the pinned relations.  It builds the normalized rows
+of PsiMinus and PhiMinus, one per reference bit, and flags the product ones;
+PsiPlus is PsiMinus and PhiPlus is (-1)^N PhiMinus.  It is the one builder of
+protocol outputs: every run reads its branch from that table, a sampled run
+draws it from `outcome_cdf` of its probabilities, and the reports take their
+outputs from its identity and sigma_x rows.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -87,10 +89,10 @@ CORRECTIONS = {
     BellOutcome.PSI_PLUS: (0, 1, -1),  # sigma_z
     BellOutcome.PSI_MINUS: (0, 1, 1),  # identity
 }
-# Each outcome's row as (r, e_r, e_f, b_1, b_0), by outcome value: with r its reference bit, slot 0 is v_r c_1 (party
-# 1 set) and slot k >= 1 is v_(1-r) c_k (party 1 clear), so they take the entries b_1 and b_0 of its Bell vector.
-_ROW_FACTORS = tuple((r, e_ref, e_flip, BELL_VECTORS[o][2 * r + 1].real.item(), BELL_VECTORS[o][2 - 2 * r].real.item())
-                     for o, (r, e_ref, e_flip) in CORRECTIONS.items())
+# Each reference bit r's row factors (b_1, b_0), from PsiMinus and PhiMinus, whose gates have e_r = e_f = 1: slot 0 is
+# v_r c_1 (party 1 set) and slot k >= 1 is v_(1-r) c_k (party 1 clear), so they take its Bell-vector entries b_1, b_0.
+_ROW_FACTORS = tuple((BELL_VECTORS[o][2 * r + 1].real.item(), BELL_VECTORS[o][2 - 2 * r].real.item())
+                     for r, o in enumerate((BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,35 +185,33 @@ class BellTable:
 def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
     """Party 1's Bell measurement on (a, 1) and the remote corrections, for all four outcomes at once, in O(N).
 
-    Party 1 is set only where parties 2..N are all 0 (amplitude c_1) and clear only where one of them, party k, is
-    1 (c_k).  So with r the outcome's reference bit, slot 0 is v_r c_1 and slot k is v_(1-r) c_k, times a Bell-vector
-    entry and the exact sign its correction gives the slot: e_r^n on the all-r string, e_r^(n-1) e_f on a flip
-    (n = N - 1).  The products v_a c_k, the multiplies ``np.kron`` makes, are the one numpy call; the rest works on
-    their parts as floats, bit for bit numpy's contraction, whose complex-by-real divide multiplies by the reciprocal.
-    Each probability is the correctly rounded sum of its row's 2N squared parts, so no BLAS kernel moves it, and
-    ``+ 0.0`` turns ``-0.0`` into ``0.0``.  A flag tests d / (1/2 + sqrt(1/4 - d)), the smaller eigenvalue of qubit
-    j's marginal at d = d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d.  A
-    reference bit whose rows are both degenerate takes no norm constant, whose closed form may round to zero.
+    Two outputs, partners by the pinned relations: only PsiMinus and PhiMinus are built; PsiPlus shares PsiMinus's row,
+    probability and flag, and PhiPlus PhiMinus's, each part taken ``0.0 - x`` at odd N.  Party 1 is set only where
+    parties 2..N are all 0 (c_1) and clear only where one, party k, is 1 (c_k): with r the reference bit, slot 0 is v_r
+    c_1 and slot k is v_(1-r) c_k, times a Bell-vector entry.  The products v_a c_k are the one numpy call; the rest
+    works on their parts as floats, bit for bit numpy's contraction, whose complex-by-real divide multiplies by the
+    reciprocal.  Each probability is the correctly rounded sum of its row's 2N squared parts, so no BLAS kernel moves
+    it, and ``+ 0.0`` turns ``-0.0`` into ``0.0``.  A flag tests d / (1/2 + sqrt(1/4 - d)), the smaller eigenvalue of
+    qubit j's marginal at d = d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d.  A
+    reference bit whose rows are degenerate takes no norm constant, whose closed form may round to zero.
     """
     _require_protocol(z)
-    n = z.num_parties - 1
     parts = np.multiply.outer(q.vector(), z.coeffs).view(np.float64).tolist()  # [a][2k + part]: v_a c_(k+1)
-    probabilities, rows, flags = [], [], []
-    for ref, e_ref, e_flip, bell_set, bell_clear in _ROW_FACTORS:
-        head, tail = bell_set * e_ref**n, bell_clear * e_ref ** (n - 1) * e_flip
-        raw = [head * x for x in parts[ref][:2]] + [tail * x for x in parts[1 - ref][2:]]
+    built = []  # (probability, row, product flag) by reference bit
+    for ref, (bell_set, bell_clear) in enumerate(_ROW_FACTORS):
+        raw = [bell_set * x for x in parts[ref][:2]] + [bell_clear * x for x in parts[1 - ref][2:]]
         prob = math.fsum([x * x for x in raw])
         scale = 1.0 / math.sqrt(prob) if prob >= DEGENERATE_PROBABILITY else 1.0
         row = tuple([x * scale + 0.0 for x in raw])
         flips = [re * re + im * im for re, im in zip(row[2::2], row[3::2])]  # |a_j|^2, j = 1..n
         total = math.fsum(flips)
         det = max([flip * (total - flip) for flip in flips])
-        probabilities.append(prob)
-        rows.append(row)
-        flags.append(det / (0.5 + math.sqrt(max(0.25 - det, 0.0))) <= PRODUCT_TOL)
-    live = {ref for (ref, *_), prob in zip(_ROW_FACTORS, probabilities) if prob >= DEGENERATE_PROBABILITY}
-    return BellTable(qubit=q, zsa=z, probabilities=tuple(probabilities), rows=tuple(rows), products=tuple(flags),
-                     norm_constants=normalization_constants(q, z, live))
+        built.append((prob, row, det / (0.5 + math.sqrt(max(0.25 - det, 0.0))) <= PRODUCT_TOL))
+    (p0, psi, f0), (p1, phi, f1) = built
+    phi_plus = phi if z.num_parties % 2 == 0 else tuple([0.0 - x for x in phi])
+    live = {ref for ref, prob in enumerate((p0, p1)) if prob >= DEGENERATE_PROBABILITY}
+    return BellTable(qubit=q, zsa=z, probabilities=(p1, p1, p0, p0), rows=(phi_plus, phi, psi, psi),
+                     products=(f1, f1, f0, f0), norm_constants=normalization_constants(q, z, live))
 
 
 def outcome_cdf(weights) -> list[float]:
@@ -221,6 +221,11 @@ def outcome_cdf(weights) -> list[float]:
     *_, total = itertools.accumulate(weights)
     cdf = list(itertools.accumulate([w / total for w in weights]))
     return [c / cdf[-1] for c in cdf]
+
+
+def draw_outcome(cdf, rng: np.random.Generator) -> int:
+    """``draw_outcome_block(cdf, rng, 1)[0]`` as an int, without numpy's per-call work: one double, side "right"."""
+    return bisect.bisect_right(cdf, rng.random())
 
 
 def draw_outcome_block(cdf, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -265,6 +270,5 @@ def run_protocol(
         raise ValueError("sampling an outcome requires a seed")
     table = bell_table(q, z)
     if outcome is None:
-        cdf = outcome_cdf(table.probabilities)
-        outcome = BellOutcome(int(draw_outcome_block(cdf, np.random.default_rng(seed), 1)[0]))
+        outcome = BellOutcome(draw_outcome(outcome_cdf(table.probabilities), np.random.default_rng(seed)))
     return table.transcript(outcome)

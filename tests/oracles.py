@@ -142,13 +142,14 @@ def min_marginal_eigenvalues(slots: np.ndarray) -> np.ndarray:
 
 
 def numpy_bell_table(q: UnknownQubit, z: ZsaAmplitudes,
-                     dropped: BellOutcome | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     dropped: tuple[BellOutcome, ...] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(probabilities (4,), slots (4, N), product flags (4,)) of every Bell branch, by outcome value, the numpy way
     that `protocol.bell_table` does in plain floats: the stacked conjugated Bell vectors contracted with v_a c_k, one
     broadcast divide by the square roots of the probabilities, one multiply by each outcome's correction signs and
-    `min_marginal_eigenvalues` of every row.  The Bell vector of ``dropped`` is taken as zero.
+    `min_marginal_eigenvalues` of every row, each of the four built on its own.  The Bell vectors of the outcomes in
+    ``dropped`` are taken as zero.
     """
-    bell = np.array([np.zeros(4) if o is dropped else BELL_VECTORS[o] for o in BellOutcome], dtype=complex)
+    bell = np.array([np.zeros(4) if o in dropped else BELL_VECTORS[o] for o in BellOutcome], dtype=complex)
     outer = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
     projected = (bell.conj().reshape(4, 2, 2, 1) * outer).sum(axis=1)  # [outcome, bit of party 1, k]
     slots = projected[:, 0]

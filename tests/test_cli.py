@@ -675,7 +675,7 @@ def test_amplitude_text_matches_json_dumps_per_cell(cases):
     def filled(slots, reference_bit, csv_cells):
         n = slots.size - 1
         template = cli._amplitude_template(n, reference_bit, csv_cells)
-        return template.format(*slots.view(np.float64).tolist(), *cli._row_templates(n, csv_cells)[1])
+        return template.format(*slots.view(np.float64).tolist(), *cli._row_templates(n, csv_cells)[2])
 
     for slots in cases:
         for reference_bit in (0, 1):
@@ -692,9 +692,15 @@ def test_amplitude_text_matches_json_dumps_per_cell(cases):
 def _transcript_rows(transcript, product: int) -> tuple[str, str]:
     """The JSON and CSV texts a trial of this branch wrote after its trial index, newline included, by the per-row
     path: the branch's `Transcript`, ``json.dumps`` of its `scalar_fields` (in CSV, one ``json.dumps`` per cell
-    that is not a string) and its dense `to_dict` amplitudes."""
-    scalars = transcript.scalar_fields()
-    amplitudes = json.dumps(transcript.to_dict()["final_state"])
+    that is not a string) and its dense `to_dict` amplitudes.  The cyclic collector is paused while the 2^(N-1)
+    two-float lists are built and dumped: at N = 20 its passes over them took most of the time."""
+    scalars, collecting = transcript.scalar_fields(), gc.isenabled()
+    gc.disable()
+    try:
+        amplitudes = json.dumps(transcript.to_dict()["final_state"])
+    finally:
+        if collecting:
+            gc.enable()
     as_json = f', {json.dumps(scalars)[1:-1]}, "final_state": {amplitudes}, "product_state": {product}}}\n'
     cells = [value if isinstance(value, str) else json.dumps(value) for value in [*scalars.values(), product]]
     as_csv = "".join([",", ",".join(cells), ",", amplitudes.translate({ord(c): None for c in "[] "}), "\n"])
@@ -711,10 +717,11 @@ def test_branch_row_matches_the_transcript_path(parties):
     for z in [roots_of_unity_zsa(parties), *([random_zsa(parties, rng)] if parties < 20 else [])]:
         for theta in (0.0, math.pi, rng.uniform(0.0, math.pi)):
             table = protocol.bell_table(UnknownQubit(theta, rng.uniform(0.0, 2.0 * math.pi)), z)
-            for outcome in BellOutcome:
-                as_json, as_csv = _transcript_rows(table.transcript(outcome), int(table.products[outcome.value]))
-                assert cli._branch_row(table, outcome, False) == as_json
-                assert cli._branch_row(table, outcome, True) == as_csv
+            expected = [_transcript_rows(table.transcript(o), int(table.products[o.value])) for o in BellOutcome]
+            for csv_cells in (False, True):  # a format at a time: `_row_templates` keeps one, as a call uses one
+                texts: dict = {}  # shared by the four outcomes, as in a call
+                for outcome, rows in zip(BellOutcome, expected):
+                    assert cli._branch_row(table, outcome, csv_cells, texts) == rows[csv_cells]
 
 
 @pytest.mark.parametrize("csv_cells", [False, True], ids=["json", "csv"])
@@ -723,8 +730,8 @@ def test_branch_row_raises_on_a_degenerate_branch(csv_cells):
     table = protocol.bell_table(UnknownQubit(0.0), ZsaAmplitudes([1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]))
     for outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS):
         with pytest.raises(protocol.DegenerateBranch, match=f"outcome {outcome.label} has probability 5.000e-17"):
-            cli._branch_row(table, outcome, csv_cells)
-    assert cli._branch_row(table, BellOutcome.PHI_PLUS, csv_cells)  # the Phi branches still render
+            cli._branch_row(table, outcome, csv_cells, {})
+    assert cli._branch_row(table, BellOutcome.PHI_PLUS, csv_cells, {})  # the Phi branches still render
 
 
 def _counted_builds(monkeypatch) -> list:
@@ -733,12 +740,47 @@ def _counted_builds(monkeypatch) -> list:
     calls = []
     real = cli._branch_row
 
-    def counted(table, outcome, csv_cells):
+    def counted(table, outcome, csv_cells, texts):
         calls.append(outcome)
-        return real(table, outcome, csv_cells)
+        return real(table, outcome, csv_cells, texts)
 
     monkeypatch.setattr(cli, "_branch_row", counted)
     return calls
+
+
+@pytest.mark.parametrize("parties,fills", [(3, 3), (14, 2)])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_fills_the_amplitude_text_once_per_distinct_row(capsys, monkeypatch, parties, fills, fmt):
+    """Two outputs: a call that renders all four branches fills an amplitude template once per distinct row.  The Psi
+    pair shares a row, and the Phi pair does at even N and differs in sign at odd N, so N = 3 takes three fills and
+    N = 14 two.  Each of the four rows still reads as `_transcript_rows` writes it."""
+    fills_seen, rendered = [], {}
+    real_templates, real_row = cli._row_templates, cli._branch_row
+
+    class CountedTemplate(str):
+        def format(self, *args, **kwargs):
+            fills_seen.append(self)
+            return str.format(self, *args, **kwargs)
+
+    def templates(n, csv_cells):
+        head, amplitudes, runs, header = real_templates(n, csv_cells)
+        return head, tuple(map(CountedTemplate, amplitudes)), runs, header
+
+    def branch_row(table, outcome, csv_cells, texts):
+        rendered[outcome] = real_row(table, outcome, csv_cells, texts)
+        return rendered[outcome]
+
+    monkeypatch.setattr(cli, "_row_templates", templates)
+    monkeypatch.setattr(cli, "_branch_row", branch_row)
+    code, out, _ = run_cli(capsys, "run", "--gen", f"roots:{parties}", "--theta", "1.3", "--phi", "0.4",
+                           "--trials", "40", "--seed", "3", "--format", fmt)
+    assert code == 0
+    assert len(out.splitlines()) == 40 + (fmt == "csv") + 1
+    assert len(fills_seen) == fills
+    table = protocol.bell_table(UnknownQubit(1.3, 0.4), roots_of_unity_zsa(parties))
+    assert set(rendered) == set(BellOutcome)
+    for outcome, row in rendered.items():
+        assert row == _transcript_rows(table.transcript(outcome), int(table.products[outcome.value]))[fmt == "csv"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--session"]], ids=["protocol", "session"])
@@ -777,17 +819,21 @@ def test_index_parts_join_to_the_lead_and_str_of_each_trial(first, stop, lead):
 
 @pytest.mark.parametrize("trials", [1500, 1, 129, cli.DRAW_BLOCK + 1, 2 * cli.DRAW_BLOCK + 2])
 def test_run_draws_trial_zero_alone_then_blocks(capsys, monkeypatch, trials):
-    """Trial 0 is a block of one; the rest come from blocks of up to `DRAW_BLOCK` on the same generator, and a
-    one-trial call draws no other block."""
-    block = _counted(monkeypatch, "draw_outcome_block")
+    """Trial 0 is one scalar draw; the rest come from blocks of up to `DRAW_BLOCK`, all on one generator, and a
+    one-trial call draws no block."""
+    draws = []
+    for name in ("draw_outcome", "draw_outcome_block"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: draws.append((name, *args)) or real(*args))
     code, out, _ = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--trials", str(trials), "--seed", "8")
     assert code == 0
     assert len(out.splitlines()) == trials + 1
-    rng = block[0][1]
+    rng = draws[0][2]
     assert isinstance(rng, np.random.Generator)
-    assert all(call[1] is rng for call in block)
-    assert [call[2] for call in block] == [
-        1, *(min(cli.DRAW_BLOCK, trials - start) for start in range(1, trials, cli.DRAW_BLOCK))
+    assert all(call[2] is rng for call in draws)
+    assert [(call[0], *call[3:]) for call in draws] == [
+        ("draw_outcome",),
+        *(("draw_outcome_block", min(cli.DRAW_BLOCK, trials - start)) for start in range(1, trials, cli.DRAW_BLOCK)),
     ]
 
 

@@ -21,6 +21,7 @@ from qcobweb.protocol import (
     DegenerateBranch,
     NonPositiveNorm,
     bell_table,
+    draw_outcome,
     draw_outcome_block,
     normalization_constants,
     outcome_cdf,
@@ -182,9 +183,10 @@ def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
 
     Bit for bit: every probability, and every slot's real and imaginary part against the oracle's cell at that
     slot's basis position, its ``-0.0`` made ``0.0``.  Each product flag equals `is_product_state` of the oracle,
-    and each norm constant is the closed form's, within 1e-12 of the dense target's inverse norm.  A branch whose
-    Bell vector is made zero has probability 0 and a zero row, raises no warning, is refused by
-    `BellTable.transcript`, and leaves the other rows bit for bit as they were.
+    and each norm constant is the closed form's, within 1e-12 of the dense target's inverse norm.  A reference bit
+    whose built row's Bell-vector entries are made zero has two branches of probability 0 and a zero row, raises no
+    warning, has them refused by `BellTable.transcript`, takes no norm constant, and leaves the other reference bit's
+    rows and constant bit for bit as they were.
     """
     rng = np.random.default_rng(4000 + n)
     q, z = random_qubit(rng), random_zsa(n, rng)
@@ -200,21 +202,29 @@ def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
         inverse_norm = 1.0 / np.linalg.norm(target_vector(q.vector(), z, reference_bit))
         assert table.norm_constants[reference_bit] == pytest.approx(inverse_norm, rel=1e-12)
 
-    dropped = BellOutcome(int(rng.integers(len(BellOutcome))))
+    ref = int(rng.integers(2))
+    dropped = _reference_pair(ref)
     factors = list(protocol._ROW_FACTORS)
-    factors[dropped.value] = (*factors[dropped.value][:3], 0.0, 0.0)  # both Bell-vector entries of its row
+    factors[ref] = (0.0, 0.0)  # both Bell-vector entries of its row; the partner's row is derived from it
     monkeypatch.setattr(protocol, "_ROW_FACTORS", tuple(factors))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         degenerate = bell_table(q, z)
-    assert degenerate.probabilities[dropped.value] == 0.0
-    assert _bits(degenerate.rows[dropped.value]) == bytes(16 * n)  # every part +0.0
-    with pytest.raises(DegenerateBranch):
-        degenerate.transcript(dropped)
-    assert degenerate.norm_constants == table.norm_constants
-    for outcome in set(BellOutcome) - {dropped}:
+    for outcome in dropped:
+        assert degenerate.probabilities[outcome.value] == 0.0
+        assert _bits(degenerate.rows[outcome.value]) == bytes(16 * n)  # every part +0.0
+        with pytest.raises(DegenerateBranch):
+            degenerate.transcript(outcome)
+    assert degenerate.norm_constants[ref] is None
+    assert degenerate.norm_constants[1 - ref] == table.norm_constants[1 - ref]
+    for outcome in set(BellOutcome) - set(dropped):
         for field in ("probabilities", "rows", "products"):
             assert _bits(getattr(degenerate, field)[outcome.value]) == _bits(getattr(table, field)[outcome.value])
+
+
+def _reference_pair(ref: int) -> tuple[BellOutcome, BellOutcome]:
+    """The two outcomes whose corrections land on reference bit ``ref``."""
+    return tuple(outcome for outcome in BellOutcome if CORRECTIONS[outcome][0] == ref)
 
 
 def _assert_table_is_numpys(table, probs: np.ndarray, slots: np.ndarray, products: np.ndarray) -> None:
@@ -229,8 +239,8 @@ def test_bell_table_matches_the_numpy_contraction_bitwise(n, monkeypatch):
     probability, row part and product flag of every outcome.  The flag, taken from the largest d_j alone, meets
     `min_marginal_eigenvalues` of every qubit there.  The roots of unity, a real state and two seeded random states,
     each with qubits at and near both poles, where the flags turn over, and at three seeded angles, at phi = 0 and at
-    a seeded phi; then one outcome's row made zero in both, which leaves it degenerate and the other rows as they
-    were."""
+    a seeded phi; then one reference bit's two rows made zero in both, which leaves them degenerate and the other rows
+    as they were."""
     rng = np.random.default_rng(9000 + n)
     flags = set()
     for z in [roots_of_unity_zsa(n), _real_zsa(n, rng), random_zsa(n, rng), random_zsa(n, rng)]:
@@ -241,12 +251,13 @@ def test_bell_table_matches_the_numpy_contraction_bitwise(n, monkeypatch):
                 _assert_table_is_numpys(table, *numpy_bell_table(q, z))
                 flags.update(table.products)
     assert flags == {False, True}
-    dropped = BellOutcome(int(rng.integers(len(BellOutcome))))
+    ref = int(rng.integers(2))
+    dropped = _reference_pair(ref)
     factors = list(protocol._ROW_FACTORS)
-    factors[dropped.value] = (*factors[dropped.value][:3], 0.0, 0.0)
+    factors[ref] = (0.0, 0.0)
     monkeypatch.setattr(protocol, "_ROW_FACTORS", tuple(factors))
     table = bell_table(q, z)
-    assert table.probabilities[dropped.value] == 0.0
+    assert [table.probabilities[outcome.value] for outcome in dropped] == [0.0, 0.0]
     _assert_table_is_numpys(table, *numpy_bell_table(q, z, dropped))
 
 
@@ -624,6 +635,32 @@ def test_draw_outcome_block_ties_go_right():
     assert [int(oracle.choice(4, p=p)) for _ in range(4)][3] == BellOutcome.PSI_PLUS.value  # past both steps at u
     assert outcome_cdf(w.tolist())[:2] == [u, u]
     assert draw_outcome_block(outcome_cdf(w.tolist()), rng, 4).tolist()[3] == BellOutcome.PSI_PLUS.value
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_draw_outcome_is_a_block_of_one(seed):
+    """The scalar draw against ``draw_outcome_block(cdf, rng, 1)[0]`` on another generator of the same seed: the same
+    outcome, draw after draw, and the same state after, so the next five doubles agree.  Seeded CDFs with zero and
+    tiny weights, and the tie of `test_draw_outcome_block_ties_go_right`, where a double equals a CDF step."""
+    rng = np.random.default_rng(seed + 1)
+    u = np.random.default_rng(5).random(4)[3]
+    tie = [u, 0.0, (1.0 - u) / 2, (1.0 - u) / 2]
+    weights = [tie, [0.5, 0.0, 0.3, 0.2], [1e-15, 0.4, 0.3, 0.3 - 1e-15]]
+    for _ in range(20):
+        w = rng.random(4) * (rng.random(4) < 0.75)
+        w[int(rng.integers(4))] = 1.0 - rng.random()  # one weight in (0, 1], so the CDF is defined
+        weights.append(w.tolist())
+    for w in weights:
+        cdf = outcome_cdf(w)
+        for start in (5, seed):  # the tie falls on the fourth double of default_rng(5)
+            scalar, block = np.random.default_rng(start), np.random.default_rng(start)
+            for _ in range(6):
+                value = draw_outcome(cdf, scalar)
+                assert type(value) is int
+                assert value == int(draw_outcome_block(cdf, block, 1)[0]), (w, start)
+            assert scalar.random(5).tolist() == block.random(5).tolist()
+    tied = np.random.default_rng(5)
+    assert [draw_outcome(outcome_cdf(tie), tied) for _ in range(4)][3] == BellOutcome.PSI_PLUS.value
 
 
 def test_degenerate_branch_guard():
