@@ -9,22 +9,25 @@ Subcommands:
 * ``claims``    reference numeric claims vs computed values, pass/flag status
 
 A call parses its arguments once, with its subcommand's own parser (`main`).
-A `run` call renders each branch's row of one `protocol.bell_table` at most
-once (`_branch_row`): a head and an amplitude text filled once per distinct
-row, so two fills at even N and three at odd N.  It draws trial 0 by a scalar
-`bisect`, the rest in blocks, from one `protocol.outcome_cdf`, and writes each
-row after its index from digit tables (`_index_parts`).  A `measures` report
-reads its two outputs from one `bell_table` (`_reference_outputs`), takes its
-oracle entropies from one array pass over one stacked eigensolve, and is
-written by `_indented_json`: the bytes of ``json.dumps(report, indent=2)``
-without `json`'s pure-Python indenting encoder.  Per-process caches, by key
-and bound: `build_parser` (one entry), `_named_source` (the last ``--gen``
-name), `session.message_log` (party count and payload, four), and
-`_row_templates` (the last register and format, with its CSV header).  Only a
-process that calls `main` more than once gains from them; a ``--coeffs`` file
-is read on every call.  Exit codes: 0 success, 2 domain-invalid input, 3
-unreadable or malformed input.  Output is plain text or machine-readable
-JSON/CSV; no color is ever emitted, so NO_COLOR is honored trivially.
+A `run` call renders a branch's row of one `protocol.bell_table` when it first
+draws that branch (`_branch_row`): a head and an amplitude text filled once per
+distinct row, so at most two fills at even N and three at odd N.  Forced and
+sampled trials take one path: a forced ``--outcome`` is one-hot weights, and
+trial 0 is drawn by a scalar `bisect`, the rest in blocks, from one
+`protocol.outcome_cdf` and one generator.  Each row is written after its index
+from digit tables (`_index_parts`).  A `measures` report reads its two outputs
+from one `bell_table` (`_reference_outputs`), takes its oracle entropies from
+one array pass over one stacked eigensolve, and is written by `_indented_json`:
+the bytes of ``json.dumps(report, indent=2)`` without `json`'s pure-Python
+indenting encoder.  Per-process caches, by key and bound: `build_parser` (one
+entry), `_named_source` (the last ``--gen`` name), `session.message_log`
+(party count and payload, four), and `_row_templates` (the last register and
+format, with its CSV header).  Only a process that calls `main` more than once
+gains from them; a ``--coeffs`` file is read on every call.  Exit codes: 0
+success, 2 domain-invalid input (a degenerate branch a command needs
+included), 3 unreadable or malformed input.  Output is plain text or
+machine-readable JSON/CSV; no color is ever emitted, so NO_COLOR is honored
+trivially.
 """
 from __future__ import annotations
 
@@ -270,19 +273,19 @@ def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool, texts: 
 DRAW_BLOCK = 1024
 
 
-def _outcome_blocks(probs, seed: int, trials: int, forced: BellOutcome | None):
+def _outcome_blocks(weights, seed: int, trials: int):
     """(first trial, outcome values, count by outcome value) per block, in Python ints: trial 0, then `DRAW_BLOCK`s.
 
-    A sampled call draws trial t from the t-th double of ``default_rng(seed)``, on one `outcome_cdf` of ``probs``:
-    trial 0 by a scalar `draw_outcome`, so the first row waits for no numpy array, and the rest by
-    `draw_outcome_block`, its CDF an array built once.
+    Trial t is drawn from the t-th double of ``default_rng(seed)``, on one `outcome_cdf` of ``weights``: trial 0 by a
+    scalar `draw_outcome`, so the first row waits for no numpy array, and the rest by `draw_outcome_block`, its CDF an
+    array built once.  One-hot weights force their outcome: both draws invert ``[0, ..., 1, 1]`` with side "right",
+    which maps every double in [0, 1) to the index of the 1.
     """
-    rng, cdf = (np.random.default_rng(seed), outcome_cdf(probs)) if forced is None else (None, [])
-    first, cdf = draw_outcome(cdf, rng) if forced is None else forced.value, np.array(cdf)
+    rng, cdf = np.random.default_rng(seed), outcome_cdf(weights)
+    first, cdf = draw_outcome(cdf, rng), np.array(cdf)
     yield 0, [first], [int(value == first) for value in range(len(BellOutcome))]
     for start in range(1, trials, DRAW_BLOCK):
-        count = min(DRAW_BLOCK, trials - start)
-        block = np.full(count, forced.value) if forced is not None else draw_outcome_block(cdf, rng, count)
+        block = draw_outcome_block(cdf, rng, min(DRAW_BLOCK, trials - start))
         yield start, block.tolist(), np.bincount(block, minlength=len(BellOutcome)).tolist()
 
 
@@ -317,12 +320,12 @@ def cmd_run(args) -> int:
     """Stream one row per trial; the four Bell branches come from one `bell_table` call, each rendered once.
 
     Every trial shares (q, z), so its row is one of four fixed by its Bell outcome: a head and an amplitude text, filled
-    once per distinct row.  Trials are drawn in `_outcome_blocks`, counted in Python ints, and written in chunks of at
-    most `WRITE_CHUNK` characters, each row copied at most once after its trial index from `_index_parts`, built once
-    per block, so a call holds one block's draw buffers and one chunk of text, whatever `--trials`.  The first trial
-    renders only the branch it lands on; a sampled call of at least four trials then renders every other branch that
-    would not raise `DegenerateBranch`, so its cost does not depend on the draws.  With `--messages`, each payload's
-    log is read once per call from `message_log`'s cache; with `--session`, the ledger is built once per call.
+    once per distinct row.  Forced and sampled trials are drawn alike in `_outcome_blocks`, a forced `--outcome` as
+    one-hot weights, counted in Python ints, and written in chunks of at most `WRITE_CHUNK` characters, each row copied
+    at most once after its trial index from `_index_parts`, built once per block, so a call holds one block's draw
+    buffers and one chunk of text, whatever `--trials`.  A branch is rendered when a block first draws it, so a call
+    renders only the branches it draws.  With `--messages`, each payload's log is read once per call from
+    `message_log`'s cache; with `--session`, the ledger is built once per call.
     """
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -342,6 +345,7 @@ def cmd_run(args) -> int:
     forced = BellOutcome.from_label(args.outcome) if args.outcome else None
     if forced is not None and probs[forced.value] < DEGENERATE_PROBABILITY:
         raise ValueError(f"forced outcome {forced.label} has probability {probs[forced.value]:.3e}")
+    weights = probs if forced is None else [float(outcome is forced) for outcome in BellOutcome]
     csv_cells = args.format == "csv"
     lead = "" if csv_cells else '{"trial": '
     rows: list = [None] * len(BellOutcome)  # by outcome value: the row after the trial index
@@ -351,16 +355,12 @@ def cmd_run(args) -> int:
     with contextlib.ExitStack() as stack:
         log = stack.enter_context(open(args.messages, "w", encoding="utf-8")) if args.messages else None
         out = stack.enter_context(open(args.output, "w", encoding="utf-8")) if args.output else sys.stdout
-
-        def render(value: int) -> None:
-            if rows[value] is None:
-                rows[value] = _branch_row(table, BellOutcome(value), csv_cells, texts)
-
-        for start, values, counts in _outcome_blocks(probs, args.seed, args.trials, forced):
+        for start, values, counts in _outcome_blocks(weights, args.seed, args.trials):
             totals = [total + count for total, count in zip(totals, counts)]
             drawn = [value for value, count in enumerate(counts) if count]
             for value in drawn:
-                render(value)
+                if rows[value] is None:
+                    rows[value] = _branch_row(table, BellOutcome(value), csv_cells, texts)
             if start == 0:
                 out.write(_row_templates(z.num_parties - 1, csv_cells)[3])
             heads, tails = _index_parts(lead, start, start + len(values))
@@ -374,10 +374,6 @@ def cmd_run(args) -> int:
             if log is not None:
                 for i, j in _chunks(len(values), max(len(logs[value]) for value in drawn)):
                     log.write("".join(map(logs.__getitem__, values[i:j])))
-            if start == 0 and forced is None and args.trials >= len(BellOutcome):
-                for value, prob in enumerate(probs):
-                    if prob >= DEGENERATE_PROBABILITY:
-                        render(value)
 
         summary = {"trials": args.trials, "seed": args.seed}
         for label, count, prob in zip(_LABELS, totals, probs):  # Python ints: an int division

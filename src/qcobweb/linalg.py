@@ -16,8 +16,8 @@ Conventions used by every module in this package:
   1e-10 of eigensolver noise; eigenvalues below 1e-14 count as exactly zero
   in entropy sums.
 * A state is a product state when the smaller eigenvalue of every
-  single-qubit marginal is at most 1e-9 (PRODUCT_TOL); a forced Bell branch
-  with probability below 1e-14 is degenerate (protocol.DEGENERATE_PROBABILITY).
+  single-qubit marginal is at most 1e-9 (PRODUCT_TOL); a Bell branch with
+  probability below 1e-14 is degenerate (protocol.DEGENERATE_PROBABILITY).
 
 The state classes are immutable after construction and every operation is
 a pure function, so concurrent use is safe.

@@ -41,8 +41,9 @@ from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, slot_position
 DEGENERATE_PROBABILITY = 1e-14
 
 
-class DegenerateBranch(RuntimeError):
-    """A forced Bell branch is below `DEGENERATE_PROBABILITY`; valid inputs reach it (theta = 0: P(Psi) = |c_1|^2 / 2)."""
+class DegenerateBranch(ValueError):
+    """A Bell branch a caller needs is below `DEGENERATE_PROBABILITY`; valid inputs reach it (theta = 0: P(Psi) =
+    |c_1|^2 / 2).  A `ValueError`, so the CLI exits 2 on it, as on any other domain error."""
 
 
 class NonPositiveNorm(RuntimeError):

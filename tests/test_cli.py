@@ -861,14 +861,10 @@ def _built_outcomes(capsys, monkeypatch, *argv) -> list:
     return calls
 
 
-def test_run_builds_every_branch_whatever_the_draws(capsys, monkeypatch):
-    # seed 6 draws PhiMinus on all four trials; the call still builds all four branches
-    calls = _built_outcomes(capsys, monkeypatch, "--trials", "4", "--seed", "6")
-    assert calls[0] == BellOutcome.PHI_MINUS
-    assert sorted(calls, key=lambda o: o.value) == list(BellOutcome)
-    # below four trials a call builds only the branches it draws
-    for trials in ("1", "3"):
-        assert _built_outcomes(capsys, monkeypatch, "--trials", trials, "--seed", "6") == [BellOutcome.PHI_MINUS]
+@pytest.mark.parametrize("trials", ["1", "3", "4"])
+def test_run_renders_exactly_the_branches_it_draws(capsys, monkeypatch, trials):
+    # seed 6 draws PhiMinus on each of the first four trials, so the call renders that branch alone
+    assert _built_outcomes(capsys, monkeypatch, "--trials", trials, "--seed", "6") == [BellOutcome.PHI_MINUS]
 
 
 def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
@@ -883,6 +879,29 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
     monkeypatch.setattr(cli, "bell_table", no_psi_minus)
     calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
     assert sorted(calls, key=lambda o: o.value) == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_forced_outcome_fills_every_block(capsys, fmt):
+    """A forced call draws its blocks like a sampled one, on one-hot weights: every trial, past two full blocks,
+    writes trial 0's row after its own index, and the summary counts the forced outcome alone."""
+    trials = 2 * cli.DRAW_BLOCK + 2
+    code, out, err = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--outcome", "PhiPlus",
+                             "--trials", str(trials), "--seed", "5", "--format", fmt)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0].startswith("trial,outcome,")
+        rows, summary = lines[1:-1], json.loads(lines[-1].removeprefix("# summary: "))
+        after = [row.split(",", 1) for row in rows]
+    else:
+        rows, summary = lines[:-1], json.loads(lines[-1])["summary"]
+        after = [row.removeprefix('{"trial": ').split(",", 1) for row in rows]
+    assert [index for index, _ in after] == [str(t) for t in range(trials)]
+    assert {rest for _, rest in after} == {after[0][1]}
+    assert ("PhiPlus" if fmt == "csv" else '"outcome": "PhiPlus"') in after[0][1]
+    assert {label: summary[f"empirical_{label}"] for label in cli._LABELS} == {
+        label: float(label == "PhiPlus") for label in cli._LABELS}
 
 
 @pytest.mark.parametrize("extra", [
@@ -1098,6 +1117,24 @@ def test_measures_at_a_pole_refuses_a_degenerate_reference_output(capsys, tmp_pa
     code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "1.0", "--format", fmt)
     assert (code, err) == (0, "")
     assert out
+
+
+# |c_1| = 1.4e-7: at theta = pi both reference outputs have P = |c_1|^2 / 2 = 1.0e-14, on the degenerate bound.
+BOUNDARY_C1 = ('{"coeffs": [[1.4142135623730952e-07, 0.0], [-7.071067811865476e-08, 0.7071067811865405], '
+               '[-7.071067811865476e-08, -0.7071067811865405]]}')
+
+
+@pytest.mark.parametrize("phi", ["0.662846390572469", "4.533244938408841"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_measures_exits_2_when_the_obstruction_needs_a_degenerate_branch(capsys, tmp_path, phi, fmt):
+    """Both reference outputs pass the bound, but the obstruction oracle's psi-perp row has P = 9.999999999999998e-15,
+    just below it: its `DegenerateBranch` exits 2 with one line, as any domain error does, not with a traceback."""
+    path = tmp_path / "boundary-c1.json"
+    path.write_text(BOUNDARY_C1)
+    code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "3.141592653589793", "--phi", phi,
+                             "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "invalid request: outcome PsiMinus has probability 1.000e-14\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--session", "--messages", "log.jsonl"]], ids=["protocol", "session"])
