@@ -24,8 +24,10 @@ entry), `_named_source` (the last ``--gen`` name), `session.message_log`
 (party count and payload, four), and `_row_templates` (the last register and
 format, with its CSV header).  Only a process that calls `main` more than once
 gains from them; a ``--coeffs`` file is read on every call.  Exit codes: 0
-success, 2 domain-invalid input (a degenerate branch a command needs
-included), 3 unreadable or malformed input.  Output is plain text or
+success, 2 domain-invalid input, 3 unreadable or malformed input.  Each Bell
+branch rule is `protocol`'s alone: `bell_table` refuses fewer than three
+parties, and `BellTable.probability` a degenerate branch a command needs, each
+before any file opens.  Output is plain text or
 machine-readable JSON/CSV; no color is ever emitted, so NO_COLOR is honored
 trivially.
 """
@@ -63,7 +65,6 @@ from .measures import (
 )
 from .protocol import (
     CORRECTIONS,
-    DEGENERATE_PROBABILITY,
     BellOutcome,
     BellTable,
     CobwebState,
@@ -75,7 +76,7 @@ from .protocol import (
     outcome_cdf,
     run_protocol,
 )
-from .session import classical_only_baseline, message_log, require_session, resource_ledger
+from .session import classical_only_baseline, message_log, resource_ledger
 from .states import (
     AmplitudeFileError,
     UnknownQubit,
@@ -338,13 +339,11 @@ def cmd_run(args) -> int:
     _refuse_overwriting_coeffs(args, "output", "messages")
     z = _resolve_source(args)
     q = _qubit_from_args(args)
-    if args.session:
-        require_session(z)
     table = bell_table(q, z)
     probs = table.probabilities
     forced = BellOutcome.from_label(args.outcome) if args.outcome else None
-    if forced is not None and probs[forced.value] < DEGENERATE_PROBABILITY:
-        raise ValueError(f"forced outcome {forced.label} has probability {probs[forced.value]:.3e}")
+    if forced is not None:
+        table.probability(forced)  # refuses a degenerate forced branch before any file opens
     weights = probs if forced is None else [float(outcome is forced) for outcome in BellOutcome]
     csv_cells = args.format == "csv"
     lead = "" if csv_cells else '{"trial": '
@@ -393,12 +392,10 @@ def cmd_run(args) -> int:
 
 def _reference_outputs(q: UnknownQubit, z: ZsaAmplitudes) -> list[CobwebState]:
     """The outputs of reference bits 0 and 1: one `bell_table`'s PsiMinus and PhiMinus rows, corrected by the
-    identity and sigma_x.  A degenerate one is refused with its probability, as `cmd_run` refuses a forced one."""
-    table, outcomes = bell_table(q, z), (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)
-    for ref, outcome in enumerate(outcomes):
-        if (prob := table.probabilities[outcome.value]) < DEGENERATE_PROBABILITY:
-            raise ValueError(f"reference-{ref} output ({outcome.label}) has probability {prob:.3e}")
-    return [table.transcript(outcome).final for outcome in outcomes]
+    identity and sigma_x.  `BellTable.transcript` refuses a degenerate one, reference bit 0 first, with the
+    `DegenerateBranch` that a forced `run` outcome gets."""
+    table = bell_table(q, z)
+    return [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
 
 
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:

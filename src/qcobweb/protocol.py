@@ -43,7 +43,9 @@ DEGENERATE_PROBABILITY = 1e-14
 
 class DegenerateBranch(ValueError):
     """A Bell branch a caller needs is below `DEGENERATE_PROBABILITY`; valid inputs reach it (theta = 0: P(Psi) =
-    |c_1|^2 / 2).  A `ValueError`, so the CLI exits 2 on it, as on any other domain error."""
+    |c_1|^2 / 2).  `BellTable.probability` is its one source, so every refusal reads the same: the branch, its output,
+    the table's own qubit and the exact probability.  A `ValueError`, so the CLI exits 2 on it, as on any other domain
+    error."""
 
 
 class NonPositiveNorm(RuntimeError):
@@ -166,10 +168,13 @@ class BellTable:
     norm_constants: tuple[float | None, float | None]  # N(alpha), N(beta): those of reference bits 0 and 1
 
     def probability(self, outcome: BellOutcome) -> float:
-        """The probability of ``outcome``.  Raises `DegenerateBranch` on a degenerate row."""
+        """The probability of ``outcome``.  Raises `DegenerateBranch` on a degenerate row; a branch on the bound is
+        live."""
         prob = self.probabilities[outcome.value]
         if prob < DEGENERATE_PROBABILITY:
-            raise DegenerateBranch(f"outcome {outcome.label} has probability {prob:.3e}")
+            raise DegenerateBranch(f"{outcome.label} (reference-{CORRECTIONS[outcome][0]} output) at theta = "
+                                   f"{self.qubit.theta!r}, phi = {self.qubit.phi!r} has probability {prob!r}, below "
+                                   f"{DEGENERATE_PROBABILITY!r}")
         return prob
 
     def transcript(self, outcome: BellOutcome) -> Transcript:

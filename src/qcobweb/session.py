@@ -69,11 +69,6 @@ class BaselineReport:
     messages: tuple[ClassicalMessage, ...]
 
 
-def require_session(z: ZsaAmplitudes) -> None:
-    if z.num_parties < 3:
-        raise ValueError("a session needs at least three parties")
-
-
 def resource_ledger(z: ZsaAmplitudes) -> ResourceLedger:
     """What a session on ``z`` spends, whatever its outcome: the shared state's splitting entropy at party 1, and
     two classical bits to each of parties 2..N."""
@@ -88,8 +83,8 @@ def run_session(
     seed=None,
 ) -> SessionResult:
     """Run the protocol as N communicating parties; the transcript is run_protocol's, bit for bit.  Its messages
-    carry two bits from party 1 to each of parties 2..N, in order."""
-    require_session(z)
+    carry two bits from party 1 to each of parties 2..N, in order.  A shared state of fewer than three parties, or
+    past the dense cap, is refused by `bell_table`, as for `run_protocol`."""
     transcript = run_protocol(q, z, outcome, seed)
     messages = tuple(ClassicalMessage(step=k - 1, sender=1, recipient=k, payload=transcript.outcome.payload)
                      for k in range(2, z.num_parties + 1))

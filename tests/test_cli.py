@@ -729,7 +729,8 @@ def test_branch_row_raises_on_a_degenerate_branch(csv_cells):
     # a valid ZSA state with c_1 = 1e-8: at theta = 0 the Psi branches have probability |c_1|^2 / 2
     table = protocol.bell_table(UnknownQubit(0.0), ZsaAmplitudes([1e-8, 2**-0.5 - 5e-9, -(2**-0.5 + 5e-9)]))
     for outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS):
-        with pytest.raises(protocol.DegenerateBranch, match=f"outcome {outcome.label} has probability 5.000e-17"):
+        line = f"{outcome.label} (reference-0 output) at theta = 0.0, phi = 0.0 has probability 5e-17, below 1e-14"
+        with pytest.raises(protocol.DegenerateBranch, match=f"^{re.escape(line)}$"):
             cli._branch_row(table, outcome, csv_cells, {})
     assert cli._branch_row(table, BellOutcome.PHI_PLUS, csv_cells, {})  # the Phi branches still render
 
@@ -1062,7 +1063,8 @@ def test_run_rejects_zero_probability_forced_outcome(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv, "--outcome", "PsiPlus")
     assert code == 2
     assert out == ""
-    assert "forced outcome PsiPlus has probability 5.000e-17" in err
+    assert err == ("invalid request: PsiPlus (reference-0 output) at theta = 0.0, phi = 0.0 has probability 5e-17, "
+                   "below 1e-14\n")
     assert not rows.exists()
     # a sampled call never lands there
     code, _, err = run_cli(capsys, *argv, "--trials", "40")
@@ -1072,6 +1074,13 @@ def test_run_rejects_zero_probability_forced_outcome(capsys, tmp_path):
 # |c_1|^2 = 6.8e-22: at a pole the closed-form 1/N^2 of one reference bit rounds to 0.0.
 POLE_TINY_C1 = ('{"coeffs": [[2.6019241460158823e-11, 0.0], [-0.614122056339072, 0.35050549201667086], '
                 '[0.6141220563130528, -0.35050549201667086]]}')
+# Its refusal of a degenerate branch at each pole, after the branch's label: at theta = 0 both Psi branches, at
+# theta = pi both Phi branches.
+POLE_REFUSALS = {
+    "0": "(reference-0 output) at theta = 0.0, phi = 0.0 has probability 3.3850046308102386e-22, below 1e-14",
+    "3.141592653589793": ("(reference-1 output) at theta = 3.141592653589793, phi = 0.0 has probability "
+                          "3.3850046308289854e-22, below 1e-14"),
+}
 
 
 @pytest.mark.parametrize("theta,drawable", [
@@ -1097,12 +1106,12 @@ def test_run_at_a_pole_needs_no_norm_constant_of_the_degenerate_reference_bit(ca
     degenerate = ({"PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus"} - set(drawable)).pop()
     code, out, err = run_cli(capsys, "run", "--coeffs", str(path), "--theta", theta, "--outcome", degenerate)
     assert (code, out) == (2, "")
-    assert err == f"invalid request: forced outcome {degenerate} has probability 3.385e-22\n"
+    assert err == f"invalid request: {degenerate} {POLE_REFUSALS[theta]}\n"
 
 
 @pytest.mark.parametrize("theta,degenerate", [
-    ("3.141592653589793", "reference-1 output (PhiMinus)"),
-    ("0", "reference-0 output (PsiMinus)"),
+    ("3.141592653589793", "PhiMinus"),
+    ("0", "PsiMinus"),
 ], ids=["pi", "zero"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_measures_at_a_pole_refuses_a_degenerate_reference_output(capsys, tmp_path, theta, degenerate, fmt):
@@ -1113,7 +1122,7 @@ def test_measures_at_a_pole_refuses_a_degenerate_reference_output(capsys, tmp_pa
     path.write_text(POLE_TINY_C1)
     code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", theta, "--format", fmt)
     assert (code, out) == (2, "")
-    assert err == f"invalid request: {degenerate} has probability 3.385e-22\n"
+    assert err == f"invalid request: {degenerate} {POLE_REFUSALS[theta]}\n"
     code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "1.0", "--format", fmt)
     assert (code, err) == (0, "")
     assert out
@@ -1128,13 +1137,31 @@ BOUNDARY_C1 = ('{"coeffs": [[1.4142135623730952e-07, 0.0], [-7.071067811865476e-
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_measures_exits_2_when_the_obstruction_needs_a_degenerate_branch(capsys, tmp_path, phi, fmt):
     """Both reference outputs pass the bound, but the obstruction oracle's psi-perp row has P = 9.999999999999998e-15,
-    just below it: its `DegenerateBranch` exits 2 with one line, as any domain error does, not with a traceback."""
+    just below it: its `DegenerateBranch` exits 2 with one line, as any domain error does, not with a traceback.  The
+    line names that row by the psi-perp qubit's angles, theta = 0 and phi + pi."""
     path = tmp_path / "boundary-c1.json"
     path.write_text(BOUNDARY_C1)
     code, out, err = run_cli(capsys, "measures", "--coeffs", str(path), "--theta", "3.141592653589793", "--phi", phi,
                              "--format", fmt)
     assert (code, out) == (2, "")
-    assert err == "invalid request: outcome PsiMinus has probability 1.000e-14\n"
+    perp_phi = {"0.662846390572469": "3.804439044162262", "4.533244938408841": "1.391652284819048"}[phi]
+    assert err == (f"invalid request: PsiMinus (reference-0 output) at theta = 0.0, phi = {perp_phi} has probability "
+                   "9.999999999999998e-15, below 1e-14\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_forces_a_branch_exactly_on_the_degenerate_bound(capsys, tmp_path, fmt):
+    """At theta = pi, phi = 0.662846390572469 the boundary state's Phi branches have P == `DEGENERATE_PROBABILITY`
+    exactly, and the bound is strict, so forcing one is live: the call exits 0 and writes its rows."""
+    path = tmp_path / "boundary-c1.json"
+    path.write_text(BOUNDARY_C1)
+    argv = ["--coeffs", str(path), "--theta", "3.141592653589793", "--phi", "0.662846390572469"]
+    code, out, err = run_cli(capsys, "run", *argv, "--outcome", "PhiMinus", "--trials", "2", "--format", fmt)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    rows = list(csv.DictReader(lines[:-1])) if fmt == "csv" else [json.loads(line) for line in lines[:-1]]
+    assert [row["outcome"] for row in rows] == ["PhiMinus", "PhiMinus"]
+    assert [float(row["probability"]) for row in rows] == [protocol.DEGENERATE_PROBABILITY] * 2
 
 
 @pytest.mark.parametrize("extra", [[], ["--session", "--messages", "log.jsonl"]], ids=["protocol", "session"])
@@ -1160,11 +1187,15 @@ def test_run_stops_quietly_when_stdout_closes(tmp_path):
     assert err == b""
 
 
-def test_run_session_rejects_two_parties_as_session(capsys):
-    code, out, err = run_cli(capsys, "run", "--gen", "epr", "--theta", "1.0", "--session")
+def test_run_session_rejects_two_parties_as_session(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", "--gen", "epr", "--theta", "1.0", "--session", "--output", "rows.jsonl",
+                             "--messages", "log.jsonl")
     assert code == 2
     assert out == ""
-    assert "a session needs at least three parties" in err
+    assert err == "invalid request: the protocol needs at least three parties\n"
+    assert not (tmp_path / "rows.jsonl").exists()
+    assert not (tmp_path / "log.jsonl").exists()
 
 
 # --- measures ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ def test_obstruction_refuses_a_degenerate_output_row():
     of 0.47.  The call raises instead."""
     r = np.sqrt((1 - 1.5e-16) / 2)
     z = ZsaAmplitudes([1e-8, -5e-9 + 1j * r, -5e-9 - 1j * r])
-    with pytest.raises(DegenerateBranch, match="PsiMinus has probability 6.250e-17"):
+    line = "PsiMinus (reference-0 output) at theta = 1e-08, phi = 0.0 has probability 6.249999999999999e-17, below 1e-14"
+    with pytest.raises(DegenerateBranch, match=f"^{re.escape(line)}$"):
         obstruction(UnknownQubit(1e-8), z)
 
 
