@@ -14,8 +14,9 @@ draws that branch (`_branch_row`): a head and an amplitude text filled once per
 distinct row, so at most two fills at even N and three at odd N.  Forced and
 sampled trials take one path: a forced ``--outcome`` is one-hot weights, and
 trial 0 is drawn by a scalar `bisect`, the rest in blocks, from one
-`protocol.outcome_cdf` and one generator.  Each row is written after its index
-from digit tables (`_index_parts`).  A `measures` report reads its two outputs
+`protocol.outcome_cdf` and one generator.  Each trial is written as two parts:
+its last index digits from digit tables (`_index_runs`), and its row followed
+by the next trial's lead.  A `measures` report reads its two outputs
 from one `bell_table` (`_reference_outputs`), takes its oracle entropies from
 one array pass over one stacked eigensolve, and is written by `_indented_json`:
 the bytes of ``json.dumps(report, indent=2)`` without `json`'s pure-Python
@@ -40,6 +41,7 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -253,12 +255,12 @@ def _row_templates(n: int, csv_cells: bool) -> tuple[str, tuple[str, str], tuple
             tuple(sep.join([zero] * ((1 << j) - 1)) for j in range(n)), header)
 
 
-def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool, texts: dict) -> str:
-    """What every trial that lands on ``outcome`` writes after its trial index, newline included: its `_row_templates`
-    head filled from the table, then its amplitude text, kept in ``texts`` by reference bit and row, so it is filled
-    once per distinct row.  Each number reads as ``json.dumps`` writes it (``{}`` writes a float as its ``repr``), and
-    the label is quoted in JSON only; no cell holds a comma, quote or newline, so CSV quotes none.  Raises
-    `DegenerateBranch` on a degenerate row."""
+def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool, texts: dict) -> tuple[str, str]:
+    """What every trial that lands on ``outcome`` writes after its trial index, newline included, as two parts: its
+    `_row_templates` head filled from the table, and its amplitude text, kept in ``texts`` by reference bit and row, so
+    it is filled once per distinct row and a wide row is not copied per branch.  Each number reads as ``json.dumps``
+    writes it (``{}`` writes a float as its ``repr``), and the label is quoted in JSON only; no cell holds a comma,
+    quote or newline, so CSV quotes none.  Raises `DegenerateBranch` on a degenerate row."""
     value, reference_bit, n = outcome.value, CORRECTIONS[outcome][0], table.zsa.num_parties - 1
     head, templates, runs, _ = _row_templates(n, csv_cells)
     fields = dict(zip(_FIELDS, (_LABELS[value], value, table.probability(outcome), 2, n, reference_bit,
@@ -266,11 +268,11 @@ def _branch_row(table: BellTable, outcome: BellOutcome, csv_cells: bool, texts: 
     key = (reference_bit, table.rows[value])
     if key not in texts:
         texts[key] = templates[reference_bit].format(*key[1], *runs, **fields)
-    return head.format(**fields) + texts[key]
+    return head.format(**fields), texts[key]
 
 
-# Trials per block draw.  A block costs about 6-10 us of fixed numpy work plus 0.03 us and, at its peak, 16 B per
-# trial (2-vCPU x86-64, numpy 2.4.6): under 0.04 us a trial for 16 KB of buffers.  2048 would save under 0.01 us.
+# Trials per block draw.  A block costs about 5 us of fixed numpy work plus 0.035 us and, at its peak, 16 B per trial,
+# its `tolist` and `bincount` included (2-vCPU x86-64, numpy 2.4.6): 16 KB of buffers.  2048 would save 0.003 us.
 DRAW_BLOCK = 1024
 
 
@@ -290,42 +292,43 @@ def _outcome_blocks(weights, seed: int, trials: int):
         yield start, block.tolist(), np.bincount(block, minlength=len(BellOutcome)).tolist()
 
 
-# Every trial index below 1000, and every last three digits of a larger one, as text.
-_DIGITS = tuple(map(str, range(1000)))
-_DIGITS3 = tuple(f"{i:03}" for i in range(1000))
+# Trial t's last index digits at (t + 1) % 1000, the next trial's place in its thousand: `_DIGITS` up to trial 998
+# as ``str`` writes them, `_DIGITS3` from trial 999 on in three digits.
+_DIGITS = tuple(map(str, range(-1, 999)))
+_DIGITS3 = tuple(f"{i % 1000:03}" for i in range(-1, 999))
 
 
-def _index_parts(lead: str, first: int, stop: int) -> tuple[list[str], list[str]]:
-    """(heads, tails): per trial first .. stop - 1, two parts whose join is ``lead`` and the trial index.
-
-    A head is ``lead`` and the index's thousands, shared by a run of up to 1000 trials; a tail is a slice of a
-    digit table, so no int is formatted per trial.  ``str`` on each index took about a quarter of a 1500-trial
-    N = 3 call (2-vCPU x86-64, Python 3.11.7), and these parts about a third of that.
-    """
-    heads, tails = [], []
-    for run in range(first - first % 1000, stop, 1000):
-        lo, hi = max(first, run) - run, min(stop - run, 1000)
-        heads += [f"{lead}{run // 1000}" if run else lead] * (hi - lo)
-        tails += (_DIGITS3 if run else _DIGITS)[lo:hi]
-    return heads, tails
+def _index_runs(lead: str, first: int, stop: int):
+    """(lo, hi, tails, after) per run of trials lo .. hi - 1 in first .. stop - 1 whose next trials share thousands:
+    their last index digits, a slice of one table, and ``after``, ``lead`` and those thousands.  Written as tail, then
+    row and after, a trial costs two parts: the write loop of a 1500-trial N = 3 call took 167 us against 233 us with
+    three parts and a row fetch per trial, medians of 3000 interleaved reps (2-vCPU x86-64, Python 3.11.7)."""
+    while first < stop:
+        thousands, u = divmod(first + 1, 1000)
+        hi = min(stop, first + 1000 - u)
+        yield first, hi, (_DIGITS3 if thousands else _DIGITS)[u:u + hi - first], f"{lead}{thousands or ''}"
+        first = hi
 
 
-def _chunks(count: int, longest: int):
-    """(i, j) bounds that split ``count`` lines of at most ``longest`` characters into writes of at most
-    `WRITE_CHUNK` characters; a line longer than the cap gets a write of its own."""
-    step = max(1, WRITE_CHUNK // longest)
-    return ((i, min(i + step, count)) for i in range(0, count, step))
+def _chunks(items, values, pad: int = 0):
+    """(i, j, lines) per write of at most `WRITE_CHUNK` characters: ``lines`` are ``items[v]`` for v in ``values[i:j]``,
+    each written beside up to ``pad`` more characters, fetched in one C-level call (`itemgetter` of one index returns
+    the item bare).  A line longer than the cap gets a write of its own."""
+    step = max(1, WRITE_CHUNK // (pad + max(len(item) for item in items if item)))
+    for i in range(0, len(values), step):
+        chunk = values[i:i + step]
+        yield i, i + len(chunk), operator.itemgetter(*chunk)(items) if len(chunk) > 1 else (items[chunk[0]],)
 
 
 def cmd_run(args) -> int:
     """Stream one row per trial; the four Bell branches come from one `bell_table` call, each rendered once.
 
     Every trial shares (q, z), so its row is one of four fixed by its Bell outcome: a head and an amplitude text, filled
-    once per distinct row.  Forced and sampled trials are drawn alike in `_outcome_blocks`, a forced `--outcome` as
-    one-hot weights, counted in Python ints, and written in chunks of at most `WRITE_CHUNK` characters, each row copied
-    at most once after its trial index from `_index_parts`, built once per block, so a call holds one block's draw
-    buffers and one chunk of text, whatever `--trials`.  A branch is rendered when a block first draws it, so a call
-    renders only the branches it draws.  With `--messages`, each payload's log is read once per call from
+    once per distinct row, and rendered when a block of `_outcome_blocks` first draws it.  A forced `--outcome` is drawn
+    as one-hot weights.  After the header and trial 0's lead, a trial is two parts: its last index digits and its row
+    followed by the next trial's lead, joined once per `_index_runs` run and branch, a chunk's rows fetched in one call
+    by `_chunks`; the last row has nothing after it.  So a call holds one copy of each row, one block's draws and one
+    chunk of text, whatever `--trials`.  With `--messages`, each payload's log is read once per call from
     `message_log`'s cache; with `--session`, the ledger is built once per call.
     """
     if args.trials < 1:
@@ -347,7 +350,8 @@ def cmd_run(args) -> int:
     weights = probs if forced is None else [float(outcome is forced) for outcome in BellOutcome]
     csv_cells = args.format == "csv"
     lead = "" if csv_cells else '{"trial": '
-    rows: list = [None] * len(BellOutcome)  # by outcome value: the row after the trial index
+    branches: list = [None] * len(BellOutcome)  # by outcome value: `_branch_row`'s (head, amplitude text)
+    follows = None  # the next trial's lead, which ends each row of `followed`, by outcome value, in this run
     texts: dict = {}  # the amplitude texts `_branch_row` fills, by reference bit and row
     logs = [message_log(z.num_parties, value) for value in range(len(BellOutcome))] if args.messages else None
     totals = [0] * len(BellOutcome)
@@ -358,21 +362,25 @@ def cmd_run(args) -> int:
             totals = [total + count for total, count in zip(totals, counts)]
             drawn = [value for value, count in enumerate(counts) if count]
             for value in drawn:
-                if rows[value] is None:
-                    rows[value] = _branch_row(table, BellOutcome(value), csv_cells, texts)
+                branches[value] = branches[value] or _branch_row(table, BellOutcome(value), csv_cells, texts)
             if start == 0:
-                out.write(_row_templates(z.num_parties - 1, csv_cells)[3])
-            heads, tails = _index_parts(lead, start, start + len(values))
-            longest = len(heads[-1]) + len(tails[-1]) + max(len(rows[value]) for value in drawn)
-            for i, j in _chunks(len(values), longest):
-                parts = [None] * (3 * (j - i))  # lead and thousands, last digits, row per trial
-                parts[0::3], parts[1::3] = heads[i:j], tails[i:j]
-                parts[2::3] = map(rows.__getitem__, values[i:j])
-                out.write("".join(parts[:-1]))  # the last row goes on its own, so a row wider than a chunk
-                out.write(parts[-1])  # is written without a copy
+                out.write(_row_templates(z.num_parties - 1, csv_cells)[3] + lead)
+            for lo, hi, tails, after in _index_runs(lead, start, min(start + len(values), args.trials - 1)):
+                if after != follows:  # a new run, whose rows are joined once the old run's are freed
+                    parts, rows, followed, follows = None, None, [None] * len(BellOutcome), after
+                for value in drawn:
+                    followed[value] = followed[value] or "".join((*branches[value], after))
+                for i, j, rows in _chunks(followed, values[lo - start:hi - start], len(tails[-1])):
+                    parts = [None] * (2 * (j - i))  # tail, row, tail, row, ...
+                    parts[0::2], parts[1::2] = tails[i:j], rows
+                    out.write("".join(parts[:-1]))
+                    out.write(parts[-1])  # on its own, so a row wider than a chunk is not copied
+            if start + len(values) == args.trials:  # the last row, its head and text written apart so as not to copy it
+                out.write(str(args.trials - 1)[-3:] + branches[values[-1]][0])
+                out.write(branches[values[-1]][1])
             if log is not None:
-                for i, j in _chunks(len(values), max(len(logs[value]) for value in drawn)):
-                    log.write("".join(map(logs.__getitem__, values[i:j])))
+                for _, _, lines in _chunks(logs, values):
+                    log.write("".join(lines))
 
         summary = {"trials": args.trials, "seed": args.seed}
         for label, count, prob in zip(_LABELS, totals, probs):  # Python ints: an int division

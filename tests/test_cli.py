@@ -721,7 +721,7 @@ def test_branch_row_matches_the_transcript_path(parties):
             for csv_cells in (False, True):  # a format at a time: `_row_templates` keeps one, as a call uses one
                 texts: dict = {}  # shared by the four outcomes, as in a call
                 for outcome, rows in zip(BellOutcome, expected):
-                    assert cli._branch_row(table, outcome, csv_cells, texts) == rows[csv_cells]
+                    assert "".join(cli._branch_row(table, outcome, csv_cells, texts)) == rows[csv_cells]
 
 
 @pytest.mark.parametrize("csv_cells", [False, True], ids=["json", "csv"])
@@ -768,8 +768,9 @@ def test_run_fills_the_amplitude_text_once_per_distinct_row(capsys, monkeypatch,
         return head, tuple(map(CountedTemplate, amplitudes)), runs, header
 
     def branch_row(table, outcome, csv_cells, texts):
-        rendered[outcome] = real_row(table, outcome, csv_cells, texts)
-        return rendered[outcome]
+        head_and_text = real_row(table, outcome, csv_cells, texts)
+        rendered[outcome] = "".join(head_and_text)
+        return head_and_text
 
     monkeypatch.setattr(cli, "_row_templates", templates)
     monkeypatch.setattr(cli, "_branch_row", branch_row)
@@ -813,9 +814,18 @@ def _counted(monkeypatch, name: str) -> list:
 ])
 @pytest.mark.parametrize("lead", ["", '{"trial": '], ids=["csv", "json"])
 def test_index_parts_join_to_the_lead_and_str_of_each_trial(first, stop, lead):
-    """Differential check of the table-built trial indices against ``str``, across thousands and block edges."""
-    heads, tails = cli._index_parts(lead, first, stop)
-    assert list(map(str.__add__, heads, tails)) == [lead + str(t) for t in range(first, stop)]
+    """Differential check of `_index_runs` against ``str``, across thousands and block edges: trial t's head (the lead
+    and its thousands) is the ``after`` of the run before it, so head and tail read ``lead + str(t)``, and the runs
+    tile first .. stop - 1 with the last ``after`` the head of trial ``stop``."""
+    head, lines, lo = lead + str(first)[:-3], [], first
+    for run_lo, hi, tails, after in cli._index_runs(lead, first, stop):
+        assert (run_lo, len(tails)) == (lo, hi - lo) and hi > lo
+        for tail in tails:
+            lines.append(head + tail)
+            head = after
+        lo = hi
+    assert lines == [lead + str(t) for t in range(first, stop)]
+    assert (lo, head) == (stop, lead + str(stop)[:-3])
 
 
 @pytest.mark.parametrize("trials", [1500, 1, 129, cli.DRAW_BLOCK + 1, 2 * cli.DRAW_BLOCK + 2])
@@ -880,6 +890,36 @@ def test_run_never_builds_an_undrawable_branch(capsys, monkeypatch):
     monkeypatch.setattr(cli, "bell_table", no_psi_minus)
     calls = _built_outcomes(capsys, monkeypatch, "--trials", "40", "--seed", "3")
     assert sorted(calls, key=lambda o: o.value) == [BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 999, 1000, 1001, 1024, 1025, 2000, 2049, 3001])
+@pytest.mark.parametrize("kind", ["sampled", "forced", "session"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_stream_reads_as_the_lead_str_of_each_trial_and_its_row(capsys, tmp_path, fmt, kind, trials):
+    """Differential check of the written stream: row line t is ``lead + str(t)`` and its outcome's row by the per-row
+    path (`_transcript_rows`), the outcomes drawn as one `draw_outcome_block` over the whole call, and the summary line
+    follows the last row.  The trial counts sit at the edges of the 1000-trial runs, the draw blocks and the last row;
+    with ``--session --messages``, the log is each trial's `message_log` in trial order."""
+    q, seed, log = UnknownQubit(1.3, 0.4), 9, tmp_path / "log.jsonl"
+    extra = {"sampled": [], "forced": ["--outcome", "PsiPlus"], "session": ["--session", "--messages", str(log)]}[kind]
+    code, out, err = run_cli(capsys, "run", "--gen", "cube", "--theta", "1.3", "--phi", "0.4", "--trials", str(trials),
+                             "--seed", str(seed), "--format", fmt, *extra)
+    assert (code, err) == (0, "")
+    table = protocol.bell_table(q, roots_of_unity_zsa(3))
+    if kind == "forced":
+        outcomes = [BellOutcome.PSI_PLUS.value] * trials
+    else:
+        cdf = protocol.outcome_cdf(table.probabilities)
+        outcomes = protocol.draw_outcome_block(cdf, np.random.default_rng(seed), trials).tolist()
+    rows = [_transcript_rows(table.transcript(o), int(table.products[o.value]))[fmt == "csv"] for o in BellOutcome]
+    lines = out.splitlines(keepends=True)
+    if fmt == "csv":
+        assert lines.pop(0).startswith("trial,outcome,")
+    lead = "" if fmt == "csv" else '{"trial": '
+    assert lines[:-1] == [lead + str(t) + rows[value] for t, value in enumerate(outcomes)]
+    assert lines[-1].startswith("# summary: {" if fmt == "csv" else '{"summary": ')
+    if kind == "session":
+        assert log.read_text() == "".join(message_log(3, value) for value in outcomes)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -964,6 +1004,17 @@ def test_run_memory_flat_in_trials_for_rows_wider_than_a_write_chunk(capsys, tmp
     assert len(widths) == 201
     assert min(widths[:-1]) > cli.WRITE_CHUNK  # so each row is written on its own
     assert large <= 1.5 * small
+
+
+def test_run_memory_in_row_widths_across_thousand_trial_runs(capsys, tmp_path):
+    """An N = 14 JSON call of 2500 trials crosses two 1000-trial runs, so its rows, each followed by the next trial's
+    lead, are joined three times.  Its traced peak stays under 9 row widths (7.5 before the rows carried the next
+    lead), so a copy of each row kept per run, or kept beside the followed row, fails here."""
+    _traced_peak(capsys, tmp_path / "warm.jsonl", 2, "roots:14")
+    with open(tmp_path / "warm.jsonl", encoding="utf-8") as fh:
+        width = max(len(line) for line in fh)
+    assert width > cli.WRITE_CHUNK
+    assert _traced_peak(capsys, os.devnull, 2500, "roots:14") <= 9 * width
 
 
 class _WriteSpy:
