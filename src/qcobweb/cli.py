@@ -16,21 +16,21 @@ sampled trials take one path: a forced ``--outcome`` is one-hot weights, and
 trial 0 is drawn by a scalar `bisect`, the rest in blocks, from one
 `protocol.outcome_cdf` and one generator.  Each trial is written as two parts:
 its last index digits from digit tables (`_index_runs`), and its row followed
-by the next trial's lead.  A `measures` report reads its two outputs
-from one `bell_table` (`_reference_outputs`), takes its oracle entropies from
-one array pass over one stacked eigensolve, and is written by `_indented_json`:
-the bytes of ``json.dumps(report, indent=2)`` without `json`'s pure-Python
-indenting encoder.  Per-process caches, by key and bound: `build_parser` (one
-entry), `_named_source` (the last ``--gen`` name), `session.message_log`
-(party count and payload, four), and `_row_templates` (the last register and
-format, with its CSV header).  Only a process that calls `main` more than once
-gains from them; a ``--coeffs`` file is read on every call.  Exit codes: 0
-success, 2 domain-invalid input, 3 unreadable or malformed input.  Each Bell
-branch rule is `protocol`'s alone: `bell_table` refuses fewer than three
-parties, and `BellTable.probability` a degenerate branch a command needs, each
-before any file opens.  Output is plain text or
-machine-readable JSON/CSV; no color is ever emitted, so NO_COLOR is honored
-trivially.
+by the next trial's lead.  A three-party `measures` report reads both its
+outputs from one `bell_table` and hands the reference-0 one to `obstruction`,
+which builds only psi_perp's table: two tables per report.  It takes its oracle
+entropies from one array pass over one stacked eigensolve, and is written by
+`_indented_json`: the bytes of ``json.dumps(report, indent=2)`` without
+`json`'s pure-Python indenting encoder.  Per-process caches, by key and bound:
+`build_parser` (one entry), `_named_source` (the last ``--gen`` name),
+`session.message_log` (party count and payload, four), and `_row_templates`
+(the last register and format, with its CSV header).  Only a process that calls
+`main` more than once gains from them; a ``--coeffs`` file is read on every
+call.  Exit codes: 0 success, 2 domain-invalid input, 3 unreadable or malformed
+input.  Each Bell branch rule is `protocol`'s alone: `bell_table` refuses fewer
+than three parties, and `BellTable.probability` a degenerate branch a command
+needs, each before any file opens.  Output is plain text or machine-readable
+JSON/CSV; no color is ever emitted, so NO_COLOR is honored trivially.
 """
 from __future__ import annotations
 
@@ -69,7 +69,6 @@ from .protocol import (
     CORRECTIONS,
     BellOutcome,
     BellTable,
-    CobwebState,
     Transcript,
     bell_table,
     draw_outcome,
@@ -398,17 +397,12 @@ def cmd_run(args) -> int:
 # --- measures ---------------------------------------------------------------
 
 
-def _reference_outputs(q: UnknownQubit, z: ZsaAmplitudes) -> list[CobwebState]:
-    """The outputs of reference bits 0 and 1: one `bell_table`'s PsiMinus and PhiMinus rows, corrected by the
-    identity and sigma_x.  `BellTable.transcript` refuses a degenerate one, reference bit 0 first, with the
-    `DegenerateBranch` that a forced `run` outcome gets."""
-    table = bell_table(q, z)
-    return [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
-
-
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     n = z.num_parties
-    outputs = _reference_outputs(q, z) if n == 3 else []
+    outputs = []
+    if n == 3:  # the outputs of reference bits 0 and 1; `BellTable.transcript` refuses a degenerate one, bit 0 first
+        table = bell_table(q, z)
+        outputs = [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
     # rows: the shared state's N qubits, then qubits 1 and 2 of each output
     spectra = single_qubit_spectra(build_state(z), *(cw.vector for cw in outputs))
     closed = [splitting_entropy(z, k) for k in range(1, n + 1)]
@@ -452,7 +446,7 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
             "epsilon_4x_vs_determinant": abs(4.0 * spectrum["epsilon"] - det_oracle),
         }
     report["cobweb"] = cobwebs
-    report["obstruction"] = obstruction(q, z)
+    report["obstruction"] = obstruction(outputs[0])
     recovery = cnot_disentangle(outputs[0])
     if 0.0 < q.theta < math.pi:
         recovery["odds"] = success_probability_sign(z, q)
@@ -517,7 +511,8 @@ def _claims_rows() -> list[dict]:
     eof, cobweb = report["entanglement_of_formation"], report["cobweb"]["reference_0"]
     # c2 = a, c3 = ia with a = 1/2: every amplitude nonzero, yet Re(c2 c3*) = 0
     zero_cross = ZsaAmplitudes([-0.5 * (1.0 + 1.0j), 0.5, 0.5j])
-    nulled = obstruction(UnknownQubit(math.pi / 2.0, 0.7), zero_cross)
+    nulled = obstruction(run_protocol(UnknownQubit(math.pi / 2.0, 0.7), zero_cross,
+                                      outcome=BellOutcome.PSI_MINUS).final)
     curve = dict(scaling_curve(4))
     big_n = 1024
     e_big = binary_entropy(1.0 / big_n)
@@ -527,7 +522,7 @@ def _claims_rows() -> list[dict]:
     for _ in range(sign_draws):
         z = random_zsa(3, rng)
         q = UnknownQubit(math.acos(1.0 - 2.0 * rng.uniform(0.05, 0.95)), 2.0 * math.pi * rng.random())
-        simulated = cnot_disentangle(_reference_outputs(q, z)[0])["simulated_probability"]
+        simulated = cnot_disentangle(run_protocol(q, z, outcome=BellOutcome.PSI_MINUS).final)["simulated_probability"]
         sign_agreements += (simulated > 0.5) == ((np.conj(z.coeffs[1]) * z.coeffs[2]).real > 0.0)
     table = [
         ("epr-reduction-singlet-fidelity", 1.0, state_fidelity(build_state(epr_zsa()), singlet), 1e-12,

@@ -6,8 +6,9 @@ complement, inner-product preservation would force
 2 N(alpha) N(beta) alpha beta* Re(c2 c3*) = 0.  The modulus of that quantity
 is the obstruction value; it vanishes only at the poles (theta in {0, pi})
 or when Re(c2 c3*) = 0, which IS reachable with all amplitudes nonzero
-(for example c2 = a, c3 = ia).  Its oracle is the overlap of the protocol's
-two outputs, each read from `bell_table`.
+(for example c2 = a, c3 = ia).  `obstruction` takes the reference-0 output
+for |psi>, as the recovery does; its oracle is the overlap of that output's
+slots with the `bell_table` row of the reference-0 output for psi_perp.
 
 A nonlocal probabilistic recovery exists: CNOT across the pair, then measure
 the control in the |+->  basis.  The |+> branch restores |psi> exactly with
@@ -31,20 +32,24 @@ _S = 1.0 / math.sqrt(2.0)
 PLUS = np.array([_S, _S], dtype=complex)
 
 
-def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
+def obstruction(c: CobwebState) -> dict:
     """Obstruction modulus |2 N(alpha) N(beta) alpha beta* Re(c2 c3*)|, its inner-product oracle, and the inputs.
 
-    The oracle is the modulus of the inner product of the protocol's reference-0 outputs for |psi> and for
-    (pi - theta, phi + pi), which is alpha|1> - beta*|0> up to a global phase: a perfect disentangler would need it
-    to be zero.  Each part of the product is the `math.fsum` of the products of row parts.
+    ``c`` is the protocol's reference-0 output for |psi>.  The oracle is the modulus of its inner product with the
+    reference-0 output for the qubit (pi - theta, phi + pi), alpha|1> - beta*|0> up to a global phase: a perfect
+    disentangler would need it to be zero.  Each part of the product is the `math.fsum` of the products of slot parts.
     """
+    q, z = c.qubit, c.zsa
     if z.num_parties != 3:
         raise ValueError("the obstruction is computed for the tripartite output")
+    if c.reference_bit != 0:
+        raise ValueError("the obstruction is defined for reference bit 0")
     n_alpha, n_beta = normalization_constants(q, z)
     re_cross = float((z.coeffs[1] * np.conj(z.coeffs[2])).real)
     value = 2.0 * n_alpha * n_beta * q.alpha * abs(q.beta) * abs(re_cross)
 
-    v, w = (_identity_row(qubit, z) for qubit in (q, UnknownQubit(math.pi - q.theta, q.phi + math.pi)))
+    perp = bell_table(UnknownQubit(math.pi - q.theta, q.phi + math.pi), z).transcript(BellOutcome.PSI_MINUS).final
+    v, w = (output.slots.view(np.float64).tolist() for output in (c, perp))
     re = math.fsum(map(operator.mul, v, w))
     im = math.fsum([*map(operator.mul, v[::2], w[1::2]), *(-x * y for x, y in zip(v[1::2], w[::2]))])
     oracle = math.hypot(re, im)
@@ -54,16 +59,8 @@ def obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> dict:
         "abs_difference": abs(value - oracle),
         "theta": q.theta,
         "phi": q.phi,
-        "coeffs": [[c.real, c.imag] for c in z.coeffs],
+        "coeffs": [[coeff.real, coeff.imag] for coeff in z.coeffs],
     }
-
-
-def _identity_row(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, ...]:
-    """The reference-0 output for ``q``: `bell_table`'s PsiMinus row, corrected by the identity.  Raises
-    `DegenerateBranch` on a degenerate row."""
-    table = bell_table(q, z)
-    table.probability(BellOutcome.PSI_MINUS)  # called for its check alone
-    return table.rows[BellOutcome.PSI_MINUS.value]
 
 
 def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]:

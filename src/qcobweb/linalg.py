@@ -91,10 +91,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def _check_qubit_labels(n: int, labels) -> list[int]:
     out = [int(q) for q in labels]

@@ -1,10 +1,13 @@
 """Shared test utilities: seeded random states, qubits, and unitaries."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qcobweb.linalg import DensityMatrix, PureState
-from qcobweb.states import UnknownQubit
+from qcobweb.protocol import BellOutcome, CobwebState, run_protocol
+from qcobweb.states import UnknownQubit, ZsaAmplitudes
 
 
 def random_qubit(rng: np.random.Generator) -> UnknownQubit:
@@ -12,6 +15,30 @@ def random_qubit(rng: np.random.Generator) -> UnknownQubit:
     theta = float(np.arccos(1.0 - 2.0 * rng.random()))
     phi = float(2.0 * np.pi * rng.random())
     return UnknownQubit(theta, phi)
+
+
+def reference_0_output(q: UnknownQubit, z: ZsaAmplitudes) -> CobwebState:
+    """The protocol's reference-0 output, `bell_table`'s PsiMinus row: the output `measures` hands to `obstruction`."""
+    return run_protocol(q, z, outcome=BellOutcome.PSI_MINUS).final
+
+
+def near_pole_sweep(seed: int = 1201, count: int = 200):
+    """Seeded (qubit, shared state) pairs that reach the rounding limits of the closed forms: ``count`` shared states
+    of 3 to 6 parties with |c_1| log-uniform from 1e-11 to 0.3 (the rest random, the sum zero), each taken with five
+    qubits: theta = 0 and pi, theta within 1e-15 to 1e-6 of each pole, and one Haar-random qubit."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, size, angle = int(rng.integers(3, 7)), 10.0 ** rng.uniform(-11, -0.5), 2.0 * math.pi * rng.random()
+        c1 = size * complex(math.cos(angle), math.sin(angle))
+        rest = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        rest -= rest.mean()
+        rest *= math.sqrt(1.0 - size * size) / np.linalg.norm(rest)
+        coeffs = np.concatenate([[c1], rest - c1 / (n - 1)])
+        z = ZsaAmplitudes(coeffs / np.linalg.norm(coeffs))
+        offset = 10.0 ** rng.uniform(-15, -6)
+        for theta in (0.0, math.pi, offset, math.pi - offset):
+            yield UnknownQubit(theta, 2.0 * math.pi * rng.random()), z
+        yield random_qubit(rng), z
 
 
 def random_pure_state(num_qubits: int, rng: np.random.Generator) -> PureState:

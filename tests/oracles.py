@@ -5,11 +5,16 @@ on the N slots of a one-hot state or in closed form.  The Pauli gates are the
 dense form of `protocol.CORRECTIONS`, which holds each correction as a
 reference bit and two signs.  `target_vector` and `cobweb_state` build a
 protocol output from its definition, the reference-string target, and are the
-oracle of every output `protocol.bell_table` makes.
+oracle of every output `protocol.bell_table` makes.  The `exact_*` oracles
+evaluate closed forms in `EXACT_DIGITS`-digit decimals from the exact values of
+the float inputs, so they bound the program's rounding error itself, not the
+gap between two float paths.
 """
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -33,6 +38,11 @@ from qcobweb.protocol import (
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state, slot_positions
 
 IMPOSSIBLE_PROBABILITY = 1e-14
+EXACT_DIGITS = 60
+_EXACT = decimal.Context(prec=EXACT_DIGITS)
+# The relative error a closed form may show against its `exact_*` oracle, eight units in the last place of 1: the
+# float inputs (cos, sin, the phase and 1/sqrt 2) carry up to one each, and each product, square and sum adds half.
+EXACT_BOUND = 8 * 2.0**-52
 
 
 def _gate(entries) -> np.ndarray:
@@ -228,3 +238,55 @@ def project_qubit(state: PureState, k: int, outcome: int) -> tuple[float, PureSt
             f"outcome {outcome} on qubit {k} has probability {prob:.3e}"
         )
     return prob, PureState(state.num_qubits - 1, residual / math.sqrt(prob))
+
+
+def _exact_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x by their Taylor series, each summed until a term no longer changes it."""
+    sums = []
+    for term, k in ((Decimal(1), 0), (x, 1)):
+        total = term
+        while True:
+            term = -term * x * x / ((k + 1) * (k + 2))
+            k += 2
+            if total + term == total:
+                break
+            total += term
+        sums.append(total)
+    return sums[0], sums[1]
+
+
+def _exact_output_norms(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[Decimal, Decimal]:
+    """The squared norms of the unnormalized reference-0 and reference-1 outputs: alpha^2 |c_1|^2 + |beta|^2
+    sum_{k>=2} |c_k|^2, and the same with alpha and |beta| swapped.  They do not assume that sum |c_k|^2 = 1."""
+    cos, sin = _exact_cos_sin(Decimal(q.theta) / 2)
+    alpha2, beta2 = cos * cos, sin * sin
+    first, *rest = [Decimal(c.real) ** 2 + Decimal(c.imag) ** 2 for c in z.coeffs.tolist()]
+    others = sum(rest)
+    return alpha2 * first + beta2 * others, beta2 * first + alpha2 * others
+
+
+def exact_branch_probabilities(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[Decimal, ...]:
+    """Each Bell branch's probability, by outcome value: half the squared norm of its output (a Bell vector's entries
+    are +-1/sqrt 2), so P(Phi+-) = 1 / (2 N(beta)^2) and P(Psi+-) = 1 / (2 N(alpha)^2)."""
+    with decimal.localcontext(_EXACT):
+        psi, phi = (norm / 2 for norm in _exact_output_norms(q, z))
+        return phi, phi, psi, psi
+
+
+def exact_norm_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[Decimal, Decimal]:
+    """N(alpha) and N(beta): one over the norm of the unnormalized reference-0 and reference-1 outputs."""
+    with decimal.localcontext(_EXACT):
+        return tuple(1 / norm.sqrt() for norm in _exact_output_norms(q, z))
+
+
+def exact_binary_entropy(p: float) -> Decimal:
+    """H2(p) = -p log2 p - (1 - p) log2 (1 - p) of the float ``p``, with 0 log 0 := 0."""
+    with decimal.localcontext(_EXACT):
+        x = Decimal(p)
+        return -sum(y * y.ln() for y in (x, 1 - x) if y) / Decimal(2).ln()
+
+
+def relative_error(value: float, exact: Decimal) -> float:
+    """|value - exact| / |exact| for a nonzero exact value."""
+    with decimal.localcontext(_EXACT):
+        return float(abs(Decimal(value) - exact) / abs(exact))

