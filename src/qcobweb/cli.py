@@ -18,8 +18,8 @@ trial 0 is drawn by a scalar `bisect`, the rest in blocks, from one
 its last index digits from digit tables (`_index_runs`), and its row followed
 by the next trial's lead.  A three-party `measures` report reads both its
 outputs from one `bell_table` and hands the reference-0 one to `obstruction`,
-which builds only psi_perp's table: two tables per report.  It takes its oracle
-entropies from one array pass over one stacked eigensolve, and is written by
+which builds only psi_perp's table: two tables per report.  It takes each
+single-qubit oracle from slots (`measures.marginal_spectrum`), and is written by
 `_indented_json`: the bytes of ``json.dumps(report, indent=2)`` without
 `json`'s pure-Python indenting encoder.  Per-process caches, by key and bound:
 `build_parser` (one entry), `_named_source` (the last ``--gen`` name),
@@ -49,18 +49,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .disentangle import cnot_disentangle, obstruction, success_probability_sign
-from .linalg import (
-    PureState,
-    binary_entropy,
-    single_qubit_spectra,
-    spectrum_entropies,
-    state_fidelity,
-)
+from .linalg import ENTROPY_CUTOFF, PureState, binary_entropy, state_fidelity
 from .measures import (
     cobweb_spectrum,
     concurrence,
     entanglement_of_formation,
     eof_from_concurrence,
+    marginal_spectrum,
     ppt_report,
     scaling_curve,
     splitting_entropy,
@@ -79,6 +74,7 @@ from .protocol import (
 )
 from .session import classical_only_baseline, message_log, resource_ledger
 from .states import (
+    MAX_DENSE_QUBITS,
     AmplitudeFileError,
     UnknownQubit,
     ZsaAmplitudes,
@@ -399,14 +395,10 @@ def cmd_run(args) -> int:
 
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     n = z.num_parties
-    outputs = []
-    if n == 3:  # the outputs of reference bits 0 and 1; `BellTable.transcript` refuses a degenerate one, bit 0 first
-        table = bell_table(q, z)
-        outputs = [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
-    # rows: the shared state's N qubits, then qubits 1 and 2 of each output
-    spectra = single_qubit_spectra(build_state(z), *(cw.vector for cw in outputs))
+    shared = [0.0, 0.0, *z.coeffs.view(np.float64).tolist()]  # slot 0, the all-zero string, holds nothing
     closed = [splitting_entropy(z, k) for k in range(1, n + 1)]
-    oracle = spectrum_entropies(spectra[:n]).tolist()
+    oracle = [-math.fsum([x * math.log2(x) for x in marginal_spectrum(shared, k) if x > ENTROPY_CUTOFF])
+              for k in range(1, n + 1)]
     report: dict = {
         "num_parties": n,
         "coefficients": [[c.real, c.imag] for c in z.coeffs],
@@ -420,6 +412,8 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     if n != 3:
         return report
 
+    table = bell_table(q, z)  # the outputs of reference bits 0 and 1; `BellTable.transcript` refuses a degenerate one
+    outputs = [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
     pair = reduced_pair(z)
     report["ppt"] = ppt_report(z, pair)
     closed_eof = entanglement_of_formation(z)
@@ -432,14 +426,14 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
 
     cobwebs = {}
     for ref, cw in enumerate(outputs):
-        spectrum = cobweb_spectrum(cw)
-        oracle_eigs = spectra[3 + 2 * ref:5 + 2 * ref]
-        closed_sorted = np.array([spectrum["eta_minus"], spectrum["eta_plus"]])
-        deviation = float(np.max(np.abs(closed_sorted - oracle_eigs)))
-        det_oracle = float(np.prod(oracle_eigs[0]))
+        spectrum, row = cobweb_spectrum(cw), cw.slots.view(np.float64).tolist()  # the floats of its table row
+        oracle_eigs = [marginal_spectrum(row, j) for j in (1, 2)]
+        closed_sorted = (spectrum["eta_minus"], spectrum["eta_plus"])
+        deviation = max(abs(c - o) for eigs in oracle_eigs for c, o in zip(closed_sorted, eigs))
+        det_oracle = oracle_eigs[0][0] * oracle_eigs[0][1]
         cobwebs[f"reference_{ref}"] = {
             **spectrum,
-            "oracle_eigenvalues": [float(v) for v in oracle_eigs[0]],
+            "oracle_eigenvalues": list(oracle_eigs[0]),
             "max_abs_difference": deviation,
             "determinant_oracle": det_oracle,
             "epsilon_4x_variant": 4.0 * spectrum["epsilon"],
@@ -473,6 +467,8 @@ def _indented_json(value, pad: str = "") -> str:
 def cmd_measures(args) -> int:
     _refuse_overwriting_coeffs(args, "output")
     z = _resolve_source(args)
+    if z.num_parties > MAX_DENSE_QUBITS:  # the report builds no dense state, but keeps the cap `run` has
+        raise ValueError(f"dense statevectors are limited to {MAX_DENSE_QUBITS} qubits")
     q = _qubit_from_args(args)
     report = _measures_report(z, q)
     if args.format == "csv":

@@ -1,9 +1,10 @@
 """Small dense complex linear algebra for the reports and their oracles.
 
-The protocol runs on each output's N slots (see `protocol`).  The dense
-states and matrices here serve the `measures` oracles, the CNOT recovery,
-the negative control and the printed dense view of an output; the tests'
-own dense oracles, the Pauli gates among them, are in tests/oracles.py.
+The protocol runs on each output's N slots (see `protocol`), as does every
+single-qubit marginal a report prints (`measures.marginal_spectrum`).  The
+dense states and matrices here serve the `measures` pair oracles, the CNOT
+recovery, the negative control and the printed dense view of an output; the
+tests' own dense oracles, the Pauli gates among them, are in tests/oracles.py.
 States are checked value classes (`PureState`, `DensityMatrix`); a gate or
 any other operator is a plain square complex numpy array.
 
@@ -120,17 +121,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(kept), t.reshape(d, d))
 
 
-def single_qubit_spectra(*states: PureState) -> np.ndarray:
-    """Each qubit's marginal spectrum, ascending, one row per qubit, the states' rows in order (qubit q of the first
-    state in row q - 1): one eigvalsh on the stacked Grams of every state, no `DensityMatrix`."""
-    grams = []
-    for state in states:
-        for q in range(state.num_qubits):  # qubit q + 1's bit indexes the rows, the other qubits' bits the columns
-            m = state.amplitudes.reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
-            grams.append(m @ m.conj().T)
-    return np.linalg.eigvalsh(np.array(grams))
-
-
 def partial_transpose(matrix: np.ndarray, subsystem: int) -> np.ndarray:
     """A 2^n x 2^n matrix with the indices of one qubit transposed.
 
@@ -153,15 +143,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     if asym > 1e-10:
         raise ValueError(f"matrix is not Hermitian within 1e-10 (asymmetry {asym:.3e})")
     return np.linalg.eigvalsh(m)
-
-
-def spectrum_entropies(spectra: np.ndarray) -> np.ndarray:
-    """-sum(l log2 l) along each row of single-qubit eigenvalues, in bits, with 0 log 0 := 0 for l <= 1e-14.
-
-    One unmasked log2 over the stack, each dropped eigenvalue replaced by 1 (a log2 with ``where=`` runs another
-    loop, which rounds some values differently)."""
-    kept = np.where(spectra > ENTROPY_CUTOFF, spectra, 1.0)
-    return -(kept * np.log2(kept)).sum(axis=-1)
 
 
 def binary_entropy(p: float) -> float:

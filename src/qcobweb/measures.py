@@ -1,7 +1,8 @@
 """Entanglement measures and obstruction certificates for ZSA states.
 
-Every closed form here has an independent dense-linear-algebra oracle (an
-eigensolver or a partial trace); a report is the dict that `qcobweb measures`
+Every closed form here has an independent oracle: a dense eigensolver or a
+partial trace, or for a single-qubit marginal the 2x2 Gram of the state's
+slots (`marginal_spectrum`).  A report is the dict that `qcobweb measures`
 prints, with both values and their difference, so disagreement is visible
 rather than silently absorbed.
 """
@@ -18,6 +19,8 @@ from .states import ZsaAmplitudes
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Y.setflags(write=False)
+PAULI_YY = np.kron(PAULI_Y, PAULI_Y)
+PAULI_YY.setflags(write=False)
 
 
 def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> dict:
@@ -66,11 +69,10 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.num_qubits != 2:
         raise ValueError("concurrence is defined for two-qubit density matrices")
-    yy = np.kron(PAULI_Y, PAULI_Y)
     m = rho.entries
     evals, vecs = np.linalg.eigh(m)
     sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    mm = sqrt_rho @ (yy @ m.conj() @ yy) @ sqrt_rho
+    mm = sqrt_rho @ (PAULI_YY @ m.conj() @ PAULI_YY) @ sqrt_rho
     squared = np.linalg.eigvalsh(mm)
     # eigenvalues at the round-off floor are exact zeros; the square root
     # would otherwise blow 1e-17 noise up to 1e-8
@@ -95,6 +97,23 @@ def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
     if not 1 <= k <= z.num_parties:
         raise ValueError(f"party index {k} out of range 1..{z.num_parties}")
     return binary_entropy(float(abs(z.coeffs[k - 1]) ** 2))
+
+
+def marginal_spectrum(parts, j: int) -> tuple[float, float]:
+    """Ascending spectrum of qubit j's marginal of a one-hot state, from its slots alone: no dense state, no BLAS.
+
+    ``parts`` holds the slots as (re, im) floats in turn, as a `BellTable` row does: slot 0 on the all-r string, slot
+    k on it with qubit k flipped; the shared state is the row (0, c_1, ..., c_N).  With s = |a_j|^2 and top the fsum of
+    every other |a_k|^2, the marginal is [[top, a_0 a_j*], [., s]]: eigenvalues mean -+ hypot((top - s)/2, |a_0||a_j|)
+    with mean = (top + s)/2, a form that keeps the gap of a near-degenerate pair, which (T +- sqrt(T^2 - 4 s top))/2
+    loses to cancellation."""
+    weights = [re * re + im * im for re, im in zip(parts[::2], parts[1::2])]
+    if not 1 <= j < len(weights):
+        raise ValueError(f"qubit {j} out of range 1..{len(weights) - 1}")
+    s, top = weights[j], math.fsum(weights[:j] + weights[j + 1:])
+    mean = 0.5 * (top + s)
+    half = math.hypot(0.5 * (top - s), math.hypot(parts[0], parts[1]) * math.hypot(parts[2 * j], parts[2 * j + 1]))
+    return mean - half, mean + half
 
 
 def cobweb_spectrum(c: CobwebState) -> dict:

@@ -93,7 +93,7 @@ def outer(state: PureState) -> DensityMatrix:
 
 def _marginal_entries(state: PureState, keep) -> tuple[int, np.ndarray]:
     """Qubit count and matrix of a pure state's marginal over the kept qubits, unvalidated: the general form of the
-    Grams `linalg.single_qubit_spectra` builds."""
+    Grams `single_qubit_spectra` builds."""
     n = state.num_qubits
     kept = sorted(set(_check_qubit_labels(n, keep)))
     if not kept:
@@ -109,9 +109,30 @@ def pure_marginal(state: PureState, keep) -> DensityMatrix:
     return DensityMatrix(*_marginal_entries(state, keep))
 
 
+def single_qubit_spectra(*states: PureState) -> np.ndarray:
+    """Each qubit's marginal spectrum, ascending, one row per qubit, the states' rows in order (qubit q of the first
+    state in row q - 1): one eigvalsh on the stacked Grams of every state, no `DensityMatrix`.  The dense oracle of
+    `measures.marginal_spectrum`."""
+    grams = []
+    for state in states:
+        for q in range(state.num_qubits):  # qubit q + 1's bit indexes the rows, the other qubits' bits the columns
+            m = state.amplitudes.reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
+            grams.append(m @ m.conj().T)
+    return np.linalg.eigvalsh(np.array(grams))
+
+
+def spectrum_entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum(l log2 l) along each row of single-qubit eigenvalues, in bits, with 0 log 0 := 0 for l <= 1e-14.
+
+    One unmasked log2 over the stack, each dropped eigenvalue replaced by 1 (a log2 with ``where=`` runs another
+    loop, which rounds some values differently)."""
+    kept = np.where(spectra > ENTROPY_CUTOFF, spectra, 1.0)
+    return -(kept * np.log2(kept)).sum(axis=-1)
+
+
 def entropy_of_eigenvalues(evals: np.ndarray) -> float:
     """-sum(l log2 l) over a density matrix's eigenvalues, in bits, with 0 log 0 := 0: the per-spectrum form of
-    `linalg.spectrum_entropies`."""
+    `spectrum_entropies`."""
     evals = evals[evals > ENTROPY_CUTOFF]
     return float(-np.sum(evals * np.log2(evals)))
 

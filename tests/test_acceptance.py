@@ -19,7 +19,6 @@ from qcobweb.linalg import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    single_qubit_spectra,
     state_fidelity,
 )
 from qcobweb.measures import (
@@ -49,7 +48,7 @@ from qcobweb.states import (
 )
 
 from _helpers import random_qubit, reference_0_output
-from oracles import cobweb_state, outer, target_vector
+from oracles import cobweb_state, outer, single_qubit_spectra, target_vector
 
 CUBE = roots_of_unity_zsa(3)
 ENTROPY_THIRD = 0.9182958340544896

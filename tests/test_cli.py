@@ -1225,6 +1225,21 @@ def test_run_rejects_parties_past_the_dense_cap(capsys, tmp_path, monkeypatch, e
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("source", [["--gen", "roots:21"], "coeffs"], ids=["gen", "coeffs"])
+def test_measures_rejects_parties_past_the_dense_cap(capsys, tmp_path, monkeypatch, source):
+    """The report builds no dense state, yet refuses 21 parties as `run` does, from a generator or a file, before
+    writing anything."""
+    monkeypatch.chdir(tmp_path)
+    if source == "coeffs":
+        c = np.exp(2j * np.pi * np.arange(21) / 21) / math.sqrt(21)
+        Path("c21.json").write_text(json.dumps({"coeffs": [[v.real, v.imag] for v in c.tolist()]}))
+        source = ["--coeffs", "c21.json"]
+    code, out, err = run_cli(capsys, "measures", *source, "--theta", "1.0", "--output", "report.json")
+    assert (code, out) == (2, "")
+    assert err == "invalid request: dense statevectors are limited to 20 qubits\n"
+    assert not Path("report.json").exists()
+
+
 def test_run_stops_quietly_when_stdout_closes(tmp_path):
     """`qcobweb run ... | head -1`: a reader that goes away ends the call with exit 0 and nothing on stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -1475,31 +1490,30 @@ class SeededCoeffs:
         return str(path)
 
 
-# SHA-256 of stdout, recorded from the implementation that built the claims row
-# by row and wrote each CSV through its own writer (numpy 2.4.6, x86-64).  The claims and cube `measures` pins
-# were re-recorded when those reports took their outputs from `bell_table`: only oracle fields moved, and the
-# global sign of `recovery.success_state`.
-# The three `--coeffs` pins were recorded from the implementation that took each party's entropies one at a time
-# and wrote the report with `json.dumps(..., indent=2)`.  Their amplitude magnitudes differ, so unlike the cube's
-# they pin the rounding of every per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form
-# prints 0.0 and its oracle -0.0.
+# SHA-256 of stdout (numpy 2.4.6, x86-64).  The scaling pins were recorded from the implementation that wrote each
+# CSV through its own writer.  The claims and `measures` pins were re-recorded when every single-qubit marginal oracle
+# came from `measures.marginal_spectrum`, in plain floats from the slots, in place of a BLAS Gram and a stacked
+# eigensolve: only oracle fields moved, and they read the same under OpenBLAS's SkylakeX, Haswell and Nehalem kernels.
+# The three `--coeffs` states' amplitude magnitudes differ, so unlike the cube's they pin the rounding of every
+# per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form prints 0.0, while its oracle keeps
+# the larger eigenvalue's -l log2 l, 1.6e-16.
 GOLDEN_REPORTS = [
-    (["claims"], "5072b6b35e6fe8872bebfa7ab2c45003d1cc13bd9ebe31f86132b1e802223201"),
-    (["claims", "--format", "json"], "34883ad21fc1ea2b3c3edfd27757a965aada9460e46b4f528d3e090415872492"),
-    (["claims", "--format", "csv"], "9261da5f1482d3bb6dfa7f2b9e18067ac1981e19e52ba733e4915641dd648367"),
+    (["claims"], "777adac2c20bc35c98eb62a3c75dcd8eea254362ff0d48d712c2e02f7349b21b"),
+    (["claims", "--format", "json"], "4d32e6a3f1052f0096320a8b9fd9b513e1380d8ac6b36cec48bfd8fdfd056721"),
+    (["claims", "--format", "csv"], "3b4f2366697f2d04ad221aa25b06f4ae23d2db1f8ff9f27d37021b59caf0f888"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"],
-     "046e1aeb04ec56cd2df5684d00a1d2c485838e0fe9ad5f978af3061fa461dd3e"),
+     "61e99f1d558bf4e59ca076dcecd4b4d2e40502ed7de030fcb2632d64383d32e8"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3", "--format", "csv"],
-     "9974e50e5ae439ac57424f0a7053be106fa3b0a571f542fbaec8d42127f785b5"),
+     "a06027ccb7305370cd3d86b0c34fc239600aae52f0f56e2f9e08e7a969adc91a"),
     (["scaling", "--max", "40"], "a3b9808e77986abc69f686e2160312627c9c03cde57aeac2db057e098e71cf17"),
     (["scaling", "--max", "40", "--format", "csv"],
      "73755f0a747d115d7e406d70fefc8bf39a985977e8d6fdbb74df258265a0301d"),
     (["measures", "--coeffs", SeededCoeffs(4, 2304), "--theta", "0.7", "--phi", "0.2"],
-     "715f983573715d3897c820350e1ac340fab5dce0151659cbaf57a47f5885f96e"),
+     "9639c45041ae74b328d28af47bce6e6aed686f20b4d2a490ba4d4ad422924dc5"),
     (["measures", "--coeffs", SeededCoeffs(5, 2305), "--theta", "2.3", "--phi", "4.1"],
-     "1dac4d11632501b215c019fa40c5bd6c8a37ce39342e3177f89e73530c87d304"),
+     "e0b9b4f72a41b01dfab175090be02aed10c0179b07cafaad83c2befe2c40e8d8"),
     (["measures", "--coeffs", SeededCoeffs(8, 2308, tiny=True), "--theta", "1.9", "--phi", "5.5"],
-     "f9bb21a1088d3ac42fd42743f107ed61b98a844d7f96e125171f8d8b116b9dbd"),
+     "bd46ebd32f655ba13b381fe1e79a6d1dca76b0dc28d0a91f58f8fcb5519e49c3"),
 ]
 
 
@@ -1519,13 +1533,14 @@ def test_report_golden_output(capsys, tmp_path, argv, digest):
 
 @pytest.mark.parametrize(
     "argv,budget",
-    [(["measures", "--gen", "roots:8"], 1), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 5)],
+    [(["measures", "--gen", "roots:8"], 0), (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"], 4)],
     ids=["roots8", "cube"],
 )
 def test_measures_eigensolve_budget(capsys, monkeypatch, argv, budget):
-    """One stacked eigensolve for every single-qubit marginal of a report, the shared state's and, for the cube,
-    both outputs'; the cube's other four are the PPT oracle, the positivity check of its one pair marginal and the
-    concurrence oracle's two."""
+    """No eigensolve for any single-qubit marginal of a report, the shared state's or, for the cube, both outputs'
+    (`measures.marginal_spectrum` reads them off the slots); the cube's four are the PPT oracle, the positivity check
+    of its one pair marginal and the concurrence oracle's two.  Nor a dense state for them: no `build_state` call,
+    and the one output vector built is the reference-0 one that the CNOT recovery acts on."""
     calls = []
 
     def counted(name, real):
@@ -1536,8 +1551,14 @@ def test_measures_eigensolve_budget(capsys, monkeypatch, argv, budget):
 
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(cli, "build_state", counted("build_state", cli.build_state))
+    vector = protocol.CobwebState.vector.func
+    monkeypatch.setattr(protocol.CobwebState, "vector",
+                        property(lambda cw: counted(f"vector-{cw.reference_bit}", vector)(cw)))
     assert run_cli(capsys, *argv)[0] == 0
-    assert len(calls) == budget, calls
+    eigensolves = [name for name in calls if name.startswith("eig")]
+    assert len(eigensolves) == budget, calls
+    assert [name for name in calls if not name.startswith("eig")] == (["vector-0"] if budget else []), calls
 
 
 def test_claims_sign_rule_counts_disagreements(capsys, monkeypatch):
