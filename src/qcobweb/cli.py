@@ -9,6 +9,8 @@ Subcommands:
 * ``claims``    reference numeric claims vs computed values, pass/flag status
 
 A call parses its arguments once, with its subcommand's own parser (`main`).
+``validate`` prints the figures its source's check computed once, in plain
+floats (`states.ZsaAmplitudes`): correctly rounded sums and libm moduli.
 A `run` call renders a branch's row of one `protocol.bell_table` when it first
 draws that branch (`_branch_row`): a head and an amplitude text filled once per
 distinct row, so at most two fills at even N and three at odd N.  Forced and
@@ -185,14 +187,14 @@ def _csv_lines(header, rows):
 
 
 def cmd_validate(args) -> int:
-    """The four figures of a valid source: plain lines, one JSON object, or ``key,value`` rows."""
+    """The party count and the figures of its source's check: plain lines, one JSON object, or ``key,value`` rows."""
     _refuse_overwriting_coeffs(args, "output")
     z = _resolve_source(args)
     figures = {
         "parties": z.num_parties,
-        "sum_residual": abs(complex(np.sum(z.coeffs))),
-        "norm_deviation": abs(math.fsum((z.coeffs.view(np.float64) ** 2).tolist()) - 1.0),
-        "min_abs_coefficient": float(np.min(np.abs(z.coeffs))),
+        "sum_residual": abs(z.amplitude_sum),
+        "norm_deviation": abs(z.squared_norm - 1.0),
+        "min_abs_coefficient": z.min_modulus,
     }
     if args.format == "json":
         _emit([json.dumps(figures) + "\n"], args.output)

@@ -12,7 +12,8 @@ Conventions used by every module in this package:
 
 * Qubits are labeled 1..n and ordered big-endian: qubit 1 is the most
   significant bit of a computational-basis index.
-* All entropies and logarithms are base 2 (bits / ebits).
+* All entropies and logarithms are base 2 (bits / ebits); `binary_entropy`
+  takes libm's `math.log2`, so its bits do not follow numpy's SIMD dispatch.
 * Construction checks use a 1e-12 tolerance; eigenvalue positivity allows
   1e-10 of eigensolver noise; eigenvalues below 1e-14 count as exactly zero
   in entropy sums.
@@ -25,6 +26,7 @@ a pure function, so concurrent use is safe.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +155,8 @@ def binary_entropy(p: float) -> float:
     total = 0.0
     for q in (p, 1.0 - p):
         if q > ENTROPY_CUTOFF:
-            total -= q * np.log2(q)
-    return float(total)
+            total -= q * math.log2(q)  # libm's log2, not numpy's, whose last bit follows its SIMD target
+    return total
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:

@@ -2,13 +2,18 @@
 
 The special ZSA class puts one complex amplitude c_k on each one-hot basis
 string |x_k> (all zeros except a single 1 at party k), with sum(c_k) = 0 and
-sum(|c_k|^2) = 1 and every c_k nonzero.
+sum(|c_k|^2) = 1 and every c_k nonzero.  `ZsaAmplitudes` checks these once,
+in plain floats: each sum correctly rounded by `math.fsum`, each modulus
+libm's hypot (complex ``abs``), so no figure depends on the BLAS kernel or on
+numpy's SIMD dispatch.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,38 +51,64 @@ class AmplitudeFileError(ValueError):
     """An amplitude JSON document is structurally malformed."""
 
 
+def _fsum(values) -> float:
+    """`math.fsum`, or inf where a partial sum of finite values passes the largest double."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _sums(parts: list[float]) -> tuple[complex, float]:
+    """The sum and the squared norm of finite amplitudes given as their interleaved (re, im) parts.
+
+    Each real figure is the correctly rounded sum of its terms: of the real or imaginary parts, or of the 2N
+    squared parts, each square rounded once.  A sum past the largest double reads inf.
+    """
+    return complex(_fsum(parts[0::2]), _fsum(parts[1::2])), _fsum(map(operator.mul, parts, parts))
+
+
 @dataclass(frozen=True, eq=False)
 class ZsaAmplitudes:
-    """One amplitude per party: zero sum, unit norm, all entries nonzero."""
+    """One amplitude per party: zero sum, unit norm, all entries nonzero.
+
+    The invariants are checked once, in plain floats (`_sums`), and their figures kept: ``amplitude_sum``,
+    ``squared_norm`` and ``min_modulus``, the smallest ``abs`` (libm's hypot) of an amplitude.
+    """
 
     coeffs: np.ndarray
+    amplitude_sum: complex = field(init=False, repr=False)
+    squared_norm: float = field(init=False, repr=False)
+    min_modulus: float = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=complex).reshape(-1)
         if arr.size < 2:
             raise ValueError(f"need at least 2 coefficients, got {arr.size}")
-        if not np.isfinite(arr).all():  # complex isfinite: both parts finite
+        values = arr.tolist()
+        if not all(map(cmath.isfinite, values)):  # both parts finite
             raise ValueError("coefficients must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):  # parts near the largest double sum to inf or nan
-            total = complex(arr.sum())
-        if not abs(total) <= CONSTRUCTION_TOL:
-            raise ZeroSumViolation(
-                f"coefficients sum to {total!r} (|sum| = {abs(total):.6e}, required 0)", abs(total)
-            )
-        sq = float(np.vdot(arr, arr).real)
+        total, sq = _sums(arr.view(np.float64).tolist())
+        try:
+            size = abs(total)
+        except OverflowError:  # finite parts whose modulus passes the largest double
+            size = math.inf
+        if not size <= CONSTRUCTION_TOL:
+            raise ZeroSumViolation(f"coefficients sum to {total!r} (|sum| = {size:.6e}, required 0)", size)
         if abs(sq - 1.0) > CONSTRUCTION_TOL:
             raise NormalizationViolation(
                 f"squared moduli sum to {sq!r} (deviation {abs(sq - 1.0):.6e} from 1)",
                 abs(sq - 1.0),
             )
-        smallest = float(np.min(np.abs(arr)))
+        smallest = min(map(abs, values))  # every modulus is at most about 1 here, so none overflows
         if smallest <= ZERO_AMPLITUDE_TOL:
             raise ZeroAmplitude(
                 f"smallest amplitude magnitude {smallest:.6e} is indistinguishable from 0",
                 smallest,
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        for name, value in (("coeffs", arr), ("amplitude_sum", total), ("squared_norm", sq), ("min_modulus", smallest)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_parties(self) -> int:

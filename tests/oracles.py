@@ -8,7 +8,8 @@ protocol output from its definition, the reference-string target, and are the
 oracle of every output `protocol.bell_table` makes.  The `exact_*` oracles
 evaluate closed forms in `EXACT_DIGITS`-digit decimals from the exact values of
 the float inputs, so they bound the program's rounding error itself, not the
-gap between two float paths.
+gap between two float paths.  `numpy_zsa_verdict` is the ZSA check in numpy
+reductions, the differential oracle of the package's plain-float check.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from decimal import Decimal
 import numpy as np
 
 from qcobweb.linalg import (
+    CONSTRUCTION_TOL,
     ENTROPY_CUTOFF,
     PRODUCT_TOL,
     DensityMatrix,
@@ -35,7 +37,16 @@ from qcobweb.protocol import (
     _require_protocol,
     normalization_constants,
 )
-from qcobweb.states import UnknownQubit, ZsaAmplitudes, build_state, slot_positions
+from qcobweb.states import (
+    ZERO_AMPLITUDE_TOL,
+    NormalizationViolation,
+    UnknownQubit,
+    ZeroAmplitude,
+    ZeroSumViolation,
+    ZsaAmplitudes,
+    build_state,
+    slot_positions,
+)
 
 IMPOSSIBLE_PROBABILITY = 1e-14
 EXACT_DIGITS = 60
@@ -62,6 +73,22 @@ CORRECTION_GATES = {
     BellOutcome.PSI_PLUS: PAULI_Z,
     BellOutcome.PSI_MINUS: IDENTITY_2,
 }
+
+
+def numpy_zsa_verdict(coeffs) -> type | None:
+    """The `ZsaValidationError` class that the ZSA check in numpy reductions raises on finite coefficients, or None.
+
+    This is `ZsaAmplitudes`'s check as numpy ufuncs: a pairwise ``sum``, the squared norm as a BLAS ``zdotc`` and the
+    smallest ``np.abs``, in the same order and against the same bounds as the package's plain-float check.
+    """
+    arr = np.array(coeffs, dtype=complex).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # parts near the largest double sum to inf or nan
+        total = complex(arr.sum())
+    if not abs(total) <= CONSTRUCTION_TOL:
+        return ZeroSumViolation
+    if abs(float(np.vdot(arr, arr).real) - 1.0) > CONSTRUCTION_TOL:
+        return NormalizationViolation
+    return ZeroAmplitude if float(np.min(np.abs(arr))) <= ZERO_AMPLITUDE_TOL else None
 
 
 class ImpossibleOutcome(ValueError):

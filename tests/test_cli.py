@@ -134,11 +134,21 @@ def test_coeffs_file_is_read_on_every_call(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["validate"], ["measures"], ["run", "--theta", "1.0"]], ids=lambda a: a[0])
 def test_coefficients_near_the_largest_double_exit_2_with_one_line(capsys, tmp_path, argv):
+    """Sums past the largest double read inf: a sum of parts, the sum's modulus, or the squared norm."""
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"coeffs": [[1e308, 1e308], [1e308, 1e308], [-1e308, 0]]}))
-    code, out, err = run_cli(capsys, *argv, "--coeffs", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("ZeroSumViolation: ") and err.count("\n") == 1
+    for coeffs, line in [
+        ([[1e308, 1e308], [1e308, 1e308], [-1e308, 0]], "ZeroSumViolation: "),
+        ([[1.5e308, 1.5e308], [-1, 0], [1, 0]],
+         "ZeroSumViolation: coefficients sum to (1.5e+308+1.5e+308j) (|sum| = inf, required 0)\n"),
+        ([[1e154, 0], [-1e154, 0], [1e154, 0], [-1e154, 0]],
+         "NormalizationViolation: squared moduli sum to inf (deviation inf from 1)\n"),
+        ([[1.5e308, 1.5e308], [-1.5e308, -1.5e308]],
+         "NormalizationViolation: squared moduli sum to inf (deviation inf from 1)\n"),
+    ]:
+        path.write_text(json.dumps({"coeffs": coeffs}))
+        code, out, err = run_cli(capsys, *argv, "--coeffs", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(line) and err.count("\n") == 1
 
 
 def test_validate_unknown_generator(capsys):
@@ -562,6 +572,70 @@ def test_validate_output_on_every_blas_kernel(tmp_path):
     outputs = {kernel: _stdout_on_kernel(kernel, _VALIDATE_OUTPUTS, stdin, tmp_path)
                for kernel in _host_blas_kernels()}
     assert len(set(outputs.values())) == 1, outputs
+
+
+# Runs every argv read as JSON from stdin and prints numpy's CPU feature table, then the outputs.
+_CLI_OUTPUTS = """
+import contextlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from qcobweb.cli import main
+outputs = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    outputs.append(out.getvalue())
+print(json.dumps([__cpu_features__, outputs]))
+"""
+
+
+def _outputs_with_targets_off(targets: list[str], argvs: list[list[str]], cwd) -> tuple[dict, list[str]]:
+    """numpy's feature table and the stdout of each argv, in one process that dispatches none of ``targets``.
+
+    With no targets the process takes numpy's default dispatch, whatever ``NPY_DISABLE_CPU_FEATURES`` this one runs
+    under."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if targets:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    proc = subprocess.run([sys.executable, "-c", _CLI_OUTPUTS], capture_output=True, text=True, env=env, cwd=cwd,
+                          input=json.dumps(argvs), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    features, outputs = json.loads(proc.stdout)
+    assert not any(features[t] for t in targets), features  # the switch took
+    return features, outputs
+
+
+@pytest.mark.parametrize("baseline", ["avx512-off", "x86-v2"])
+def test_outputs_on_every_simd_target(tmp_path, baseline):
+    """`validate`, `measures` at N = 4..8 and `scaling` print the same bytes whatever numpy's SIMD dispatch: each
+    figure is plain-float arithmetic on libm's ``abs``, ``log2`` and `math.fsum`, with no numpy ufunc.
+
+    The default dispatch is compared with its AVX-512 targets off (AVX2 and FMA stay) and with X86_V3 off as well,
+    numpy's no-FMA X86_V2 baseline, each where this host dispatches it.  Reports at N = 3 are left out: their
+    `bell_table` rows use numpy's complex multiply, whose FMA moves their last bits (ROADMAP item 10).
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    rng, argvs = np.random.default_rng(33), [["scaling", "--max", "10000"]]
+    for n in range(4, 9):
+        for k in range(24):
+            path = tmp_path / f"s{n}-{k}.json"
+            path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in random_zsa(n, rng).coeffs.tolist()]}))
+            theta, phi = float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
+            argvs += [["validate", "--coeffs", str(path), "--format", "json"],
+                      ["measures", "--coeffs", str(path), "--theta", repr(theta), "--phi", repr(phi)]]
+    argvs += [["validate", "--gen", f"roots:{n}", "--format", "json"] for n in (6, 13, 14, 17, 19, 20)]
+    features, default = _outputs_with_targets_off([], argvs, tmp_path)
+    targets = [t for t in __cpu_dispatch__ if (t.startswith("AVX512") or t == "X86_V4") and features[t]]
+    if baseline == "x86-v2":
+        if not ("X86_V3" in __cpu_dispatch__ and features["X86_V3"]):
+            pytest.skip("numpy dispatches no X86_V3 target on this host")
+        targets.append("X86_V3")
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this host")
+    outputs = _outputs_with_targets_off(targets, argvs, tmp_path)[1]
+    assert [argv for argv, a, b in zip(argvs, default, outputs) if a != b] == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +14,15 @@ from qcobweb.linalg import (
     state_fidelity,
 )
 from qcobweb.states import (
+    ZERO_AMPLITUDE_TOL,
     AmplitudeFileError,
     NormalizationViolation,
     UnknownQubit,
     ZeroAmplitude,
     ZeroSumViolation,
     ZsaAmplitudes,
+    ZsaValidationError,
+    _sums,
     build_state,
     coefficients_from_document,
     epr_zsa,
@@ -28,7 +34,14 @@ from qcobweb.states import (
     slot_positions,
 )
 
-from oracles import ImpossibleOutcome, basis_state, equal_up_to_global_phase, outer, project_qubit
+from oracles import (
+    ImpossibleOutcome,
+    basis_state,
+    equal_up_to_global_phase,
+    numpy_zsa_verdict,
+    outer,
+    project_qubit,
+)
 
 S2 = 1.0 / np.sqrt(2.0)
 SINGLET = PureState(2, np.array([0, -S2, S2, 0]))
@@ -62,11 +75,112 @@ def test_zero_amplitude():
 @pytest.mark.parametrize("coeffs", [
     [1e308 + 1e308j, 1e308 + 1e308j, -1e308],  # the sum overflows to inf
     [1e308, -1e308, 1e-3, 1e-3, 1e308, -1e308, 1e-3, 1e-3],  # numpy's pairwise sum meets inf - inf: nan
-], ids=["inf-sum", "nan-sum"])
+    [1.5e308 + 1.5e308j, -1.0, 1.0],  # a finite sum whose modulus overflows complex abs
+], ids=["inf-sum", "nan-sum", "inf-modulus"])
 def test_coefficients_near_the_largest_double_fail_the_zero_sum_check(coeffs):
-    """Finite parts whose sum overflows raise a `ZeroSumViolation`, not numpy's RuntimeWarning (an error here)."""
+    """Finite parts whose sum or its modulus overflows raise a `ZeroSumViolation`, not numpy's RuntimeWarning (an
+    error here) or an OverflowError."""
     with pytest.raises(ZeroSumViolation, match="coefficients sum to"):
         ZsaAmplitudes(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1e154, -1e154, 1e154, -1e154],  # each square is finite, their sum is not: `math.fsum` overflows
+    [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j],  # each square is inf; numpy's zdotc reads nan, which no bound refuses
+], ids=["fsum-overflow", "inf-squares"])
+def test_squared_parts_past_the_largest_double_fail_the_norm_check(coeffs):
+    with pytest.raises(NormalizationViolation) as err:
+        ZsaAmplitudes(coeffs)
+    assert str(err.value) == "squared moduli sum to inf (deviation inf from 1)"
+    assert err.value.residual == math.inf
+
+
+def test_the_check_keeps_its_figures_read_only():
+    z = roots_of_unity_zsa(5)
+    for name in ("amplitude_sum", "squared_norm", "min_modulus"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(z, name, 0.0)
+    with pytest.raises(TypeError):
+        ZsaAmplitudes(z.coeffs, squared_norm=1.0)
+
+
+def _exact_sums(parts: list[float]) -> tuple[complex, float]:
+    """The sum and the squared norm of interleaved (re, im) parts, in exact rationals rounded once to a double; each
+    square is the double ``x * x``, as in the check."""
+    re, im = (float(sum(map(Fraction, half))) for half in (parts[0::2], parts[1::2]))
+    return complex(re, im), float(sum(Fraction(x * x) for x in parts))
+
+
+def _sweep_parts(rng: np.random.Generator, n: int) -> list[float]:
+    """2n parts of log-uniform magnitude from 1e-150 to 1e150 and random sign; for odd n the last amplitude cancels
+    the numpy sum of the others, leaving a residual far below the parts."""
+    parts = (rng.choice([-1.0, 1.0], 2 * n) * 10.0 ** rng.uniform(-150.0, 150.0, 2 * n)).tolist()
+    if n % 2:
+        head = np.array(parts[:-2]).view(complex).sum()
+        parts[-2:] = [-head.real, -head.imag]
+    return parts
+
+
+def test_the_check_figures_are_correctly_rounded():
+    """Exact oracle: the sum's parts and the squared norm equal exact rational sums rounded once, bit for bit, over
+    N = 2..64 and 1000 with parts from 1e-150 to 1e150 and near-cancelling sums; the smallest modulus is the smallest
+    ``abs`` of the stored amplitudes, on seeded valid states."""
+    rng = np.random.default_rng(3301)
+    for n in [*range(2, 65), 1000]:
+        for _ in range(8 if n < 1000 else 2):
+            parts = _sweep_parts(rng, n)
+            assert _sums(parts) == _exact_sums(parts), (n, parts)
+            z = random_zsa(n, rng)
+            assert (z.amplitude_sum, z.squared_norm) == _exact_sums(z.coeffs.view(np.float64).tolist())
+            assert z.min_modulus == min(abs(c) for c in z.coeffs.tolist())
+
+
+def _near_bound(rng: np.random.Generator, n: int, offset) -> np.ndarray:
+    """A seeded valid state moved by about ``offset()`` across one bound: its sum, its squared norm, or one modulus."""
+    c = random_zsa(n, rng).coeffs.copy()
+    kind, phase = int(rng.integers(3)), np.exp(2j * np.pi * rng.random())
+    if kind == 0:
+        c[0] += offset() * phase
+    elif kind == 1:
+        c *= math.sqrt(1.0 + offset() * rng.choice([-1.0, 1.0]))
+    else:
+        k = int(rng.integers(n))
+        c[(k + 1) % n] += c[k] - offset() * phase
+        c[k] = offset() * phase
+        c /= np.linalg.norm(c)
+    return c
+
+
+def test_the_check_matches_the_numpy_check():
+    """Differential check against the numpy reductions the check replaced (`oracles.numpy_zsa_verdict`).
+
+    On states moved across a bound by 1e-13 to 1e-11, and on parts from 1e-150 to 1e150, both raise the same class,
+    or none.  On states within 2e-15 of a bound they may differ, and only where the deciding figure lies within 1e-15
+    of its bound: there the numpy sums' own rounding (a pairwise sum, an OpenBLAS zdotc) decides.  Parts that cancel
+    numpy's own pairwise sum are left out: numpy's residual reads 0 there by construction, whatever the exact one.
+    """
+    rng = np.random.default_rng(3302)
+
+    def verdict(coeffs):
+        try:
+            ZsaAmplitudes(coeffs)
+        except ZsaValidationError as err:
+            return type(err)
+        return None
+
+    sizes = [*range(2, 65), 1000]
+    wide = [np.array(_sweep_parts(rng, n)).view(complex) for n in sizes if n % 2 == 0]
+    moved = [_near_bound(rng, n, lambda: 10.0 ** rng.uniform(-13.0, -11.0)) for n in sizes for _ in range(8)]
+    for coeffs in wide + moved:
+        assert verdict(coeffs) is numpy_zsa_verdict(coeffs), coeffs
+    edge = [_near_bound(rng, n, lambda: 1e-12 + rng.uniform(-2e-15, 2e-15)) for n in sizes for _ in range(8)]
+    differ = [c for c in edge if verdict(c) is not numpy_zsa_verdict(c)]
+    for c in differ:
+        total, sq = _sums(c.view(np.float64).tolist())
+        gaps = (abs(abs(total) - CONSTRUCTION_TOL), abs(abs(sq - 1.0) - CONSTRUCTION_TOL),
+                abs(min(abs(c)) - ZERO_AMPLITUDE_TOL))
+        assert min(gaps) <= 1e-15, (c, gaps)
+    assert len(differ) < len(edge) // 10
 
 
 def test_too_short():
