@@ -17,10 +17,11 @@ distinct row, so at most two fills at even N and three at odd N.  Forced and
 sampled trials take one path: a forced ``--outcome`` is one-hot weights, and
 trial 0 is drawn by a scalar `bisect`, the rest in blocks, from one
 `protocol.outcome_cdf` and one generator.  Each trial is written as two parts:
-its last index digits from digit tables (`_index_runs`), and its row followed
-by the next trial's lead.  A three-party `measures` report reads both its
-outputs from one `bell_table` and hands the reference-0 one to `obstruction`,
-which builds only psi_perp's table: two tables per report.  It takes each
+its last index digits from digit tables (`_index_runs`), and its row (the
+table's plain floats, which no BLAS kernel or SIMD target moves) followed by
+the next trial's lead.  A three-party `measures` report reads both its outputs
+from one `bell_table` and hands the reference-0 one to `obstruction`, which
+builds only psi_perp's table: two tables per report.  It takes each
 single-qubit oracle from slots (`measures.marginal_spectrum`), and is written by
 `_indented_json`: the bytes of ``json.dumps(report, indent=2)`` without
 `json`'s pure-Python indenting encoder.  Per-process caches, by key and bound:
@@ -397,7 +398,7 @@ def cmd_run(args) -> int:
 
 def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     n = z.num_parties
-    shared = [0.0, 0.0, *z.coeffs.view(np.float64).tolist()]  # slot 0, the all-zero string, holds nothing
+    shared = [0.0, 0.0, *z.parts]  # slot 0, the all-zero string, holds nothing
     closed = [splitting_entropy(z, k) for k in range(1, n + 1)]
     oracle = [-math.fsum([x * math.log2(x) for x in marginal_spectrum(shared, k) if x > ENTROPY_CUTOFF])
               for k in range(1, n + 1)]

@@ -13,7 +13,8 @@ Conventions used by every module in this package:
 * Qubits are labeled 1..n and ordered big-endian: qubit 1 is the most
   significant bit of a computational-basis index.
 * All entropies and logarithms are base 2 (bits / ebits); `binary_entropy`
-  takes libm's `math.log2`, so its bits do not follow numpy's SIMD dispatch.
+  takes libm's `math.log2` and `math.log1p`, so its bits do not follow
+  numpy's SIMD dispatch, and it keeps its relative precision at small p.
 * Construction checks use a 1e-12 tolerance; eigenvalue positivity allows
   1e-10 of eigensolver noise; eigenvalues below 1e-14 count as exactly zero
   in entropy sums.
@@ -148,15 +149,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) = -p log2 p - (1-p) log2 (1-p) in bits."""
+    """H2(p) = -p log2 p - (1-p) log2 (1-p) in bits, with log2 (1-p) taken as log1p(-p) / ln 2, so the rounding of
+    1 - p never enters a logarithm.  libm's logarithms, not numpy's, whose last bit follows its SIMD target."""
     if p < -CONSTRUCTION_TOL or p > 1.0 + CONSTRUCTION_TOL:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     p = min(max(float(p), 0.0), 1.0)
-    total = 0.0
-    for q in (p, 1.0 - p):
-        if q > ENTROPY_CUTOFF:
-            total -= q * math.log2(q)  # libm's log2, not numpy's, whose last bit follows its SIMD target
-    return total
+    head = p * math.log2(p) if p > ENTROPY_CUTOFF else 0.0
+    tail = (1.0 - p) * math.log1p(-p) / math.log(2.0) if 1.0 - p > ENTROPY_CUTOFF else 0.0
+    return 0.0 - (head + tail)  # 0.0, not -0.0, where both terms are zero
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:

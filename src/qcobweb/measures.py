@@ -104,16 +104,16 @@ def marginal_spectrum(parts, j: int) -> tuple[float, float]:
 
     ``parts`` holds the slots as (re, im) floats in turn, as a `BellTable` row does: slot 0 on the all-r string, slot
     k on it with qubit k flipped; the shared state is the row (0, c_1, ..., c_N).  With s = |a_j|^2 and top the fsum of
-    every other |a_k|^2, the marginal is [[top, a_0 a_j*], [., s]]: eigenvalues mean -+ hypot((top - s)/2, |a_0||a_j|)
-    with mean = (top + s)/2, a form that keeps the gap of a near-degenerate pair, which (T +- sqrt(T^2 - 4 s top))/2
-    loses to cancellation."""
+    every other |a_k|^2, the marginal is [[top, a_0 a_j*], [., s]]: the larger eigenvalue is mean + hypot((top - s)/2,
+    |a_0||a_j|), mean = (top + s)/2, which keeps a near-degenerate gap, and the smaller the determinant s r over it,
+    r the fsum of the other flipped |a_k|^2 (`bell_table`'s d_j), which keeps its relative precision."""
     weights = [re * re + im * im for re, im in zip(parts[::2], parts[1::2])]
     if not 1 <= j < len(weights):
         raise ValueError(f"qubit {j} out of range 1..{len(weights) - 1}")
-    s, top = weights[j], math.fsum(weights[:j] + weights[j + 1:])
+    s, top, rest = weights[j], math.fsum(weights[:j] + weights[j + 1:]), math.fsum(weights[1:j] + weights[j + 1:])
     mean = 0.5 * (top + s)
-    half = math.hypot(0.5 * (top - s), math.hypot(parts[0], parts[1]) * math.hypot(parts[2 * j], parts[2 * j + 1]))
-    return mean - half, mean + half
+    large = mean + math.hypot(0.5 * (top - s), math.hypot(*parts[:2]) * math.hypot(*parts[2 * j:2 * j + 2]))
+    return s * rest / large, large
 
 
 def cobweb_spectrum(c: CobwebState) -> dict:

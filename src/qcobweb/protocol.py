@@ -22,7 +22,8 @@ of PsiMinus and PhiMinus, one per reference bit, and flags the product ones;
 PsiPlus is PsiMinus and PhiPlus is (-1)^N PhiMinus.  It is the one builder of
 protocol outputs: every run reads its branch from that table, a sampled run
 draws it from `outcome_cdf` of its probabilities, and the reports take their
-outputs from its identity and sigma_x rows.
+outputs from its identity and sigma_x rows.  It makes no numpy call, so its
+bytes depend on neither the BLAS kernel nor numpy's SIMD dispatch.
 """
 from __future__ import annotations
 
@@ -46,10 +47,6 @@ class DegenerateBranch(ValueError):
     |c_1|^2 / 2).  `BellTable.probability` is its one source, so every refusal reads the same: the branch, its output,
     the table's own qubit and the exact probability.  A `ValueError`, so the CLI exits 2 on it, as on any other domain
     error."""
-
-
-class NonPositiveNorm(RuntimeError):
-    """Closed-form normalization came out nonpositive; internal consistency failure."""
 
 
 class BellOutcome(Enum):
@@ -155,9 +152,8 @@ class BellTable:
 
     Entry ``o.value`` of each tuple, a plain Python value, belongs to outcome ``o``.  ``rows`` holds each output's N
     slots of reference bit ``CORRECTIONS[o][0]`` as 2N floats, real and imaginary part in turn; a row whose
-    probability is below `DEGENERATE_PROBABILITY` is left unnormalized, and if both rows of a reference bit are, its
-    norm constant is None.  ``products`` flags the outputs whose single-qubit marginals are all pure within
-    `PRODUCT_TOL`, as the dense oracle says of `CobwebState.vector`.
+    probability is below `DEGENERATE_PROBABILITY` is left unnormalized.  ``products`` flags the outputs whose
+    single-qubit marginals are all pure within `PRODUCT_TOL`, as the dense oracle says of `CobwebState.vector`.
     """
 
     qubit: UnknownQubit
@@ -165,7 +161,7 @@ class BellTable:
     probabilities: tuple[float, ...]
     rows: tuple[tuple[float, ...], ...]
     products: tuple[bool, ...]
-    norm_constants: tuple[float | None, float | None]  # N(alpha), N(beta): those of reference bits 0 and 1
+    norm_constants: tuple[float, float]  # N(alpha), N(beta): those of reference bits 0 and 1
 
     def probability(self, outcome: BellOutcome) -> float:
         """The probability of ``outcome``.  Raises `DegenerateBranch` on a degenerate row; a branch on the bound is
@@ -194,15 +190,18 @@ def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
     Two outputs, partners by the pinned relations: only PsiMinus and PhiMinus are built; PsiPlus shares PsiMinus's row,
     probability and flag, and PhiPlus PhiMinus's, each part taken ``0.0 - x`` at odd N.  Party 1 is set only where
     parties 2..N are all 0 (c_1) and clear only where one, party k, is 1 (c_k): with r the reference bit, slot 0 is v_r
-    c_1 and slot k is v_(1-r) c_k, times a Bell-vector entry.  The products v_a c_k are the one numpy call; the rest
-    works on their parts as floats, bit for bit numpy's contraction, whose complex-by-real divide multiplies by the
-    reciprocal.  Each probability is the correctly rounded sum of its row's 2N squared parts, so no BLAS kernel moves
-    it, and ``+ 0.0`` turns ``-0.0`` into ``0.0``.  A flag tests d / (1/2 + sqrt(1/4 - d)), the smaller eigenvalue of
-    qubit j's marginal at d = d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d.  A
-    reference bit whose rows are degenerate takes no norm constant, whose closed form may round to zero.
+    c_1 and slot k is v_(1-r) c_k, times a Bell-vector entry.  The products v_a c_k are alpha x and (br cr - bi ci,
+    br ci + bi cr) in plain floats, with no fused multiply-add; the rest is bit for bit the dense contraction of the
+    same products, whose complex-by-real divide multiplies by the reciprocal.  Each probability is the correctly
+    rounded sum of its row's 2N squared parts, so no BLAS kernel moves it, and ``+ 0.0`` turns ``-0.0`` into ``0.0``.
+    A flag tests d / (1/2 + sqrt(1/4 - d)), the smaller eigenvalue of qubit j's marginal at d = d_j = |a_j|^2
+    sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d.
     """
     _require_protocol(z)
-    parts = np.multiply.outer(q.vector(), z.coeffs).view(np.float64).tolist()  # [a][2k + part]: v_a c_(k+1)
+    beta = q.beta
+    br, bi, c = beta.real, beta.imag, z.parts
+    parts = ([q.alpha * x for x in c],  # [a][2k + part]: v_a c_(k+1)
+             [x for cr, ci in zip(c[::2], c[1::2]) for x in (br * cr - bi * ci, br * ci + bi * cr)])
     built = []  # (probability, row, product flag) by reference bit
     for ref, (bell_set, bell_clear) in enumerate(_ROW_FACTORS):
         raw = [bell_set * x for x in parts[ref][:2]] + [bell_clear * x for x in parts[1 - ref][2:]]
@@ -215,9 +214,8 @@ def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
         built.append((prob, row, det / (0.5 + math.sqrt(max(0.25 - det, 0.0))) <= PRODUCT_TOL))
     (p0, psi, f0), (p1, phi, f1) = built
     phi_plus = phi if z.num_parties % 2 == 0 else tuple([0.0 - x for x in phi])
-    live = {ref for ref, prob in enumerate((p0, p1)) if prob >= DEGENERATE_PROBABILITY}
     return BellTable(qubit=q, zsa=z, probabilities=(p1, p1, p0, p0), rows=(phi_plus, phi, psi, psi),
-                     products=(f1, f1, f0, f0), norm_constants=normalization_constants(q, z, live))
+                     products=(f1, f1, f0, f0), norm_constants=normalization_constants(q, z))
 
 
 def outcome_cdf(weights) -> list[float]:
@@ -241,23 +239,18 @@ def draw_outcome_block(cdf, rng: np.random.Generator, count: int) -> np.ndarray:
     return np.searchsorted(cdf, rng.random(count), side="right")
 
 
-def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes, bits=(0, 1)) -> tuple[float | None, float | None]:
-    """Closed-form normalization constants N(alpha), N(beta) of reference bits 0 and 1; a bit not in ``bits`` gets
-    None instead.
+def normalization_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:
+    """Closed-form normalization constants N(alpha), N(beta) of reference bits 0 and 1.
 
-    1/N(alpha)^2 = (1 - |c_1|^2) + alpha^2 (2|c_1|^2 - 1), and N(beta) with
-    |beta|^2 in place of alpha^2.  For three parties this is the same as
-    |c_2|^2 + |c_3|^2 + 2 alpha^2 Re(c_2* c_3).  Raises `NonPositiveNorm` when one
-    that is taken comes out nonpositive.
+    1/N(alpha)^2 = |beta|^2 (1 - |c_1|^2) + alpha^2 |c_1|^2, and N(beta) with alpha and |beta| swapped.  Both terms
+    are nonnegative and 0 < |c_1|^2 < 1 for a ZSA state, so the sum is positive and cancels nowhere, at a pole too.
+    For three parties 1/N(alpha)^2 is the same as |c_2|^2 + |c_3|^2 + 2 alpha^2 Re(c_2* c_3).
     """
     if z.num_parties < 3:
         raise ValueError("normalization constants are defined for at least three parties")
-    a1 = float(abs(z.coeffs[0]) ** 2)
-    inv_sq = [(1.0 - a1) + weight * (2.0 * a1 - 1.0) if bit in bits else None
-              for bit, weight in enumerate((q.alpha**2, abs(q.beta) ** 2))]
-    if any(value is not None and value <= 0.0 for value in inv_sq):
-        raise NonPositiveNorm(f"closed-form 1/N^2 values ({inv_sq[0]!r}, {inv_sq[1]!r}) must be positive")
-    return tuple(None if value is None else 1.0 / math.sqrt(value) for value in inv_sq)
+    a1 = z.parts[0] ** 2 + z.parts[1] ** 2
+    weights = (q.alpha**2, abs(q.beta) ** 2)
+    return tuple(1.0 / math.sqrt(off * (1.0 - a1) + on * a1) for on, off in (weights, weights[::-1]))
 
 
 def run_protocol(

@@ -59,7 +59,7 @@ def _fsum(values) -> float:
         return math.inf
 
 
-def _sums(parts: list[float]) -> tuple[complex, float]:
+def _sums(parts: tuple[float, ...]) -> tuple[complex, float]:
     """The sum and the squared norm of finite amplitudes given as their interleaved (re, im) parts.
 
     Each real figure is the correctly rounded sum of its terms: of the real or imaginary parts, or of the 2N
@@ -72,11 +72,12 @@ def _sums(parts: list[float]) -> tuple[complex, float]:
 class ZsaAmplitudes:
     """One amplitude per party: zero sum, unit norm, all entries nonzero.
 
-    The invariants are checked once, in plain floats (`_sums`), and their figures kept: ``amplitude_sum``,
-    ``squared_norm`` and ``min_modulus``, the smallest ``abs`` (libm's hypot) of an amplitude.
+    The invariants are checked once, in plain floats (`_sums`), and their figures kept: the (re, im) ``parts`` in
+    turn, ``amplitude_sum``, ``squared_norm`` and ``min_modulus``, the smallest ``abs`` (libm's hypot) of an amplitude.
     """
 
     coeffs: np.ndarray
+    parts: tuple[float, ...] = field(init=False, repr=False)
     amplitude_sum: complex = field(init=False, repr=False)
     squared_norm: float = field(init=False, repr=False)
     min_modulus: float = field(init=False, repr=False)
@@ -88,7 +89,8 @@ class ZsaAmplitudes:
         values = arr.tolist()
         if not all(map(cmath.isfinite, values)):  # both parts finite
             raise ValueError("coefficients must be finite")
-        total, sq = _sums(arr.view(np.float64).tolist())
+        parts = tuple(arr.view(np.float64).tolist())
+        total, sq = _sums(parts)
         try:
             size = abs(total)
         except OverflowError:  # finite parts whose modulus passes the largest double
@@ -107,7 +109,8 @@ class ZsaAmplitudes:
                 smallest,
             )
         arr.setflags(write=False)
-        for name, value in (("coeffs", arr), ("amplitude_sum", total), ("squared_norm", sq), ("min_modulus", smallest)):
+        for name, value in (("coeffs", arr), ("parts", parts), ("amplitude_sum", total), ("squared_norm", sq),
+                            ("min_modulus", smallest)):
             object.__setattr__(self, name, value)
 
     @property

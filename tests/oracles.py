@@ -204,11 +204,11 @@ def numpy_bell_table(q: UnknownQubit, z: ZsaAmplitudes,
     """(probabilities (4,), slots (4, N), product flags (4,)) of every Bell branch, by outcome value, the numpy way
     that `protocol.bell_table` does in plain floats: the stacked conjugated Bell vectors contracted with v_a c_k, one
     broadcast divide by the square roots of the probabilities, one multiply by each outcome's correction signs and
-    `min_marginal_eigenvalues` of every row, each of the four built on its own.  The Bell vectors of the outcomes in
-    ``dropped`` are taken as zero.
+    `min_marginal_eigenvalues` of every row, each of the four built on its own.  The products v_a c_k are the
+    `_products`, as the table forms them.  The Bell vectors of the outcomes in ``dropped`` are taken as zero.
     """
     bell = np.array([np.zeros(4) if o in dropped else BELL_VECTORS[o] for o in BellOutcome], dtype=complex)
-    outer = np.multiply.outer(q.vector(), z.coeffs)[:, None]  # [a, -, k]: v_a c_k
+    outer = np.array(_products(q, z))[:, None]  # [a, -, k]: v_a c_k
     projected = (bell.conj().reshape(4, 2, 2, 1) * outer).sum(axis=1)  # [outcome, bit of party 1, k]
     slots = projected[:, 0]
     slots[:, 0] = projected[:, 1, 0]
@@ -254,10 +254,21 @@ def orthogonal_complement(q: UnknownQubit) -> np.ndarray:
     return np.array([-np.conj(q.beta), q.alpha], dtype=complex)
 
 
+def _products(q: UnknownQubit, z: ZsaAmplitudes) -> list[list[complex]]:
+    """v_a c_k for a = 0, 1 and k = 1..N, each a Python ``complex`` multiply: every product and sum rounded once, as
+    `protocol.bell_table` forms them, where numpy's complex multiply fuses them under AVX2 and AVX-512."""
+    return [[v * c for c in z.coeffs.tolist()] for v in q.vector().tolist()]
+
+
 def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
-    """|psi>_a tensor the shared state; particle a is the most significant qubit."""
+    """|psi>_a tensor the shared state; particle a is the most significant qubit.  Its nonzero cells are the
+    `_products`: the Kronecker product of ``q.state()`` and `build_state`, bit for bit where no multiply is fused."""
     _require_protocol(z)
-    return tensor(q.state(), build_state(z))
+    n = z.num_parties
+    amps = np.zeros(2 ** (n + 1), dtype=complex)
+    for a, row in enumerate(_products(q, z)):
+        amps[[a << n | position for position in slot_positions(n, 0)[1:]]] = row
+    return PureState(n + 1, amps)
 
 
 def bell_projection(q: UnknownQubit, z: ZsaAmplitudes, outcome: BellOutcome) -> tuple[float, np.ndarray]:
@@ -332,6 +343,17 @@ def exact_binary_entropy(p: float) -> Decimal:
     with decimal.localcontext(_EXACT):
         x = Decimal(p)
         return -sum(y * y.ln() for y in (x, 1 - x) if y) / Decimal(2).ln()
+
+
+def exact_marginal_spectrum(parts, j: int) -> tuple[Decimal, Decimal]:
+    """Qubit j's marginal spectrum of a one-hot row of (re, im) floats, ascending, as `measures.marginal_spectrum`
+    defines it: the eigenvalues of [[top, a_0 a_j*], [., s]], with s = |a_j|^2 and top the sum of every other
+    |a_k|^2.  The smaller is the determinant s r over the larger, r the sum of the other flipped |a_k|^2."""
+    with decimal.localcontext(_EXACT):
+        weights = [Decimal(re) ** 2 + Decimal(im) ** 2 for re, im in zip(parts[::2], parts[1::2])]
+        s, top = weights[j], sum(weights) - weights[j]
+        large = (top + s) / 2 + (((top - s) / 2) ** 2 + weights[0] * s).sqrt()
+        return s * (top - weights[0]) / large, large
 
 
 def relative_error(value: float, exact: Decimal) -> float:

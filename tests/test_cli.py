@@ -321,20 +321,28 @@ def test_run_rejects_non_finite_phi(capsys, phi):
 # default_rng(seed) instead of one default_rng([seed, t]) each.  Each new pin was
 # first checked against the bytes the previous implementation writes when its
 # outcomes are drawn one at a time by Generator.choice on default_rng(seed).
+# Thirteen stdout pins (all but session-csv, forced-json, signed-zero-json,
+# signed-zero-csv and seed-2^32-json) were re-recorded when `bell_table` came to
+# form its products in plain floats, with no fused multiply-add, the norm
+# constants the two-term form |beta|^2 (1 - |c_1|^2) + alpha^2 |c_1|^2, and
+# `binary_entropy` its log1p form (the ledger's ebits): last bits of
+# probabilities, norm constants, amplitudes and expected frequencies moved, no
+# outcome moved, and every message-log pin held.  The bytes stopped depending on
+# numpy's SIMD dispatch.
 GOLDEN_RUNS = [
     (
         ["--gen", "cube", "--theta", "1.2", "--phi", "0.4", "--trials", "40", "--seed", "9"],
-        "6594cd5a47ab4f9c4a1cff7a560d7589053a3b455307b0b8dbc0d456b204c326",
+        "106ec816c132844e0a457813d3c564783cf96ddfb76c8f775da81430203be234",
         None,
     ),
     (
         ["--gen", "roots:4", "--theta", "0.9", "--phi", "1.1", "--trials", "30", "--seed", "3", "--format", "csv"],
-        "53c4d54fa3347b46f5ca28fdc7b1cc0a1d280ec4938dd4826c4fb4e8e98fdef5",
+        "81b9b364c36c878e32e555e7364dfdd86e4219adc05bcbf0e2717a20efa4bc04",
         None,
     ),
     (
         ["--gen", "roots:5", "--theta", "1.0", "--phi", "0.2", "--trials", "25", "--seed", "5", "--session"],
-        "9a7be6b845a555d448351bdf52a84e49f5c69c0da165ed43b339050f40edb352",
+        "e667b9007a2c091e051c13a871f7714644bfae6ff0629b4a3b82041b1d09bf18",
         "2c2fb4e7ef0022b782eb1adc7023bf0620a3f4300699543e677c474d347b3ae3",
     ),
     (
@@ -350,7 +358,7 @@ GOLDEN_RUNS = [
     (
         ["--gen", "roots:6", "--theta", "2.5", "--phi", "5.0", "--outcome", "PsiPlus", "--trials", "3",
          "--session", "--format", "csv"],
-        "1a20bfbd29b3580fd4cb2628eee56bdfb05ca4e46477c104eb36b2df19a9752f",
+        "7900a1d954925d04b49cea705dfe37c96affb7fc85840556edb115b3d4b594d6",
         "102a908948c8af880454099eab91ab66ad2ee1305e23f63c93f4fe364ca7031d",
     ),
     # Wide rows, recorded from the renderer that ran every amplitude through json.dumps.  The three
@@ -359,17 +367,17 @@ GOLDEN_RUNS = [
     (
         ["--gen", "roots:14", "--theta", "1.1", "--phi", "0.3", "--session", "--format", "csv", "--trials", "5",
          "--seed", "2"],
-        "e95994831459b33517c68becf1dcc0732fbeee72dccce1166a198f0754d8deb6",
+        "73be7c0b2dfb0659b7ba7a82cbadfa1208c014ed192695e391155393170e0775",
         "e2ce8dacde67d403b72e7d79d00c8fd8cf3f9a919834715cb9230a4a83766e22",
     ),
     (
         ["--gen", "roots:11", "--theta", "0.6", "--phi", "2.2", "--trials", "6", "--seed", "4"],
-        "0e3b7ad8cf92013bdb7c2dfdf46bc9d7060af2ec838faef4493b5af1bf79d7ca",
+        "11911979ed334750a79c4918f7ad1daf46ae5d21a5e0f5b913d75d5bad15c3d9",
         None,
     ),
     (
         ["--gen", "roots:12", "--theta", "1.9", "--phi", "0.8", "--outcome", "PhiPlus"],
-        "f6be8062366140318e66147d12f9663215e1b354d2da2c492fef07590396bbba",
+        "f8bc4407b6b40090ee44b1b5a2b911d10555a5c69b44b85ed4d28f1232280ce5",
         None,
     ),
     (
@@ -384,14 +392,14 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "cube", "--theta", "0", "--outcome", "PhiPlus", "--format", "csv"],
-        "5a4f3754dc6cb06f14d2c816ad22f6986ec55bd6ebbba90cc38c43dc3769923f",
+        "a7b264075965e2ce6ef172684cb9a63ed1ca7b48a2f48fd69a5583fd08e0ec78",
         None,
     ),
     # Checked against Generator.choice drawing every trial in turn: calls that cross block draws, and
     # seeds of two, three and four 32-bit words.
     (
         ["--gen", "cube", "--theta", "1.3", "--phi", "0.5", "--trials", "5000", "--seed", "12"],
-        "45cd7e0d0427fb94534796044eb5724d8de29541e367f684a207d05b712098d5",
+        "a51ede304d6474d4e9bc5abbbc97b434ea30c7e2a3dd2177a3df1859c2b627b3",
         None,
     ),
     (
@@ -401,25 +409,25 @@ GOLDEN_RUNS = [
     ),
     (
         ["--gen", "roots:4", "--theta", "2.1", "--phi", "1.0", "--trials", "40", "--seed", "18446744073709551616"],
-        "62836f5ccbc2c2d7d19dbf264834b0a4ffb3b3467159bf4f53778b84cf62fef2",
+        "5586c15a7a9aa08c38ec8099060d53cf7001d38ab6d22673448adb79a0952e07",
         None,
     ),
     (
         ["--gen", "cube", "--theta", "1.7", "--phi", "3.0", "--trials", "40", "--seed",
          "1267650600228229401496703205376", "--format", "csv"],
-        "19773fb46755888ae7c95c0b9ab382f928b705998de070e2d6ce8445e1f444dd",
+        "2b9ea035158682f5b2f966e0e495389d5048f21354e397cacb6a4a2a1096c363",
         None,
     ),
     (
         ["--gen", "roots:5", "--theta", "1.4", "--phi", "0.6", "--trials", "300", "--seed", "31", "--session"],
-        "6ada1c72e5a2ef034a363153c157d2a39c1f9df64eaf4e81731100802f046f1e",
+        "4111ec89eee4eea4ed14ab341709674b1038b25d6194b226059ddeb5cb7e33b2",
         "a0795e0e7ac4d2649dcfd76839675e696f8f2ff162dc3de1736459f17c49d9c1",
     ),
     # Recorded from the implementation that drew 128-trial blocks and wrote one row, and one message-log
     # line, per write call: this call crosses two 1024-trial blocks and many write chunks of each file.
     (
         ["--gen", "roots:5", "--theta", "1.4", "--phi", "0.6", "--trials", "2100", "--seed", "31", "--session"],
-        "126aa50b372cc034aaffead20245dae1c6526d8d6cf93e981401f04c3c79f806",
+        "7c9def24c52fc85a59de8e0bac60830a35401ab96ade12ac963bbc81d26db826",
         "ca3a6fc1a7aa8e55506a6758826cacddaa14ebbef992f49009bfd369bc8a79a6",
     ),
 ]
@@ -574,9 +582,9 @@ def test_validate_output_on_every_blas_kernel(tmp_path):
     assert len(set(outputs.values())) == 1, outputs
 
 
-# Runs every argv read as JSON from stdin and prints numpy's CPU feature table, then the outputs.
+# Runs every argv read as JSON from stdin and prints numpy's CPU feature table, then the SHA-256 of each output.
 _CLI_OUTPUTS = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 from numpy._core._multiarray_umath import __cpu_features__
 from qcobweb.cli import main
 outputs = []
@@ -584,13 +592,14 @@ for argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    outputs.append(out.getvalue())
+    outputs.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
 print(json.dumps([__cpu_features__, outputs]))
 """
 
 
 def _outputs_with_targets_off(targets: list[str], argvs: list[list[str]], cwd) -> tuple[dict, list[str]]:
-    """numpy's feature table and the stdout of each argv, in one process that dispatches none of ``targets``.
+    """numpy's feature table and the SHA-256 of each argv's stdout, in one process that dispatches none of
+    ``targets``.
 
     With no targets the process takes numpy's default dispatch, whatever ``NPY_DISABLE_CPU_FEATURES`` this one runs
     under."""
@@ -608,17 +617,18 @@ def _outputs_with_targets_off(targets: list[str], argvs: list[list[str]], cwd) -
 
 @pytest.mark.parametrize("baseline", ["avx512-off", "x86-v2"])
 def test_outputs_on_every_simd_target(tmp_path, baseline):
-    """`validate`, `measures` at N = 4..8 and `scaling` print the same bytes whatever numpy's SIMD dispatch: each
-    figure is plain-float arithmetic on libm's ``abs``, ``log2`` and `math.fsum`, with no numpy ufunc.
+    """`validate`, `measures` at N = 3..8, `scaling` and `run` print the same bytes whatever numpy's SIMD dispatch:
+    each figure is plain-float arithmetic on libm's ``abs``, ``log2`` and ``log1p`` and `math.fsum`, and each
+    `bell_table` product a plain-float multiply, with no numpy ufunc.
 
     The default dispatch is compared with its AVX-512 targets off (AVX2 and FMA stay) and with X86_V3 off as well,
-    numpy's no-FMA X86_V2 baseline, each where this host dispatches it.  Reports at N = 3 are left out: their
-    `bell_table` rows use numpy's complex multiply, whose FMA moves their last bits (ROADMAP item 10).
+    numpy's no-FMA X86_V2 baseline, each where this host dispatches it.  `run` covers N = 3..20 on a seeded state
+    each, in JSON and CSV, sampled and forced.
     """
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
     rng, argvs = np.random.default_rng(33), [["scaling", "--max", "10000"]]
-    for n in range(4, 9):
+    for n in range(3, 9):
         for k in range(24):
             path = tmp_path / f"s{n}-{k}.json"
             path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in random_zsa(n, rng).coeffs.tolist()]}))
@@ -626,6 +636,14 @@ def test_outputs_on_every_simd_target(tmp_path, baseline):
             argvs += [["validate", "--coeffs", str(path), "--format", "json"],
                       ["measures", "--coeffs", str(path), "--theta", repr(theta), "--phi", repr(phi)]]
     argvs += [["validate", "--gen", f"roots:{n}", "--format", "json"] for n in (6, 13, 14, 17, 19, 20)]
+    for n in range(3, 21):
+        path = tmp_path / f"r{n}.json"
+        path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in random_zsa(n, rng).coeffs.tolist()]}))
+        theta, phi = float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
+        run = ["run", "--coeffs", str(path), "--theta", repr(theta), "--phi", repr(phi)]
+        for fmt in ("json", "csv"):
+            argvs += [[*run, "--trials", "3", "--seed", str(n), "--format", fmt],
+                      [*run, "--outcome", BellOutcome(n % 4).label, "--format", fmt]]
     features, default = _outputs_with_targets_off([], argvs, tmp_path)
     targets = [t for t in __cpu_dispatch__ if (t.startswith("AVX512") or t == "X86_V4") and features[t]]
     if baseline == "x86-v2":
@@ -1214,9 +1232,9 @@ POLE_REFUSALS = {
 ], ids=["pi", "zero"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_run_at_a_pole_needs_no_norm_constant_of_the_degenerate_reference_bit(capsys, tmp_path, theta, drawable, fmt):
-    """Both branches of the reference bit whose 1/N^2 rounds to zero have P = |c_1|^2 / 2 = 3.4e-22, so a sampled
-    call draws only the other two, prints them with their own norm constant and exits 0; forcing a degenerate
-    branch still exits 2.  `validate` accepts the file."""
+    """Both branches of one reference bit have P = |c_1|^2 / 2 = 3.4e-22, so a sampled call draws only the other
+    two, prints them with their own norm constant and exits 0; forcing a degenerate branch still exits 2.
+    `validate` accepts the file."""
     path = tmp_path / "tiny-c1.json"
     path.write_text(POLE_TINY_C1)
     assert run_cli(capsys, "validate", "--coeffs", str(path))[0] == 0
@@ -1277,7 +1295,8 @@ def test_measures_exits_2_when_the_obstruction_needs_a_degenerate_branch(capsys,
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_run_forces_a_branch_exactly_on_the_degenerate_bound(capsys, tmp_path, fmt):
     """At theta = pi, phi = 0.662846390572469 the boundary state's Phi branches have P == `DEGENERATE_PROBABILITY`
-    exactly, and the bound is strict, so forcing one is live: the call exits 0 and writes its rows."""
+    exactly, and the bound is strict, so forcing one is live: the call exits 0 and writes its rows.  Their norm
+    constant is 1/sqrt(2e-14), which a 1/N^2 of (1 - |c_1|^2) + alpha^2 (2|c_1|^2 - 1) printed as 7073895.380882599."""
     path = tmp_path / "boundary-c1.json"
     path.write_text(BOUNDARY_C1)
     argv = ["--coeffs", str(path), "--theta", "3.141592653589793", "--phi", "0.662846390572469"]
@@ -1287,6 +1306,7 @@ def test_run_forces_a_branch_exactly_on_the_degenerate_bound(capsys, tmp_path, f
     rows = list(csv.DictReader(lines[:-1])) if fmt == "csv" else [json.loads(line) for line in lines[:-1]]
     assert [row["outcome"] for row in rows] == ["PhiMinus", "PhiMinus"]
     assert [float(row["probability"]) for row in rows] == [protocol.DEGENERATE_PROBABILITY] * 2
+    assert [float(row["norm_constant"]) for row in rows] == [7071067.811865475] * 2
 
 
 @pytest.mark.parametrize("extra", [[], ["--session", "--messages", "log.jsonl"]], ids=["protocol", "session"])
@@ -1568,26 +1588,30 @@ class SeededCoeffs:
 # CSV through its own writer.  The claims and `measures` pins were re-recorded when every single-qubit marginal oracle
 # came from `measures.marginal_spectrum`, in plain floats from the slots, in place of a BLAS Gram and a stacked
 # eigensolve: only oracle fields moved, and they read the same under OpenBLAS's SkylakeX, Haswell and Nehalem kernels.
+# Every pin was re-recorded again with item 10 of ROADMAP.md: `binary_entropy`'s log1p form moved entropies and the
+# claims that read them, the plain-float `bell_table` products and two-term norm constants moved the N = 3 output
+# fields, and `marginal_spectrum`'s smaller eigenvalue, now a determinant over the larger, moved oracle fields.
 # The three `--coeffs` states' amplitude magnitudes differ, so unlike the cube's they pin the rounding of every
-# per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form prints 0.0, while its oracle keeps
-# the larger eigenvalue's -l log2 l, 1.6e-16.
+# per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form keeps only the larger
+# eigenvalue's term, -(1 - p) log1p(-p) / ln 2 = 7.6e-18, and its oracle that of the larger eigenvalue rounded,
+# 1.5e-16.
 GOLDEN_REPORTS = [
-    (["claims"], "777adac2c20bc35c98eb62a3c75dcd8eea254362ff0d48d712c2e02f7349b21b"),
-    (["claims", "--format", "json"], "4d32e6a3f1052f0096320a8b9fd9b513e1380d8ac6b36cec48bfd8fdfd056721"),
-    (["claims", "--format", "csv"], "3b4f2366697f2d04ad221aa25b06f4ae23d2db1f8ff9f27d37021b59caf0f888"),
+    (["claims"], "081e1e9f00e579af4e8ff43415924a5bad8caf292cc8e077791fb9002a08c267"),
+    (["claims", "--format", "json"], "992d88eba12cd244267f8294c3b561c54ce5a8932164015a10f729011afc4c8c"),
+    (["claims", "--format", "csv"], "2b5af320d80726ddceda6357d757d692d5fb2d2fc2c0f4d6d8d6ebc92ffaa791"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"],
-     "61e99f1d558bf4e59ca076dcecd4b4d2e40502ed7de030fcb2632d64383d32e8"),
+     "5d955d00cae2c02db36a4577c046c87a17aad802193b998a0e40e78bd92fc038"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3", "--format", "csv"],
-     "a06027ccb7305370cd3d86b0c34fc239600aae52f0f56e2f9e08e7a969adc91a"),
-    (["scaling", "--max", "40"], "a3b9808e77986abc69f686e2160312627c9c03cde57aeac2db057e098e71cf17"),
+     "50e94d2d540117333456331afb2eff37351da4b0303e43dd75d6bcc1fefdc0a5"),
+    (["scaling", "--max", "40"], "c04324dad721239d0fe3b7eb57ffbfa4f993b717faeeb2ca6fe7f689195be4d7"),
     (["scaling", "--max", "40", "--format", "csv"],
-     "73755f0a747d115d7e406d70fefc8bf39a985977e8d6fdbb74df258265a0301d"),
+     "a8f996ff1c3f6adfcbcf5defe0e000d48f6fab475987cce53386590bc8c4cc2d"),
     (["measures", "--coeffs", SeededCoeffs(4, 2304), "--theta", "0.7", "--phi", "0.2"],
-     "9639c45041ae74b328d28af47bce6e6aed686f20b4d2a490ba4d4ad422924dc5"),
+     "b0f8e2370154a4d3a054376d8d6f2f237464e9ca827fa076ea6e5071a57b6bf4"),
     (["measures", "--coeffs", SeededCoeffs(5, 2305), "--theta", "2.3", "--phi", "4.1"],
-     "e0b9b4f72a41b01dfab175090be02aed10c0179b07cafaad83c2befe2c40e8d8"),
+     "7578169f3bc6aed5d8271fcfbae5eaa958bcaf9202af617fae528377df40eee6"),
     (["measures", "--coeffs", SeededCoeffs(8, 2308, tiny=True), "--theta", "1.9", "--phi", "5.5"],
-     "bd46ebd32f655ba13b381fe1e79a6d1dca76b0dc28d0a91f58f8fcb5519e49c3"),
+     "6a1f2b39d951f70a714f7ebbca812f974518da6919dfbd86ca0d5172a72cb554"),
 ]
 
 

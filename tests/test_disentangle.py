@@ -74,6 +74,15 @@ def test_obstruction_oracle_matches_the_dense_inner_product():
         assert abs(obstruction(reference_0_output(q, z))["simulated"] - dense) < 1e-14
 
 
+@pytest.mark.parametrize("theta", [3.141591653589793, 1e-6])
+def test_obstruction_matches_its_oracle_near_a_pole_with_a_tiny_c1(theta):
+    """|c_1| = 1e-11, theta 1e-6 from either pole: N(alpha) N(beta) in the closed form holds the oracle to rounding
+    level.  A 1/N^2 of (1 - |c_1|^2) + w (2|c_1|^2 - 1) cancelled to about 1 - w here, 4.4e-5 off the oracle."""
+    z = ZsaAmplitudes([-3.090169943749473e-12 + 9.510565162951536e-12j,
+                       -0.21850801222286556 - 0.6724985119687127j, 0.21850801222595576 + 0.6724985119592021j])
+    assert obstruction(reference_0_output(UnknownQubit(theta), z))["abs_difference"] <= 1e-15
+
+
 def test_obstruction_refuses_a_degenerate_output_row():
     """With |c_1| = 1e-8 and theta = 1e-8 the output for |psi> has probability 6.2e-17, below
     `DEGENERATE_PROBABILITY`, so its row is left unnormalized: the overlap would read 3.5e-9 against a closed form

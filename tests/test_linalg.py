@@ -281,8 +281,7 @@ def _log1p_binary_entropy(p: float) -> float:
 
 
 @pytest.mark.parametrize("entropy", [
-    pytest.param(binary_entropy, id="binary_entropy", marks=pytest.mark.xfail(
-        strict=True, reason="log2 of the rounded 1 - p loses digits at small p: off by 1.3e-4 at p = 1.1e-14")),
+    pytest.param(binary_entropy, id="binary_entropy"),
     pytest.param(_log1p_binary_entropy, id="log1p"),
 ])
 def test_binary_entropy_against_the_exact_oracle(entropy):

@@ -19,7 +19,6 @@ from qcobweb.protocol import (
     DEGENERATE_PROBABILITY,
     BellOutcome,
     DegenerateBranch,
-    NonPositiveNorm,
     bell_table,
     draw_outcome,
     draw_outcome_block,
@@ -189,8 +188,8 @@ def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
     slot's basis position, its ``-0.0`` made ``0.0``.  Each product flag equals `is_product_state` of the oracle,
     and each norm constant is the closed form's, within 1e-12 of the dense target's inverse norm.  A reference bit
     whose built row's Bell-vector entries are made zero has two branches of probability 0 and a zero row, raises no
-    warning, has them refused by `BellTable.transcript`, takes no norm constant, and leaves the other reference bit's
-    rows and constant bit for bit as they were.
+    warning, and has them refused by `BellTable.transcript`; its norm constant stays finite and within `EXACT_BOUND`
+    of the exact one, and the other reference bit's rows and constant stay bit for bit as they were.
     """
     rng = np.random.default_rng(4000 + n)
     q, z = random_qubit(rng), random_zsa(n, rng)
@@ -219,7 +218,8 @@ def test_bell_branches_match_the_dense_per_outcome_oracle(n, monkeypatch):
         assert _bits(degenerate.rows[outcome.value]) == bytes(16 * n)  # every part +0.0
         with pytest.raises(DegenerateBranch):
             degenerate.transcript(outcome)
-    assert degenerate.norm_constants[ref] is None
+    assert math.isfinite(degenerate.norm_constants[ref])
+    assert relative_error(degenerate.norm_constants[ref], exact_norm_constants(q, z)[ref]) <= EXACT_BOUND
     assert degenerate.norm_constants[1 - ref] == table.norm_constants[1 - ref]
     for outcome in set(BellOutcome) - set(dropped):
         for field in ("probabilities", "rows", "products"):
@@ -545,37 +545,30 @@ def _worst(errors):
 
 
 def test_branch_probabilities_against_the_exact_oracle():
-    """Every branch probability of `bell_table` over the near-pole sweep, against its 60-digit value: the table's one
-    numpy product, its Bell factors and the `fsum` of the squared parts stay within `EXACT_BOUND`."""
+    """Every branch probability of `bell_table` over the near-pole sweep, against its 60-digit value: the table's
+    plain-float products, its Bell factors and the `fsum` of the squared parts stay within `EXACT_BOUND`."""
     error, where = _worst((relative_error(p, exact), q, z) for q, z in near_pole_sweep()
                           for p, exact in zip(bell_table(q, z).probabilities, exact_branch_probabilities(q, z)))
     assert error <= EXACT_BOUND, where
 
 
 def _cancellation_free_norm_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[float, float]:
-    """1/N(alpha)^2 = |beta|^2 (1 - |c_1|^2) + alpha^2 |c_1|^2, and N(beta) with alpha and |beta| swapped: the form
-    that adds two nonnegative terms, so it holds the bound the printed constants miss."""
+    """1/N(alpha)^2 = |beta|^2 (1 - |c_1|^2) + alpha^2 |c_1|^2, and N(beta) with alpha and |beta| swapped, with
+    |c_1|^2 from numpy's ``abs``: the printed form on another rounding of |c_1|^2."""
     a1 = float(abs(z.coeffs[0]) ** 2)
     weights = (q.alpha**2, abs(q.beta) ** 2)
     return tuple(1.0 / math.sqrt(off * (1.0 - a1) + on * a1) for on, off in (weights, weights[::-1]))
 
 
 @pytest.mark.parametrize("constants", [
-    pytest.param(lambda q, z: bell_table(q, z).norm_constants, id="printed", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 10: the closed form (1 - |c_1|^2) + alpha^2 (2|c_1|^2 - 1) cancels near "
-                            "a pole when |c_1| is tiny; N(beta) is off by 1.9e-3 at theta = pi - 7.9e-11, "
-                            "|c_1| = 2.3e-7")),
+    pytest.param(lambda q, z: bell_table(q, z).norm_constants, id="printed"),
     pytest.param(_cancellation_free_norm_constants, id="cancellation-free"),
 ])
 def test_norm_constants_against_the_exact_oracle(constants):
-    """Each norm constant a table prints (a reference bit with a live row) over the near-pole sweep, against one over
-    the 60-digit norm of its unnormalized output."""
-    errors = []
-    for q, z in near_pole_sweep():
-        printed = bell_table(q, z).norm_constants  # None where a reference bit's rows are both degenerate
-        errors += [(relative_error(value, exact), q, z)
-                   for value, live, exact in zip(constants(q, z), printed, exact_norm_constants(q, z)) if live]
-    error, where = _worst(errors)
+    """Both norm constants of each table over the near-pole sweep, a reference bit whose rows are degenerate
+    included, against one over the 60-digit norm of its unnormalized output."""
+    error, where = _worst((relative_error(value, exact), q, z) for q, z in near_pole_sweep()
+                          for value, exact in zip(constants(q, z), exact_norm_constants(q, z)))
     assert error <= EXACT_BOUND, where
 
 
@@ -719,10 +712,10 @@ def test_degenerate_branch_guard():
 
 
 @pytest.mark.parametrize("theta", [0.0, np.pi])
-def test_table_takes_no_norm_constant_for_a_reference_bit_with_no_live_row(theta):
-    """|c_1|^2 = 6.8e-22: at a pole one reference bit's closed-form 1/N^2 rounds to 0.0, where both its rows are
-    degenerate.  The table leaves that bit's constant out (None) and keeps the other's; asked for both,
-    `normalization_constants` still raises."""
+def test_a_dead_reference_bit_takes_a_finite_norm_constant(theta):
+    """|c_1|^2 = 6.8e-22: at a pole both rows of one reference bit are degenerate, and its 1/N^2 is about |c_1|^2.
+    Its constant is finite, as is the other's, and both are within `EXACT_BOUND` of the exact ones: the closed form
+    adds two nonnegative terms, so nothing cancels to zero."""
     z = ZsaAmplitudes([2.6019241460158823e-11, -0.614122056339072 + 0.35050549201667086j,
                        0.6141220563130528 - 0.35050549201667086j])
     q = UnknownQubit(theta)
@@ -730,12 +723,12 @@ def test_table_takes_no_norm_constant_for_a_reference_bit_with_no_live_row(theta
     dead = 1 if theta else 0  # Phi (bit 1) dies at pi, Psi (bit 0) at 0
     degenerate = [o for o in BellOutcome if table.probabilities[o.value] < DEGENERATE_PROBABILITY]
     assert [CORRECTIONS[o][0] for o in degenerate] == [dead, dead]
-    assert table.norm_constants[dead] is None
-    assert table.norm_constants[1 - dead] == normalization_constants(q, z, {1 - dead})[1 - dead] == 1.0
-    with pytest.raises(NonPositiveNorm):
-        normalization_constants(q, z)
-    with pytest.raises(NonPositiveNorm):
-        normalization_constants(q, z, {dead})
+    assert table.norm_constants == normalization_constants(q, z)
+    assert all(map(math.isfinite, table.norm_constants))
+    assert table.norm_constants[dead] > 1e10
+    assert table.norm_constants[1 - dead] == 1.0
+    for value, exact in zip(table.norm_constants, exact_norm_constants(q, z)):
+        assert relative_error(value, exact) <= EXACT_BOUND
 
 
 def test_transcript_serialization():

@@ -97,7 +97,7 @@ def test_squared_parts_past_the_largest_double_fail_the_norm_check(coeffs):
 
 def test_the_check_keeps_its_figures_read_only():
     z = roots_of_unity_zsa(5)
-    for name in ("amplitude_sum", "squared_norm", "min_modulus"):
+    for name in ("parts", "amplitude_sum", "squared_norm", "min_modulus"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(z, name, 0.0)
     with pytest.raises(TypeError):
@@ -124,14 +124,15 @@ def _sweep_parts(rng: np.random.Generator, n: int) -> list[float]:
 def test_the_check_figures_are_correctly_rounded():
     """Exact oracle: the sum's parts and the squared norm equal exact rational sums rounded once, bit for bit, over
     N = 2..64 and 1000 with parts from 1e-150 to 1e150 and near-cancelling sums; the smallest modulus is the smallest
-    ``abs`` of the stored amplitudes, on seeded valid states."""
+    ``abs`` of the stored amplitudes, on seeded valid states, whose ``parts`` are their (re, im) floats in turn."""
     rng = np.random.default_rng(3301)
     for n in [*range(2, 65), 1000]:
         for _ in range(8 if n < 1000 else 2):
             parts = _sweep_parts(rng, n)
             assert _sums(parts) == _exact_sums(parts), (n, parts)
             z = random_zsa(n, rng)
-            assert (z.amplitude_sum, z.squared_norm) == _exact_sums(z.coeffs.view(np.float64).tolist())
+            assert z.parts == tuple(z.coeffs.view(np.float64).tolist())
+            assert (z.amplitude_sum, z.squared_norm) == _exact_sums(z.parts)
             assert z.min_modulus == min(abs(c) for c in z.coeffs.tolist())
 
 
