@@ -56,7 +56,6 @@ from .linalg import ENTROPY_CUTOFF, PureState, binary_entropy, state_fidelity
 from .measures import (
     cobweb_spectrum,
     concurrence,
-    entanglement_of_formation,
     eof_from_concurrence,
     marginal_spectrum,
     ppt_report,
@@ -419,7 +418,7 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     outputs = [table.transcript(outcome).final for outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)]
     pair = reduced_pair(z)
     report["ppt"] = ppt_report(z, pair)
-    closed_eof = entanglement_of_formation(z)
+    closed_eof = eof_from_concurrence(2.0 * abs(z.coeffs[1]) * abs(z.coeffs[2]))  # the pair marginal's concurrence
     route_eof = eof_from_concurrence(concurrence(pair))
     report["entanglement_of_formation"] = {
         "closed_form": closed_eof,

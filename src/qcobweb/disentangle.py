@@ -13,7 +13,10 @@ slots with the `bell_table` row of the reference-0 output for psi_perp.
 A nonlocal probabilistic recovery exists: CNOT across the pair, then measure
 the control in the |+->  basis.  The |+> branch restores |psi> exactly with
 probability P = |c1|^2 N(alpha)^2 / 2, which exceeds 1/2 exactly when
-Re(c2* c3) > 0.
+Re(c2* c3) > 0.  It is taken as n / (2 (n - 2|beta|^2 Re(c2* c3))), with
+n = |c2 + c3|^2, which cancels nowhere; on |c1|^2 N(alpha)^2 / 2, P's side of
+1/2 would follow |c1|^2, which the 1e-12 zero-sum tolerance lets disagree with
+the sign of Re(c2* c3).
 """
 from __future__ import annotations
 
@@ -63,20 +66,19 @@ def obstruction(c: CobwebState) -> dict:
     }
 
 
-def _recovery_probability(z: ZsaAmplitudes, alpha: float) -> tuple[float, float]:
-    """The closed-form recovery probability and Re(c2* c3), shared by `cnot_disentangle` and its sign rule."""
-    a2 = float(abs(z.coeffs[1]) ** 2)
-    a3 = float(abs(z.coeffs[2]) ** 2)
-    re_cross = float((np.conj(z.coeffs[1]) * z.coeffs[2]).real)
-    return (a2 + a3 + 2.0 * re_cross) / (2.0 * (a2 + a3 + 2.0 * alpha**2 * re_cross)), re_cross
+def _recovery_probability(z: ZsaAmplitudes, q: UnknownQubit) -> tuple[float, float]:
+    """The recovery probability n / (2 (n - 2|beta|^2 Re(c2* c3))), n = |c2 + c3|^2, and Re(c2* c3), in plain floats
+    from the parts: for Re(c2* c3) > 0 the subtracted term is at most n/2, else both terms are nonnegative."""
+    _, _, r2, i2, r3, i3 = z.parts
+    re_cross, n = r2 * r3 + i2 * i3, (r2 + r3) * (r2 + r3) + (i2 + i3) * (i2 + i3)
+    return n / (2.0 * (n - 2.0 * abs(q.beta) ** 2 * re_cross)), re_cross
 
 
 def cnot_disentangle(c: CobwebState) -> dict:
     """CNOT (first pair qubit controls the second), then measure the control in |+->.
 
     The |+> branch leaves the target qubit exactly in |psi>; the closed-form
-    success probability (|c2|^2 + |c3|^2 + 2 Re(c2* c3)) /
-    (2 (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3))) must match the simulated
+    success probability (`_recovery_probability`) must match the simulated
     branch probability.  Returns both, the fidelity of the |+> branch with
     |psi> and that branch's state.
     """
@@ -87,7 +89,7 @@ def cnot_disentangle(c: CobwebState) -> dict:
     after = apply_gate(c.vector, (1, 2), CNOT)
     p_plus, res_plus = project(after, [1], PLUS)
     success_state = PureState(1, res_plus / math.sqrt(p_plus))
-    closed_form = _recovery_probability(c.zsa, c.qubit.alpha)[0]
+    closed_form = _recovery_probability(c.zsa, c.qubit)[0]
     return {
         "simulated_probability": p_plus,
         "closed_form_probability": closed_form,
@@ -101,17 +103,17 @@ def success_probability_sign(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
     """Recovery odds and the sign rule P > 1/2 iff Re(c2* c3) > 0, for theta strictly inside (0, pi).
 
     ``better_than_half`` is the sign rule itself: P - 1/2 = |beta|^2 Re(c2* c3)
-    / (2 (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3))) has the sign of Re(c2* c3),
-    while the rounded P can land on exactly 1/2 when Re(c2* c3) is tiny or
-    |beta|^2 underflows.  Rounding is monotonic and alpha^2 <= 1, so the
-    rounded P never lies on the wrong side of 1/2: RuntimeError is raised if
-    it does, which only a wrong P formula can cause.
+    / (|c2 + c3|^2 - 2|beta|^2 Re(c2* c3)) has the sign of Re(c2* c3), while
+    the rounded P can land on exactly 1/2 when Re(c2* c3) is tiny or |beta|^2
+    underflows.  Rounding is monotonic, so the rounded P never lies on the
+    wrong side of 1/2: RuntimeError is raised if it does, which only a wrong
+    P formula can cause.
     """
     if z.num_parties != 3:
         raise ValueError("recovery odds are computed for the tripartite output")
     if q.theta in (0.0, math.pi):
         raise ValueError("theta must lie strictly inside (0, pi)")
-    probability, re_cross = _recovery_probability(z, q.alpha)
+    probability, re_cross = _recovery_probability(z, q)
     better = re_cross > 0.0
     if probability != 0.5 and (probability > 0.5) != better:
         raise RuntimeError(

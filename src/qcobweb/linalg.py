@@ -18,6 +18,8 @@ Conventions used by every module in this package:
 * Construction checks use a 1e-12 tolerance; eigenvalue positivity allows
   1e-10 of eigensolver noise; eigenvalues below 1e-14 count as exactly zero
   in entropy sums.
+* A 2x2 Hermitian spectrum known by its trace and determinant comes from
+  `two_level_spectrum`, whose roots do not cancel.
 * A state is a product state when the smaller eigenvalue of every
   single-qubit marginal is at most 1e-9 (PRODUCT_TOL); a Bell branch with
   probability below 1e-14 is degenerate (protocol.DEGENERATE_PROBABILITY).
@@ -157,6 +159,15 @@ def binary_entropy(p: float) -> float:
     head = p * math.log2(p) if p > ENTROPY_CUTOFF else 0.0
     tail = (1.0 - p) * math.log1p(-p) / math.log(2.0) if 1.0 - p > ENTROPY_CUTOFF else 0.0
     return 0.0 - (head + tail)  # 0.0, not -0.0, where both terms are zero
+
+
+def two_level_spectrum(trace: float, det: float) -> tuple[float, float]:
+    """(small, large) eigenvalues of a 2x2 Hermitian matrix of this trace and determinant, for trace > 0 or det < 0:
+    large = trace/2 + sqrt(max((trace/2)^2 - det, 0)) and small = det / large, so neither root cancels.  A det that
+    rounding put past (trace/2)^2 gives the degenerate pair (trace/2, trace/2)."""
+    half = 0.5 * trace
+    large = half + math.sqrt(max(half * half - det, 0.0))
+    return min(det / large, large), large
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:

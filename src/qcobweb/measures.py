@@ -13,7 +13,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import POSITIVITY_TOL, DensityMatrix, binary_entropy, hermitian_eigenvalues, partial_transpose
+from .linalg import (POSITIVITY_TOL, DensityMatrix, binary_entropy, hermitian_eigenvalues, partial_transpose,
+                     two_level_spectrum)
 from .protocol import CobwebState
 from .states import ZsaAmplitudes
 
@@ -26,17 +27,17 @@ PAULI_YY.setflags(write=False)
 def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> dict:
     """Partial transpose (second subsystem) of the pair marginal ``pair`` = `reduced_pair(z)`, with spectrum.
 
-    Closed-form eigenvalues: |c2|^2, |c3|^2, (|c1|^2 +- sqrt(|c1|^4 +
-    4|c2|^2|c3|^2))/2, in that order.  The last one is negative for every
-    valid input, which certifies inseparability of the pair marginal;
-    ``separable`` is the positivity verdict.
+    Closed-form eigenvalues, in order: |c2|^2, |c3|^2 and the roots of trace
+    |c1|^2 and determinant -|c2|^2|c3|^2, larger first (`two_level_spectrum`).
+    The last is negative for every valid input, which certifies inseparability
+    of the pair marginal; ``separable`` is the positivity verdict.
     """
     if z.num_parties != 3:
         raise ValueError("the PPT report covers the tripartite pair marginal")
     pt = partial_transpose(pair.entries, subsystem=2)
     a1, a2, a3 = (float(abs(c) ** 2) for c in z.coeffs)
-    root = math.sqrt(a1**2 + 4.0 * a2 * a3)
-    eigenvalues = [a2, a3, 0.5 * (a1 + root), 0.5 * (a1 - root)]
+    small, large = two_level_spectrum(a1, -a2 * a3)
+    eigenvalues = [a2, a3, large, small]
     oracle = hermitian_eigenvalues(pt)
     return {
         "closed_form_eigenvalues": eigenvalues,
@@ -46,18 +47,6 @@ def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> dict:
         "separable": min(eigenvalues) >= -POSITIVITY_TOL,
         "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in pt],
     }
-
-
-def entanglement_of_formation(z: ZsaAmplitudes) -> float:
-    """Closed-form pair-marginal entanglement of formation, in bits.
-
-    H2((1 + sqrt(1 - 4|c2|^2|c3|^2))/2); cross-checked against the
-    concurrence route in the test suite.
-    """
-    if z.num_parties != 3:
-        raise ValueError("the pair entanglement of formation covers the tripartite state")
-    prod = float(abs(z.coeffs[1]) ** 2 * abs(z.coeffs[2]) ** 2)
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * prod))))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -81,11 +70,11 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def eof_from_concurrence(con: float) -> float:
-    """Entanglement of formation in bits as a function of concurrence."""
+    """Wootters' entanglement of formation in bits at concurrence C: H2 of the larger root of trace 1 and determinant
+    C^2/4, (1 + sqrt(1 - C^2))/2.  A tripartite ZSA state's pair marginal has C = 2|c2||c3|."""
     if not -1e-12 <= con <= 1.0 + 1e-12:
         raise ValueError(f"concurrence {con!r} outside [0, 1]")
-    con = min(max(con, 0.0), 1.0)
-    return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - con**2)))
+    return binary_entropy(two_level_spectrum(1.0, con * con / 4.0)[1])
 
 
 def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
@@ -123,9 +112,9 @@ def cobweb_spectrum(c: CobwebState) -> dict:
     where w is the amplitude on the non-reference axis (beta for reference
     bit 0, alpha for reference bit 1) and N is the output's normalization
     constant.  Note: no extra factor of 4 in epsilon; the determinant identity
-    eta+ eta- = det(marginal) pins it.  The eigenvalues are
-    eta_pm = (1 +- sqrt(1 - 4 epsilon))/2 and the entanglement is their
-    binary entropy.
+    eta+ eta- = det(marginal) pins it.  The eigenvalues eta_pm are the roots of
+    trace 1 and determinant epsilon (`two_level_spectrum`, so eta_minus keeps
+    its relative precision), and the entanglement is H2(eta_plus).
     """
     if c.zsa.num_parties != 3:
         raise ValueError("the closed-form spectrum covers tripartite outputs")
@@ -133,9 +122,7 @@ def cobweb_spectrum(c: CobwebState) -> dict:
     a2 = float(abs(c.zsa.coeffs[1]) ** 2)
     a3 = float(abs(c.zsa.coeffs[2]) ** 2)
     eps = c.norm_constant**4 * off_axis**4 * a2 * a3
-    disc = math.sqrt(max(0.0, 1.0 - 4.0 * eps))
-    eta_plus = 0.5 * (1.0 + disc)
-    eta_minus = 0.5 * (1.0 - disc)
+    eta_minus, eta_plus = two_level_spectrum(1.0, eps)
     return {
         "epsilon": float(eps),
         "eta_plus": eta_plus,

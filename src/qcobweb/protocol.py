@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import PRODUCT_TOL, PureState
+from .linalg import PRODUCT_TOL, PureState, two_level_spectrum
 from .states import MAX_DENSE_QUBITS, UnknownQubit, ZsaAmplitudes, slot_positions
 
 DEGENERATE_PROBABILITY = 1e-14
@@ -194,8 +194,8 @@ def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
     br ci + bi cr) in plain floats, with no fused multiply-add; the rest is bit for bit the dense contraction of the
     same products, whose complex-by-real divide multiplies by the reciprocal.  Each probability is the correctly
     rounded sum of its row's 2N squared parts, so no BLAS kernel moves it, and ``+ 0.0`` turns ``-0.0`` into ``0.0``.
-    A flag tests d / (1/2 + sqrt(1/4 - d)), the smaller eigenvalue of qubit j's marginal at d = d_j = |a_j|^2
-    sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d.
+    A flag tests the smaller eigenvalue of qubit j's marginal, `two_level_spectrum` of trace 1 and determinant
+    d_j = |a_j|^2 sum_{i not 0, j} |a_i|^2, at the largest d_j only: it rises with d_j.
     """
     _require_protocol(z)
     beta = q.beta
@@ -211,7 +211,7 @@ def bell_table(q: UnknownQubit, z: ZsaAmplitudes) -> BellTable:
         flips = [re * re + im * im for re, im in zip(row[2::2], row[3::2])]  # |a_j|^2, j = 1..n
         total = math.fsum(flips)
         det = max([flip * (total - flip) for flip in flips])
-        built.append((prob, row, det / (0.5 + math.sqrt(max(0.25 - det, 0.0))) <= PRODUCT_TOL))
+        built.append((prob, row, two_level_spectrum(1.0, det)[0] <= PRODUCT_TOL))
     (p0, psi, f0), (p1, phi, f1) = built
     phi_plus = phi if z.num_parties % 2 == 0 else tuple([0.0 - x for x in phi])
     return BellTable(qubit=q, zsa=z, probabilities=(p1, p1, p0, p0), rows=(phi_plus, phi, psi, psi),

@@ -314,12 +314,17 @@ def _exact_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
     return sums[0], sums[1]
 
 
+def _exact_weights(z: ZsaAmplitudes) -> list[Decimal]:
+    """Each |c_k|^2, the sum of the squares of its float parts; call it in the `_EXACT` context."""
+    return [Decimal(c.real) ** 2 + Decimal(c.imag) ** 2 for c in z.coeffs.tolist()]
+
+
 def _exact_output_norms(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[Decimal, Decimal]:
     """The squared norms of the unnormalized reference-0 and reference-1 outputs: alpha^2 |c_1|^2 + |beta|^2
     sum_{k>=2} |c_k|^2, and the same with alpha and |beta| swapped.  They do not assume that sum |c_k|^2 = 1."""
     cos, sin = _exact_cos_sin(Decimal(q.theta) / 2)
     alpha2, beta2 = cos * cos, sin * sin
-    first, *rest = [Decimal(c.real) ** 2 + Decimal(c.imag) ** 2 for c in z.coeffs.tolist()]
+    first, *rest = _exact_weights(z)
     others = sum(rest)
     return alpha2 * first + beta2 * others, beta2 * first + alpha2 * others
 
@@ -354,6 +359,45 @@ def exact_marginal_spectrum(parts, j: int) -> tuple[Decimal, Decimal]:
         s, top = weights[j], sum(weights) - weights[j]
         large = (top + s) / 2 + (((top - s) / 2) ** 2 + weights[0] * s).sqrt()
         return s * (top - weights[0]) / large, large
+
+
+def exact_two_level_spectrum(trace, det) -> tuple[Decimal, Decimal]:
+    """(smaller, larger) eigenvalue of a 2x2 Hermitian matrix of this trace and determinant, for floats or decimals:
+    (trace + sqrt(trace^2 - 4 det)) / 2, and det over it, which `EXACT_DIGITS` would not hold as (trace - sqrt(...)) / 2
+    at det = 1e-61.  A negative discriminant, which only a rounded determinant reaches, gives the degenerate pair
+    (trace/2, trace/2), as in `linalg.two_level_spectrum`."""
+    with decimal.localcontext(_EXACT):
+        trace, det = Decimal(trace), Decimal(det)
+        large = (trace + max(trace * trace - 4 * det, Decimal(0)).sqrt()) / 2
+        return min(det / large, large), large
+
+
+def exact_ppt_spectrum(z: ZsaAmplitudes) -> tuple[Decimal, Decimal]:
+    """(smaller, larger) eigenvalue of the block [[|c_1|^2, c_2 c_3*], [., 0]] of the tripartite pair marginal's
+    partial transpose: trace |c_1|^2 and determinant -|c_2|^2 |c_3|^2."""
+    with decimal.localcontext(_EXACT):
+        a1, a2, a3 = _exact_weights(z)
+        return exact_two_level_spectrum(a1, -a2 * a3)
+
+
+def exact_obstruction(q: UnknownQubit, z: ZsaAmplitudes) -> Decimal:
+    """The obstruction modulus 2 N(alpha) N(beta) alpha |beta| |Re(c_2 c_3*)| of a tripartite state."""
+    with decimal.localcontext(_EXACT):
+        n_alpha, n_beta = exact_norm_constants(q, z)
+        alpha, beta = _exact_cos_sin(Decimal(q.theta) / 2)
+        _, _, r2, i2, r3, i3 = (Decimal(x) for x in z.parts)
+        return 2 * n_alpha * n_beta * alpha * abs(beta) * abs(r2 * r3 + i2 * i3)
+
+
+def exact_recovery_probability(q: UnknownQubit, z: ZsaAmplitudes) -> Decimal:
+    """The CNOT recovery probability (|c_2|^2 + |c_3|^2 + 2 Re(c_2* c_3)) / (2 (|c_2|^2 + |c_3|^2 + 2 alpha^2
+    Re(c_2* c_3))) of a tripartite state, the form that cancels in floats near a pole."""
+    with decimal.localcontext(_EXACT):
+        cos, _ = _exact_cos_sin(Decimal(q.theta) / 2)
+        _, a2, a3 = _exact_weights(z)
+        _, _, r2, i2, r3, i3 = (Decimal(x) for x in z.parts)
+        cross = r2 * r3 + i2 * i3
+        return (a2 + a3 + 2 * cross) / (2 * (a2 + a3 + 2 * cos * cos * cross))
 
 
 def relative_error(value: float, exact: Decimal) -> float:

@@ -24,7 +24,6 @@ from qcobweb.linalg import (
 from qcobweb.measures import (
     cobweb_spectrum,
     concurrence,
-    entanglement_of_formation,
     eof_from_concurrence,
     ppt_report,
     scaling_curve,
@@ -273,10 +272,10 @@ def test_criterion_11_eof_consistency():
     worst = 0.0
     for _ in range(1000):
         z = random_zsa(3, rng)
-        closed = entanglement_of_formation(z)
+        closed = eof_from_concurrence(2 * abs(z.coeffs[1]) * abs(z.coeffs[2]))
         route = eof_from_concurrence(concurrence(reduced_pair(z)))
         worst = max(worst, abs(closed - route))
-    cube_closed = entanglement_of_formation(CUBE)
+    cube_closed = eof_from_concurrence(2 * abs(CUBE.coeffs[1]) * abs(CUBE.coeffs[2]))
     cube_route = eof_from_concurrence(concurrence(reduced_pair(CUBE)))
     cube_ok = abs(cube_closed - 0.550) < 5e-4 and abs(cube_route - 0.550) < 5e-4
     ok = worst < 1e-10 and cube_ok

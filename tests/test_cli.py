@@ -1591,18 +1591,21 @@ class SeededCoeffs:
 # Every pin was re-recorded again with item 10 of ROADMAP.md: `binary_entropy`'s log1p form moved entropies and the
 # claims that read them, the plain-float `bell_table` products and two-term norm constants moved the N = 3 output
 # fields, and `marginal_spectrum`'s smaller eigenvalue, now a determinant over the larger, moved oracle fields.
+# The cube's `measures` pins and the claims JSON and CSV pins were re-recorded when every 2x2 spectrum came from
+# `linalg.two_level_spectrum` (eta_minus moved by 4 ULP) and the recovery probability from |c2 + c3|^2 (the recovery
+# fields and the `recovery-probability-cube-roots` claim moved by 1 ULP); the claims text rounds both to six digits.
 # The three `--coeffs` states' amplitude magnitudes differ, so unlike the cube's they pin the rounding of every
 # per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form keeps only the larger
 # eigenvalue's term, -(1 - p) log1p(-p) / ln 2 = 7.6e-18, and its oracle that of the larger eigenvalue rounded,
 # 1.5e-16.
 GOLDEN_REPORTS = [
     (["claims"], "081e1e9f00e579af4e8ff43415924a5bad8caf292cc8e077791fb9002a08c267"),
-    (["claims", "--format", "json"], "992d88eba12cd244267f8294c3b561c54ce5a8932164015a10f729011afc4c8c"),
-    (["claims", "--format", "csv"], "2b5af320d80726ddceda6357d757d692d5fb2d2fc2c0f4d6d8d6ebc92ffaa791"),
+    (["claims", "--format", "json"], "f26e4d315cb3429750ae9d1c900caa5bd7bf45064f0571ed27fb405a2a531b80"),
+    (["claims", "--format", "csv"], "12fe9b77e46e0d0e2ad43cbbb9dc60e7b0e75dc476bf5b71b299dbdc4ec2ba0c"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"],
-     "5d955d00cae2c02db36a4577c046c87a17aad802193b998a0e40e78bd92fc038"),
+     "78756fad52fd3896306755214f2140532c3b7037c64efb29aa00e1c79b75c892"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3", "--format", "csv"],
-     "50e94d2d540117333456331afb2eff37351da4b0303e43dd75d6bcc1fefdc0a5"),
+     "24bb17e0587331b563b03a09401caf99ac579e2925bb619092b2bcb3477a6f4c"),
     (["scaling", "--max", "40"], "c04324dad721239d0fe3b7eb57ffbfa4f993b717faeeb2ca6fe7f689195be4d7"),
     (["scaling", "--max", "40", "--format", "csv"],
      "a8f996ff1c3f6adfcbcf5defe0e000d48f6fab475987cce53386590bc8c4cc2d"),

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -10,11 +11,19 @@ from qcobweb.disentangle import (
     obstruction,
     success_probability_sign,
 )
-from qcobweb.protocol import BellOutcome, DegenerateBranch, run_protocol
+from qcobweb.protocol import DEGENERATE_PROBABILITY, BellOutcome, DegenerateBranch, bell_table, run_protocol
 from qcobweb.states import UnknownQubit, ZsaAmplitudes, random_zsa, roots_of_unity_zsa
 
-from _helpers import random_qubit, reference_0_output
-from oracles import cobweb_state, orthogonal_complement, target_vector
+from _helpers import near_pole_sweep, random_qubit, reference_0_output
+from oracles import (
+    EXACT_BOUND,
+    cobweb_state,
+    exact_obstruction,
+    exact_recovery_probability,
+    orthogonal_complement,
+    relative_error,
+    target_vector,
+)
 
 CUBE = roots_of_unity_zsa(3)
 
@@ -81,6 +90,21 @@ def test_obstruction_matches_its_oracle_near_a_pole_with_a_tiny_c1(theta):
     z = ZsaAmplitudes([-3.090169943749473e-12 + 9.510565162951536e-12j,
                        -0.21850801222286556 - 0.6724985119687127j, 0.21850801222595576 + 0.6724985119592021j])
     assert obstruction(reference_0_output(UnknownQubit(theta), z))["abs_difference"] <= 1e-15
+
+
+def test_obstruction_against_the_exact_oracle():
+    """The closed-form obstruction within `EXACT_BOUND` of its 60-digit value over the three-party states of the
+    near-pole sweep at every theta strictly inside (0, pi); a case whose psi-perp row is degenerate is refused, so
+    it is skipped."""
+    errors = []
+    for q, z in near_pole_sweep():
+        if z.num_parties == 3 and 0.0 < q.theta < math.pi:
+            with contextlib.suppress(DegenerateBranch):
+                value = obstruction(cobweb_state(q, z, 0))["closed_form"]
+                errors.append((relative_error(value, exact_obstruction(q, z)), q.theta, z.coeffs.tolist()))
+    error, *where = max(errors, key=lambda entry: entry[0])
+    assert len(errors) > 100
+    assert error <= EXACT_BOUND, (error, *where)
 
 
 def test_obstruction_refuses_a_degenerate_output_row():
@@ -178,6 +202,38 @@ def test_recovery_numerator_identity():
         assert abs(c2 + c3) ** 2 == pytest.approx(abs(c1) ** 2, abs=1e-12)
 
 
+def test_recovery_probability_against_the_exact_oracle():
+    """The printed recovery probability, from `cnot_disentangle` on each live reference-0 output and from
+    `success_probability_sign` strictly inside (0, pi), lies in [0, 1] and within `EXACT_BOUND` of (|c2|^2 + |c3|^2 +
+    2 Re(c2* c3)) / (2 (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3))) in 60 digits, over the three-party states of the
+    near-pole sweep.  That form in floats divides by zero or leaves [0, 1] in 29 of these cases."""
+    errors = []
+    for q, z in near_pole_sweep(count=400):
+        if z.num_parties != 3:
+            continue
+        table, exact = bell_table(q, z), exact_recovery_probability(q, z)
+        values = []
+        if table.probabilities[BellOutcome.PSI_MINUS.value] >= DEGENERATE_PROBABILITY:
+            values.append(cnot_disentangle(table.transcript(BellOutcome.PSI_MINUS).final)["closed_form_probability"])
+        if 0.0 < q.theta < math.pi:
+            values.append(success_probability_sign(z, q)["probability"])
+        assert all(0.0 <= p <= 1.0 for p in values), (values, q.theta, z.coeffs.tolist())
+        errors += [(relative_error(p, exact), q.theta, z.coeffs.tolist()) for p in values]
+    error, *where = max(errors, key=lambda entry: entry[0])
+    assert len(errors) > 600
+    assert error <= EXACT_BOUND, (error, *where)
+
+
+def test_recovery_near_a_pole_with_a_tiny_c1():
+    """|c_1| = 1e-11 at theta = 1e-6: the closed form holds the simulated probability, 2e-10, within 1e-12.  The
+    form (|c2|^2 + |c3|^2 + 2 Re(c2* c3)) / (2 (|c2|^2 + |c3|^2 + 2 alpha^2 Re(c2* c3))) cancels to -4.4e-4 here."""
+    z = ZsaAmplitudes([-3.090169943749473e-12 + 9.510565162951536e-12j,
+                       -0.21850801222286556 - 0.6724985119687127j, 0.21850801222595576 + 0.6724985119592021j])
+    result = cnot_disentangle(reference_0_output(UnknownQubit(1e-6), z))
+    assert 0.0 <= result["closed_form_probability"] <= 1.0
+    assert result["abs_difference"] <= 1e-12
+
+
 def test_recovery_requires_reference_zero_tripartite():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError):
@@ -239,8 +295,28 @@ def test_sign_rule_near_the_poles_and_at_tiny_crosses():
             assert report["better_than_half"] == (report["re_c2_conj_c3"] > 0)
 
 
+def test_sign_rule_holds_on_near_orthogonal_pairs_and_near_the_poles():
+    """60000 seeded states, half of them random and half with c2 perpendicular to c3 within 1e-9, each at a uniform
+    theta and within 1e-15 of either pole: the rounded P never lies on the wrong side of 1/2 (`success_probability_sign`
+    raises RuntimeError if it does), and a P off 1/2 follows the sign of Re(c2* c3)."""
+    rng = np.random.default_rng(1402)
+    for i in range(60000):
+        if i % 2:
+            phase, ratio = np.exp(2j * math.pi * rng.random()), 10.0 ** rng.uniform(-1, 1)
+            c2, c3 = phase, ratio * phase * (1j + rng.uniform(-1e-9, 1e-9))
+            coeffs = np.array([-(c2 + c3), c2, c3])
+            z = ZsaAmplitudes(coeffs / np.linalg.norm(coeffs))
+        else:
+            z = random_zsa(3, rng)
+        near = 1e-15 * rng.uniform(0.5, 1.0, 2)
+        for theta in (math.pi * rng.uniform(0.0, 1.0), near[0], math.pi - near[1]):
+            report = success_probability_sign(z, UnknownQubit(theta, 2.0 * math.pi * rng.random()))
+            if report["probability"] != 0.5:
+                assert (report["probability"] > 0.5) == (report["sign"] > 0), (report, theta, z.coeffs.tolist())
+
+
 def test_sign_rule_flags_a_probability_on_the_wrong_side(monkeypatch):
-    monkeypatch.setattr(disentangle, "_recovery_probability", lambda z, alpha: (0.4, 1 / 6))
+    monkeypatch.setattr(disentangle, "_recovery_probability", lambda z, q: (0.4, 1 / 6))
     with pytest.raises(RuntimeError, match="sign rule violated"):
         success_probability_sign(CUBE, UnknownQubit(np.pi / 2))
 

@@ -14,6 +14,7 @@ from qcobweb.linalg import (
     partial_transpose,
     project,
     state_fidelity,
+    two_level_spectrum,
 )
 
 from qcobweb.disentangle import CNOT
@@ -30,6 +31,7 @@ from oracles import (
     basis_state,
     equal_up_to_global_phase,
     exact_binary_entropy,
+    exact_two_level_spectrum,
     is_product_state,
     outer,
     pure_marginal,
@@ -293,6 +295,28 @@ def test_binary_entropy_against_the_exact_oracle(entropy):
               for p in sorted(probabilities) if ENTROPY_CUTOFF < p < 1.0 - ENTROPY_CUTOFF]
     error, p = max(errors)
     assert error <= EXACT_BOUND, f"{error!r} at p = {p!r}"
+
+
+def test_two_level_spectrum_against_the_exact_oracle():
+    """Both roots within `EXACT_BOUND` of their 60-digit values where the package takes them: trace 1 with a
+    determinant from 1e-300 to 1/4 (the output marginals, the entanglement of formation and the product flag) and a
+    trace from 1e-15 to 1 with a negative determinant (the partial transpose).  At trace 1 the smaller root is
+    d / (1/2 + sqrt(1/4 - d)) bit for bit, the expression `bell_table`'s product flag was pinned with."""
+    assert two_level_spectrum(1.0, 0.25000000000000017) == (0.5, 0.5)  # a determinant rounded past 1/4
+    rng = np.random.default_rng(1403)
+    cases = [(1.0, float(d)) for d in 0.25 * 10.0 ** -rng.uniform(0, 300, 2000)] + [(1.0, 0.25), (1.0, 0.0)]
+    traces, dets = 10.0 ** -rng.uniform(0, 15, 2000), 10.0 ** -rng.uniform(0, 300, 2000)
+    cases += [(float(t), -float(d)) for t, d in zip(traces, dets)]
+    errors = []
+    for trace, det in cases:
+        roots = two_level_spectrum(trace, det)
+        if trace == 1.0:
+            assert roots[0] == det / (0.5 + math.sqrt(max(0.25 - det, 0.0))), det
+        assert roots[0] <= roots[1], (trace, det)
+        errors += [(relative_error(value, exact), trace, det)
+                   for value, exact in zip(roots, exact_two_level_spectrum(trace, det)) if exact]
+    error, *where = max(errors, key=lambda entry: entry[0])
+    assert error <= EXACT_BOUND, (error, *where)
 
 
 # --- comparisons and gates -------------------------------------------------------

@@ -12,7 +12,6 @@ from qcobweb.linalg import (
 from qcobweb.measures import (
     cobweb_spectrum,
     concurrence,
-    entanglement_of_formation,
     eof_from_concurrence,
     marginal_spectrum,
     ppt_report,
@@ -30,12 +29,14 @@ from qcobweb.states import (
     roots_of_unity_zsa,
 )
 
-from _helpers import near_pole_sweep, random_qubit
+from _helpers import near_pole_sweep, random_qubit, reference_0_output
 from oracles import (
     EXACT_BOUND,
     cobweb_state,
     entropy_of_eigenvalues,
     exact_marginal_spectrum,
+    exact_ppt_spectrum,
+    exact_two_level_spectrum,
     pure_marginal,
     relative_error,
     single_qubit_spectra,
@@ -105,6 +106,21 @@ def test_ppt_report_serialization():
     assert doc["separable"] is False
 
 
+def test_ppt_smaller_eigenvalue_against_the_exact_oracle():
+    """The negative PPT eigenvalue within `EXACT_BOUND` of its 60-digit value over the three-party states of the
+    near-pole sweep, each with its amplitudes cycled so that the tiny one is c_3.  Taken as (|c_1|^2 - sqrt(|c_1|^4 +
+    4|c_2|^2|c_3|^2))/2 it cancels and loses every digit there."""
+    errors = []
+    for _, z in near_pole_sweep():
+        if z.num_parties == 3:
+            cycled = ZsaAmplitudes(np.roll(z.coeffs, -1))
+            small = ppt_report(cycled, reduced_pair(cycled))["closed_form_eigenvalues"][3]
+            errors.append((relative_error(small, exact_ppt_spectrum(cycled)[0]), cycled.coeffs.tolist()))
+    error, where = max(errors, key=lambda entry: entry[0])
+    assert len(errors) > 100
+    assert error <= EXACT_BOUND, (error, where)
+
+
 def test_ppt_report_requires_three_parties():
     with pytest.raises(ValueError):
         ppt_report(roots_of_unity_zsa(4), reduced_pair(CUBE))
@@ -114,7 +130,7 @@ def test_ppt_report_requires_three_parties():
 
 
 def test_eof_cube_roots_both_routes():
-    closed = entanglement_of_formation(CUBE)
+    closed = eof_from_concurrence(2 * abs(CUBE.coeffs[1]) * abs(CUBE.coeffs[2]))
     assert closed == pytest.approx(EOF_CUBE, abs=1e-12)
     route = eof_from_concurrence(concurrence(reduced_pair(CUBE)))
     assert route == pytest.approx(EOF_CUBE, abs=1e-10)
@@ -124,7 +140,7 @@ def test_eof_routes_agree_on_random_states():
     rng = np.random.default_rng(67)
     for _ in range(300):
         z = random_zsa(3, rng)
-        closed = entanglement_of_formation(z)
+        closed = eof_from_concurrence(2 * abs(z.coeffs[1]) * abs(z.coeffs[2]))
         route = eof_from_concurrence(concurrence(reduced_pair(z)))
         assert abs(closed - route) < 1e-10
 
@@ -218,6 +234,29 @@ def test_cobweb_spectrum_schmidt_equality_random():
             assert np.max(np.abs(closed - oracle)) < 1e-10
         assert spectrum["eta_plus"] + spectrum["eta_minus"] == pytest.approx(1.0, abs=1e-14)
         assert spectrum["eta_plus"] * spectrum["eta_minus"] == pytest.approx(spectrum["epsilon"], abs=1e-12)
+
+
+def test_cobweb_spectrum_against_the_exact_oracle():
+    """eta_minus and eta_plus, in ascending order even where epsilon rounds past 1/4, within `EXACT_BOUND` of the
+    60-digit roots of trace 1 and determinant epsilon, for the cube at theta = 1e-6 and every live output of the
+    three-party states of the near-pole sweep.  Taken as (1 - sqrt(1 - 4 epsilon))/2, eta_minus reads 0.0 for the
+    cube, where epsilon is 6.25e-26."""
+    outputs = [reference_0_output(UnknownQubit(1e-6), CUBE)]
+    for q, z in near_pole_sweep():
+        if z.num_parties == 3:
+            table = bell_table(q, z)
+            outputs += [table.transcript(o).final for o in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)
+                        if table.probabilities[o.value] >= DEGENERATE_PROBABILITY]
+    errors = []
+    for cw in outputs:
+        spectrum = cobweb_spectrum(cw)
+        assert spectrum["eta_minus"] <= spectrum["eta_plus"], (cw.qubit.theta, cw.zsa.coeffs.tolist())
+        exact = exact_two_level_spectrum(1.0, spectrum["epsilon"])
+        errors += [(relative_error(spectrum[key], value), key, cw.qubit.theta, cw.zsa.coeffs.tolist())
+                   for key, value in zip(("eta_minus", "eta_plus"), exact) if value]
+    assert cobweb_spectrum(outputs[0])["eta_minus"] > 0.0
+    error, *where = max(errors, key=lambda entry: entry[0])
+    assert error <= EXACT_BOUND, (error, *where)
 
 
 def test_cobweb_spectrum_factor_four_variant_fails_oracle():
