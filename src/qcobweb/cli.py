@@ -428,8 +428,8 @@ def _measures_report(z: ZsaAmplitudes, q: UnknownQubit) -> dict:
 
     cobwebs = {}
     for ref, cw in enumerate(outputs):
-        spectrum, row = cobweb_spectrum(cw), cw.slots.view(np.float64).tolist()  # the floats of its table row
-        oracle_eigs = [marginal_spectrum(row, j) for j in (1, 2)]
+        spectrum = cobweb_spectrum(cw)
+        oracle_eigs = [marginal_spectrum(cw.slots, j) for j in (1, 2)]
         closed_sorted = (spectrum["eta_minus"], spectrum["eta_plus"])
         deviation = max(abs(c - o) for eigs in oracle_eigs for c, o in zip(closed_sorted, eigs))
         det_oracle = oracle_eigs[0][0] * oracle_eigs[0][1]
@@ -521,7 +521,7 @@ def _claims_rows() -> list[dict]:
         z = random_zsa(3, rng)
         q = UnknownQubit(math.acos(1.0 - 2.0 * rng.uniform(0.05, 0.95)), 2.0 * math.pi * rng.random())
         simulated = cnot_disentangle(run_protocol(q, z, outcome=BellOutcome.PSI_MINUS).final)["simulated_probability"]
-        sign_agreements += (simulated > 0.5) == ((np.conj(z.coeffs[1]) * z.coeffs[2]).real > 0.0)
+        sign_agreements += (simulated > 0.5) == ((z.coeffs[1].conjugate() * z.coeffs[2]).real > 0.0)
     table = [
         ("epr-reduction-singlet-fidelity", 1.0, state_fidelity(build_state(epr_zsa()), singlet), 1e-12,
          "the two-party coefficients build the singlet exactly"),

@@ -48,11 +48,11 @@ def obstruction(c: CobwebState) -> dict:
     if c.reference_bit != 0:
         raise ValueError("the obstruction is defined for reference bit 0")
     n_alpha, n_beta = normalization_constants(q, z)
-    re_cross = float((z.coeffs[1] * np.conj(z.coeffs[2])).real)
+    re_cross = (z.coeffs[1] * z.coeffs[2].conjugate()).real
     value = 2.0 * n_alpha * n_beta * q.alpha * abs(q.beta) * abs(re_cross)
 
     perp = bell_table(UnknownQubit(math.pi - q.theta, q.phi + math.pi), z).transcript(BellOutcome.PSI_MINUS).final
-    v, w = (output.slots.view(np.float64).tolist() for output in (c, perp))
+    v, w = c.slots, perp.slots
     re = math.fsum(map(operator.mul, v, w))
     im = math.fsum([*map(operator.mul, v[::2], w[1::2]), *(-x * y for x, y in zip(v[1::2], w[::2]))])
     oracle = math.hypot(re, im)

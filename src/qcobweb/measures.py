@@ -35,7 +35,7 @@ def ppt_report(z: ZsaAmplitudes, pair: DensityMatrix) -> dict:
     if z.num_parties != 3:
         raise ValueError("the PPT report covers the tripartite pair marginal")
     pt = partial_transpose(pair.entries, subsystem=2)
-    a1, a2, a3 = (float(abs(c) ** 2) for c in z.coeffs)
+    a1, a2, a3 = (abs(c) ** 2 for c in z.coeffs)
     small, large = two_level_spectrum(a1, -a2 * a3)
     eigenvalues = [a2, a3, large, small]
     oracle = hermitian_eigenvalues(pt)
@@ -85,7 +85,7 @@ def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
     """
     if not 1 <= k <= z.num_parties:
         raise ValueError(f"party index {k} out of range 1..{z.num_parties}")
-    return binary_entropy(float(abs(z.coeffs[k - 1]) ** 2))
+    return binary_entropy(abs(z.coeffs[k - 1]) ** 2)
 
 
 def marginal_spectrum(parts, j: int) -> tuple[float, float]:
@@ -119,12 +119,10 @@ def cobweb_spectrum(c: CobwebState) -> dict:
     if c.zsa.num_parties != 3:
         raise ValueError("the closed-form spectrum covers tripartite outputs")
     off_axis = abs(c.qubit.beta) if c.reference_bit == 0 else c.qubit.alpha
-    a2 = float(abs(c.zsa.coeffs[1]) ** 2)
-    a3 = float(abs(c.zsa.coeffs[2]) ** 2)
-    eps = c.norm_constant**4 * off_axis**4 * a2 * a3
+    eps = c.norm_constant**4 * off_axis**4 * abs(c.zsa.coeffs[1]) ** 2 * abs(c.zsa.coeffs[2]) ** 2
     eta_minus, eta_plus = two_level_spectrum(1.0, eps)
     return {
-        "epsilon": float(eps),
+        "epsilon": eps,
         "eta_plus": eta_plus,
         "eta_minus": eta_minus,
         "entanglement_bits": binary_entropy(eta_plus),

@@ -99,21 +99,23 @@ _ROW_FACTORS = tuple((BELL_VECTORS[o][2 * r + 1].real.item(), BELL_VECTORS[o][2 
 class CobwebState:
     """The (N-1)-party universal entangled state produced by the protocol, a complex-weighted W-class state.
 
-    ``slots`` holds its N amplitudes: on the all-r string (r the reference bit), then on that string with only
-    qubit j = 1..N-1 flipped.  The dense `vector` is built on first use, for the oracles.
+    ``slots`` is its `BellTable` row: its N amplitudes as 2N floats, real and imaginary part in turn, on the all-r
+    string (r the reference bit), then on that string with only qubit j = 1..N-1 flipped.  `vector`, the one dense
+    form of a row, is built on first use, for the oracles and the dense `Transcript.to_dict`.
     """
 
     reference_bit: int
     zsa: ZsaAmplitudes
     qubit: UnknownQubit
-    slots: np.ndarray
+    slots: tuple[float, ...]
     norm_constant: float
 
     @functools.cached_property
     def vector(self) -> PureState:
-        amplitudes = np.zeros(2 ** (self.slots.size - 1), dtype=complex)
-        amplitudes[slot_positions(self.slots.size - 1, self.reference_bit)] = self.slots
-        return PureState(self.slots.size - 1, amplitudes)
+        n = len(self.slots) // 2 - 1
+        amplitudes = np.zeros(2**n, dtype=complex)
+        amplitudes[slot_positions(n, self.reference_bit)] = np.array(self.slots).view(complex)
+        return PureState(n, amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +177,8 @@ class BellTable:
 
     def transcript(self, outcome: BellOutcome) -> Transcript:
         """The run that lands on ``outcome``.  Raises `DegenerateBranch` on a degenerate row."""
-        probability, reference_bit = self.probability(outcome), CORRECTIONS[outcome][0]
-        slots = np.array(self.rows[outcome.value]).view(complex)
-        slots.setflags(write=False)  # `CobwebState.vector` is built from them once
-        final = CobwebState(reference_bit=reference_bit, zsa=self.zsa, qubit=self.qubit, slots=slots,
+        probability, reference_bit, row = self.probability(outcome), CORRECTIONS[outcome][0], self.rows[outcome.value]
+        final = CobwebState(reference_bit=reference_bit, zsa=self.zsa, qubit=self.qubit, slots=row,
                             norm_constant=self.norm_constants[reference_bit])
         return Transcript(outcome=outcome, outcome_probability=probability, cbits_sent=2,
                           parties_notified=self.zsa.num_parties - 1, final=final)

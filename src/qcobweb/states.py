@@ -72,11 +72,12 @@ def _sums(parts: tuple[float, ...]) -> tuple[complex, float]:
 class ZsaAmplitudes:
     """One amplitude per party: zero sum, unit norm, all entries nonzero.
 
-    The invariants are checked once, in plain floats (`_sums`), and their figures kept: the (re, im) ``parts`` in
-    turn, ``amplitude_sum``, ``squared_norm`` and ``min_modulus``, the smallest ``abs`` (libm's hypot) of an amplitude.
+    ``coeffs`` is a tuple of Python ``complex``, from any array-like.  The invariants are checked once, in plain floats
+    (`_sums`), and their figures kept: ``parts``, the (re, im) floats of ``coeffs`` in turn, ``amplitude_sum``,
+    ``squared_norm`` and ``min_modulus``, the smallest ``abs`` (libm's hypot) of an amplitude.
     """
 
-    coeffs: np.ndarray
+    coeffs: tuple[complex, ...]
     parts: tuple[float, ...] = field(init=False, repr=False)
     amplitude_sum: complex = field(init=False, repr=False)
     squared_norm: float = field(init=False, repr=False)
@@ -86,7 +87,7 @@ class ZsaAmplitudes:
         arr = np.array(self.coeffs, dtype=complex).reshape(-1)
         if arr.size < 2:
             raise ValueError(f"need at least 2 coefficients, got {arr.size}")
-        values = arr.tolist()
+        values = tuple(arr.tolist())
         if not all(map(cmath.isfinite, values)):  # both parts finite
             raise ValueError("coefficients must be finite")
         parts = tuple(arr.view(np.float64).tolist())
@@ -108,14 +109,13 @@ class ZsaAmplitudes:
                 f"smallest amplitude magnitude {smallest:.6e} is indistinguishable from 0",
                 smallest,
             )
-        arr.setflags(write=False)
-        for name, value in (("coeffs", arr), ("parts", parts), ("amplitude_sum", total), ("squared_norm", sq),
+        for name, value in (("coeffs", values), ("parts", parts), ("amplitude_sum", total), ("squared_norm", sq),
                             ("min_modulus", smallest)):
             object.__setattr__(self, name, value)
 
     @property
     def num_parties(self) -> int:
-        return self.coeffs.size
+        return len(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def reduced_single(z: ZsaAmplitudes, k: int) -> DensityMatrix:
     """Single-party marginal: |c_k|^2 I + (1 - 2|c_k|^2)|0><0| = diag(1-|c_k|^2, |c_k|^2)."""
     if not 1 <= k <= z.num_parties:
         raise ValueError(f"party index {k} out of range 1..{z.num_parties}")
-    p = float(abs(z.coeffs[k - 1]) ** 2)
+    p = abs(z.coeffs[k - 1]) ** 2
     entries = p * np.eye(2, dtype=complex)
     entries[0, 0] += 1.0 - 2.0 * p
     return DensityMatrix(1, entries)
@@ -220,8 +220,8 @@ def reduced_pair(z: ZsaAmplitudes) -> DensityMatrix:
     m[0, 0] = abs(c1) ** 2
     m[1, 1] = abs(c3) ** 2
     m[2, 2] = abs(c2) ** 2
-    m[2, 1] = c2 * np.conj(c3)
-    m[1, 2] = np.conj(c2) * c3
+    m[2, 1] = c2 * c3.conjugate()
+    m[1, 2] = c2.conjugate() * c3
     return DensityMatrix(2, m)
 
 
@@ -233,19 +233,17 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def coefficients_from_document(doc) -> np.ndarray:
-    """Parse {"coeffs": [[re, im], ...]} into a complex array, or raise AmplitudeFileError."""
+def coefficients_from_document(doc) -> list[complex]:
+    """Parse {"coeffs": [[re, im], ...]} into a list of complex numbers, or raise AmplitudeFileError."""
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise AmplitudeFileError('document must be an object with a "coeffs" key')
     raw = doc["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise AmplitudeFileError('"coeffs" must be a nonempty list of [re, im] pairs')
-    out = np.empty(len(raw), dtype=complex)
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_finite_number, pair)):
             raise AmplitudeFileError(f"coeffs[{i}] is not a finite [re, im] pair: {pair!r}")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    return out
+    return [complex(float(re), float(im)) for re, im in raw]
 
 
 def load_amplitudes(path) -> ZsaAmplitudes:

@@ -244,8 +244,7 @@ def cobweb_state(q: UnknownQubit, z: ZsaAmplitudes, reference_bit: int) -> Cobwe
     reference-0 slots and its PhiMinus row +1 times its reference-1 slots, within rounding."""
     raw = target_vector(q.vector(), z, reference_bit)
     slots = raw[slot_positions(z.num_parties - 1, reference_bit)] / np.linalg.norm(raw)
-    slots.setflags(write=False)  # `CobwebState.vector` is built from them once
-    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, slots=slots,
+    return CobwebState(reference_bit=reference_bit, zsa=z, qubit=q, slots=tuple(slots.view(np.float64).tolist()),
                        norm_constant=normalization_constants(q, z)[reference_bit])
 
 
@@ -257,7 +256,7 @@ def orthogonal_complement(q: UnknownQubit) -> np.ndarray:
 def _products(q: UnknownQubit, z: ZsaAmplitudes) -> list[list[complex]]:
     """v_a c_k for a = 0, 1 and k = 1..N, each a Python ``complex`` multiply: every product and sum rounded once, as
     `protocol.bell_table` forms them, where numpy's complex multiply fuses them under AVX2 and AVX-512."""
-    return [[v * c for c in z.coeffs.tolist()] for v in q.vector().tolist()]
+    return [[v * c for c in z.coeffs] for v in q.vector().tolist()]
 
 
 def joint_state(q: UnknownQubit, z: ZsaAmplitudes) -> PureState:
@@ -316,7 +315,7 @@ def _exact_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
 
 def _exact_weights(z: ZsaAmplitudes) -> list[Decimal]:
     """Each |c_k|^2, the sum of the squares of its float parts; call it in the `_EXACT` context."""
-    return [Decimal(c.real) ** 2 + Decimal(c.imag) ** 2 for c in z.coeffs.tolist()]
+    return [Decimal(c.real) ** 2 + Decimal(c.imag) ** 2 for c in z.coeffs]
 
 
 def _exact_output_norms(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[Decimal, Decimal]:

@@ -101,7 +101,7 @@ def test_obstruction_against_the_exact_oracle():
         if z.num_parties == 3 and 0.0 < q.theta < math.pi:
             with contextlib.suppress(DegenerateBranch):
                 value = obstruction(cobweb_state(q, z, 0))["closed_form"]
-                errors.append((relative_error(value, exact_obstruction(q, z)), q.theta, z.coeffs.tolist()))
+                errors.append((relative_error(value, exact_obstruction(q, z)), q.theta, list(z.coeffs)))
     error, *where = max(errors, key=lambda entry: entry[0])
     assert len(errors) > 100
     assert error <= EXACT_BOUND, (error, *where)
@@ -217,8 +217,8 @@ def test_recovery_probability_against_the_exact_oracle():
             values.append(cnot_disentangle(table.transcript(BellOutcome.PSI_MINUS).final)["closed_form_probability"])
         if 0.0 < q.theta < math.pi:
             values.append(success_probability_sign(z, q)["probability"])
-        assert all(0.0 <= p <= 1.0 for p in values), (values, q.theta, z.coeffs.tolist())
-        errors += [(relative_error(p, exact), q.theta, z.coeffs.tolist()) for p in values]
+        assert all(0.0 <= p <= 1.0 for p in values), (values, q.theta, list(z.coeffs))
+        errors += [(relative_error(p, exact), q.theta, list(z.coeffs)) for p in values]
     error, *where = max(errors, key=lambda entry: entry[0])
     assert len(errors) > 600
     assert error <= EXACT_BOUND, (error, *where)
@@ -312,7 +312,7 @@ def test_sign_rule_holds_on_near_orthogonal_pairs_and_near_the_poles():
         for theta in (math.pi * rng.uniform(0.0, 1.0), near[0], math.pi - near[1]):
             report = success_probability_sign(z, UnknownQubit(theta, 2.0 * math.pi * rng.random()))
             if report["probability"] != 0.5:
-                assert (report["probability"] > 0.5) == (report["sign"] > 0), (report, theta, z.coeffs.tolist())
+                assert (report["probability"] > 0.5) == (report["sign"] > 0), (report, theta, list(z.coeffs))
 
 
 def test_sign_rule_flags_a_probability_on_the_wrong_side(monkeypatch):

@@ -115,7 +115,7 @@ def test_ppt_smaller_eigenvalue_against_the_exact_oracle():
         if z.num_parties == 3:
             cycled = ZsaAmplitudes(np.roll(z.coeffs, -1))
             small = ppt_report(cycled, reduced_pair(cycled))["closed_form_eigenvalues"][3]
-            errors.append((relative_error(small, exact_ppt_spectrum(cycled)[0]), cycled.coeffs.tolist()))
+            errors.append((relative_error(small, exact_ppt_spectrum(cycled)[0]), list(cycled.coeffs)))
     error, where = max(errors, key=lambda entry: entry[0])
     assert len(errors) > 100
     assert error <= EXACT_BOUND, (error, where)
@@ -250,9 +250,9 @@ def test_cobweb_spectrum_against_the_exact_oracle():
     errors = []
     for cw in outputs:
         spectrum = cobweb_spectrum(cw)
-        assert spectrum["eta_minus"] <= spectrum["eta_plus"], (cw.qubit.theta, cw.zsa.coeffs.tolist())
+        assert spectrum["eta_minus"] <= spectrum["eta_plus"], (cw.qubit.theta, list(cw.zsa.coeffs))
         exact = exact_two_level_spectrum(1.0, spectrum["epsilon"])
-        errors += [(relative_error(spectrum[key], value), key, cw.qubit.theta, cw.zsa.coeffs.tolist())
+        errors += [(relative_error(spectrum[key], value), key, cw.qubit.theta, list(cw.zsa.coeffs))
                    for key, value in zip(("eta_minus", "eta_plus"), exact) if value]
     assert cobweb_spectrum(outputs[0])["eta_minus"] > 0.0
     error, *where = max(errors, key=lambda entry: entry[0])
@@ -391,7 +391,7 @@ def test_marginal_spectrum_against_the_exact_oracle():
     errors = []
     for z in _tiny_c1_states(rng, 300):
         for row, state in _slot_rows(random_qubit(rng), z):
-            errors += [(relative_error(value, exact), j, z.coeffs.tolist()) for j in range(1, state.num_qubits + 1)
+            errors += [(relative_error(value, exact), j, list(z.coeffs)) for j in range(1, state.num_qubits + 1)
                        for value, exact in zip(marginal_spectrum(row, j), exact_marginal_spectrum(row, j))]
     error, *where = max(errors)
     assert error <= EXACT_BOUND, (error, *where)

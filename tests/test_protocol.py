@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -274,7 +275,7 @@ def _assert_product_flag_matches_dense_oracle(q: UnknownQubit, z) -> None:
             continue
         final = run_protocol(q, z, outcome=outcome).final
         assert table.products[outcome.value] == is_product_state(final.vector), (q.theta, outcome)
-        closed = min_marginal_eigenvalues(final.slots)
+        closed = min_marginal_eigenvalues(np.array(final.slots).view(complex))
         dense = [hermitian_eigenvalues(pure_marginal(final.vector, [j]).entries)[0] for j in range(1, z.num_parties)]
         small = (closed < 1e-3) | (np.array(dense) < 1e-3)
         assert np.abs(closed - dense)[small].max(initial=0.0) <= 1e-15, (q.theta, outcome)
@@ -541,7 +542,7 @@ def test_tripartite_printed_norm_form():
 def _worst(errors):
     """The largest (relative error, qubit, shared state) of a sweep, with its inputs spelled out for a failure."""
     error, q, z = max(errors, key=lambda entry: entry[0])
-    return error, f"{error!r} at theta = {q.theta!r}, phi = {q.phi!r}, coeffs = {z.coeffs.tolist()!r}"
+    return error, f"{error!r} at theta = {q.theta!r}, phi = {q.phi!r}, coeffs = {list(z.coeffs)!r}"
 
 
 def test_branch_probabilities_against_the_exact_oracle():
@@ -756,6 +757,20 @@ def test_cobweb_state_constructor_consistency():
         assert cw.norm_constant * raw_norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_an_output_holds_its_table_row_and_no_array():
+    """Each output's ``slots`` is its `bell_table` row itself, the one copy of its amplitudes, and no field of a
+    `CobwebState` is a numpy array: the dense form is `CobwebState.vector` alone, built from the row."""
+    rng = np.random.default_rng(27)
+    for z in (roots_of_unity_zsa(3), roots_of_unity_zsa(4), random_zsa(7, rng)):
+        table = bell_table(UnknownQubit(1.1, 0.3), z)
+        for outcome in BellOutcome:
+            final = table.transcript(outcome).final
+            assert final.slots is table.rows[outcome.value]
+            assert not any(isinstance(getattr(final, f.name), np.ndarray) for f in dataclasses.fields(final))
+            dense = final.vector.amplitudes[slot_positions(z.num_parties - 1, final.reference_bit)]
+            assert dense.tobytes() == np.array(final.slots).tobytes()
+
+
 def test_relabeling_parties_permutes_the_output_slots():
     """Relabeling parties 2..N by a permutation pi permutes the output's flipped-qubit slots by pi, bit for bit.
 
@@ -766,15 +781,16 @@ def test_relabeling_parties_permutes_the_output_slots():
     for _ in range(300):
         z = random_zsa(int(rng.integers(3, MAX_DENSE_QUBITS + 1)), rng)
         pi = rng.permutation(z.num_parties - 1)
-        relabeled = ZsaAmplitudes(np.concatenate([z.coeffs[:1], z.coeffs[1:][pi]]))
+        relabeled = ZsaAmplitudes(np.concatenate([z.coeffs[:1], np.array(z.coeffs[1:])[pi]]))
         q = random_qubit(rng)
         for outcome in BellOutcome:
             base = run_protocol(q, z, outcome=outcome)
             moved = run_protocol(q, relabeled, outcome=outcome)
             assert moved.outcome_probability == base.outcome_probability
             assert moved.final.norm_constant == base.final.norm_constant
-            assert moved.final.slots[:1].tobytes() == base.final.slots[:1].tobytes()
-            assert moved.final.slots[1:].tobytes() == base.final.slots[1:][pi].tobytes(), (z.num_parties, outcome)
+            moved_slots, base_slots = (np.array(t.final.slots).view(complex) for t in (moved, base))
+            assert moved_slots[:1].tobytes() == base_slots[:1].tobytes()
+            assert moved_slots[1:].tobytes() == base_slots[1:][pi].tobytes(), (z.num_parties, outcome)
 
 
 def test_a_global_phase_on_the_shared_state_changes_only_the_rows_phase():
@@ -789,7 +805,7 @@ def test_a_global_phase_on_the_shared_state_changes_only_the_rows_phase():
         z = random_zsa(3 + i % 6, rng)
         q = UnknownQubit((0.0, math.pi, rng.uniform(0.0, math.pi))[i % 3], rng.uniform(0.0, 2.0 * math.pi))
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        shifted = ZsaAmplitudes(z.coeffs * phase)
+        shifted = ZsaAmplitudes(np.array(z.coeffs) * phase)
         base, moved = bell_table(q, z), bell_table(q, shifted)
         assert moved.products == base.products, (i, q)
         np.testing.assert_allclose(moved.probabilities, base.probabilities, rtol=0, atol=1e-13)

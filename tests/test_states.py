@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,21 @@ def test_the_check_keeps_its_figures_read_only():
         ZsaAmplitudes(z.coeffs, squared_norm=1.0)
 
 
+def test_coeffs_is_the_checks_complex_tuple():
+    """``coeffs`` is a tuple of Python ``complex``, whatever array-like holds the input, and its real and imaginary
+    parts are ``parts`` bit for bit, signed zeros included; no field of the check is a numpy array."""
+    s = 1.0 / math.sqrt(2.0)
+    sources = [roots_of_unity_zsa(5), random_zsa(6, np.random.default_rng(28)), epr_zsa(),
+               ZsaAmplitudes([complex(s, -0.0), complex(-s, 0.0)]), ZsaAmplitudes(np.array([[s], [-s]])),
+               ZsaAmplitudes(coefficients_from_document({"coeffs": [[0.0, s], [-0.0, -s]]}))]
+    for z in sources:
+        assert type(z.coeffs) is tuple and {type(c) for c in z.coeffs} == {complex}
+        assert z.num_parties == len(z.coeffs) == len(z.parts) // 2
+        parts = [x for c in z.coeffs for x in (c.real, c.imag)]
+        assert struct.pack(f"{len(parts)}d", *parts) == struct.pack(f"{len(parts)}d", *z.parts)
+        assert not any(isinstance(getattr(z, f.name), np.ndarray) for f in dataclasses.fields(z))
+
+
 def _exact_sums(parts: list[float]) -> tuple[complex, float]:
     """The sum and the squared norm of interleaved (re, im) parts, in exact rationals rounded once to a double; each
     square is the double ``x * x``, as in the check."""
@@ -131,14 +147,14 @@ def test_the_check_figures_are_correctly_rounded():
             parts = _sweep_parts(rng, n)
             assert _sums(parts) == _exact_sums(parts), (n, parts)
             z = random_zsa(n, rng)
-            assert z.parts == tuple(z.coeffs.view(np.float64).tolist())
+            assert z.parts == tuple(np.array(z.coeffs).view(np.float64).tolist())
             assert (z.amplitude_sum, z.squared_norm) == _exact_sums(z.parts)
-            assert z.min_modulus == min(abs(c) for c in z.coeffs.tolist())
+            assert z.min_modulus == min(abs(c) for c in z.coeffs)
 
 
 def _near_bound(rng: np.random.Generator, n: int, offset) -> np.ndarray:
     """A seeded valid state moved by about ``offset()`` across one bound: its sum, its squared norm, or one modulus."""
-    c = random_zsa(n, rng).coeffs.copy()
+    c = np.array(random_zsa(n, rng).coeffs)
     kind, phase = int(rng.integers(3)), np.exp(2j * np.pi * rng.random())
     if kind == 0:
         c[0] += offset() * phase
@@ -238,7 +254,7 @@ def test_roots_of_unity_zero_sum_holds_at_a_million_parties():
     # the summed rounding of 10^6 roots drifts to about 1.1e-13, still inside the construction tolerance
     z = roots_of_unity_zsa(10**6)
     assert z.num_parties == 10**6
-    assert abs(complex(z.coeffs.sum())) <= CONSTRUCTION_TOL
+    assert abs(complex(np.sum(z.coeffs))) <= CONSTRUCTION_TOL
     assert abs(float(np.vdot(z.coeffs, z.coeffs).real) - 1.0) <= CONSTRUCTION_TOL
 
 
@@ -246,7 +262,7 @@ def test_random_zsa_invariants():
     rng = np.random.default_rng(41)
     for n in (2, 3, 5, 8):
         z = random_zsa(n, rng)
-        assert abs(z.coeffs.sum()) < 1e-12
+        assert abs(np.sum(z.coeffs)) < 1e-12
         assert abs(np.vdot(z.coeffs, z.coeffs).real - 1) < 1e-12
         assert np.min(np.abs(z.coeffs)) >= 1e-3
     a = random_zsa(4, np.random.default_rng(99)).coeffs
@@ -385,7 +401,7 @@ def test_amplitude_json_round_trip(tmp_path):
     rng = np.random.default_rng(53)
     z = random_zsa(5, rng)
     path = tmp_path / "coeffs.json"
-    path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in z.coeffs.tolist()]}))
+    path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in z.coeffs]}))
     loaded = load_amplitudes(path)
     np.testing.assert_array_equal(loaded.coeffs, z.coeffs)  # repr floats are lossless
 
@@ -436,10 +452,10 @@ def test_load_amplitudes_reads_as_text_mode_json_load(tmp_path, raw):
             load_amplitudes(path)
         assert str(err.value) == str(exc)
     else:
-        assert load_amplitudes(path).coeffs.tolist() == coefficients_from_document(doc).tolist()
+        assert list(load_amplitudes(path).coeffs) == coefficients_from_document(doc)
 
 
 def test_roots_of_unity_large_register_still_validates():
     z = roots_of_unity_zsa(64)
-    assert abs(z.coeffs.sum()) < 1e-12
+    assert abs(np.sum(z.coeffs)) < 1e-12
     assert abs(np.vdot(z.coeffs, z.coeffs).real - 1) < 1e-12
