@@ -16,10 +16,10 @@ Conventions used by every module in this package:
   takes libm's `math.log2` and `math.log1p`, so its bits do not follow
   numpy's SIMD dispatch, and it keeps its relative precision at small p.
 * Construction checks use a 1e-12 tolerance; eigenvalue positivity allows
-  1e-10 of eigensolver noise; eigenvalues below 1e-14 count as exactly zero
-  in entropy sums.
+  1e-10 of eigensolver noise; an eigenvalue, or a `binary_entropy` p or
+  1 - p, of at most 1e-14 counts as exactly zero in entropy sums.
 * A 2x2 Hermitian spectrum known by its trace and determinant comes from
-  `two_level_spectrum`, whose roots do not cancel.
+  `two_level_spectrum`, whose roots do not cancel; its entropy is H2(small).
 * A state is a product state when the smaller eigenvalue of every
   single-qubit marginal is at most 1e-9 (PRODUCT_TOL); a Bell branch with
   probability below 1e-14 is degenerate (protocol.DEGENERATE_PROBABILITY).
@@ -152,13 +152,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log2 p - (1-p) log2 (1-p) in bits, with log2 (1-p) taken as log1p(-p) / ln 2, so the rounding of
-    1 - p never enters a logarithm.  libm's logarithms, not numpy's, whose last bit follows its SIMD target."""
+    1 - p never enters a logarithm, and 0.0 where min(p, 1 - p) <= `ENTROPY_CUTOFF`.  libm's logarithms, not numpy's,
+    whose last bit follows its SIMD target.  Pass the smaller of p and 1 - p: a p near 1 has lost its digits."""
     if p < -CONSTRUCTION_TOL or p > 1.0 + CONSTRUCTION_TOL:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     p = min(max(float(p), 0.0), 1.0)
-    head = p * math.log2(p) if p > ENTROPY_CUTOFF else 0.0
-    tail = (1.0 - p) * math.log1p(-p) / math.log(2.0) if 1.0 - p > ENTROPY_CUTOFF else 0.0
-    return 0.0 - (head + tail)  # 0.0, not -0.0, where both terms are zero
+    if min(p, 1.0 - p) <= ENTROPY_CUTOFF:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / math.log(2.0))
 
 
 def two_level_spectrum(trace: float, det: float) -> tuple[float, float]:

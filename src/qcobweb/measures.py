@@ -4,7 +4,7 @@ Every closed form here has an independent oracle: a dense eigensolver or a
 partial trace, or for a single-qubit marginal the 2x2 Gram of the state's
 slots (`marginal_spectrum`).  A report is the dict that `qcobweb measures`
 prints, with both values and their difference, so disagreement is visible
-rather than silently absorbed.
+rather than silently absorbed.  A two-level entropy is H2 of its smaller root.
 """
 from __future__ import annotations
 
@@ -70,11 +70,11 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def eof_from_concurrence(con: float) -> float:
-    """Wootters' entanglement of formation in bits at concurrence C: H2 of the larger root of trace 1 and determinant
-    C^2/4, (1 + sqrt(1 - C^2))/2.  A tripartite ZSA state's pair marginal has C = 2|c2||c3|."""
+    """Wootters' entanglement of formation in bits at concurrence C: H2 of the smaller root of trace 1 and determinant
+    C^2/4, (1 - sqrt(1 - C^2))/2 without its cancellation.  A tripartite ZSA state's pair marginal has C = 2|c2||c3|."""
     if not -1e-12 <= con <= 1.0 + 1e-12:
         raise ValueError(f"concurrence {con!r} outside [0, 1]")
-    return binary_entropy(two_level_spectrum(1.0, con * con / 4.0)[1])
+    return binary_entropy(two_level_spectrum(1.0, con * con / 4.0)[0])
 
 
 def splitting_entropy(z: ZsaAmplitudes, k: int) -> float:
@@ -114,7 +114,7 @@ def cobweb_spectrum(c: CobwebState) -> dict:
     constant.  Note: no extra factor of 4 in epsilon; the determinant identity
     eta+ eta- = det(marginal) pins it.  The eigenvalues eta_pm are the roots of
     trace 1 and determinant epsilon (`two_level_spectrum`, so eta_minus keeps
-    its relative precision), and the entanglement is H2(eta_plus).
+    its relative precision), and the entanglement is H2(eta_minus), as precise.
     """
     if c.zsa.num_parties != 3:
         raise ValueError("the closed-form spectrum covers tripartite outputs")
@@ -125,7 +125,7 @@ def cobweb_spectrum(c: CobwebState) -> dict:
         "epsilon": eps,
         "eta_plus": eta_plus,
         "eta_minus": eta_minus,
-        "entanglement_bits": binary_entropy(eta_plus),
+        "entanglement_bits": binary_entropy(eta_minus),
     }
 
 

@@ -22,8 +22,9 @@ of PsiMinus and PhiMinus, one per reference bit, and flags the product ones;
 PsiPlus is PsiMinus and PhiPlus is (-1)^N PhiMinus.  It is the one builder of
 protocol outputs: every run reads its branch from that table, a sampled run
 draws it from `outcome_cdf` of its probabilities, and the reports take their
-outputs from its identity and sigma_x rows.  It makes no numpy call, so its
-bytes depend on neither the BLAS kernel nor numpy's SIMD dispatch.
+outputs from its identity and sigma_x rows.  An output's ``slots`` is its row
+itself; only `CobwebState.vector` makes a row dense.  It makes no numpy call,
+so its bytes depend on neither the BLAS kernel nor numpy's SIMD dispatch.
 """
 from __future__ import annotations
 

@@ -114,8 +114,7 @@ def classical_only_baseline(
 
     session = run_session(q, z, outcome, seed)
     final = session.transcript.final
-    strings = np.zeros((3, 4), dtype=complex)  # row k: the corrected branch of slot k alone
-    strings[np.arange(3), slot_positions(2, final.reference_bit)] = np.array(final.slots).view(complex)
+    strings = np.diag(final.vector.amplitudes)[slot_positions(2, final.reference_bit)]  # row k: slot k's branch alone
     out = strings.T @ strings.conj()  # the sum of |slot><slot|
     out_dm = DensityMatrix(2, out)
 

@@ -342,8 +342,8 @@ def exact_norm_constants(q: UnknownQubit, z: ZsaAmplitudes) -> tuple[Decimal, De
         return tuple(1 / norm.sqrt() for norm in _exact_output_norms(q, z))
 
 
-def exact_binary_entropy(p: float) -> Decimal:
-    """H2(p) = -p log2 p - (1 - p) log2 (1 - p) of the float ``p``, with 0 log 0 := 0."""
+def exact_binary_entropy(p) -> Decimal:
+    """H2(p) = -p log2 p - (1 - p) log2 (1 - p) of ``p``, a float or a decimal, with 0 log 0 := 0."""
     with decimal.localcontext(_EXACT):
         x = Decimal(p)
         return -sum(y * y.ln() for y in (x, 1 - x) if y) / Decimal(2).ln()
@@ -369,6 +369,20 @@ def exact_two_level_spectrum(trace, det) -> tuple[Decimal, Decimal]:
         trace, det = Decimal(trace), Decimal(det)
         large = (trace + max(trace * trace - 4 * det, Decimal(0)).sqrt()) / 2
         return min(det / large, large), large
+
+
+def exact_two_level_entropy(det) -> tuple[Decimal, Decimal]:
+    """The smaller root of trace 1 and determinant ``det``, a float or a decimal, and its H2: the exact value of a
+    two-level entropy, an output's `entanglement_bits` or an entanglement of formation."""
+    with decimal.localcontext(_EXACT):
+        small = exact_two_level_spectrum(1, det)[0]
+        return small, exact_binary_entropy(small)
+
+
+def exact_eof(con: float) -> tuple[Decimal, Decimal]:
+    """`exact_two_level_entropy` at the determinant C^2/4 of the float concurrence ``con``, taken exactly."""
+    with decimal.localcontext(_EXACT):
+        return exact_two_level_entropy(Decimal(con) ** 2 / 4)
 
 
 def exact_ppt_spectrum(z: ZsaAmplitudes) -> tuple[Decimal, Decimal]:

@@ -781,18 +781,24 @@ def test_amplitude_text_matches_json_dumps_per_cell(cases):
             assert text == json.dumps(oracle)  # also tells -0.0 from 0.0, which == does not
 
 
-def _transcript_rows(transcript, product: int) -> tuple[str, str]:
+def _transcript_rows(transcript, product: int, dense_texts: dict | None = None) -> tuple[str, str]:
     """The JSON and CSV texts a trial of this branch wrote after its trial index, newline included, by the per-row
     path: the branch's `Transcript`, ``json.dumps`` of its `scalar_fields` (in CSV, one ``json.dumps`` per cell
     that is not a string) and its dense `to_dict` amplitudes.  The cyclic collector is paused while the 2^(N-1)
-    two-float lists are built and dumped: at N = 20 its passes over them took most of the time."""
+    two-float lists are built and dumped: at N = 20 its passes over them took most of the time.  ``dense_texts``
+    keeps each dense text by reference bit and row object, for the outcomes of one table: PsiPlus's output holds
+    PsiMinus's row, and PhiPlus's PhiMinus's at even N, so their text is the same."""
     scalars, collecting = transcript.scalar_fields(), gc.isenabled()
-    gc.disable()
-    try:
-        amplitudes = json.dumps(transcript.to_dict()["final_state"])
-    finally:
-        if collecting:
-            gc.enable()
+    dense_texts = {} if dense_texts is None else dense_texts
+    key = (transcript.final.reference_bit, id(transcript.final.slots))
+    if key not in dense_texts:
+        gc.disable()
+        try:
+            dense_texts[key] = json.dumps(transcript.to_dict()["final_state"])
+        finally:
+            if collecting:
+                gc.enable()
+    amplitudes = dense_texts[key]
     as_json = f', {json.dumps(scalars)[1:-1]}, "final_state": {amplitudes}, "product_state": {product}}}\n'
     cells = [value if isinstance(value, str) else json.dumps(value) for value in [*scalars.values(), product]]
     as_csv = "".join([",", ",".join(cells), ",", amplitudes.translate({ord(c): None for c in "[] "}), "\n"])
@@ -801,7 +807,7 @@ def _transcript_rows(transcript, product: int) -> tuple[str, str]:
 
 @pytest.mark.parametrize("parties", [3, 4, 7, 14, 20])
 def test_branch_row_matches_the_transcript_path(parties):
-    """Differential check of `_branch_row`, which reads a row off the table's arrays alone, against the per-row
+    """Differential check of `_branch_row`, which reads a row off the table's rows alone, against the per-row
     path: every outcome, both formats, theta at both poles and one seeded draw.  The roots of unity, whose exact
     zero parts test the signs of zero cells, and below 20 parties a seeded random state too: a 20-party dense
     `to_dict` takes about a second."""
@@ -809,7 +815,9 @@ def test_branch_row_matches_the_transcript_path(parties):
     for z in [roots_of_unity_zsa(parties), *([random_zsa(parties, rng)] if parties < 20 else [])]:
         for theta in (0.0, math.pi, rng.uniform(0.0, math.pi)):
             table = protocol.bell_table(UnknownQubit(theta, rng.uniform(0.0, 2.0 * math.pi)), z)
-            expected = [_transcript_rows(table.transcript(o), int(table.products[o.value])) for o in BellOutcome]
+            dense_texts: dict = {}  # its rows live as long as the table, so their ids are not reused
+            expected = [_transcript_rows(table.transcript(o), int(table.products[o.value]), dense_texts)
+                        for o in BellOutcome]
             for csv_cells in (False, True):  # a format at a time: `_row_templates` keeps one, as a call uses one
                 texts: dict = {}  # shared by the four outcomes, as in a call
                 for outcome, rows in zip(BellOutcome, expected):
@@ -1594,18 +1602,20 @@ class SeededCoeffs:
 # The cube's `measures` pins and the claims JSON and CSV pins were re-recorded when every 2x2 spectrum came from
 # `linalg.two_level_spectrum` (eta_minus moved by 4 ULP) and the recovery probability from |c2 + c3|^2 (the recovery
 # fields and the `recovery-probability-cube-roots` claim moved by 1 ULP); the claims text rounds both to six digits.
+# The claims pins, the cube's `measures` pins and the N = 8 `--coeffs` pin were re-recorded when every two-level
+# entropy took H2 of the smaller root and `binary_entropy` read exactly 0.0 at and below its cutoff: the cube's
+# `entanglement_bits` and concurrence-route EoF moved by 1 ULP, and the N = 8 closed form by 7.6e-18.
 # The three `--coeffs` states' amplitude magnitudes differ, so unlike the cube's they pin the rounding of every
-# per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form keeps only the larger
-# eigenvalue's term, -(1 - p) log1p(-p) / ln 2 = 7.6e-18, and its oracle that of the larger eigenvalue rounded,
-# 1.5e-16.
+# per-party entropy; the N = 8 state's |c_1|^2 is below 1e-14, so its closed form is exactly 0.0, and its oracle
+# is the larger eigenvalue's term rounded, 1.6e-16.
 GOLDEN_REPORTS = [
-    (["claims"], "081e1e9f00e579af4e8ff43415924a5bad8caf292cc8e077791fb9002a08c267"),
-    (["claims", "--format", "json"], "f26e4d315cb3429750ae9d1c900caa5bd7bf45064f0571ed27fb405a2a531b80"),
-    (["claims", "--format", "csv"], "12fe9b77e46e0d0e2ad43cbbb9dc60e7b0e75dc476bf5b71b299dbdc4ec2ba0c"),
+    (["claims"], "bbfb1d44dbdc5032947d7b86f7334a55da48aa0fc5a6d8abec818f3d030336c2"),
+    (["claims", "--format", "json"], "a08db38a45f367dc8cc6bef396ee0f25da4db8e077411a7dc1995e7aa274ba51"),
+    (["claims", "--format", "csv"], "8821298737b29fd1cb7ed4026609f2170b3a8ae0c280cef46898919e6fb15c07"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3"],
-     "78756fad52fd3896306755214f2140532c3b7037c64efb29aa00e1c79b75c892"),
+     "e919fe2aab674566559a6b63e3bf5149af58ac035984b4b7beb573cb5a461127"),
     (["measures", "--gen", "cube", "--theta", "1.1", "--phi", "0.3", "--format", "csv"],
-     "24bb17e0587331b563b03a09401caf99ac579e2925bb619092b2bcb3477a6f4c"),
+     "fa76dbc05d0b213393bb1d62456de502a9a13412413af26eee3f964e76ba94cd"),
     (["scaling", "--max", "40"], "c04324dad721239d0fe3b7eb57ffbfa4f993b717faeeb2ca6fe7f689195be4d7"),
     (["scaling", "--max", "40", "--format", "csv"],
      "a8f996ff1c3f6adfcbcf5defe0e000d48f6fab475987cce53386590bc8c4cc2d"),
@@ -1614,7 +1624,7 @@ GOLDEN_REPORTS = [
     (["measures", "--coeffs", SeededCoeffs(5, 2305), "--theta", "2.3", "--phi", "4.1"],
      "7578169f3bc6aed5d8271fcfbae5eaa958bcaf9202af617fae528377df40eee6"),
     (["measures", "--coeffs", SeededCoeffs(8, 2308, tiny=True), "--theta", "1.9", "--phi", "5.5"],
-     "6a1f2b39d951f70a714f7ebbca812f974518da6919dfbd86ca0d5172a72cb554"),
+     "0f361744b58f3fdc165e1d0d3673b515748bfcdbf1909f5e8ecc0f627fdf5ca5"),
 ]
 
 

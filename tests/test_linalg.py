@@ -288,13 +288,23 @@ def _log1p_binary_entropy(p: float) -> float:
 ])
 def test_binary_entropy_against_the_exact_oracle(entropy):
     """The entropy of each |c_k|^2 of the near-pole sweep, as `splitting_entropy` computes it, against its 60-digit
-    value, within `EXACT_BOUND`.  A term at or below `ENTROPY_CUTOFF` counts as zero by the package's convention, so
-    only p strictly inside (ENTROPY_CUTOFF, 1 - ENTROPY_CUTOFF) is taken."""
-    probabilities = {float(abs(c) ** 2) for _, z in near_pole_sweep() for c in z.coeffs}
+    value, within `EXACT_BOUND`.  Where p or 1 - p is at most `ENTROPY_CUTOFF`, `binary_entropy` is exactly 0.0 by
+    the package's convention, so the sweep takes only p strictly inside (ENTROPY_CUTOFF, 1 - ENTROPY_CUTOFF), and
+    the first doubles on either side of each cutoff are checked apart: 0.0 at and past it, the bound inside."""
+    probabilities = {abs(c) ** 2 for _, z in near_pole_sweep() for c in z.coeffs}
     errors = [(relative_error(entropy(p), exact_binary_entropy(p)), p)
               for p in sorted(probabilities) if ENTROPY_CUTOFF < p < 1.0 - ENTROPY_CUTOFF]
+    top = 1.0 - ENTROPY_CUTOFF  # then the smallest double p with 1 - p <= ENTROPY_CUTOFF; 1 - p is exact here
+    while 1.0 - top > ENTROPY_CUTOFF:
+        top = math.nextafter(top, 2.0)
+    inside = (math.nextafter(ENTROPY_CUTOFF, 1.0), math.nextafter(top, 0.0))
+    errors += [(relative_error(entropy(p), exact_binary_entropy(p)), p) for p in inside]
     error, p = max(errors)
     assert error <= EXACT_BOUND, f"{error!r} at p = {p!r}"
+    if entropy is binary_entropy:
+        for p in (0.0, 5e-324, 1e-300, math.nextafter(ENTROPY_CUTOFF, 0.0), ENTROPY_CUTOFF,
+                  top, math.nextafter(top, 2.0), math.nextafter(1.0, 0.0), 1.0):
+            assert math.copysign(1.0, entropy(p)) == 1.0 and entropy(p) == 0.0, p  # 0.0, never -0.0
 
 
 def test_two_level_spectrum_against_the_exact_oracle():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcobweb.linalg import (
+    ENTROPY_CUTOFF,
     DensityMatrix,
     binary_entropy,
     hermitian_eigenvalues,
@@ -34,8 +35,10 @@ from oracles import (
     EXACT_BOUND,
     cobweb_state,
     entropy_of_eigenvalues,
+    exact_eof,
     exact_marginal_spectrum,
     exact_ppt_spectrum,
+    exact_two_level_entropy,
     exact_two_level_spectrum,
     pure_marginal,
     relative_error,
@@ -255,6 +258,40 @@ def test_cobweb_spectrum_against_the_exact_oracle():
         errors += [(relative_error(spectrum[key], value), key, cw.qubit.theta, list(cw.zsa.coeffs))
                    for key, value in zip(("eta_minus", "eta_plus"), exact) if value]
     assert cobweb_spectrum(outputs[0])["eta_minus"] > 0.0
+    error, *where = max(errors, key=lambda entry: entry[0])
+    assert error <= EXACT_BOUND, (error, *where)
+
+
+def _two_level_entropy_error(value: float, exact: tuple) -> float:
+    """The relative error of a two-level entropy against its exact (smaller root, H2) pair; where that root is at most
+    `ENTROPY_CUTOFF`, 0.0 if ``value`` is exactly 0.0, else inf."""
+    small, entropy = exact
+    if small <= ENTROPY_CUTOFF:
+        return 0.0 if value == 0.0 and math.copysign(1.0, value) == 1.0 else math.inf
+    return relative_error(value, entropy)
+
+
+def test_two_level_entropies_against_the_exact_oracle():
+    """`entanglement_bits` and the EoF closed form within `EXACT_BOUND` of the 60-digit H2 of the exact smaller root
+    of their spectrum, and exactly 0.0 where that root is at most `ENTROPY_CUTOFF`: every live output of the
+    near-pole sweep's three-party states and the cube at theta = 0.01, 1e-3 and 0.3, and the EoF at each of those
+    states' C = 2|c2||c3| and at 400 log-spaced C from 1e-7 to 1.  Taken as H2 of the larger root, 1 - small
+    rounded, the output entropy was 1.5e-3 off at theta = 2.3e-7 and the EoF 5.9e-3 at C = 2.4e-7."""
+    outputs = [reference_0_output(UnknownQubit(theta), CUBE) for theta in (0.01, 1e-3, 0.3)]
+    concurrences = np.logspace(-7.0, 0.0, 400).tolist()
+    for q, z in near_pole_sweep():
+        if z.num_parties == 3:
+            table = bell_table(q, z)
+            outputs += [table.transcript(o).final for o in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS)
+                        if table.probabilities[o.value] >= DEGENERATE_PROBABILITY]
+            concurrences.append(2.0 * abs(z.coeffs[1]) * abs(z.coeffs[2]))
+    errors = []
+    for cw in outputs:
+        spectrum = cobweb_spectrum(cw)
+        exact = exact_two_level_entropy(spectrum["epsilon"])
+        errors.append((_two_level_entropy_error(spectrum["entanglement_bits"], exact), cw.qubit.theta,
+                       list(cw.zsa.coeffs)))
+    errors += [(_two_level_entropy_error(eof_from_concurrence(con), exact_eof(con)), con) for con in concurrences]
     error, *where = max(errors, key=lambda entry: entry[0])
     assert error <= EXACT_BOUND, (error, *where)
 
